@@ -11,8 +11,8 @@ from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
                     Sector3D, SymmetrizedSector, basis_size_3d,
                     enumerate_basis_1d, enumerate_basis_3d, enumerate_vectors,
                     sector_3d, symmetrize_sector)
-from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D,
-                            apply_hamiltonian_1d, f1, matrix_element_1d)
+from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,
+                            matrix_element_1d)
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D, dense_from_elements, f2,
                             matrix_element_3d, symmetrized_element_3d)

@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    # imported where used, so commands that never assemble a Hamiltonian
+    # (estimate, orbit, report) do not pay for loading scipy.sparse
+    from scipy import sparse
 
 
 class ResourceLimitError(Exception):
@@ -39,8 +46,59 @@ class BasisState3D:
     p: tuple[int, int, int]
 
 
+class _PairLabels:
+    """Rows labelled by the heavy momenta (n1, n2); shared by 1D and 3D sectors."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.n1)
+
+    def locate(self, n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Find the rows carrying the labels (n1[j], n2[j]).
+
+        Labels are shaped like the sector's own (N,) in 1D, (N, 3) in 3D.
+        Returns (rows, cols), cols ascending, with row rows[k] labelled
+        (n1[cols[k]], n2[cols[k]]); labels not in the sector are skipped.
+        """
+        lo, span, strides, sorted_keys, order = self._label_keys
+        want = _components(n1, n2) - lo
+        # a negative offset wraps to a huge unsigned value, so one comparison
+        # finds every component outside the sector's ranges
+        cols = np.nonzero(np.all(want.view(np.uint64) < span, axis=0))[0]
+        wanted = strides @ want[:, cols]
+        pos = np.minimum(np.searchsorted(sorted_keys, wanted), max(self.dim - 1, 0))
+        hit = sorted_keys[pos] == wanted
+        return order[pos[hit]], cols[hit]
+
+    @cached_property
+    def _label_keys(self):
+        # Mixed-radix key over the sector's own component ranges: distinct
+        # labels inside the ranges get distinct keys, and a label with a
+        # component outside them cannot be in the sector.  The initial values
+        # only widen the ranges, except that an empty sector gets span 0.
+        comps = _components(self.n1, self.n2)
+        lo = comps.min(axis=1, keepdims=True, initial=0)
+        span = comps.max(axis=1, keepdims=True, initial=-1) - lo + 1
+        strides = np.cumprod(np.append(1, span[:0:-1]))[::-1]
+        keys = strides @ (comps - lo)
+        order = np.argsort(keys, kind="stable")
+        return lo, span.astype(np.uint64), strides, keys[order], order
+
+    def exchange_map(self) -> np.ndarray:
+        """Index permutation realizing heavy-particle exchange n1 <-> n2."""
+        rows, cols = self.locate(self.n2, self.n1)
+        if len(cols) != self.dim:
+            raise ValueError(f"sector {self.key} is not closed under exchange")
+        return rows
+
+
+def _components(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Labels as rows of components, n1 then n2: shape (2, N) in 1D, (6, N) in 3D."""
+    return np.vstack([n1.T, n2.T], dtype=np.int64)
+
+
 @dataclass
-class Sector1D:
+class Sector1D(_PairLabels):
     """All 1D states of fixed total momentum, ordered lexicographically by (n1, n2)."""
 
     total_momentum: int
@@ -48,10 +106,6 @@ class Sector1D:
     n2: np.ndarray
     p: np.ndarray
     _index: dict = field(default=None, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.n1)
 
     @property
     def key(self) -> str:
@@ -69,17 +123,9 @@ class Sector1D:
             }
         return self._index
 
-    def exchange_map(self) -> np.ndarray:
-        """Index permutation realizing heavy-particle exchange n1 <-> n2."""
-        idx = self.index_map()
-        out = np.empty(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            out[i] = idx[(int(self.n2[i]), int(self.n1[i]))]
-        return out
-
 
 @dataclass
-class Sector3D:
+class Sector3D(_PairLabels):
     """All 3D states of fixed total momentum vector, ordered lexicographically by (n1, n2)."""
 
     total_momentum: tuple[int, int, int]
@@ -87,10 +133,6 @@ class Sector3D:
     n2: np.ndarray
     p: np.ndarray
     _index: dict = field(default=None, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.n1)
 
     @property
     def key(self) -> str:
@@ -109,29 +151,20 @@ class Sector3D:
             }
         return self._index
 
-    def exchange_map(self) -> np.ndarray:
-        idx = self.index_map()
-        out = np.empty(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            key = (tuple(int(v) for v in self.n2[i]), tuple(int(v) for v in self.n1[i]))
-            out[i] = idx[key]
-        return out
-
 
 @dataclass
 class SymmetrizedSector:
     """Exchange eigenbasis built on top of a plain sector.
 
-    Each row combines a state and its heavy-exchange image,
-    (|a b> + parity |b a>) / norm_c, with norm_c = sqrt(2) off the diagonal
-    and 2 on it.  Diagonal states n1 = n2 appear only at parity +1.
+    Each row combines a plain state a and its heavy-exchange image b as
+    (|a> + parity |b>) / sqrt(2); a diagonal state (a = b, n1 = n2) is its
+    own image and appears only at parity +1.
     """
 
     parent: object            # Sector1D or Sector3D
     parity: int               # +1 symmetric, -1 antisymmetric
     idx_a: np.ndarray
     idx_b: np.ndarray
-    norm_c: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -165,17 +198,21 @@ class SymmetrizedSector:
         out[diag] = vec[self.idx_a[diag]]
         return out
 
-    def embedding_matrix(self) -> np.ndarray:
-        """Dense (parent.dim x dim) isometry S with S^T S = identity."""
-        s = np.zeros((self.parent.dim, self.dim))
-        for col in range(self.dim):
-            a, b = int(self.idx_a[col]), int(self.idx_b[col])
-            if a == b:
-                s[a, col] = 1.0
-            else:
-                s[a, col] = 1.0 / np.sqrt(2.0)
-                s[b, col] = self.parity / np.sqrt(2.0)
-        return s
+    def embedding_matrix(self) -> sparse.csr_array:
+        """Sparse (parent.dim x dim) isometry S with S^T S = identity.
+
+        Holds the same entries embed writes, so S @ v equals embed(v).
+        """
+        from scipy import sparse
+
+        pair = self.idx_a != self.idx_b
+        w = 1.0 / np.sqrt(2.0)
+        cols = np.arange(self.dim)
+        rows = np.concatenate([self.idx_a, self.idx_b[pair]])
+        vals = np.concatenate([np.where(pair, w, 1.0),
+                               np.full(int(pair.sum()), self.parity * w)])
+        return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
+                                shape=(self.parent.dim, self.dim))
 
 
 def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector1D:
@@ -286,20 +323,29 @@ def symmetrize_sector(sector) -> tuple[SymmetrizedSector, SymmetrizedSector]:
     parent dimension; diagonal states contribute to the symmetric block only.
     """
     xmap = sector.exchange_map()
-    sym_a, sym_b, sym_c = [], [], []
-    anti_a, anti_b, anti_c = [], [], []
-    for i in range(sector.dim):
-        j = int(xmap[i])
-        if i < j:
-            sym_a.append(i); sym_b.append(j); sym_c.append(np.sqrt(2.0))
-            anti_a.append(i); anti_b.append(j); anti_c.append(np.sqrt(2.0))
-        elif i == j:
-            sym_a.append(i); sym_b.append(i); sym_c.append(2.0)
-    sym = SymmetrizedSector(sector, 1, np.array(sym_a, dtype=np.int64),
-                            np.array(sym_b, dtype=np.int64), np.array(sym_c))
-    anti = SymmetrizedSector(sector, -1, np.array(anti_a, dtype=np.int64),
-                             np.array(anti_b, dtype=np.int64), np.array(anti_c))
-    return sym, anti
+    idx = np.arange(sector.dim, dtype=np.int64)
+    # each exchange pair is listed once, from its lower index
+    sym = idx <= xmap
+    anti = idx < xmap
+    return (SymmetrizedSector(sector, 1, idx[sym], xmap[sym]),
+            SymmetrizedSector(sector, -1, idx[anti], xmap[anti]))
+
+
+def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:
+    """CSR matrix with `diagonal` plus `coeff` at every (rows, cols) of `transfers`.
+
+    `transfers` holds (rows, cols, coeff) triples whose positions must not
+    overlap each other or the diagonal.  Zero diagonal entries stay stored, so
+    nnz counts every structurally nonzero element.
+    """
+    from scipy import sparse
+
+    n = len(diagonal)
+    diag = np.arange(n)
+    rows = np.concatenate([diag, *(r for r, _, _ in transfers)])
+    cols = np.concatenate([diag, *(c for _, c, _ in transfers)])
+    vals = np.concatenate([diagonal, *(np.full(len(r), coeff) for r, _, coeff in transfers)])
+    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 def sector_summary(sectors: dict) -> list[dict]:

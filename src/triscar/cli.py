@@ -493,9 +493,7 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
     sector = Sector3D(tuple(int(v) for v in data["total_momentum"]),
                       data["n1"], data["n2"], data["p"])
     block = SymmetrizedSector(sector, int(data["parity"][0]),
-                              data["idx_a"], data["idx_b"],
-                              np.where(data["idx_a"] == data["idx_b"], 2.0,
-                                       np.sqrt(2.0)))
+                              data["idx_a"], data["idx_b"])
     evals = data["eigenvalues"]
     evecs = data["eigenvectors"]
     idx = args.index if args.index is not None else 0

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import BasisState1D, Sector1D
+from .basis import BasisState1D, Sector1D, assemble_csr
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -95,10 +95,10 @@ _HOPS = (
 
 
 class HamiltonianOperator1D:
-    """Matrix-free H1 on a single momentum sector.
+    """H1 on a single momentum sector, held as one CSR matrix.
 
-    Precomputes the diagonal and the six one-unit transfer index tables;
-    matvec cost is O(dim) per transfer.
+    The diagonal plus the six one-unit transfers; matvec cost is O(dim)
+    per transfer.
     """
 
     def __init__(self, sector: Sector1D, rule: MatrixElementRule1D):
@@ -107,22 +107,13 @@ class HamiltonianOperator1D:
         n1, n2, p = sector.n1, sector.n2, sector.p
         gamma = rule.params.gamma
         kin = rule.kinetic_coeff * (n1 * n1 + n2 * n2 + p * p / gamma)
-        # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
-        self.diagonal = kin - 0.5 * rule.coupling_coeff
-        idx = sector.index_map()
         quarter = 0.25 * rule.coupling_coeff
-        self._tables = []
+        transfers = []
         for da, db, sign in _HOPS:
-            rows, cols = [], []
-            for j in range(sector.dim):
-                key = (int(n1[j]) + da, int(n2[j]) + db)
-                i = idx.get(key)
-                if i is not None:
-                    rows.append(i)
-                    cols.append(j)
-            self._tables.append((np.array(rows, dtype=np.int64),
-                                 np.array(cols, dtype=np.int64),
-                                 sign * quarter))
+            rows, cols = sector.locate(n1 + da, n2 + db)
+            transfers.append((rows, cols, sign * quarter))
+        # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
+        self.matrix = assemble_csr(kin - 0.5 * rule.coupling_coeff, transfers)
 
     @property
     def dim(self) -> int:
@@ -131,28 +122,13 @@ class HamiltonianOperator1D:
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != operator dim {self.dim}")
-        out = self.diagonal * vec
-        # each transfer is an injective index translation, so += has no collisions
-        for rows, cols, coeff in self._tables:
-            out[rows] += coeff * vec[cols]
-        return out
+        return self.matrix @ vec
 
     def dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        for rows, cols, coeff in self._tables:
-            h[rows, cols] += coeff
-        return h
+        return self.matrix.toarray()
 
     def nonzero_triplets(self):
-        """Yield (row, col, value) for every structurally nonzero element."""
-        for i, v in enumerate(self.diagonal):
-            yield i, i, float(v)
-        for rows, cols, coeff in self._tables:
-            for i, j in zip(rows, cols):
-                yield int(i), int(j), float(coeff)
-
-
-def apply_hamiltonian_1d(sector: Sector1D, rule: MatrixElementRule1D,
-                         vec: np.ndarray) -> np.ndarray:
-    """One-off H1 action; builds the operator tables each call."""
-    return HamiltonianOperator1D(sector, rule).matvec(vec)
+        """Yield (row, col, value) for every structurally nonzero element, row by row."""
+        coo = self.matrix.tocoo()
+        for i, j, v in zip(coo.row, coo.col, coo.data):
+            yield int(i), int(j), float(v)

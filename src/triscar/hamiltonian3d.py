@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisState3D, Sector3D, SymmetrizedSector
+from .basis import BasisState3D, Sector3D, SymmetrizedSector, assemble_csr
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -127,23 +127,12 @@ def dense_from_elements(sector: Sector3D, rule: MatrixElementRule3D) -> np.ndarr
     return h
 
 
-def _encode(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Pack the six (n1, n2) components into one int64 key per state."""
-    comps = np.concatenate([n1, n2], axis=1).astype(np.int64)
-    if np.abs(comps).max(initial=0) > 127:
-        raise ValueError("momentum components exceed the packing range")
-    code = np.zeros(len(comps), dtype=np.int64)
-    for k in range(6):
-        code = code * 256 + (comps[:, k] + 128)
-    return code
-
-
 class HamiltonianOperator3D:
-    """Matrix-free 3D Hamiltonian on one momentum sector.
+    """3D Hamiltonian on one momentum sector, held as one CSR matrix.
 
     For every transfer vector q (0 < |q|^2 <= 4 cutoff_sq) and every pair
-    type, a sorted-key lookup produces the (row, col) index table; the three
-    tables share the scalar coupling +-f2(2|q|)/L.
+    type, a label lookup produces the (row, col) positions; the three pair
+    types share the scalar coupling +-f2(2|q|)/L.
     """
 
     def __init__(self, sector: Sector3D, rule: MatrixElementRule3D,
@@ -159,36 +148,19 @@ class HamiltonianOperator3D:
         kin = (np.einsum("ij,ij->i", n1, n1)
                + np.einsum("ij,ij->i", n2, n2)
                + np.einsum("ij,ij->i", p, p) / gamma)
-        # q = 0 carries no weight (f2(0) = 0), so the diagonal is purely kinetic
-        self.diagonal = rule.kinetic_coeff * kin
-
-        codes = _encode(n1, n2)
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-
-        def lookup(t1, t2):
-            if len(sorted_codes) == 0:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty
-            target = _encode(t1, t2)
-            pos = np.searchsorted(sorted_codes, target)
-            pos = np.minimum(pos, len(sorted_codes) - 1)
-            hit = sorted_codes[pos] == target
-            return order[pos[hit]], np.nonzero(hit)[0]
-
         w = rule.interaction_coeff
-        transfers = enumerate_vectors(4 * cutoff_sq)
-        self._tables = []
-        for q in transfers:
+        transfers = []
+        for q in enumerate_vectors(4 * cutoff_sq):
             if not q.any():
                 continue
             coeff = w * f2(2.0 * np.linalg.norm(q))
             for t1, t2, sign in ((n1 + q, n2 - q, +1.0),
                                  (n1 + q, n2, -1.0),
                                  (n1, n2 + q, -1.0)):
-                rows, cols = lookup(t1, t2)
-                if len(rows):
-                    self._tables.append((rows, cols, sign * coeff))
+                rows, cols = sector.locate(t1, t2)
+                transfers.append((rows, cols, sign * coeff))
+        # q = 0 carries no weight (f2(0) = 0), so the diagonal is purely kinetic
+        self.matrix = assemble_csr(rule.kinetic_coeff * kin, transfers)
 
     @property
     def dim(self) -> int:
@@ -197,24 +169,17 @@ class HamiltonianOperator3D:
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != operator dim {self.dim}")
-        out = self.diagonal * vec
-        for rows, cols, coeff in self._tables:
-            out[rows] += coeff * vec[cols]
-        return out
+        return self.matrix @ vec
 
     def dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        for rows, cols, coeff in self._tables:
-            h[rows, cols] += coeff
-        return h
+        return self.matrix.toarray()
 
     def nonzeros_per_row(self) -> float:
-        total = self.dim + sum(len(rows) for rows, _, _ in self._tables)
-        return total / max(self.dim, 1)
+        return self.matrix.nnz / max(self.dim, 1)
 
 
 class SymmetrizedOperator3D:
-    """Exchange-parity block of a plain-sector operator: S^T H S, matrix-free."""
+    """Exchange-parity block S^T H S of a plain-sector operator."""
 
     def __init__(self, sym: SymmetrizedSector, plain_op: HamiltonianOperator3D):
         if sym.parent is not plain_op.sector:
@@ -231,13 +196,14 @@ class SymmetrizedOperator3D:
         return self.sym
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """Matrix-free block action project(H embed(vec)) for the iterative solver."""
         return self.sym.project(self.plain_op.matvec(self.sym.embed(vec)))
 
     def dense(self) -> np.ndarray:
-        h = np.empty((self.dim, self.dim))
-        e = np.zeros(self.dim)
-        for j in range(self.dim):
-            e[j] = 1.0
-            h[:, j] = self.matvec(e)
-            e[j] = 0.0
+        # Contract with the +-1 pattern of S, then divide the pair rows by
+        # sqrt(2): the same operations project applies, so the block is
+        # bit-identical to stacking matvec(e_j) column by column.
+        s = self.sym.embedding_matrix()
+        h = (s.sign().T @ (self.plain_op.matrix @ s)).toarray()
+        h[self.sym.idx_a != self.sym.idx_b] /= np.sqrt(2.0)
         return 0.5 * (h + h.T)

@@ -109,14 +109,9 @@ def test_matvec_matches_dense(small_sector, rng):
 
 def test_matvec_wrapper_checks_shape(small_sector):
     params, sec = small_sector
-    rule = ts.MatrixElementRule1D(params)
+    op = ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(params))
     with pytest.raises(ValueError):
-        ts.apply_hamiltonian_1d(sec, rule, np.zeros(sec.dim + 1))
-    op = ts.HamiltonianOperator1D(sec, rule)
-    v = np.zeros(sec.dim)
-    v[0] = 1.0
-    np.testing.assert_allclose(ts.apply_hamiltonian_1d(sec, rule, v),
-                               op.matvec(v))
+        op.matvec(np.zeros(sec.dim + 1))
 
 
 def test_origin_diagonal_scaled(params):

@@ -157,6 +157,26 @@ def test_blocks_are_symmetric(c2_blocks):
     np.testing.assert_allclose(ha, ha.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_block_assembly_matches_column_reference(c2_blocks, parity):
+    """The sparse S^T H S block equals the column-by-column matvec build exactly."""
+    plain, op_s, op_a, sym, anti = c2_blocks
+    op, block = (op_s, sym) if parity == 1 else (op_a, anti)
+    ref = np.empty((block.dim, block.dim))
+    e = np.zeros(block.dim)
+    for j in range(block.dim):
+        e[j] = 1.0
+        ref[:, j] = block.project(plain.matvec(block.embed(e)))
+        e[j] = 0.0
+    assert np.array_equal(op.dense(), 0.5 * (ref + ref.T))
+
+
+def test_nonzeros_per_row_c2(c2_blocks):
+    plain = c2_blocks[0]
+    assert plain.dim == 175
+    assert plain.nonzeros_per_row() * plain.dim == 4837
+
+
 def test_exchange_commutes(params, sector3d_c2):
     """H commutes with the heavy-particle exchange permutation."""
     rule = ts.MatrixElementRule3D(params)
