@@ -10,7 +10,7 @@ from .params import LightCutoffMode, ModelParams, Scaling
 from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
                     Sector3D, SymmetrizedSector, basis_size_3d,
                     enumerate_basis_1d, enumerate_basis_3d, enumerate_vectors,
-                    sector_3d, symmetrize_sector)
+                    sector_3d, symmetrize_sector, symmetry_blocks)
 from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,
                             matrix_element_1d)
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
@@ -18,7 +18,7 @@ from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             matrix_element_3d, symmetrized_element_3d)
 from .eigensolve import (Band, DenseSizeError, IterationError, Spectrum,
                          assemble_bands, band_id_per_state, canonicalize,
-                         solve_dense, solve_iterative)
+                         solve_blocks, solve_dense, solve_iterative)
 from .wavefunction import (AutocorrelationSeries, RadialDensity,
                            WavefunctionGrid, autocorrelation,
                            concentration_ratio, heavy_overlap,

@@ -331,6 +331,53 @@ def symmetrize_sector(sector) -> tuple[SymmetrizedSector, SymmetrizedSector]:
             SymmetrizedSector(sector, -1, idx[anti], xmap[anti]))
 
 
+def symmetry_blocks(sector: Sector1D) -> list[tuple[str, sparse.csr_array]]:
+    """Split a 1D sector into the joint eigenspaces of its label symmetries.
+
+    Heavy exchange (n1 <-> n2) always commutes with H1; inversion
+    (n -> -n) does only at total momentum 0, since elsewhere it maps p to
+    P + n1 + n2 instead of -p.  Returns one (label, S) per block, S a sparse
+    (dim x block_dim) isometry whose column j is the normalized orbit sum
+    sum_g chi(g) |g r_j> over the block's j-th orbit representative r_j (the
+    orbit's lowest row).  The columns of all blocks together form an
+    orthogonal matrix, and every row of S holds at most one entry, so S @ V
+    reproduces V up to an exact +-1 on each orbit.
+    """
+    from scipy import sparse
+
+    generators = [(("sym", "anti"), sector.exchange_map())]
+    if sector.total_momentum == 0:
+        rows, cols = sector.locate(-sector.n1, -sector.n2)
+        if len(cols) != sector.dim:
+            raise ValueError(f"sector {sector.key} is not closed under inversion")
+        generators.append((("even", "odd"), rows))
+    # images[k] is the row each row reaches under the group element whose
+    # bit j says whether generator j is applied
+    idx = np.arange(sector.dim)
+    images = [idx]
+    for _, perm in generators:
+        images += [perm[im] for im in images]
+    images = np.array(images)
+    rep = images.min(axis=0)
+    stabilizer = images == idx
+    orbit_size = len(images) // stabilizer.sum(axis=0)
+    # the first element that carries a row's representative to the row
+    element = np.argmax(images[:, rep] == idx, axis=0)
+    bits = (np.arange(len(images))[:, None] >> np.arange(len(generators))) & 1
+    blocks = []
+    for signs in itertools.product((1, -1), repeat=len(generators)):
+        char = np.prod(np.where(bits == 1, signs, 1), axis=1)
+        # an orbit carries the character only if its stabilizer acts as +1
+        keep = ~np.any(stabilizer & (char[:, None] < 0), axis=0)
+        reps = np.unique(rep[keep])
+        vals = char[element[keep]] / np.sqrt(orbit_size[keep])
+        s = sparse.csr_array((vals, (idx[keep], np.searchsorted(reps, rep[keep]))),
+                             shape=(sector.dim, len(reps)))
+        label = " ".join(names[sign < 0] for (names, _), sign in zip(generators, signs))
+        blocks.append((label, s))
+    return blocks
+
+
 def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:
     """CSR matrix with `diagonal` plus `coeff` at every (rows, cols) of `transfers`.
 

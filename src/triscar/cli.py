@@ -20,12 +20,13 @@ import numpy as np
 from . import __version__
 from .basis import (ResourceLimitError, Sector1D, Sector3D, SymmetrizedSector,
                     basis_size_3d, enumerate_basis_1d, estimate_basis_bytes,
-                    sector_3d, symmetrize_sector)
+                    sector_3d, symmetrize_sector, symmetry_blocks)
 from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
 from .config import ConfigError, load_config, model_params, section
 from .eigensolve import (DenseSizeError, IterationError, assemble_bands,
-                         band_id_per_state, solve_dense, solve_iterative)
+                         band_id_per_state, solve_blocks, solve_dense,
+                         solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D)
@@ -116,14 +117,16 @@ def cmd_solve1d(args) -> int:
     sector = enumerate_basis_1d(params, s["total_momentum"])
     rule = MatrixElementRule1D(params)
     op = HamiltonianOperator1D(sector, rule)
+    blocks = symmetry_blocks(sector)
     man.add_timing("build", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     method = s["method"]
     if method == "auto":
-        method = "dense" if sector.dim <= s["dense_threshold"] else "iterative"
+        largest = max(iso.shape[1] for _, iso in blocks)
+        method = "dense" if largest <= s["dense_threshold"] else "iterative"
     if method == "dense":
-        spectrum = solve_dense(op, dense_threshold=s["dense_threshold"])
+        spectrum = solve_blocks(op, blocks, dense_threshold=s["dense_threshold"])
     elif method == "iterative":
         spectrum = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
     else:
@@ -180,6 +183,7 @@ def cmd_solve1d(args) -> int:
         "ground_energy": float(spectrum.eigenvalues[0]) if spectrum.k else None,
         "n_bands": len(bands),
         "max_residual_ratio": spectrum.max_residual_ratio(),
+        "block_dimensions": spectrum.meta.get("block_dimensions"),
     }
     man.write(out)
     print(f"sector {sector.key}: {sector.dim} states, method {spectrum.method}")

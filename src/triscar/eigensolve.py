@@ -17,6 +17,9 @@ import scipy.linalg
 #: sectors above this size refuse the dense path
 DENSE_THRESHOLD = 4096
 
+#: eigenvector columns per residual product in solve_blocks
+_RESIDUAL_CHUNK = 256
+
 
 class DenseSizeError(Exception):
     """Sector too large for the dense solver."""
@@ -68,7 +71,7 @@ class Band:
 
 
 def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-                 degen_tol: float = 1e-11):
+                 degen_tol: float = 1e-11, overwrite: bool = False):
     """Deterministic eigenvector representatives.
 
     Within clusters of eigenvalues closer than degen_tol * max(1, |E|)
@@ -77,9 +80,10 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     each column's sign so its largest-magnitude entry is positive.  Mixing
     across a cluster perturbs residuals by at most the cluster width, so the
     relative tolerance keeps ||Hv - Ev|| well below 1e-8 max(1, |E|).
+    With overwrite, a float64 eigenvectors array is rotated in place.
     """
     evals = np.asarray(eigenvalues, dtype=np.float64)
-    vecs = np.array(eigenvectors, dtype=np.float64, copy=True)
+    vecs = np.array(eigenvectors, dtype=np.float64, copy=None if overwrite else True)
     n_pairs = len(evals)
     if n_pairs == 0:
         return evals, vecs
@@ -144,6 +148,60 @@ def solve_dense(op, *, sector_key: str | None = None,
         getattr(op, "sector", None), "key", "")
     return Spectrum(key, evals, vecs, resid, "dense",
                     meta={"dim": n, "hermiticity_defect": asym})
+
+
+class _BlockOperator:
+    """The block S^T H S of a sparse plain-sector matrix H, for solve_dense."""
+
+    def __init__(self, matrix, isometry):
+        self.matrix = matrix
+        self.isometry = isometry
+
+    @property
+    def dim(self) -> int:
+        return self.isometry.shape[1]
+
+    def dense(self) -> np.ndarray:
+        return (self.isometry.T @ (self.matrix @ self.isometry)).toarray()
+
+
+def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spectrum:
+    """Full spectrum of op.matrix from its symmetry blocks, in the plain basis.
+
+    blocks holds (label, S) pairs whose sparse isometries S commute with H
+    and together span the sector.  Each block S^T H S goes through
+    solve_dense (dense_threshold applies per block); the vectors S V land in
+    one preallocated array in ascending eigenvalue order.  Degeneracies
+    cross blocks, so canonicalize runs once more over the merged spectrum,
+    and residuals are taken against op.matrix itself, a few hundred columns
+    at a time so no second full-size array is allocated.
+    """
+    key = op.sector.key
+    parts = [solve_dense(_BlockOperator(op.matrix, s), sector_key=f"{key} {label}",
+                         dense_threshold=dense_threshold)
+             for label, s in blocks]
+    evals = np.concatenate([part.eigenvalues for part in parts])
+    n = len(evals)
+    if n != op.dim:
+        raise ValueError(f"blocks span {n} of {op.dim} dimensions")
+    order = np.argsort(evals, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    vecs = np.empty((n, n), order="F")
+    start = 0
+    for (_, s), part in zip(blocks, parts):
+        vecs[:, position[start:start + part.k]] = s @ part.eigenvectors
+        start += part.k
+    evals, vecs = canonicalize(evals[order], vecs, overwrite=True)
+    resid = np.empty(n)
+    for a in range(0, n, _RESIDUAL_CHUNK):
+        cols = slice(a, a + _RESIDUAL_CHUNK)
+        v = vecs[:, cols]
+        resid[cols] = np.linalg.norm(op.matrix @ v - v * evals[cols], axis=0)
+    return Spectrum(key, evals, vecs, resid, "dense", meta={
+        "dim": n,
+        "block_dimensions": {label: part.k for (label, _), part in zip(blocks, parts)},
+        "hermiticity_defect": max(part.meta["hermiticity_defect"] for part in parts)})
 
 
 def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,

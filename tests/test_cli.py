@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from triscar.basis import Sector1D
 from triscar.cli import main
 from triscar.config import ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -122,6 +123,38 @@ def test_solve1d_npz_reconstructs(solve1d_run):
         params = json.loads(str(npz["params"]))
         assert params["gamma"] == 2.7e-4
         assert npz["n1"].shape == (729,)
+
+
+def test_solve1d_isolated_vectors_keep_exact_symmetry(solve1d_run):
+    """Block vectors are orbit sums, so every isolated eigenvector is exchange
+    and inversion (anti)symmetric bit for bit, whatever its sign."""
+    with np.load(os.path.join(solve1d_run, "eigenvectors.npz")) as npz:
+        evals, vecs = npz["eigenvalues"], npz["eigenvectors"]
+        sector = Sector1D(0, npz["n1"], npz["n2"], npz["p"])
+    xmap = sector.exchange_map()
+    imap, _ = sector.locate(-sector.n1, -sector.n2)
+    # canonicalize's default degeneracy tolerance
+    tol = 1e-11 * np.maximum(1.0, np.abs(evals))
+    apart = np.diff(evals) > np.maximum(tol[1:], tol[:-1])
+    isolated = np.nonzero(np.append(True, apart) & np.append(apart, True))[0]
+    assert len(isolated) > 100
+    for c in isolated:
+        v = vecs[:, c]
+        for perm in (xmap, imap):
+            assert np.array_equal(v[perm], v) or np.array_equal(v[perm], -v), c
+
+
+def test_solve1d_auto_routes_by_largest_block(tmp_path):
+    # the sector (121) is over the threshold, its largest block (36) is not
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n"
+                                 "[solve1d]\ndense_threshold = 100\n")
+    out = str(tmp_path / "run")
+    assert main(["solve1d", "--config", cfg, "--out", out]) == 0
+    stats = read_manifest(out)["statistics"]
+    assert stats["method"] == "dense"
+    assert stats["dimension"] == 121
+    assert stats["block_dimensions"] == {"sym even": 36, "sym odd": 30,
+                                         "anti even": 25, "anti odd": 30}
 
 
 def test_solve1d_config_error_exit(tmp_path, capsys):

@@ -117,6 +117,68 @@ def test_exact_degeneracies_in_paper_spectrum(spectrum729):
     assert np.all(gaps >= 0.0)
 
 
+def test_canonicalize_overwrite_works_in_place(c1_operator):
+    vals, vecs = np.linalg.eigh(c1_operator.dense())
+    _, expected = ts.canonicalize(vals, vecs)
+    _, w = ts.canonicalize(vals, vecs, overwrite=True)
+    assert np.shares_memory(w, vecs)
+    np.testing.assert_array_equal(w, expected)
+
+
+# ---------------------------------------------------------------------------
+# symmetry-block solver
+
+
+def _operator_1d(heavy_cutoff, total_momentum=0):
+    p = ts.ModelParams(heavy_cutoff=heavy_cutoff)
+    sec = ts.enumerate_basis_1d(p, total_momentum)
+    return ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(p))
+
+
+def _assert_same_spectrum(got, expected):
+    np.testing.assert_array_less(
+        np.abs(got - expected), 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("heavy_cutoff", [5, 13])
+def test_blocks_drop_no_degenerate_copy(heavy_cutoff):
+    """The four P = 0 blocks together hold every eigenvalue of the sector."""
+    op = _operator_1d(heavy_cutoff)
+    blocks = ts.symmetry_blocks(op.sector)
+    assert [label for label, _ in blocks] == ["sym even", "sym odd",
+                                               "anti even", "anti odd"]
+    dims = [s.shape[1] for _, s in blocks]
+    assert sum(dims) == op.dim
+    q = np.hstack([s.toarray() for _, s in blocks])
+    np.testing.assert_allclose(q.T @ q, np.eye(op.dim), rtol=0.0, atol=1e-15)
+
+    split = ts.solve_blocks(op, blocks)
+    _assert_same_spectrum(split.eigenvalues, ts.solve_dense(op).eigenvalues)
+    assert split.meta["block_dimensions"] == dict(zip(
+        [label for label, _ in blocks], dims))
+    assert split.method == "dense"
+    assert split.max_residual_ratio() < 1e-8
+
+
+def test_blocks_at_nonzero_momentum_split_by_exchange_only():
+    """Off P = 0, inversion maps p to P + n1 + n2, so only exchange splits."""
+    op = _operator_1d(5, total_momentum=1)
+    blocks = ts.symmetry_blocks(op.sector)
+    assert [label for label, _ in blocks] == ["sym", "anti"]
+    for (_, s), half in zip(blocks, ts.symmetrize_sector(op.sector)):
+        assert (s != half.embedding_matrix()).nnz == 0
+    split = ts.solve_blocks(op, blocks)
+    _assert_same_spectrum(split.eigenvalues, ts.solve_dense(op).eigenvalues)
+
+
+def test_block_threshold_applies_per_block():
+    op = _operator_1d(5)
+    blocks = ts.symmetry_blocks(op.sector)
+    assert ts.solve_blocks(op, blocks, dense_threshold=36).k == 121
+    with pytest.raises(ts.DenseSizeError):
+        ts.solve_blocks(op, blocks, dense_threshold=35)
+
+
 # ---------------------------------------------------------------------------
 # iterative solver
 
