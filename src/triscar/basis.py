@@ -171,9 +171,12 @@ class SymmetrizedSector:
         return len(self.idx_a)
 
     @property
+    def tag(self) -> str:
+        return "sym" if self.parity == 1 else "anti"
+
+    @property
     def key(self) -> str:
-        tag = "sym" if self.parity == 1 else "anti"
-        return f"{self.parent.key} {tag}"
+        return f"{self.parent.key} {self.tag}"
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Expand symmetrized coordinates into the plain sector."""
@@ -203,16 +206,24 @@ class SymmetrizedSector:
 
         Holds the same entries embed writes, so S @ v equals embed(v).
         """
-        from scipy import sparse
+        return _pair_isometry(self.parent.dim, self.idx_a, self.idx_b, self.parity)
 
-        pair = self.idx_a != self.idx_b
-        w = 1.0 / np.sqrt(2.0)
-        cols = np.arange(self.dim)
-        rows = np.concatenate([self.idx_a, self.idx_b[pair]])
-        vals = np.concatenate([np.where(pair, w, 1.0),
-                               np.full(int(pair.sum()), self.parity * w)])
-        return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
-                                shape=(self.parent.dim, self.dim))
+
+def _pair_isometry(n: int, idx_a: np.ndarray, idx_b: np.ndarray,
+                   signs) -> sparse.csr_array:
+    """Sparse (n x len(idx_a)) isometry whose column j is
+    (|idx_a[j]> + signs[j] |idx_b[j]>) / sqrt(2), or |idx_a[j]> when
+    idx_a[j] == idx_b[j].  signs is a scalar or one +-1 per column."""
+    from scipy import sparse
+
+    pair = idx_a != idx_b
+    w = 1.0 / np.sqrt(2.0)
+    cols = np.arange(len(idx_a))
+    rows = np.concatenate([idx_a, idx_b[pair]])
+    vals = np.concatenate([np.where(pair, w, 1.0),
+                           np.broadcast_to(signs, idx_a.shape)[pair] * w])
+    return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
+                            shape=(n, len(idx_a)))
 
 
 def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector1D:
@@ -334,47 +345,37 @@ def symmetrize_sector(sector) -> tuple[SymmetrizedSector, SymmetrizedSector]:
 def symmetry_blocks(sector: Sector1D) -> list[tuple[str, sparse.csr_array]]:
     """Split a 1D sector into the joint eigenspaces of its label symmetries.
 
-    Heavy exchange (n1 <-> n2) always commutes with H1; inversion
-    (n -> -n) does only at total momentum 0, since elsewhere it maps p to
-    P + n1 + n2 instead of -p.  Returns one (label, S) per block, S a sparse
-    (dim x block_dim) isometry whose column j is the normalized orbit sum
-    sum_g chi(g) |g r_j> over the block's j-th orbit representative r_j (the
-    orbit's lowest row).  The columns of all blocks together form an
-    orthogonal matrix, and every row of S holds at most one entry, so S @ V
-    reproduces V up to an exact +-1 on each orbit.
+    Heavy exchange (n1 <-> n2) always commutes with H1 and gives the two
+    blocks of symmetrize_sector.  Inversion (n -> -n) commutes only at total
+    momentum 0, since elsewhere it maps p to P + n1 + n2 instead of -p; there
+    it maps each exchange column to +- another one, and splits every
+    exchange block once more into even and odd.  Returns one (label, S) per
+    block, S a sparse (dim x block_dim) isometry.  The columns of all blocks
+    together form an orthogonal matrix, and each row of S holds one entry,
+    of equal magnitude over a symmetry orbit, so S @ V reproduces V up to an
+    exact +-1 on each orbit.
     """
-    from scipy import sparse
-
-    generators = [(("sym", "anti"), sector.exchange_map())]
-    if sector.total_momentum == 0:
-        rows, cols = sector.locate(-sector.n1, -sector.n2)
-        if len(cols) != sector.dim:
-            raise ValueError(f"sector {sector.key} is not closed under inversion")
-        generators.append((("even", "odd"), rows))
-    # images[k] is the row each row reaches under the group element whose
-    # bit j says whether generator j is applied
-    idx = np.arange(sector.dim)
-    images = [idx]
-    for _, perm in generators:
-        images += [perm[im] for im in images]
-    images = np.array(images)
-    rep = images.min(axis=0)
-    stabilizer = images == idx
-    orbit_size = len(images) // stabilizer.sum(axis=0)
-    # the first element that carries a row's representative to the row
-    element = np.argmax(images[:, rep] == idx, axis=0)
-    bits = (np.arange(len(images))[:, None] >> np.arange(len(generators))) & 1
+    halves = symmetrize_sector(sector)
+    if sector.total_momentum != 0:
+        return [(half.tag, half.embedding_matrix()) for half in halves]
+    rows, cols = sector.locate(-sector.n1, -sector.n2)
+    if len(cols) != sector.dim:
+        raise ValueError(f"sector {sector.key} is not closed under inversion")
+    inverse = np.empty(sector.dim, dtype=np.int64)
+    inverse[cols] = rows
     blocks = []
-    for signs in itertools.product((1, -1), repeat=len(generators)):
-        char = np.prod(np.where(bits == 1, signs, 1), axis=1)
-        # an orbit carries the character only if its stabilizer acts as +1
-        keep = ~np.any(stabilizer & (char[:, None] < 0), axis=0)
-        reps = np.unique(rep[keep])
-        vals = char[element[keep]] / np.sqrt(orbit_size[keep])
-        s = sparse.csr_array((vals, (idx[keep], np.searchsorted(reps, rep[keep]))),
-                             shape=(sector.dim, len(reps)))
-        label = " ".join(names[sign < 0] for (names, _), sign in zip(generators, signs))
-        blocks.append((label, s))
+    for half in halves:
+        # column j (|a> + parity |b>) / sqrt(2) goes to sign[j] * column
+        # image[j], the column listed from the lower of the rows -a, -b
+        a, b = inverse[half.idx_a], inverse[half.idx_b]
+        image = np.searchsorted(half.idx_a, np.minimum(a, b))
+        sign = np.where(a <= b, 1, half.parity)
+        col = np.arange(half.dim)
+        s = half.embedding_matrix()
+        for parity, tag in ((1, "even"), (-1, "odd")):
+            keep = (col < image) | ((col == image) & (sign == parity))
+            t = _pair_isometry(half.dim, col[keep], image[keep], parity * sign[keep])
+            blocks.append((f"{half.tag} {tag}", (s @ t).tocsr()))
     return blocks
 
 

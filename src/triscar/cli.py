@@ -24,9 +24,9 @@ from .basis import (ResourceLimitError, Sector1D, Sector3D, SymmetrizedSector,
 from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
 from .config import ConfigError, load_config, model_params, section
-from .eigensolve import (DenseSizeError, IterationError, assemble_bands,
-                         band_id_per_state, solve_blocks, solve_dense,
-                         solve_iterative)
+from .eigensolve import (DENSE_OUTPUT_BYTES, DenseSizeError, IterationError,
+                         assemble_bands, band_id_per_state, solve_blocks,
+                         solve_dense, solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D)
@@ -124,7 +124,9 @@ def cmd_solve1d(args) -> int:
     method = s["method"]
     if method == "auto":
         largest = max(iso.shape[1] for _, iso in blocks)
-        method = "dense" if largest <= s["dense_threshold"] else "iterative"
+        fits = (largest <= s["dense_threshold"]
+                and 8 * sector.dim ** 2 <= DENSE_OUTPUT_BYTES)
+        method = "dense" if fits else "iterative"
     if method == "dense":
         spectrum = solve_blocks(op, blocks, dense_threshold=s["dense_threshold"])
     elif method == "iterative":

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .basis import ResourceLimitError
+
 #: sectors above this size refuse the dense path
 DENSE_THRESHOLD = 4096
+
+#: largest plain-basis eigenvector array solve_blocks allocates (dim 5792)
+DENSE_OUTPUT_BYTES = 2 ** 28
 
 #: eigenvector columns per residual product in solve_blocks
 _RESIDUAL_CHUNK = 256
@@ -71,7 +76,7 @@ class Band:
 
 
 def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-                 degen_tol: float = 1e-11, overwrite: bool = False):
+                 degen_tol: float = 1e-11):
     """Deterministic eigenvector representatives.
 
     Within clusters of eigenvalues closer than degen_tol * max(1, |E|)
@@ -80,10 +85,10 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     each column's sign so its largest-magnitude entry is positive.  Mixing
     across a cluster perturbs residuals by at most the cluster width, so the
     relative tolerance keeps ||Hv - Ev|| well below 1e-8 max(1, |E|).
-    With overwrite, a float64 eigenvectors array is rotated in place.
+    A float64 eigenvectors array is rotated in place and returned.
     """
     evals = np.asarray(eigenvalues, dtype=np.float64)
-    vecs = np.array(eigenvectors, dtype=np.float64, copy=None if overwrite else True)
+    vecs = np.asarray(eigenvectors, dtype=np.float64)
     n_pairs = len(evals)
     if n_pairs == 0:
         return evals, vecs
@@ -165,7 +170,8 @@ class _BlockOperator:
         return (self.isometry.T @ (self.matrix @ self.isometry)).toarray()
 
 
-def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spectrum:
+def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD,
+                 max_output_bytes: int = DENSE_OUTPUT_BYTES) -> Spectrum:
     """Full spectrum of op.matrix from its symmetry blocks, in the plain basis.
 
     blocks holds (label, S) pairs whose sparse isometries S commute with H
@@ -174,9 +180,16 @@ def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spect
     one preallocated array in ascending eigenvalue order.  Degeneracies
     cross blocks, so canonicalize runs once more over the merged spectrum,
     and residuals are taken against op.matrix itself, a few hundred columns
-    at a time so no second full-size array is allocated.
+    at a time so no second full-size array is allocated.  Refuses with
+    ResourceLimitError, before any solve, when that array would exceed
+    max_output_bytes.
     """
     key = op.sector.key
+    if 8 * op.dim ** 2 > max_output_bytes:
+        raise ResourceLimitError(
+            f"{op.dim} x {op.dim} eigenvectors need {8 * op.dim ** 2 / 2 ** 20:.0f} MB, "
+            f"over the dense output budget of {max_output_bytes / 2 ** 20:.0f} MB; "
+            f"use the iterative method")
     parts = [solve_dense(_BlockOperator(op.matrix, s), sector_key=f"{key} {label}",
                          dense_threshold=dense_threshold)
              for label, s in blocks]
@@ -192,7 +205,7 @@ def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spect
     for (_, s), part in zip(blocks, parts):
         vecs[:, position[start:start + part.k]] = s @ part.eigenvectors
         start += part.k
-    evals, vecs = canonicalize(evals[order], vecs, overwrite=True)
+    evals, vecs = canonicalize(evals[order], vecs)
     resid = np.empty(n)
     for a in range(0, n, _RESIDUAL_CHUNK):
         cols = slice(a, a + _RESIDUAL_CHUNK)

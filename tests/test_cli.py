@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from triscar.basis import Sector1D
+from triscar import cli
 from triscar.cli import main
 from triscar.config import ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -155,6 +156,18 @@ def test_solve1d_auto_routes_by_largest_block(tmp_path):
     assert stats["dimension"] == 121
     assert stats["block_dimensions"] == {"sym even": 36, "sym odd": 30,
                                          "anti even": 25, "anti odd": 30}
+
+
+def test_solve1d_auto_routes_by_output_size(tmp_path, monkeypatch):
+    # every block fits the threshold, but the 121 x 121 output does not fit
+    # the budget, so auto falls back to the iterative solver
+    monkeypatch.setattr(cli, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n")
+    out = str(tmp_path / "run")
+    assert main(["solve1d", "--config", cfg, "--out", out]) == 0
+    stats = read_manifest(out)["statistics"]
+    assert stats["method"] == "lanczos"
+    assert stats["block_dimensions"] is None
 
 
 def test_solve1d_config_error_exit(tmp_path, capsys):

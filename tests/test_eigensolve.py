@@ -117,14 +117,6 @@ def test_exact_degeneracies_in_paper_spectrum(spectrum729):
     assert np.all(gaps >= 0.0)
 
 
-def test_canonicalize_overwrite_works_in_place(c1_operator):
-    vals, vecs = np.linalg.eigh(c1_operator.dense())
-    _, expected = ts.canonicalize(vals, vecs)
-    _, w = ts.canonicalize(vals, vecs, overwrite=True)
-    assert np.shares_memory(w, vecs)
-    np.testing.assert_array_equal(w, expected)
-
-
 # ---------------------------------------------------------------------------
 # symmetry-block solver
 
@@ -165,8 +157,8 @@ def test_blocks_at_nonzero_momentum_split_by_exchange_only():
     op = _operator_1d(5, total_momentum=1)
     blocks = ts.symmetry_blocks(op.sector)
     assert [label for label, _ in blocks] == ["sym", "anti"]
-    for (_, s), half in zip(blocks, ts.symmetrize_sector(op.sector)):
-        assert (s != half.embedding_matrix()).nnz == 0
+    assert [s.shape[1] for _, s in blocks] == [
+        half.dim for half in ts.symmetrize_sector(op.sector)]
     split = ts.solve_blocks(op, blocks)
     _assert_same_spectrum(split.eigenvalues, ts.solve_dense(op).eigenvalues)
 
@@ -177,6 +169,15 @@ def test_block_threshold_applies_per_block():
     assert ts.solve_blocks(op, blocks, dense_threshold=36).k == 121
     with pytest.raises(ts.DenseSizeError):
         ts.solve_blocks(op, blocks, dense_threshold=35)
+
+
+def test_block_output_budget_refuses_before_solving():
+    """Blocks are small, but the plain-basis eigenvector array is not."""
+    op = _operator_1d(5)
+    blocks = ts.symmetry_blocks(op.sector)
+    assert ts.solve_blocks(op, blocks, max_output_bytes=8 * 121 ** 2).k == 121
+    with pytest.raises(ts.ResourceLimitError, match="dense output budget"):
+        ts.solve_blocks(op, blocks, max_output_bytes=8 * 121 ** 2 - 1)
 
 
 # ---------------------------------------------------------------------------
