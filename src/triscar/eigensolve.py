@@ -170,8 +170,7 @@ class _BlockOperator:
         return (self.isometry.T @ (self.matrix @ self.isometry)).toarray()
 
 
-def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD,
-                 max_output_bytes: int = DENSE_OUTPUT_BYTES) -> Spectrum:
+def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spectrum:
     """Full spectrum of op.matrix from its symmetry blocks, in the plain basis.
 
     blocks holds (label, S) pairs whose sparse isometries S commute with H
@@ -182,13 +181,13 @@ def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD,
     and residuals are taken against op.matrix itself, a few hundred columns
     at a time so no second full-size array is allocated.  Refuses with
     ResourceLimitError, before any solve, when that array would exceed
-    max_output_bytes.
+    DENSE_OUTPUT_BYTES.
     """
     key = op.sector.key
-    if 8 * op.dim ** 2 > max_output_bytes:
+    if 8 * op.dim ** 2 > DENSE_OUTPUT_BYTES:
         raise ResourceLimitError(
             f"{op.dim} x {op.dim} eigenvectors need {8 * op.dim ** 2 / 2 ** 20:.0f} MB, "
-            f"over the dense output budget of {max_output_bytes / 2 ** 20:.0f} MB; "
+            f"over the dense output budget of {DENSE_OUTPUT_BYTES / 2 ** 20:.0f} MB; "
             f"use the iterative method")
     parts = [solve_dense(_BlockOperator(op.matrix, s), sector_key=f"{key} {label}",
                          dense_threshold=dense_threshold)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from triscar.basis import Sector1D
-from triscar import cli
+from triscar import cli, eigensolve
 from triscar.cli import main
 from triscar.config import ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -168,6 +168,11 @@ def test_solve1d_auto_routes_by_output_size(tmp_path, monkeypatch):
     stats = read_manifest(out)["statistics"]
     assert stats["method"] == "lanczos"
     assert stats["block_dimensions"] is None
+    # an explicit dense solve over the budget is refused as a resource limit
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n"
+                                 "[solve1d]\nmethod = dense\n", name="dense.ini")
+    assert main(["solve1d", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
 
 
 def test_solve1d_config_error_exit(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
+from triscar import eigensolve
 from triscar.eigensolve import DENSE_THRESHOLD, residual_norms
 
 MPMATH_ORACLE_C1 = np.array([
@@ -171,13 +172,15 @@ def test_block_threshold_applies_per_block():
         ts.solve_blocks(op, blocks, dense_threshold=35)
 
 
-def test_block_output_budget_refuses_before_solving():
+def test_block_output_budget_refuses_before_solving(monkeypatch):
     """Blocks are small, but the plain-basis eigenvector array is not."""
     op = _operator_1d(5)
     blocks = ts.symmetry_blocks(op.sector)
-    assert ts.solve_blocks(op, blocks, max_output_bytes=8 * 121 ** 2).k == 121
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2)
+    assert ts.solve_blocks(op, blocks).k == 121
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
     with pytest.raises(ts.ResourceLimitError, match="dense output budget"):
-        ts.solve_blocks(op, blocks, max_output_bytes=8 * 121 ** 2 - 1)
+        ts.solve_blocks(op, blocks)
 
 
 # ---------------------------------------------------------------------------
