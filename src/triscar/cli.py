@@ -507,8 +507,10 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
         raise ConfigError(f"--index {idx} out of range 0..{len(evals) - 1}")
     coeffs = block.embed(evecs[:, idx])
 
+    t0 = time.perf_counter()
     radial = integrated_probability_3d(coeffs, sector, params,
                                        n_r=s["n_radial"], n_eta=s["n_radial"])
+    man.add_timing("radial", time.perf_counter() - t0)
     path = os.path.join(out, f"radial_{tag}_state{idx:04d}.csv")
     _write_csv(path, [_fmt(e) for e in radial.eta_axis],
                ([_fmt(v) for v in row] for row in radial.values))
@@ -523,13 +525,17 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
     })
     man.add_artifact(path)
 
+    projection_s = 0.0
     for comp_r, comp_eta, label in ((0, 0, "like"), (0, 1, "unlike")):
+        t0 = time.perf_counter()
         grid = pair_projection_3d(coeffs, sector, params, comp_r, comp_eta,
                                   n_r=s["n_r"], n_eta=s["n_eta"])
+        projection_s += time.perf_counter() - t0
         path = os.path.join(out, f"projection_{label}_{tag}_state{idx:04d}.csv")
         _write_csv(path, [_fmt(v) for v in grid.eta_axis],
                    ([_fmt(v) for v in row] for row in grid.density()))
         man.add_artifact(path)
+    man.add_timing("projections", projection_s)
     man.statistics.update({"parity": tag, "index": int(idx),
                            "eigenvalue": float(evals[idx])})
 
@@ -539,7 +545,7 @@ def cmd_analyze(args) -> int:
     s = section(cfg, "analyze", {
         "select": "band:1:top", "n_r": 128, "n_eta": 128,
         "strip_fraction": 0.0625, "times_max": 0.0, "n_times": 512,
-        "broadening": 0.0, "n_radial": 48, "components": [0, 1],
+        "broadening": 0.0, "n_radial": 48,
     })
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
@@ -830,6 +836,7 @@ def cmd_report(args) -> int:
                          f"{e['predicted_gap']:>9.4f}  {measured:>12s}")
     lines.append("")
     lines.append(f"timings: {man.get('timings', {})}")
+    lines.append(f"peak RSS: {man.get('peak_rss_mb')} MB")
     text = "\n".join(lines) + "\n"
     out = _ensure_out(args.out)
     path = os.path.join(out, "report.txt")

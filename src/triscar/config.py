@@ -82,7 +82,6 @@ SCHEMAS: dict[str, dict[str, str]] = {
         "n_times": "int",
         "broadening": "float",
         "n_radial": "int",
-        "components": "ints",
     },
     "orbit": {
         "dimension": "int",

@@ -81,7 +81,9 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
 
     Within clusters of eigenvalues closer than degen_tol * max(1, |E|)
     (degenerate up to solver noise), rotate to the basis obtained by
-    projecting and orthonormalizing coordinate axes in index order; then fix
+    projecting and orthonormalizing coordinate axes, longest projection
+    first (ties in index order), which depends only on the cluster's
+    subspace and not on the basis the solver returned for it; then fix
     each column's sign so its largest-magnitude entry is positive.  Mixing
     across a cluster perturbs residuals by at most the cluster width, so the
     relative tolerance keeps ||Hv - Ev|| well below 1e-8 max(1, |E|).
@@ -104,9 +106,12 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
             block = vecs[:, start:stop]
             new = np.zeros_like(block)
             got = 0
-            # project coordinate axes into the cluster subspace, keep the
-            # independent ones in index order
-            for row in np.argsort(-np.max(np.abs(block), axis=1), kind="stable"):
+            # project coordinate axes into the cluster subspace and keep the
+            # independent ones, longest projection first; the squared
+            # projection length does not change under a rotation inside the
+            # cluster, and rounding it lets ties fall back to index order
+            weight = np.round(np.einsum("ij,ij->i", block, block), 8)
+            for row in np.argsort(-weight, kind="stable"):
                 cand = block @ block[row, :]
                 for c in range(got):
                     cand -= (new[:, c] @ cand) * new[:, c]

@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
+
+
+def peak_rss_mb() -> float | None:
+    """Peak resident set size of this process so far, in MB (None where the
+    platform has no getrusage)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / 2 ** 20 if sys.platform == "darwin" else peak / 1024
 
 
 @dataclass
@@ -36,6 +49,7 @@ class RunManifest:
             "statistics": self.statistics,
             "artifacts": sorted(self.artifacts),
             "timings": self.timings,
+            "peak_rss_mb": peak_rss_mb(),
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -17,6 +17,11 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+#: bytes of one int64 row block of the N x N state-pair space; the 3D
+#: observables walk the pairs in row chunks of this size (about 90 rows at
+#: N = 1459), so their memory grows as N rather than N^2
+PAIR_CHUNK_BYTES = 2 ** 20
+
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -211,22 +216,47 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
+def _row_chunks(n: int):
+    """(lo, hi) row ranges covering 0..n, each a PAIR_CHUNK_BYTES int64 block
+    of the n x n pair space."""
+    step = max(1, PAIR_CHUNK_BYTES // (8 * n))
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _squared_distance(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """|x_a - x_b|^2 for rows a in lo:hi against every row b."""
+    out = np.zeros((hi - lo, len(x)), dtype=np.int64)
+    for k in range(x.shape[1]):
+        d = x[lo:hi, k, None] - x[None, :, k]
+        out += d * d
+    return out
+
+
 def _pair_signature_weights(coefficients, sector):
-    """Unique (|dm|^2, |dp|^2) signatures and their summed Re(c_a conj(c_b))."""
+    """Occurring (|dm|^2, |dp|^2) signatures over all state pairs (a, b), in
+    increasing (dm2, dp2) order, and their summed Re(c_a conj(c_b)).
+
+    Pairs are binned on the key dm2 * (dp2max + 1) + dp2, whose range follows
+    from the per-axis label spans, one row chunk at a time.
+    """
     c = np.asarray(coefficients, dtype=np.complex128)
+    cr, ci = c.real, c.imag
     m = (sector.n1 - sector.n2).astype(np.int64)
     p = sector.p.astype(np.int64)
-    dm = m[:, None, :] - m[None, :, :]
-    dp = p[:, None, :] - p[None, :, :]
-    dm2 = np.einsum("abk,abk->ab", dm, dm)
-    dp2 = np.einsum("abk,abk->ab", dp, dp)
-    wre = np.real(np.outer(c, np.conj(c)))
-    key = dm2.ravel() * (dp2.max() + 1) + dp2.ravel()
-    uniq, inverse = np.unique(key, return_inverse=True)
-    acc = np.bincount(inverse, weights=wre.ravel())
-    dm2u = uniq // (dp2.max() + 1)
-    dp2u = uniq % (dp2.max() + 1)
-    return dm2u, dp2u, acc
+    dm2max = int(np.sum(np.ptp(m, axis=0) ** 2))
+    dp2max = int(np.sum(np.ptp(p, axis=0) ** 2))
+    nbins = (dm2max + 1) * (dp2max + 1)
+    acc = np.zeros(nbins)
+    count = np.zeros(nbins, dtype=np.int64)
+    for lo, hi in _row_chunks(len(c)):
+        key = _squared_distance(m, lo, hi) * (dp2max + 1)
+        key += _squared_distance(p, lo, hi)
+        key = key.ravel()
+        wre = np.outer(cr[lo:hi], cr) + np.outer(ci[lo:hi], ci)
+        acc += np.bincount(key, wre.ravel(), minlength=nbins)
+        count += np.bincount(key, minlength=nbins)
+    keys = np.flatnonzero(count)
+    return keys // (dp2max + 1), keys % (dp2max + 1), acc[keys]
 
 
 def _j0(x: np.ndarray) -> np.ndarray:
@@ -308,6 +338,47 @@ def _integrated_probability_quadrature(coefficients, sector, L, r_axis,
     return values / L ** 6
 
 
+def _pair_projection_grid(coefficients, sector, component_r: int,
+                          component_eta: int):
+    """Summed c_a conj(c_b) over the state pairs that agree on every axis but
+    r_i and eta_j, binned by (dm_i, dp_j) and cropped to the occupied range.
+
+    Returns the complex grid and its dm_i and dp_j axes.
+    """
+    c = np.asarray(coefficients, dtype=np.complex128)
+    m = (sector.n1 - sector.n2).astype(np.int64)
+    p = sector.p.astype(np.int64)
+    mi, pj = m[:, component_r], p[:, component_eta]
+    others = ([m[:, ax] for ax in range(3) if ax != component_r]
+              + [p[:, ax] for ax in range(3) if ax != component_eta])
+    # every (dm_i, dp_j) lies in [-sm, sm] x [-sp, sp]
+    sm, sp = int(np.ptp(mi)), int(np.ptp(pj))
+    shape = (2 * sm + 1, 2 * sp + 1)
+    nbins = shape[0] * shape[1]
+    re = np.zeros(nbins)
+    im = np.zeros(nbins)
+    count = np.zeros(nbins, dtype=np.int64)
+    for lo, hi in _row_chunks(len(c)):
+        keep = np.ones((hi - lo, len(c)), dtype=bool)
+        for x in others:
+            keep &= x[lo:hi, None] == x[None, :]
+        a, b = np.nonzero(keep)
+        a += lo
+        key = (mi[a] - mi[b] + sm) * shape[1] + (pj[a] - pj[b] + sp)
+        wab = c[a] * np.conj(c[b])
+        re += np.bincount(key, wab.real, minlength=nbins)
+        im += np.bincount(key, wab.imag, minlength=nbins)
+        count += np.bincount(key, minlength=nbins)
+
+    occupied = count.reshape(shape) > 0
+    rows = np.flatnonzero(occupied.any(axis=1))
+    cols = np.flatnonzero(occupied.any(axis=0))
+    rsel = slice(rows[0], rows[-1] + 1)
+    csel = slice(cols[0], cols[-1] + 1)
+    grid = (re + 1j * im).reshape(shape)[rsel, csel]
+    return grid, np.arange(-sm, sm + 1)[rsel], np.arange(-sp, sp + 1)[csel]
+
+
 def pair_projection_3d(coefficients, sector, params, component_r: int,
                        component_eta: int, n_r: int = 64,
                        n_eta: int = 64) -> WavefunctionGrid:
@@ -324,29 +395,11 @@ def pair_projection_3d(coefficients, sector, params, component_r: int,
         raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
                          f"{sector.dim}")
     L = params.box_length
-    c = np.asarray(coefficients, dtype=np.complex128)
-    m = (sector.n1 - sector.n2).astype(np.int64)
-    p = sector.p.astype(np.int64)
-
-    dm = m[:, None, :] - m[None, :, :]
-    dp = p[:, None, :] - p[None, :, :]
-    other_r = [ax for ax in range(3) if ax != component_r]
-    other_e = [ax for ax in range(3) if ax != component_eta]
-    keep = ((dm[:, :, other_r] == 0).all(axis=2)
-            & (dp[:, :, other_e] == 0).all(axis=2))
-    dmi = dm[:, :, component_r][keep]
-    dpj = dp[:, :, component_eta][keep]
-    wab = np.outer(c, np.conj(c))[keep]
-
-    m_off, p_off = int(dmi.min()), int(dpj.min())
-    grid = np.zeros((int(dmi.max()) - m_off + 1, int(dpj.max()) - p_off + 1),
-                    dtype=np.complex128)
-    np.add.at(grid, (dmi - m_off, dpj - p_off), wab)
+    grid, m_vals, p_vals = _pair_projection_grid(coefficients, sector,
+                                                 component_r, component_eta)
 
     u_axis = -L / 2 + (L / n_r) * np.arange(n_r)
     v_axis = -L / 2 + (L / n_eta) * np.arange(n_eta)
-    m_vals = np.arange(m_off, m_off + grid.shape[0])
-    p_vals = np.arange(p_off, p_off + grid.shape[1])
     eu = np.exp(1j * np.pi * np.outer(u_axis, m_vals) / L)
     ev = np.exp(1j * TWO_PI * np.outer(p_vals, v_axis) / L)
     values = np.real(eu @ grid @ ev) / L ** 2

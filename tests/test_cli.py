@@ -253,6 +253,32 @@ def test_solve3d_analyze_radial(tmp_path):
     assert os.path.exists(os.path.join(out, "radial_sym_state0000.csv"))
 
 
+def test_analyze_3d_manifest_records_timings_and_peak_rss(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
+    run = str(tmp_path / "run3d")
+    assert main(["solve3d", "--config", cfg, "--out", run]) == 0
+    out = str(tmp_path / "an")
+    assert main(["analyze", "--from", run, "--parity", "anti", "--index", "1",
+                 "--out", out]) == 0
+    man = read_manifest(out)
+    assert set(man["timings"]) == {"radial", "projections"}
+    assert all(t > 0.0 for t in man["timings"].values())
+    assert man["peak_rss_mb"] > 0.0
+    capsys.readouterr()
+    assert main(["report", "--from", out, "--out", str(tmp_path / "rep")]) == 0
+    assert f"peak RSS: {man['peak_rss_mb']} MB" in capsys.readouterr().out
+
+
+def test_analyze_refuses_components_key(tmp_path, capsys):
+    """3D projections are fixed to the (0, 0) and (0, 1) pairs; the former
+    `components` key had no reader and is now an unknown key."""
+    cfg = write_config(tmp_path, "[analyze]\ncomponents = 0 1\n")
+    code = main(["analyze", "--config", cfg, "--from", str(tmp_path),
+                 "--out", str(tmp_path / "an")])
+    assert code == 2
+    assert "components" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # analyze (1D)
 

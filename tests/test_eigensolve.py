@@ -104,6 +104,20 @@ def test_canonicalize_degenerate_cluster():
     np.testing.assert_allclose(np.abs(w1), np.abs(w2), atol=1e-12)
 
 
+def test_canonicalize_generic_cluster_is_rotation_invariant():
+    """A 3-fold cluster spanned by no coordinate axes comes out the same
+    whatever orthonormal basis of it the solver returned."""
+    rng = np.random.default_rng(0)
+    vals = np.array([0.0, 1.0, 3.0, 3.0, 3.0, 4.0, 6.0, 7.0])
+    base, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    turned = base.copy()
+    turned[:, 2:5] = base[:, 2:5] @ rot
+    _, w1 = ts.canonicalize(vals, base)
+    _, w2 = ts.canonicalize(vals, turned)
+    np.testing.assert_allclose(w2, w1, rtol=0.0, atol=1e-12)
+
+
 def test_canonicalize_keeps_near_degenerate_pairs_apart():
     """Gaps far above the relative tolerance must not be mixed."""
     vals = np.array([1.0, 1.0 + 1e-6])
@@ -151,6 +165,22 @@ def test_blocks_drop_no_degenerate_copy(heavy_cutoff):
         [label for label, _ in blocks], dims))
     assert split.method == "dense"
     assert split.max_residual_ratio() < 1e-8
+
+
+def test_block_and_full_solves_pick_the_same_cluster_vectors(operator729,
+                                                           spectrum729):
+    """Clustered eigenvectors do not depend on the solver route."""
+    blocks = ts.solve_blocks(operator729, ts.symmetry_blocks(operator729.sector))
+    evals = spectrum729.eigenvalues
+    close = np.diff(evals) <= 1e-11 * np.maximum(
+        1.0, np.maximum(np.abs(evals[1:]), np.abs(evals[:-1])))
+    clustered = np.zeros(len(evals), dtype=bool)
+    clustered[:-1] |= close
+    clustered[1:] |= close
+    assert clustered.sum() > 100
+    overlap = np.abs(np.einsum("ij,ij->j", blocks.eigenvectors[:, clustered],
+                               spectrum729.eigenvectors[:, clustered]))
+    assert overlap.min() >= 1.0 - 1e-8
 
 
 def test_blocks_at_nonzero_momentum_split_by_exchange_only():

@@ -1,9 +1,13 @@
 """Position-space grids, overlaps, autocorrelation, and 3D radial densities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import triscar as ts
+from triscar import wavefunction
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +217,150 @@ def test_pair_projection_component_validation(c1_state, params):
     sec, c = c1_state
     with pytest.raises(ValueError):
         ts.pair_projection_3d(c, sec, params, component_r=3, component_eta=0)
+
+
+# ---------------------------------------------------------------------------
+# chunked pair sums vs the direct N x N reference
+#
+# The references below build the full (N, N, 3) label-difference arrays, as
+# the package did before it walked the pairs in row chunks.  They are the
+# oracle for the chunked route and cost O(N^2) memory (about 330 MB at
+# cutoff_sq 5).
+
+
+def reference_signature_weights(coefficients, sector):
+    """Unique (|dm|^2, |dp|^2) signatures and their summed Re(c_a conj(c_b))."""
+    c = np.asarray(coefficients, dtype=np.complex128)
+    m = (sector.n1 - sector.n2).astype(np.int64)
+    p = sector.p.astype(np.int64)
+    dm = m[:, None, :] - m[None, :, :]
+    dp = p[:, None, :] - p[None, :, :]
+    dm2 = np.einsum("abk,abk->ab", dm, dm)
+    dp2 = np.einsum("abk,abk->ab", dp, dp)
+    wre = np.real(np.outer(c, np.conj(c)))
+    key = dm2.ravel() * (dp2.max() + 1) + dp2.ravel()
+    uniq, inverse = np.unique(key, return_inverse=True)
+    acc = np.bincount(inverse, weights=wre.ravel())
+    dm2u = uniq // (dp2.max() + 1)
+    dp2u = uniq % (dp2.max() + 1)
+    return dm2u, dp2u, acc
+
+
+def reference_projection_grid(coefficients, sector, component_r,
+                              component_eta):
+    """Summed c_a conj(c_b) on the (dm_i, dp_j) grid, with its axes."""
+    c = np.asarray(coefficients, dtype=np.complex128)
+    m = (sector.n1 - sector.n2).astype(np.int64)
+    p = sector.p.astype(np.int64)
+    dm = m[:, None, :] - m[None, :, :]
+    dp = p[:, None, :] - p[None, :, :]
+    other_r = [ax for ax in range(3) if ax != component_r]
+    other_e = [ax for ax in range(3) if ax != component_eta]
+    keep = ((dm[:, :, other_r] == 0).all(axis=2)
+            & (dp[:, :, other_e] == 0).all(axis=2))
+    dmi = dm[:, :, component_r][keep]
+    dpj = dp[:, :, component_eta][keep]
+    wab = np.outer(c, np.conj(c))[keep]
+    m_off, p_off = int(dmi.min()), int(dpj.min())
+    grid = np.zeros((int(dmi.max()) - m_off + 1, int(dpj.max()) - p_off + 1),
+                    dtype=np.complex128)
+    np.add.at(grid, (dmi - m_off, dpj - p_off), wab)
+    m_vals = np.arange(m_off, m_off + grid.shape[0])
+    p_vals = np.arange(p_off, p_off + grid.shape[1])
+    return grid, m_vals, p_vals
+
+
+def _assert_close(got, want):
+    scale = np.abs(want).max()
+    assert scale > 0.0
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.fixture(scope="module")
+def sector3d_c5(params):
+    return ts.sector_3d(params, (0, 0, 0), cutoff_sq=5)
+
+
+def _sym_ground_state(params, sector, cutoff_sq):
+    plain = ts.HamiltonianOperator3D(sector, ts.MatrixElementRule3D(params),
+                                     cutoff_sq=cutoff_sq)
+    sym, _ = ts.symmetrize_sector(sector)
+    _, vec = scipy.linalg.eigh(ts.SymmetrizedOperator3D(sym, plain).dense(),
+                               subset_by_index=[0, 0])
+    return sym.embed(vec[:, 0])
+
+
+def _random_unit(dim, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return c / np.linalg.norm(c)
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param((2, "eigenvector"), id="c2-eigenvector"),
+    pytest.param((2, "random"), id="c2-random"),
+    pytest.param((5, "eigenvector"), id="c5-eigenvector"),
+    pytest.param((5, "random"), id="c5-random"),
+])
+def pair_case(request, params, sector3d_c2, sector3d_c5):
+    cutoff_sq, kind = request.param
+    sec = {2: sector3d_c2, 5: sector3d_c5}[cutoff_sq]
+    if kind == "eigenvector":
+        c = _sym_ground_state(params, sec, cutoff_sq)
+    else:
+        c = _random_unit(sec.dim, seed=cutoff_sq)
+    return sec, c
+
+
+def test_chunked_signatures_match_reference(pair_case, params, monkeypatch):
+    sec, c = pair_case
+    dm2, dp2, acc = wavefunction._pair_signature_weights(c, sec)
+    ref = reference_signature_weights(c, sec)
+    np.testing.assert_array_equal(dm2, ref[0])
+    np.testing.assert_array_equal(dp2, ref[1])
+    _assert_close(acc, ref[2])
+
+    got = ts.integrated_probability_3d(c, sec, params, n_r=24, n_eta=24)
+    monkeypatch.setattr(wavefunction, "_pair_signature_weights",
+                        reference_signature_weights)
+    want = ts.integrated_probability_3d(c, sec, params, n_r=24, n_eta=24)
+    _assert_close(got.values, want.values)
+
+
+@pytest.mark.parametrize("components", [(0, 0), (0, 1), (2, 1)])
+def test_chunked_projection_matches_reference(pair_case, params, monkeypatch,
+                                              components):
+    sec, c = pair_case
+    grid, m_vals, p_vals = wavefunction._pair_projection_grid(c, sec,
+                                                              *components)
+    ref = reference_projection_grid(c, sec, *components)
+    np.testing.assert_array_equal(m_vals, ref[1])
+    np.testing.assert_array_equal(p_vals, ref[2])
+    _assert_close(grid, ref[0])
+
+    got = ts.pair_projection_3d(c, sec, params, *components, n_r=24, n_eta=24)
+    monkeypatch.setattr(wavefunction, "_pair_projection_grid",
+                        reference_projection_grid)
+    want = ts.pair_projection_3d(c, sec, params, *components, n_r=24,
+                                 n_eta=24)
+    _assert_close(got.values, want.values)
+
+
+def _traced_peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_observables_run_in_bounded_memory(params, sector3d_c5):
+    """At N = 1459 the full N x N route peaks near 262 MiB (radial) and
+    136 MiB (projection); the chunked route stays below 32 MiB."""
+    c = _random_unit(sector3d_c5.dim, seed=3)
+    budget = 32 * 2 ** 20
+    assert _traced_peak_bytes(ts.integrated_probability_3d, c, sector3d_c5,
+                              params) < budget
+    assert _traced_peak_bytes(ts.pair_projection_3d, c, sector3d_c5, params,
+                              0, 1) < budget
