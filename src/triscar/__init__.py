@@ -16,9 +16,9 @@ from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D, dense_from_elements, f2,
                             matrix_element_3d, symmetrized_element_3d)
-from .eigensolve import (Band, DenseSizeError, IterationError, Spectrum,
-                         assemble_bands, band_id_per_state, canonicalize,
-                         solve_blocks, solve_dense, solve_iterative)
+from .eigensolve import (Band, IterationError, Spectrum, assemble_bands,
+                         band_id_per_state, canonicalize, solve_blocks,
+                         solve_dense, solve_iterative)
 from .wavefunction import (AutocorrelationSeries, RadialDensity,
                            WavefunctionGrid, autocorrelation,
                            concentration_ratio, heavy_overlap,

@@ -9,7 +9,7 @@ so the Hamiltonian is block diagonal over sectors of fixed total momentum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -105,7 +105,6 @@ class Sector1D(_PairLabels):
     n1: np.ndarray
     n2: np.ndarray
     p: np.ndarray
-    _index: dict = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> str:
@@ -113,15 +112,6 @@ class Sector1D(_PairLabels):
 
     def state(self, i: int) -> BasisState1D:
         return BasisState1D(int(self.n1[i]), int(self.n2[i]), int(self.p[i]))
-
-    def index_map(self) -> dict:
-        """Map (n1, n2) -> row index.  p is fixed by the sector."""
-        if self._index is None:
-            self._index = {
-                (int(a), int(b)): i
-                for i, (a, b) in enumerate(zip(self.n1, self.n2))
-            }
-        return self._index
 
 
 @dataclass
@@ -132,7 +122,6 @@ class Sector3D(_PairLabels):
     n1: np.ndarray   # (N, 3) int
     n2: np.ndarray
     p: np.ndarray
-    _index: dict = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> str:
@@ -142,14 +131,6 @@ class Sector3D(_PairLabels):
         return BasisState3D(tuple(int(v) for v in self.n1[i]),
                             tuple(int(v) for v in self.n2[i]),
                             tuple(int(v) for v in self.p[i]))
-
-    def index_map(self) -> dict:
-        if self._index is None:
-            self._index = {
-                (tuple(int(v) for v in a), tuple(int(v) for v in b)): i
-                for i, (a, b) in enumerate(zip(self.n1, self.n2))
-            }
-        return self._index
 
 
 @dataclass
@@ -394,11 +375,3 @@ def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:
     cols = np.concatenate([diag, *(c for _, c, _ in transfers)])
     vals = np.concatenate([diagonal, *(np.full(len(r), coeff) for r, _, coeff in transfers)])
     return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-
-
-def sector_summary(sectors: dict) -> list[dict]:
-    """JSON-ready per-sector statistics for run manifests."""
-    out = []
-    for total, sec in sectors.items():
-        out.append({"total_momentum": list(total), "dimension": sec.dim})
-    return out

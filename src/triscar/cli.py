@@ -24,9 +24,9 @@ from .basis import (ResourceLimitError, Sector1D, Sector3D, SymmetrizedSector,
 from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
 from .config import ConfigError, load_config, model_params, section
-from .eigensolve import (DENSE_OUTPUT_BYTES, DenseSizeError, IterationError,
-                         assemble_bands, band_id_per_state, solve_blocks,
-                         solve_dense, solve_iterative)
+from .eigensolve import (IterationError, assemble_bands, band_id_per_state,
+                         dense_budget_error, solve_blocks, solve_dense,
+                         solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D)
@@ -97,6 +97,23 @@ def _saddle_analysis(params: ModelParams):
     return ana
 
 
+def _route(method: str, dims, command: str) -> str:
+    """The solver route, dense or iterative, for a [command] method setting.
+
+    dims are the dimensions of the eigenvector arrays a dense solve would
+    return.  auto is dense exactly when they fit the dense output budget; an
+    explicit dense that does not fit is refused before any solve.
+    """
+    if method not in ("auto", "dense", "iterative"):
+        raise ConfigError(f"bad value for [{command}] method: {method!r}")
+    error = dense_budget_error(dims)
+    if method == "auto":
+        return "dense" if error is None else "iterative"
+    if method == "dense" and error is not None:
+        raise error
+    return method
+
+
 # ---------------------------------------------------------------------------
 # solve1d
 
@@ -106,8 +123,7 @@ def cmd_solve1d(args) -> int:
     params = model_params(cfg)
     s = section(cfg, "solve1d", {
         "total_momentum": 0, "gap_threshold": 2.0, "method": "auto", "k": 8,
-        "dense_threshold": 4096, "tol": 1e-10, "seed": 0,
-        "dump_matrix": False, "scar_levels": 3,
+        "tol": 1e-10, "seed": 0, "dump_matrix": False, "scar_levels": 3,
     })
     out = _ensure_out(args.out)
     man = RunManifest("solve1d", parameters={**_params_dict(params),
@@ -121,18 +137,10 @@ def cmd_solve1d(args) -> int:
     man.add_timing("build", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    method = s["method"]
-    if method == "auto":
-        largest = max(iso.shape[1] for _, iso in blocks)
-        fits = (largest <= s["dense_threshold"]
-                and 8 * sector.dim ** 2 <= DENSE_OUTPUT_BYTES)
-        method = "dense" if fits else "iterative"
-    if method == "dense":
-        spectrum = solve_blocks(op, blocks, dense_threshold=s["dense_threshold"])
-    elif method == "iterative":
-        spectrum = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
+    if _route(s["method"], [sector.dim], "solve1d") == "dense":
+        spectrum = solve_blocks(op, blocks)
     else:
-        raise ConfigError(f"bad value for [solve1d] method: {method!r}")
+        spectrum = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
     man.add_timing("solve", time.perf_counter() - t0)
 
     bands = assemble_bands(spectrum.eigenvalues, s["gap_threshold"])
@@ -200,28 +208,12 @@ def cmd_solve1d(args) -> int:
 # solve3d
 
 
-def _solve_block(op, label: str, s: dict):
-    if op.dim == 0:
-        return None
-    method = s["method"]
-    if method == "auto":
-        method = "dense" if op.dim <= s["dense_threshold"] else "iterative"
-    if method == "dense":
-        return solve_dense(op, sector_key=label,
-                           dense_threshold=s["dense_threshold"])
-    if method == "iterative":
-        return solve_iterative(op, min(s["k"], op.dim), tol=s["tol"],
-                               seed=s["seed"], sector_key=label)
-    raise ConfigError(f"bad value for [solve3d] method: {method!r}")
-
-
 def cmd_solve3d(args) -> int:
     cfg = load_config(args.config)
     params = model_params(cfg)
     s = section(cfg, "solve3d", {
         "total_momentum": [0, 0, 0], "method": "auto", "k": 8,
-        "dense_threshold": 4096, "tol": 1e-10, "seed": 0,
-        "max_states": 1_000_000,
+        "tol": 1e-10, "seed": 0, "max_states": 1_000_000,
     })
     total = tuple(s["total_momentum"])
     if len(total) != 3:
@@ -247,12 +239,19 @@ def cmd_solve3d(args) -> int:
     man.add_timing("build", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
+    dense = _route(s["method"], [sym.dim, anti.dim], "solve3d") == "dense"
     blocks = {}
     for tag, block in (("sym", sym), ("anti", anti)):
+        if block.dim == 0:
+            continue
         op = SymmetrizedOperator3D(block, plain_op)
-        spec = _solve_block(op, f"{sector.key} {tag}", s)
-        if spec is not None:
-            blocks[tag] = (block, spec)
+        label = f"{sector.key} {tag}"
+        if dense:
+            spec = solve_dense(op, sector_key=label)
+        else:
+            spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"],
+                                   sector_key=label)
+        blocks[tag] = (block, spec)
     man.add_timing("solve", time.perf_counter() - t0)
 
     rows = []
@@ -304,6 +303,7 @@ def cmd_solve3d(args) -> int:
         "symmetric_dimension": sym.dim,
         "antisymmetric_dimension": anti.dim,
         "nonzeros_per_row": plain_op.nonzeros_per_row(),
+        "method": next((spec.method for _, spec in blocks.values()), None),
         "ground_energy_symmetric": e_sym,
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,
@@ -369,21 +369,10 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
     return chosen
 
 
-def _params_from_npz(data) -> ModelParams:
-    from .params import LightCutoffMode
-
-    raw = json.loads(str(data["params"]))
-    return ModelParams(gamma=raw["gamma"], box_length=raw["box_length"],
-                       coupling=raw["coupling"], heavy_cutoff=raw["heavy_cutoff"],
-                       cutoff_sq=raw["cutoff_sq"],
-                       light_cutoff_mode=LightCutoffMode(raw["light_cutoff_mode"]),
-                       scaling=Scaling(raw["scaling"]))
-
-
 def _analyze_1d(args, cfg, s, out, man) -> None:
     path = os.path.join(args.from_dir, "eigenvectors.npz")
     data = np.load(path)
-    params = _params_from_npz(data)
+    params = model_params({"model": json.loads(str(data["params"]))})
     sector = Sector1D(int(data["total_momentum"][0]),
                       data["n1"], data["n2"], data["p"])
     evals = data["eigenvalues"]
@@ -495,7 +484,7 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
     if not os.path.exists(path):
         raise ConfigError(f"no {os.path.basename(path)} under {args.from_dir}")
     data = np.load(path)
-    params = _params_from_npz(data)
+    params = model_params({"model": json.loads(str(data["params"]))})
     sector = Sector3D(tuple(int(v) for v in data["total_momentum"]),
                       data["n1"], data["n2"], data["p"])
     block = SymmetrizedSector(sector, int(data["parity"][0]),
@@ -764,7 +753,7 @@ def cmd_estimate(args) -> int:
             if not os.path.exists(spath):
                 raise ConfigError(f"no eigenvectors.npz under {args.from_dir}")
             data = np.load(spath)
-            run_params = _params_from_npz(data)
+            run_params = model_params({"model": json.loads(str(data["params"]))})
             ana = saddle_raw
             if run_params.scaling is Scaling.TIMES_L:
                 ana = saddle_raw.scaled(run_params.box_length)
@@ -917,8 +906,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (IterationError, DenseSizeError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (IterationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError) as exc:

@@ -58,7 +58,6 @@ SCHEMAS: dict[str, dict[str, str]] = {
         "gap_threshold": "float",
         "method": "str",
         "k": "int",
-        "dense_threshold": "int",
         "tol": "float",
         "seed": "int",
         "dump_matrix": "bool",
@@ -68,7 +67,6 @@ SCHEMAS: dict[str, dict[str, str]] = {
         "total_momentum": "ints",
         "method": "str",
         "k": "int",
-        "dense_threshold": "int",
         "tol": "float",
         "seed": "int",
         "max_states": "int",

@@ -1,10 +1,10 @@
 """Eigensolvers and band assembly.
 
-Two independent routes: a dense LAPACK path for sectors up to a size
-threshold, and a thick-restart Rayleigh-Ritz iteration with full
-reorthogonalization that touches the Hamiltonian only through matvec.
-Both report per-pair residual norms ||H v - E v|| so agreement can be
-checked from the outside.
+Two independent routes: a dense LAPACK path for sectors whose full set of
+eigenvectors fits one output budget, and a thick-restart Rayleigh-Ritz
+iteration with full reorthogonalization that touches the Hamiltonian only
+through matvec.  Both report per-pair residual norms ||H v - E v|| so
+agreement can be checked from the outside.
 """
 
 from __future__ import annotations
@@ -16,18 +16,14 @@ import scipy.linalg
 
 from .basis import ResourceLimitError
 
-#: sectors above this size refuse the dense path
-DENSE_THRESHOLD = 4096
-
-#: largest plain-basis eigenvector array solve_blocks allocates (dim 5792)
+#: largest total of eigenvector arrays a dense solve returns (one dim 5792)
 DENSE_OUTPUT_BYTES = 2 ** 28
 
 #: eigenvector columns per residual product in solve_blocks
 _RESIDUAL_CHUNK = 256
 
-
-class DenseSizeError(Exception):
-    """Sector too large for the dense solver."""
+#: thick restarts solve_iterative allows before it gives up
+_MAX_RESTARTS = 80
 
 
 class IterationError(Exception):
@@ -140,15 +136,30 @@ def residual_norms(op, eigenvalues, eigenvectors) -> np.ndarray:
     return out
 
 
+def dense_budget_error(dims) -> ResourceLimitError | None:
+    """Why full spectra of blocks of these dimensions cannot be solved densely.
+
+    The 8 * sum(dim^2) bytes of returned eigenvectors must fit
+    DENSE_OUTPUT_BYTES; returns the ResourceLimitError to raise when they
+    do not, else None.
+    """
+    need = 8 * sum(d * d for d in dims)
+    if need <= DENSE_OUTPUT_BYTES:
+        return None
+    shapes = " + ".join(f"{d} x {d}" for d in dims)
+    return ResourceLimitError(
+        f"{shapes} eigenvectors need {need / 2 ** 20:.0f} MB, over the dense "
+        f"output budget of {DENSE_OUTPUT_BYTES / 2 ** 20:.0f} MB; "
+        f"use the iterative method")
+
+
 def solve_dense(op, *, sector_key: str | None = None,
-                dense_threshold: int = DENSE_THRESHOLD,
                 degen_tol: float = 1e-11) -> Spectrum:
-    """Full spectrum via LAPACK.  Refuses sectors above dense_threshold."""
+    """Full spectrum via LAPACK.  Refuses sectors over the dense output budget."""
     n = op.dim
-    if n > dense_threshold:
-        raise DenseSizeError(
-            f"sector dimension {n} exceeds dense threshold {dense_threshold}; "
-            f"use solve_iterative")
+    error = dense_budget_error([n])
+    if error is not None:
+        raise error
     h = op.dense()
     asym = float(np.max(np.abs(h - h.T))) if n else 0.0
     evals, vecs = scipy.linalg.eigh(h)
@@ -175,27 +186,23 @@ class _BlockOperator:
         return (self.isometry.T @ (self.matrix @ self.isometry)).toarray()
 
 
-def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spectrum:
+def solve_blocks(op, blocks) -> Spectrum:
     """Full spectrum of op.matrix from its symmetry blocks, in the plain basis.
 
     blocks holds (label, S) pairs whose sparse isometries S commute with H
     and together span the sector.  Each block S^T H S goes through
-    solve_dense (dense_threshold applies per block); the vectors S V land in
-    one preallocated array in ascending eigenvalue order.  Degeneracies
-    cross blocks, so canonicalize runs once more over the merged spectrum,
-    and residuals are taken against op.matrix itself, a few hundred columns
-    at a time so no second full-size array is allocated.  Refuses with
-    ResourceLimitError, before any solve, when that array would exceed
-    DENSE_OUTPUT_BYTES.
+    solve_dense; the vectors S V land in one preallocated array in ascending
+    eigenvalue order.  Degeneracies cross blocks, so canonicalize runs once
+    more over the merged spectrum, and residuals are taken against op.matrix
+    itself, a few hundred columns at a time so no second full-size array is
+    allocated.  Refuses with ResourceLimitError, before any solve, when that
+    array would exceed the dense output budget.
     """
     key = op.sector.key
-    if 8 * op.dim ** 2 > DENSE_OUTPUT_BYTES:
-        raise ResourceLimitError(
-            f"{op.dim} x {op.dim} eigenvectors need {8 * op.dim ** 2 / 2 ** 20:.0f} MB, "
-            f"over the dense output budget of {DENSE_OUTPUT_BYTES / 2 ** 20:.0f} MB; "
-            f"use the iterative method")
-    parts = [solve_dense(_BlockOperator(op.matrix, s), sector_key=f"{key} {label}",
-                         dense_threshold=dense_threshold)
+    error = dense_budget_error([op.dim])
+    if error is not None:
+        raise error
+    parts = [solve_dense(_BlockOperator(op.matrix, s), sector_key=f"{key} {label}")
              for label, s in blocks]
     evals = np.concatenate([part.eigenvalues for part in parts])
     n = len(evals)
@@ -221,16 +228,13 @@ def solve_blocks(op, blocks, *, dense_threshold: int = DENSE_THRESHOLD) -> Spect
         "hermiticity_defect": max(part.meta["hermiticity_defect"] for part in parts)})
 
 
-def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
-                    which: str = "smallest", tol: float = 1e-10, seed: int = 0,
-                    max_subspace: int | None = None, max_restarts: int = 80,
+def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0,
                     sector_key: str | None = None) -> Spectrum:
     """Thick-restart Rayleigh-Ritz iteration, matrix-free.
 
-    Finds the k algebraically smallest (or largest) eigenpairs, or with
-    window=(lo, hi) the pairs closest to the window center via the shifted
-    and squared operator -(H - sigma)^2.  Convergence is decided on true
-    residuals ||H x - theta x|| <= tol * max(1, |theta|).
+    Finds the k algebraically smallest eigenpairs in a subspace of at most
+    max(4 k + 24, 48) vectors.  Convergence is decided on true residuals
+    ||H x - theta x|| <= tol * max(1, |theta|).
 
     A converged set is only accepted after it survives a verification
     restart seeded with a fresh random direction; a single Krylov chain can
@@ -238,35 +242,16 @@ def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
     degenerate eigenvalue.  Subspaces spanning the whole space are exact and
     skip the probe.
 
-    Deterministic for a fixed seed.  Raises IterationError when the restart
-    budget is exhausted, carrying the best eigenvalue/residual estimates.
+    Deterministic for a fixed seed.  Raises IterationError after
+    _MAX_RESTARTS restarts, carrying the best eigenvalue/residual estimates.
     """
     n = op.dim
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
-    if which not in ("smallest", "largest"):
-        raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
-    if max_subspace is None:
-        max_subspace = min(n, max(4 * k + 24, 48))
-    max_subspace = max(max_subspace, k + 2) if n > k + 2 else n
-    max_subspace = min(max_subspace, n)
-
-    sigma = None
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        if not hi > lo:
-            raise ValueError(f"empty window {window}")
-        sigma = 0.5 * (lo + hi)
-
-        def amat(v):
-            w = op.matvec(v) - sigma * v
-            return sigma * w - op.matvec(w)   # -(H - sigma)^2 v
-    else:
-        sign = 1.0 if which == "smallest" else -1.0
-
-        def amat(v):
-            return sign * op.matvec(v)
+    max_subspace = min(n, max(4 * k + 24, 48))
+    key = sector_key if sector_key is not None else getattr(
+        getattr(op, "sector", None), "key", "")
 
     rng = np.random.default_rng(seed)
     V = np.zeros((n, max_subspace))
@@ -274,7 +259,7 @@ def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
     v0 = rng.standard_normal(n)
     V[:, 0] = v0 / np.linalg.norm(v0)
     m = 1            # orthonormal columns currently held
-    done = 0         # columns whose A-image has been projected into S
+    done = 0         # columns whose H-image has been projected into S
     nmv = 0
     keep = min(max(2 * k, k + 6), max(max_subspace - 6, k + 1))
 
@@ -284,15 +269,13 @@ def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
         nrm = np.linalg.norm(w)
         return w, nrm
 
-    best_evals = None
-    best_resid = None
     probe_ref = None
-    for restart in range(max_restarts + 1):
-        # expand: process the A-image of every held column, growing the basis
+    for restart in range(_MAX_RESTARTS + 1):
+        # expand: process the H-image of every held column, growing the basis
         # until max_subspace (or the whole space) is spanned
         while done < m:
             j = done
-            w = amat(V[:, j])
+            w = op.matvec(V[:, j])
             nmv += 1
             h = V[:, :m].T @ w
             S[:m, j] = h
@@ -308,9 +291,8 @@ def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
         mm = m
         theta, Y = scipy.linalg.eigh(S[:mm, :mm])
 
-        pool = min(mm, k + 3) if window is not None else min(mm, k)
-        order = np.argsort(-theta)[:pool] if window is not None else np.arange(pool)
-        X = V[:, :mm] @ Y[:, order]
+        pool = min(mm, k)
+        X = V[:, :mm] @ Y[:, :pool]
 
         evals = np.empty(pool)
         resid = np.empty(pool)
@@ -323,76 +305,41 @@ def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
             resid[c] = np.linalg.norm(hx - evals[c] * x)
             HX[:, c] = hx
 
-        pool_ok = resid <= tol * np.maximum(1.0, np.abs(evals))
-        if window is not None:
-            inside = (evals >= lo) & (evals <= hi)
-            cand = np.nonzero(inside)[0][:k]
-        else:
-            cand = np.arange(pool)
-        ok = pool_ok[cand]
-        exhausted = mm >= n
-        best_evals, best_resid = evals[cand], resid[cand]
-
-        key = sector_key if sector_key is not None else getattr(
-            getattr(op, "sector", None), "key", "")
-        if window is None:
-            finished = len(cand) == k and ok.all()
-        else:
-            # candidate 0 targets the eigenvalue nearest the window center;
-            # once that pair has converged outside the window, the window
-            # holds no spectrum at all
-            empty = exhausted or (pool_ok[0] and not lo <= evals[0] <= hi)
-            if len(cand) == 0 and empty:
-                return Spectrum(key, np.zeros(0), np.zeros((n, 0)), np.zeros(0),
-                                "lanczos-window",
-                                meta={"dim": n, "matvecs": nmv,
-                                      "restarts": restart, "window": [lo, hi],
-                                      "note": "window empty"})
-            finished = (len(cand) > 0 and ok.all()
-                        and (len(cand) == k or exhausted or pool_ok.all()))
+        finished = pool == k and np.all(
+            resid <= tol * np.maximum(1.0, np.abs(evals)))
         confirmed = False
         if finished:
-            vals_now = np.sort(evals[cand])
-            confirmed = exhausted or (
-                probe_ref is not None and len(probe_ref) == len(vals_now)
+            vals_now = np.sort(evals)
+            confirmed = mm >= n or (
+                probe_ref is not None
                 and np.all(np.abs(vals_now - probe_ref)
                            <= tol * np.maximum(1.0, np.abs(vals_now))))
             # unconfirmed: remember the values and fall through to a probe
             # restart; a missed degenerate copy would change them
             probe_ref = vals_now
         if confirmed:
-            sel = cand[np.argsort(evals[cand], kind="stable")]
-            out_vals = evals[sel]
-            out_vecs = X[:, sel]
-            out_vals, out_vecs = canonicalize(out_vals, out_vecs)
+            sel = np.argsort(evals, kind="stable")
+            out_vals, out_vecs = canonicalize(evals[sel], X[:, sel])
             out_res = residual_norms(op, out_vals, out_vecs)
             nmv += len(sel)
-            method = "lanczos" if window is None else "lanczos-window"
-            meta = {"dim": n, "matvecs": nmv, "restarts": restart,
-                    "subspace": mm, "seed": seed}
-            if window is not None:
-                meta["window"] = [lo, hi]
-                if len(cand) < k and not exhausted:
-                    meta["note"] = "pool converged; window may hold further pairs"
-            return Spectrum(key, out_vals, out_vecs, out_res, method, meta)
+            return Spectrum(key, out_vals, out_vecs, out_res, "lanczos",
+                            meta={"dim": n, "matvecs": nmv, "restarts": restart,
+                                  "subspace": mm, "seed": seed})
 
-        if restart == max_restarts:
+        if restart == _MAX_RESTARTS:
             break
 
         # thick restart: keep the best Ritz vectors, reseed with the residual
-        # of the worst unconverged candidate
+        # of the worst unconverged pair
         keep_now = min(keep, mm - 1) if mm > 1 else mm
-        korder = np.argsort(-theta)[:keep_now] if window is not None \
-            else np.arange(keep_now)
-        Xk = V[:, :mm] @ Y[:, korder]
-        V[:, :keep_now] = Xk
+        V[:, :keep_now] = V[:, :mm] @ Y[:, :keep_now]
         S[:, :] = 0.0
-        S[:keep_now, :keep_now] = np.diag(theta[korder])
+        S[:keep_now, :keep_now] = np.diag(theta[:keep_now])
         m = keep_now
         done = keep_now
 
-        if len(cand) and not finished:
-            bad = cand[int(np.argmax(resid[cand]))]
+        if not finished:
+            bad = int(np.argmax(resid))
             r = HX[:, bad] - evals[bad] * X[:, bad]
         else:
             # converged residuals carry no new directions, so the probe
@@ -406,9 +353,9 @@ def solve_iterative(op, k: int, *, window: tuple[float, float] | None = None,
             m += 1
 
     raise IterationError(
-        f"no convergence after {max_restarts} restarts ({nmv} matvecs); "
-        f"best residuals {np.array2string(best_resid, precision=3)}",
-        eigenvalues=best_evals, residuals=best_resid)
+        f"no convergence after {_MAX_RESTARTS} restarts ({nmv} matvecs); "
+        f"best residuals {np.array2string(resid, precision=3)}",
+        eigenvalues=evals, residuals=resid)
 
 
 def assemble_bands(eigenvalues: np.ndarray, gap_threshold: float) -> list[Band]:

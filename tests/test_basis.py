@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
-from triscar.basis import estimate_basis_bytes, sector_summary
+from triscar.basis import estimate_basis_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +74,19 @@ def test_exchange_closure(sector729):
 
 
 def test_index_map_roundtrip(sector729):
-    lookup = sector729.index_map()
-    for i in (0, 57, 364, 728):
-        st = sector729.state(i)
-        assert lookup[(st.n1, st.n2)] == i
+    """locate maps every state's own labels to its own row and skips labels
+    outside the sector."""
+    rows, cols = sector729.locate(sector729.n1, sector729.n2)
+    assert np.array_equal(cols, np.arange(sector729.dim))
+    assert np.array_equal(rows, np.arange(sector729.dim))
+    # heavy momenta past the cutoff 13 are not in the sector
+    n1 = np.array([0, 14, 13, -13, 1])
+    n2 = np.array([0, 0, -14, 13, -1])
+    rows, cols = sector729.locate(n1, n2)
+    assert cols.tolist() == [0, 3, 4]
+    assert [sector729.state(r) for r in rows] == [
+        ts.BasisState1D(0, 0, 0), ts.BasisState1D(-13, 13, 0),
+        ts.BasisState1D(1, -1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +209,3 @@ def test_two_state_exchange_pair():
     pair_states = sym.idx_a != sym.idx_b
     assert np.any(pair_states)
 
-
-def test_sector_summary_entries():
-    p = ts.ModelParams(cutoff_sq=1)
-    sectors = ts.enumerate_basis_3d(p, cutoff_sq=1)
-    rows = sector_summary(sectors)
-    assert sum(r["dimension"] for r in rows) == 343
-    zero = next(r for r in rows if r["total_momentum"] == [0, 0, 0])
-    # brute-force count of triples from the 7-vector shell summing to zero
-    assert zero["dimension"] == 19

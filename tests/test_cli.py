@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from triscar.basis import Sector1D
-from triscar import cli, eigensolve
+from triscar import eigensolve
 from triscar.cli import main
 from triscar.config import ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -146,9 +146,8 @@ def test_solve1d_isolated_vectors_keep_exact_symmetry(solve1d_run):
 
 
 def test_solve1d_auto_routes_by_largest_block(tmp_path):
-    # the sector (121) is over the threshold, its largest block (36) is not
-    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n"
-                                 "[solve1d]\ndense_threshold = 100\n")
+    # the sector (121) is solved densely as four symmetry blocks
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n")
     out = str(tmp_path / "run")
     assert main(["solve1d", "--config", cfg, "--out", out]) == 0
     stats = read_manifest(out)["statistics"]
@@ -159,9 +158,9 @@ def test_solve1d_auto_routes_by_largest_block(tmp_path):
 
 
 def test_solve1d_auto_routes_by_output_size(tmp_path, monkeypatch):
-    # every block fits the threshold, but the 121 x 121 output does not fit
-    # the budget, so auto falls back to the iterative solver
-    monkeypatch.setattr(cli, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
+    # the 121 x 121 output does not fit the budget, so auto falls back to
+    # the iterative solver
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
     cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n")
     out = str(tmp_path / "run")
     assert main(["solve1d", "--config", cfg, "--out", out]) == 0
@@ -169,7 +168,6 @@ def test_solve1d_auto_routes_by_output_size(tmp_path, monkeypatch):
     assert stats["method"] == "lanczos"
     assert stats["block_dimensions"] is None
     # an explicit dense solve over the budget is refused as a resource limit
-    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
     cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n"
                                  "[solve1d]\nmethod = dense\n", name="dense.ini")
     assert main(["solve1d", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
@@ -277,6 +275,49 @@ def test_analyze_refuses_components_key(tmp_path, capsys):
                  "--out", str(tmp_path / "an")])
     assert code == 2
     assert "components" in capsys.readouterr().err
+
+
+#: both halves of the cutoff_sq 2 sector (88 + 87) as dense eigenvector arrays
+BUDGET_3D_C2 = 8 * (88 ** 2 + 87 ** 2)
+
+
+def test_solve3d_auto_routes_by_output_size(tmp_path, monkeypatch):
+    """auto solves both halves densely exactly when their vectors fit the
+    dense output budget together, and records the route in the manifest."""
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", BUDGET_3D_C2)
+    out = str(tmp_path / "fits")
+    assert main(["solve3d", "--config", cfg, "--out", out]) == 0
+    assert read_manifest(out)["statistics"]["method"] == "dense"
+
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", BUDGET_3D_C2 - 1)
+    out = str(tmp_path / "over")
+    assert main(["solve3d", "--config", cfg, "--out", out]) == 0
+    assert read_manifest(out)["statistics"]["method"] == "lanczos"
+    with open(os.path.join(out, "spectrum.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["parity"] for r in rows] == ["sym"] * 8 + ["anti"] * 8
+
+
+def test_solve3d_explicit_dense_over_budget_is_refused(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", BUDGET_3D_C2 - 1)
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n"
+                                 "[solve3d]\nmethod = dense\n")
+    out = tmp_path / "run"
+    assert main(["solve3d", "--config", cfg, "--out", str(out)]) == 3
+    assert "88 x 88 + 87 x 87 eigenvectors" in capsys.readouterr().err
+    assert not list(out.glob("eigenvectors_*.npz"))
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve3d"])
+def test_solve_refuses_dense_threshold_key(tmp_path, capsys, command):
+    """The dense output budget is the only dense gate; the former per-block
+    `dense_threshold` key is now an unknown key."""
+    cfg = write_config(tmp_path, f"[{command}]\ndense_threshold = 100\n")
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "dense_threshold" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +443,24 @@ def test_estimate_with_comparison(solve1d_run, tmp_path):
     first = comp["entries"][0]
     assert first["predicted_gap"] == pytest.approx(5.8005, abs=1e-3)
     assert first["measured_gap"] == pytest.approx(5.0132, abs=1e-3)
+
+
+def test_run_parameters_round_trip_through_npz(tmp_path):
+    """estimate and analyze rebuild a run's model from its eigenvector
+    archive, non-default scaling and light cutoff mode included."""
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 4\nscaling = raw\n"
+                                 "light_cutoff_mode = product-filter\n")
+    run = str(tmp_path / "run")
+    assert main(["solve1d", "--config", cfg, "--out", run]) == 0
+    est = str(tmp_path / "est")
+    assert main(["estimate", "--from", run, "--out", est]) == 0
+    with open(os.path.join(est, "scar_estimates.json")) as fh:
+        assert json.load(fh)["comparison"]["scaling"] == "raw"
+    an = str(tmp_path / "an")
+    assert main(["analyze", "--from", run, "--select", "ground",
+                 "--out", an]) == 0
+    dim = read_manifest(run)["statistics"]["dimension"]
+    assert read_manifest(an)["statistics"]["dimension"] == dim
 
 
 def test_report_prints_pairing(solve1d_run, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 import triscar as ts
 from triscar import eigensolve
-from triscar.eigensolve import DENSE_THRESHOLD, residual_norms
+from triscar.eigensolve import residual_norms
 
 MPMATH_ORACLE_C1 = np.array([
     -5.151546329577804,
@@ -49,10 +49,12 @@ def test_dense_metadata(spectrum729):
     assert spectrum729.meta["hermiticity_defect"] == 0.0
 
 
-def test_dense_threshold_guard(operator729):
-    with pytest.raises(ts.DenseSizeError):
-        ts.solve_dense(operator729, dense_threshold=100)
-    assert DENSE_THRESHOLD == 4096
+def test_dense_threshold_guard(operator729, monkeypatch):
+    """solve_dense refuses, before any solve, vectors over the output budget."""
+    assert eigensolve.DENSE_OUTPUT_BYTES == 2 ** 28
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 729 ** 2 - 1)
+    with pytest.raises(ts.ResourceLimitError, match="729 x 729 eigenvectors"):
+        ts.solve_dense(operator729)
 
 
 def test_eigenvector_orthonormality(spectrum729, rng):
@@ -194,14 +196,6 @@ def test_blocks_at_nonzero_momentum_split_by_exchange_only():
     _assert_same_spectrum(split.eigenvalues, ts.solve_dense(op).eigenvalues)
 
 
-def test_block_threshold_applies_per_block():
-    op = _operator_1d(5)
-    blocks = ts.symmetry_blocks(op.sector)
-    assert ts.solve_blocks(op, blocks, dense_threshold=36).k == 121
-    with pytest.raises(ts.DenseSizeError):
-        ts.solve_blocks(op, blocks, dense_threshold=35)
-
-
 def test_block_output_budget_refuses_before_solving(monkeypatch):
     """Blocks are small, but the plain-basis eigenvector array is not."""
     op = _operator_1d(5)
@@ -239,36 +233,9 @@ def test_iterative_seed_reproducible(operator729):
     np.testing.assert_allclose(a.eigenvectors, b.eigenvectors, atol=0.0)
 
 
-def test_iterative_window():
-    p = ts.ModelParams(heavy_cutoff=3)
-    sec = ts.enumerate_basis_1d(p, 0)
-    op = ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(p))
-    dense = ts.solve_dense(op)
-    lo, hi = -3.0, 10.0
-    inside = dense.eigenvalues[
-        (dense.eigenvalues >= lo) & (dense.eigenvalues <= hi)]
-    assert len(inside) > 2
-    sp = ts.solve_iterative(op, k=len(inside), window=(lo, hi),
-                            tol=1e-9, seed=3, max_subspace=sec.dim)
-    np.testing.assert_allclose(np.sort(sp.eigenvalues), np.sort(inside),
-                               atol=1e-7)
-    assert sp.method == "lanczos-window"
-
-
-def test_iterative_empty_window():
-    p = ts.ModelParams(heavy_cutoff=3)
-    sec = ts.enumerate_basis_1d(p, 0)
-    op = ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(p))
-    sp = ts.solve_iterative(op, k=4, window=(-100.0, -50.0), seed=1,
-                            max_subspace=sec.dim)
-    assert sp.k == 0
-    assert sp.meta["note"] == "window empty"
-
-
 def test_iterative_failure_carries_partial_results(operator729):
     with pytest.raises(ts.IterationError) as exc:
-        ts.solve_iterative(operator729, k=6, tol=1e-14, max_restarts=1,
-                           max_subspace=13, seed=0)
+        ts.solve_iterative(operator729, k=6, tol=1e-14, seed=0)
     err = exc.value
     assert err.eigenvalues is not None
     assert len(err.eigenvalues) == 6

@@ -21,10 +21,9 @@ from triscar import wavefunction
 @pytest.fixture(scope="module")
 def two_wave(params):
     sec = ts.enumerate_basis_1d(params, 0)
-    lookup = sec.index_map()
+    rows, _ = sec.locate(np.array([0, 1]), np.array([0, -1]))
     c = np.zeros(sec.dim)
-    c[lookup[(0, 0)]] = 1.0 / np.sqrt(2.0)
-    c[lookup[(1, -1)]] = 1.0 / np.sqrt(2.0)
+    c[rows] = 1.0 / np.sqrt(2.0)
     grid = ts.position_wavefunction_1d(c, sec, params, n_r=64, n_eta=8)
     return sec, c, grid
 
