@@ -10,15 +10,15 @@ from .params import LightCutoffMode, ModelParams, Scaling
 from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
                     Sector3D, SymmetrizedSector, basis_size_3d,
                     enumerate_basis_1d, enumerate_basis_3d, enumerate_vectors,
-                    sector_3d, symmetrize_sector, symmetry_blocks)
+                    point_group, sector_3d, symmetrize_sector, symmetry_blocks)
 from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,
                             matrix_element_1d)
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D, dense_from_elements, f2,
                             matrix_element_3d, symmetrized_element_3d)
 from .eigensolve import (Band, IterationError, Spectrum, assemble_bands,
-                         band_id_per_state, canonicalize, solve_blocks,
-                         solve_dense, solve_iterative)
+                         band_id_per_state, canonicalize, merge_blocks,
+                         solve_blocks, solve_dense, solve_iterative)
 from .wavefunction import (AutocorrelationSeries, RadialDensity,
                            WavefunctionGrid, autocorrelation,
                            concentration_ratio, heavy_overlap,

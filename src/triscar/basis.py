@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -187,24 +187,58 @@ class SymmetrizedSector:
 
         Holds the same entries embed writes, so S @ v equals embed(v).
         """
-        return _pair_isometry(self.parent.dim, self.idx_a, self.idx_b, self.parity)
+        from scipy import sparse
+
+        pair = self.idx_a != self.idx_b
+        w = 1.0 / np.sqrt(2.0)
+        cols = np.arange(self.dim)
+        rows = np.concatenate([self.idx_a, self.idx_b[pair]])
+        vals = np.concatenate([np.where(pair, w, 1.0),
+                               np.full(int(pair.sum()), self.parity * w)])
+        return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
+                                shape=(self.parent.dim, self.dim))
 
 
-def _pair_isometry(n: int, idx_a: np.ndarray, idx_b: np.ndarray,
-                   signs) -> sparse.csr_array:
-    """Sparse (n x len(idx_a)) isometry whose column j is
-    (|idx_a[j]> + signs[j] |idx_b[j]>) / sqrt(2), or |idx_a[j]> when
-    idx_a[j] == idx_b[j].  signs is a scalar or one +-1 per column."""
-    from scipy import sparse
+@dataclass(frozen=True)
+class LabelMap:
+    """An involution on heavy-momentum labels (n1, n2) -> (n1', n2').
 
-    pair = idx_a != idx_b
-    w = 1.0 / np.sqrt(2.0)
-    cols = np.arange(len(idx_a))
-    rows = np.concatenate([idx_a, idx_b[pair]])
-    vals = np.concatenate([np.where(pair, w, 1.0),
-                           np.broadcast_to(signs, idx_a.shape)[pair] * w])
-    return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
-                            shape=(n, len(idx_a)))
+    `names` label the +1 and the -1 eigenspace of the map.
+    """
+
+    names: tuple[str, str]
+    apply: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+#: heavy-particle exchange n1 <-> n2
+EXCHANGE = LabelMap(("sym", "anti"), lambda n1, n2: (n2, n1))
+
+#: 1D inversion n -> -n
+INVERSION = LabelMap(("even", "odd"), lambda n1, n2: (-n1, -n2))
+
+
+def _axis_flip(axis: int) -> LabelMap:
+    """3D reflection n -> n with component `axis` negated."""
+    sign = np.ones(3, dtype=np.int64)
+    sign[axis] = -1
+    name = "xyz"[axis]
+    return LabelMap((f"+{name}", f"-{name}"), lambda n1, n2: (n1 * sign, n2 * sign))
+
+
+def point_group(sector) -> list[LabelMap]:
+    """Label maps that commute with H on this sector.
+
+    Heavy exchange always does.  A reflection negates every momentum along
+    its axis, so it maps the sector onto itself only where the total
+    momentum has no component along that axis: inversion at P = 0 in 1D,
+    and each of the three axis flips with P_axis = 0 in 3D.  H depends on
+    momenta only through |n|^2 and |q|, so these commute with it and with
+    each other.
+    """
+    total = np.atleast_1d(sector.total_momentum)
+    if len(total) == 1:
+        return [EXCHANGE] + ([INVERSION] if total[0] == 0 else [])
+    return [EXCHANGE] + [_axis_flip(axis) for axis in range(3) if total[axis] == 0]
 
 
 def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector1D:
@@ -323,49 +357,68 @@ def symmetrize_sector(sector) -> tuple[SymmetrizedSector, SymmetrizedSector]:
             SymmetrizedSector(sector, -1, idx[anti], xmap[anti]))
 
 
-def symmetry_blocks(sector: Sector1D) -> list[tuple[str, sparse.csr_array]]:
-    """Split a 1D sector into the joint eigenspaces of its label symmetries.
+def symmetry_blocks(sector) -> list[tuple[str, sparse.csr_array]]:
+    """Split a sector into the joint eigenspaces of its point group.
 
-    Heavy exchange (n1 <-> n2) always commutes with H1 and gives the two
-    blocks of symmetrize_sector.  Inversion (n -> -n) commutes only at total
-    momentum 0, since elsewhere it maps p to P + n1 + n2 instead of -p; there
-    it maps each exchange column to +- another one, and splits every
-    exchange block once more into even and odd.  Returns one (label, S) per
-    block, S a sparse (dim x block_dim) isometry.  The columns of all blocks
-    together form an orthogonal matrix, and each row of S holds one entry,
-    of equal magnitude over a symmetry orbit, so S @ V reproduces V up to an
-    exact +-1 on each orbit.
+    The maps of point_group(sector) are r commuting involutions; they
+    generate a group G of 2^r elements, and each character chi of G, one
+    sign per map, gives one block.  The block's columns are the projections
+    chi(g_b) |b> / sqrt(|orbit|), summed over the distinct states b of one
+    orbit (the G-images of its lowest row a, with g_b a = b), for every
+    orbit on whose stabilizer chi is trivial.  Returns one (label, S) per
+    nonempty block, S a sparse (dim x block_dim) isometry, in character
+    order (the first map varies slowest, +1 before -1) with the maps' names
+    joined as label; columns ascend by their orbit's lowest row.  The
+    columns of all blocks together form an orthogonal matrix, and each row
+    of S holds one entry, of equal magnitude over an orbit, so S @ V
+    reproduces V up to an exact +-1 on each orbit.
     """
-    halves = symmetrize_sector(sector)
-    if sector.total_momentum != 0:
-        return [(half.tag, half.embedding_matrix()) for half in halves]
-    rows, cols = sector.locate(-sector.n1, -sector.n2)
-    if len(cols) != sector.dim:
-        raise ValueError(f"sector {sector.key} is not closed under inversion")
-    inverse = np.empty(sector.dim, dtype=np.int64)
-    inverse[cols] = rows
+    from scipy import sparse
+
+    maps = point_group(sector)
+    n = sector.dim
+    # images[g, i]: state i under the group element g, bit j of g applying maps[j]
+    images = np.arange(n, dtype=np.int64)[None, :]
+    for m in maps:
+        rows, cols = sector.locate(*m.apply(sector.n1, sector.n2))
+        if len(cols) != n:
+            raise ValueError(f"sector {sector.key} is not closed under the "
+                             f"{'/'.join(m.names)} map")
+        perm = np.empty(n, dtype=np.int64)
+        perm[cols] = rows
+        images = np.vstack([images, perm[images]])
+    lowest = np.unique(images.min(axis=0))
+    orbits = images[:, lowest]
+    fixes = orbits == lowest
+    # orbit size 2^k from the stabilizer size; the entry magnitude is w^k,
+    # the product of k pair normalizations w = 1/sqrt(2)
+    k = len(maps) - np.log2(fixes.sum(axis=0)).astype(np.int64)
+    magnitude = np.cumprod(np.append(1.0, np.full(len(maps), 1.0 / np.sqrt(2.0))))[k]
+    bits = (np.arange(len(images))[:, None] >> np.arange(len(maps))) & 1
     blocks = []
-    for half in halves:
-        # column j (|a> + parity |b>) / sqrt(2) goes to sign[j] * column
-        # image[j], the column listed from the lower of the rows -a, -b
-        a, b = inverse[half.idx_a], inverse[half.idx_b]
-        image = np.searchsorted(half.idx_a, np.minimum(a, b))
-        sign = np.where(a <= b, 1, half.parity)
-        col = np.arange(half.dim)
-        s = half.embedding_matrix()
-        for parity, tag in ((1, "even"), (-1, "odd")):
-            keep = (col < image) | ((col == image) & (sign == parity))
-            t = _pair_isometry(half.dim, col[keep], image[keep], parity * sign[keep])
-            blocks.append((f"{half.tag} {tag}", (s @ t).tocsr()))
+    for chi in itertools.product((0, 1), repeat=len(maps)):
+        sign = 1 - 2 * (bits @ np.array(chi, dtype=np.int64) % 2)
+        keep = np.nonzero(np.all((sign[:, None] == 1) | ~fixes, axis=0))[0]
+        if not len(keep):
+            continue
+        # every state of an orbit appears once per stabilizer element, with
+        # the same sign; keep its first occurrence
+        rows, first = np.unique(orbits[:, keep], return_index=True)
+        g, col = np.divmod(first, len(keep))
+        vals = sign[g] * magnitude[keep[col]]
+        label = " ".join(m.names[c] for m, c in zip(maps, chi))
+        blocks.append((label, sparse.csr_array((vals, (rows, col)),
+                                               shape=(n, len(keep)))))
     return blocks
 
 
 def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:
     """CSR matrix with `diagonal` plus `coeff` at every (rows, cols) of `transfers`.
 
-    `transfers` holds (rows, cols, coeff) triples whose positions must not
-    overlap each other or the diagonal.  Zero diagonal entries stay stored, so
-    nnz counts every structurally nonzero element.
+    `transfers` holds (rows, cols, coeff) triples, coeff a scalar or one
+    value per position, whose positions must not overlap each other or the
+    diagonal.  Zero diagonal entries stay stored, so nnz counts every
+    structurally nonzero element.
     """
     from scipy import sparse
 
@@ -373,5 +426,6 @@ def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:
     diag = np.arange(n)
     rows = np.concatenate([diag, *(r for r, _, _ in transfers)])
     cols = np.concatenate([diag, *(c for _, c, _ in transfers)])
-    vals = np.concatenate([diagonal, *(np.full(len(r), coeff) for r, _, coeff in transfers)])
+    vals = np.concatenate([diagonal, *(np.broadcast_to(coeff, r.shape)
+                                       for r, _, coeff in transfers)])
     return sparse.csr_array((vals, (rows, cols)), shape=(n, n))

@@ -18,18 +18,18 @@ import time
 import numpy as np
 
 from . import __version__
-from .basis import (ResourceLimitError, Sector1D, Sector3D, SymmetrizedSector,
-                    basis_size_3d, enumerate_basis_1d, estimate_basis_bytes,
-                    sector_3d, symmetrize_sector, symmetry_blocks)
+from .basis import (ResourceLimitError, Sector1D, Sector3D, basis_size_3d,
+                    enumerate_basis_1d, sector_3d, symmetry_blocks)
 from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
 from .config import ConfigError, load_config, model_params, section
 from .eigensolve import (IterationError, assemble_bands, band_id_per_state,
-                         dense_budget_error, solve_blocks, solve_dense,
-                         solve_iterative)
+                         dense_budget_error, merge_blocks, solve_blocks,
+                         solve_dense, solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
-                            SymmetrizedOperator3D)
+                            OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
+                            operator_bytes, operator_size)
 from .manifest import RunManifest, read_manifest
 from .params import ModelParams, Scaling
 from .scars import compare_with_spectrum, predicted_gap, scar_intensity, \
@@ -84,6 +84,21 @@ def _ensure_out(out: str) -> str:
     return out
 
 
+def _start(args, command: str, parameters: dict) -> tuple[str, RunManifest]:
+    """Create --out and the run's manifest.  main writes that manifest with
+    the exit status when the run is refused or fails."""
+    args.manifest = RunManifest(command, parameters=parameters)
+    return _ensure_out(args.out), args.manifest
+
+
+def _write_exit(args, status: str, code: int, message: str) -> int:
+    """Record a refused or failed run in its --out manifest; returns code."""
+    man = getattr(args, "manifest", None) or RunManifest(args.command)
+    man.status, man.exit_code, man.message = status, code, message
+    man.write(_ensure_out(args.out))
+    return code
+
+
 def _saddle_analysis(params: ModelParams):
     """Locate the collision saddle and return its mode analysis in the
     reporting convention of params (None when no saddle is found)."""
@@ -125,9 +140,8 @@ def cmd_solve1d(args) -> int:
         "total_momentum": 0, "gap_threshold": 2.0, "method": "auto", "k": 8,
         "tol": 1e-10, "seed": 0, "dump_matrix": False, "scar_levels": 3,
     })
-    out = _ensure_out(args.out)
-    man = RunManifest("solve1d", parameters={**_params_dict(params),
-                                             "solve1d": {k: v for k, v in s.items()}})
+    out, man = _start(args, "solve1d", {**_params_dict(params),
+                                        "solve1d": {k: v for k, v in s.items()}})
 
     t0 = time.perf_counter()
     sector = enumerate_basis_1d(params, s["total_momentum"])
@@ -213,52 +227,71 @@ def cmd_solve3d(args) -> int:
     params = model_params(cfg)
     s = section(cfg, "solve3d", {
         "total_momentum": [0, 0, 0], "method": "auto", "k": 8,
-        "tol": 1e-10, "seed": 0, "max_states": 1_000_000,
+        "tol": 1e-10, "seed": 0,
     })
     total = tuple(s["total_momentum"])
     if len(total) != 3:
         raise ConfigError("[solve3d] total_momentum needs three integers")
-    out = _ensure_out(args.out)
+    out, man = _start(args, "solve3d", {**_params_dict(params),
+                                        "solve3d": {k: v for k, v in s.items()}})
 
-    n_vec, n_states = basis_size_3d(params.cutoff_sq)
-    budget = sys.maxsize if args.allow_large else s["max_states"]
-    if n_states > budget:
-        mb = estimate_basis_bytes(n_states) / 2 ** 20
+    t0 = time.perf_counter()
+    dim, nnz = operator_size(total, params.cutoff_sq)
+    need = operator_bytes(dim, nnz)
+    if need > OPERATOR_BUDGET_BYTES and not args.allow_large:
         raise ResourceLimitError(
-            f"cutoff_sq={params.cutoff_sq} implies {n_vec} vectors and "
-            f"{n_states} product states (~{mb:.0f} MB of labels), over the "
-            f"budget of {budget}; rerun with --allow-large to proceed")
-
-    man = RunManifest("solve3d", parameters={**_params_dict(params),
-                                             "solve3d": {k: v for k, v in s.items()}})
-    t0 = time.perf_counter()
+            f"cutoff_sq={params.cutoff_sq} gives {dim} states and {nnz} "
+            f"operator nonzeros, whose labels and assembly need "
+            f"{need / 2 ** 20:.0f} MB, over the operator budget of "
+            f"{OPERATOR_BUDGET_BYTES / 2 ** 20:.0f} MB; rerun with --allow-large "
+            f"to proceed")
     sector = sector_3d(params, total)
-    sym, anti = symmetrize_sector(sector)
-    rule = MatrixElementRule3D(params)
-    plain_op = HamiltonianOperator3D(sector, rule, cutoff_sq=params.cutoff_sq)
-    man.add_timing("build", time.perf_counter() - t0)
+    t1 = time.perf_counter()
+    plain_op = HamiltonianOperator3D(sector, MatrixElementRule3D(params),
+                                     cutoff_sq=params.cutoff_sq)
+    t2 = time.perf_counter()
+    blocks = symmetry_blocks(sector)
+    t3 = time.perf_counter()
+    man.add_timing("build", t3 - t0)
+    man.add_timing("assemble", t2 - t1)
 
     t0 = time.perf_counter()
-    dense = _route(s["method"], [sym.dim, anti.dim], "solve3d") == "dense"
-    blocks = {}
-    for tag, block in (("sym", sym), ("anti", anti)):
-        if block.dim == 0:
-            continue
-        op = SymmetrizedOperator3D(block, plain_op)
-        label = f"{sector.key} {tag}"
-        if dense:
-            spec = solve_dense(op, sector_key=label)
-        else:
-            spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"],
-                                   sector_key=label)
-        blocks[tag] = (block, spec)
-    man.add_timing("solve", time.perf_counter() - t0)
+    dense = _route(s["method"], [iso.shape[1] for _, iso in blocks], "solve3d") == "dense"
+    metas = []
 
-    rows = []
+    def solve_half(tag):
+        """Each block of one exchange half, solved when it is asked for."""
+        for label, iso in blocks:
+            if label.partition(" ")[0] != tag:
+                continue
+            op = SymmetrizedOperator3D((label, iso), plain_op)
+            key = f"{sector.key} {label}"
+            if dense:
+                spec = solve_dense(op, sector_key=key)
+            else:
+                spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"],
+                                       sector_key=key)
+            metas.append(spec.meta)
+            yield label, spec
+
+    # each half's vectors go into one flat array: all of a block's on the
+    # dense route, its lowest k on the iterative one, which keeps the
+    # half's lowest k pairs
+    spectra = {}
     for tag in ("sym", "anti"):
-        if tag not in blocks:
-            continue
-        _, spec = blocks[tag]
+        ms = [iso.shape[1] for label, iso in blocks if label.partition(" ")[0] == tag]
+        if ms:
+            size = sum(m * (m if dense else min(s["k"], m)) for m in ms)
+            spectra[tag] = merge_blocks(f"{sector.key} {tag}", solve_half(tag), size,
+                                        None if dense else s["k"])
+    man.add_timing("solve", time.perf_counter() - t0)
+    man.add_timing("blocks", t3 - t2 + sum(meta.get("assemble_s", 0.0) for meta in metas))
+    if dense:
+        man.add_timing("eigh", sum(meta["eigh_s"] for meta in metas))
+
+    t0 = time.perf_counter()
+    rows = []
+    for tag, (spec, _, _) in spectra.items():
         for i in range(spec.k):
             rows.append([sector.key, tag, str(i), _fmt(spec.eigenvalues[i]),
                          _fmt(spec.residuals[i])])
@@ -266,6 +299,9 @@ def cmd_solve3d(args) -> int:
     _write_csv(path, ["sector", "parity", "index", "eigenvalue", "residual"], rows)
     man.add_artifact(path)
 
+    n_vec, n_states = basis_size_3d(params.cutoff_sq)
+    dims = {tag: spectra[tag][0].meta["dim"] if tag in spectra else 0
+            for tag in ("sym", "anti")}
     path = os.path.join(out, "sectors.json")
     _write_json(path, {
         "total_momentum": list(total),
@@ -273,43 +309,46 @@ def cmd_solve3d(args) -> int:
         "vectors": n_vec,
         "full_basis_states": n_states,
         "sector_dimension": sector.dim,
-        "symmetric_dimension": sym.dim,
-        "antisymmetric_dimension": anti.dim,
+        "symmetric_dimension": dims["sym"],
+        "antisymmetric_dimension": dims["anti"],
         "nonzeros_per_row": plain_op.nonzeros_per_row(),
     })
     man.add_artifact(path)
 
-    for tag in blocks:
-        block, spec = blocks[tag]
+    for tag, (spec, labels, offsets) in spectra.items():
         path = os.path.join(out, f"eigenvectors_{tag}.npz")
         np.savez(path,
                  eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
-                 residuals=spec.residuals,
-                 idx_a=block.idx_a, idx_b=block.idx_b,
-                 parity=np.array([block.parity]),
+                 residuals=spec.residuals, block=labels, offset=offsets,
+                 parity=np.array([1 if tag == "sym" else -1]),
                  n1=sector.n1, n2=sector.n2, p=sector.p,
                  total_momentum=np.array(total),
                  dimension=np.array("3d"),
                  params=np.array(json.dumps(_params_dict(params))))
         man.add_artifact(path)
+    man.add_timing("write", time.perf_counter() - t0)
 
-    e_sym = float(blocks["sym"][1].eigenvalues[0]) if "sym" in blocks else None
-    e_anti = float(blocks["anti"][1].eigenvalues[0]) if "anti" in blocks else None
+    grounds = {tag: float(spec.eigenvalues[0]) for tag, (spec, _, _) in spectra.items()}
+    e_sym, e_anti = grounds.get("sym"), grounds.get("anti")
     ordered = None
     if e_sym is not None and e_anti is not None:
         ordered = bool(e_sym < e_anti)
     man.statistics = {
         "sector_dimension": sector.dim,
-        "symmetric_dimension": sym.dim,
-        "antisymmetric_dimension": anti.dim,
+        "symmetric_dimension": dims["sym"],
+        "antisymmetric_dimension": dims["anti"],
         "nonzeros_per_row": plain_op.nonzeros_per_row(),
-        "method": next((spec.method for _, spec in blocks.values()), None),
+        "operator_mb": need / 2 ** 20,
+        "block_dimensions": {label: iso.shape[1] for label, iso in blocks},
+        "eigh_calls": len(metas) if dense else 0,
+        "method": next(iter(spectra.values()))[0].method if spectra else None,
         "ground_energy_symmetric": e_sym,
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,
     }
     man.write(out)
-    print(f"sector {sector.key}: dim {sector.dim} = {sym.dim} sym + {anti.dim} anti")
+    print(f"sector {sector.key}: dim {sector.dim} = {dims['sym']} sym + "
+          f"{dims['anti']} anti in {len(blocks)} blocks")
     if e_sym is not None:
         print(f"ground energy (sym)  {_fmt(e_sym)}")
     if e_anti is not None:
@@ -484,17 +523,23 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
     if not os.path.exists(path):
         raise ConfigError(f"no {os.path.basename(path)} under {args.from_dir}")
     data = np.load(path)
+    if "offset" not in data.files:
+        raise ConfigError(f"{path} holds no block offsets; rerun solve3d")
     params = model_params({"model": json.loads(str(data["params"]))})
     sector = Sector3D(tuple(int(v) for v in data["total_momentum"]),
                       data["n1"], data["n2"], data["p"])
-    block = SymmetrizedSector(sector, int(data["parity"][0]),
-                              data["idx_a"], data["idx_b"])
     evals = data["eigenvalues"]
-    evecs = data["eigenvectors"]
     idx = args.index if args.index is not None else 0
     if not 0 <= idx < len(evals):
         raise ConfigError(f"--index {idx} out of range 0..{len(evals) - 1}")
-    coeffs = block.embed(evecs[:, idx])
+    # the blocks are a deterministic function of the sector, so the archived
+    # label names the isometry that embeds the block coordinates
+    label = str(data["block"][idx])
+    isometry = dict(symmetry_blocks(sector)).get(label)
+    if isometry is None:
+        raise ConfigError(f"block {label!r} of {path} is not a block of {sector.key}")
+    start = int(data["offset"][idx])
+    coeffs = isometry @ data["eigenvectors"][start:start + isometry.shape[1]]
 
     t0 = time.perf_counter()
     radial = integrated_probability_3d(coeffs, sector, params,
@@ -538,9 +583,8 @@ def cmd_analyze(args) -> int:
     })
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
-    out = _ensure_out(args.out)
-    man = RunManifest("analyze", parameters={"from": args.from_dir,
-                                             "analyze": {k: v for k, v in s.items()}})
+    out, man = _start(args, "analyze", {"from": args.from_dir,
+                                        "analyze": {k: v for k, v in s.items()}})
     if os.path.exists(os.path.join(args.from_dir, "eigenvectors.npz")):
         _analyze_1d(args, cfg, s, out, man)
     elif (os.path.exists(os.path.join(args.from_dir, "eigenvectors_sym.npz"))
@@ -582,11 +626,10 @@ def cmd_orbit(args) -> int:
             raise ConfigError("[orbit] dt must be set explicitly for 3D runs")
         dt = suggest_timestep(params)
     sing = s["singularity_tol"] if s["singularity_tol"] > 0 else None
-    out = _ensure_out(args.out)
-    man = RunManifest("orbit", parameters={**_params_dict(params),
-                                           "orbit": {k: (v if k != "initial" else list(initial))
-                                                     for k, v in s.items()},
-                                           "dt_used": dt})
+    out, man = _start(args, "orbit", {**_params_dict(params),
+                                      "orbit": {k: (v if k != "initial" else list(initial))
+                                                for k, v in s.items()},
+                                      "dt_used": dt})
 
     t0 = time.perf_counter()
     orbits = []
@@ -698,9 +741,8 @@ def cmd_estimate(args) -> int:
     if s["convention"] not in ("sigma", "rate", "both"):
         raise ConfigError(f"bad value for [estimate] convention: "
                           f"{s['convention']!r}")
-    out = _ensure_out(args.out)
-    man = RunManifest("estimate", parameters={**_params_dict(params),
-                                              "estimate": {k: v for k, v in s.items()}})
+    out, man = _start(args, "estimate", {**_params_dict(params),
+                                         "estimate": {k: v for k, v in s.items()}})
     L = params.box_length
     result = find_critical_points(params)
     points = []
@@ -803,6 +845,11 @@ def cmd_report(args) -> int:
     lines = [
         f"run      : {man.get('command')} (version {man.get('version')})",
         f"directory: {args.from_dir}",
+        f"status   : {man.get('status', 'ok')} (exit {man.get('exit_code', EXIT_OK)})",
+    ]
+    if man.get("message"):
+        lines.append(f"message  : {man['message']}")
+    lines += [
         "",
         "statistics:",
     ]
@@ -856,10 +903,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve1d)
 
     p = sub.add_parser("solve3d", help="diagonalize a 3D momentum sector by "
-                                       "exchange parity")
+                                       "point-group blocks")
     common(p, "triscar-runs/solve3d")
     p.add_argument("--allow-large", action="store_true",
-                   help="override the state-count budget")
+                   help="override the operator memory budget")
     p.set_defaults(func=cmd_solve3d)
 
     p = sub.add_parser("analyze", help="wavefunctions and collision "
@@ -905,10 +952,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _write_exit(args, "refused", EXIT_RESOURCE, f"resource limit: {exc}")
     except (IterationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _write_exit(args, "failed", EXIT_NUMERICAL, f"numerical failure: {exc}")
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

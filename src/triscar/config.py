@@ -69,7 +69,6 @@ SCHEMAS: dict[str, dict[str, str]] = {
         "k": "int",
         "tol": "float",
         "seed": "int",
-        "max_states": "int",
     },
     "analyze": {
         "select": "str",

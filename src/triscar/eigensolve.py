@@ -9,6 +9,7 @@ agreement can be checked from the outside.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,15 +161,24 @@ def solve_dense(op, *, sector_key: str | None = None,
     error = dense_budget_error([n])
     if error is not None:
         raise error
+    t0 = time.perf_counter()
     h = op.dense()
+    t1 = time.perf_counter()
     asym = float(np.max(np.abs(h - h.T))) if n else 0.0
     evals, vecs = scipy.linalg.eigh(h)
+    t2 = time.perf_counter()
     evals, vecs = canonicalize(evals, vecs, degen_tol)
     resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
-    key = sector_key if sector_key is not None else getattr(
-        getattr(op, "sector", None), "key", "")
-    return Spectrum(key, evals, vecs, resid, "dense",
-                    meta={"dim": n, "hermiticity_defect": asym})
+    return Spectrum(_key(op, sector_key), evals, vecs, resid, "dense",
+                    meta={"dim": n, "hermiticity_defect": asym,
+                          "assemble_s": t1 - t0, "eigh_s": t2 - t1})
+
+
+def _key(op, sector_key: str | None) -> str:
+    """The label a spectrum of op carries: sector_key, else the operator's."""
+    if sector_key is not None:
+        return sector_key
+    return getattr(op, "key", None) or getattr(getattr(op, "sector", None), "key", "")
 
 
 class _BlockOperator:
@@ -228,6 +238,46 @@ def solve_blocks(op, blocks) -> Spectrum:
         "hermiticity_defect": max(part.meta["hermiticity_defect"] for part in parts)})
 
 
+def merge_blocks(key: str, parts, size: int,
+                 k: int | None = None) -> tuple[Spectrum, np.ndarray, np.ndarray]:
+    """One spectrum from the spectra of symmetry blocks, in block coordinates.
+
+    parts yields (label, Spectrum) pairs, one block at a time, of blocks
+    that split one space.  Each block's eigenvectors are copied, column
+    after column, into one flat array of `size` floats as the block
+    arrives, so parts solved on demand need no block's vectors past its own
+    solve.  The eigenvalues are merged in ascending order (stable, so equal
+    values keep block order) and cut to the lowest k.  Returns the
+    Spectrum, whose eigenvectors is that flat array, plus each pair's block
+    label and the offset of its vector in the array; the vector is as long
+    as its block's dimension.  meta records the block dimensions.
+    """
+    vecs = np.empty(size)
+    labels, evals, resid, offsets = [], [], [], []
+    dims: dict[str, int] = {}
+    method = None
+    start = 0
+    for label, part in parts:
+        m, n = part.eigenvectors.shape
+        vecs[start:start + m * n] = part.eigenvectors.ravel(order="F")
+        offsets.append(start + m * np.arange(n))
+        labels.append(np.full(n, label))
+        evals.append(part.eigenvalues)
+        resid.append(part.residuals)
+        dims[label] = m
+        method = method or part.method
+        start += m * n
+    if not dims:
+        raise ValueError("no blocks to merge")
+    if start != size:
+        raise ValueError(f"blocks hold {start} vector entries, not {size}")
+    evals = np.concatenate(evals)
+    order = np.argsort(evals, kind="stable")[:k]
+    spectrum = Spectrum(key, evals[order], vecs, np.concatenate(resid)[order], method,
+                        meta={"dim": sum(dims.values()), "block_dimensions": dims})
+    return spectrum, np.concatenate(labels)[order], np.concatenate(offsets)[order]
+
+
 def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0,
                     sector_key: str | None = None) -> Spectrum:
     """Thick-restart Rayleigh-Ritz iteration, matrix-free.
@@ -250,8 +300,7 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0,
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
     max_subspace = min(n, max(4 * k + 24, 48))
-    key = sector_key if sector_key is not None else getattr(
-        getattr(op, "sector", None), "key", "")
+    key = _key(op, sector_key)
 
     rng = np.random.default_rng(seed)
     V = np.zeros((n, max_subspace))

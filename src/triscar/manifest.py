@@ -28,6 +28,9 @@ class RunManifest:
     artifacts: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     version: str = ""
+    status: str = "ok"            # ok, refused (exit 3) or failed (exit 4)
+    exit_code: int = 0
+    message: str | None = None    # why a run was refused or failed
 
     def add_artifact(self, path: str) -> None:
         name = os.path.basename(path)
@@ -50,6 +53,9 @@ class RunManifest:
             "artifacts": sorted(self.artifacts),
             "timings": self.timings,
             "peak_rss_mb": peak_rss_mb(),
+            "status": self.status,
+            "exit_code": self.exit_code,
+            "message": self.message,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -209,3 +209,96 @@ def test_two_state_exchange_pair():
     pair_states = sym.idx_a != sym.idx_b
     assert np.any(pair_states)
 
+
+
+# ---------------------------------------------------------------------------
+# point-group blocks
+
+
+def _reference_pair_isometry(n, idx_a, idx_b, signs):
+    """Columns (|idx_a> + signs |idx_b>) / sqrt(2), or |idx_a> where equal."""
+    from scipy import sparse
+
+    pair = idx_a != idx_b
+    w = 1.0 / np.sqrt(2.0)
+    cols = np.arange(len(idx_a))
+    rows = np.concatenate([idx_a, idx_b[pair]])
+    vals = np.concatenate([np.where(pair, w, 1.0),
+                           np.broadcast_to(signs, idx_a.shape)[pair] * w])
+    return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
+                            shape=(n, len(idx_a)))
+
+
+def reference_symmetry_blocks_1d(sector):
+    """The former 1D-only builder: exchange halves, each split once more by
+    inversion at P = 0 through a second pair isometry."""
+    halves = ts.symmetrize_sector(sector)
+    if sector.total_momentum != 0:
+        return [(half.tag, half.embedding_matrix()) for half in halves]
+    rows, cols = sector.locate(-sector.n1, -sector.n2)
+    inverse = np.empty(sector.dim, dtype=np.int64)
+    inverse[cols] = rows
+    blocks = []
+    for half in halves:
+        a, b = inverse[half.idx_a], inverse[half.idx_b]
+        image = np.searchsorted(half.idx_a, np.minimum(a, b))
+        sign = np.where(a <= b, 1, half.parity)
+        col = np.arange(half.dim)
+        s = half.embedding_matrix()
+        for parity, tag in ((1, "even"), (-1, "odd")):
+            keep = (col < image) | ((col == image) & (sign == parity))
+            t = _reference_pair_isometry(half.dim, col[keep], image[keep],
+                                         parity * sign[keep])
+            blocks.append((f"{half.tag} {tag}", (s @ t).tocsr()))
+    return blocks
+
+
+@pytest.mark.parametrize("heavy_cutoff, total_momentum, mode", [
+    (5, 0, "derived"), (13, 0, "derived"), (5, 1, "derived"),
+    (4, 0, "product-filter"), (4, -2, "product-filter")])
+def test_symmetry_blocks_match_reference_1d(heavy_cutoff, total_momentum, mode):
+    """Exchange x inversion through the orbit builder gives the former 1D
+    blocks: same labels, dimensions, column order and entries, bit for bit."""
+    p = ts.ModelParams(heavy_cutoff=heavy_cutoff,
+                       light_cutoff_mode=ts.LightCutoffMode(mode))
+    sector = ts.enumerate_basis_1d(p, total_momentum)
+    got = ts.symmetry_blocks(sector)
+    want = reference_symmetry_blocks_1d(sector)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (_, s), (_, r) in zip(got, want):
+        assert s.shape == r.shape
+        assert np.array_equal(s.toarray(), r.toarray())
+
+
+#: (label, dim) of the 16 P = 0 blocks at cutoff_sq 5 (733 sym + 726 anti)
+BLOCKS_3D_C5 = [162, 102, 102, 73, 102, 73, 73, 46, 127, 111, 111, 74, 111, 74, 74, 44]
+
+
+@pytest.mark.parametrize("cutoff_sq, total", [(2, (0, 0, 0)), (5, (0, 0, 0)),
+                                             (2, (1, 0, 0)), (2, (1, -1, 0))])
+def test_point_group_blocks_are_orthogonal(params, cutoff_sq, total):
+    """Exchange times the axis flips that fix P: the stacked isometries form
+    an orthogonal matrix, and each block keeps its exchange parity."""
+    sector = ts.sector_3d(params, total, cutoff_sq=cutoff_sq)
+    blocks = ts.symmetry_blocks(sector)
+    flips = [f"+{axis}" for axis, component in zip("xyz", total) if component == 0]
+    assert len(blocks) == 2 ** (1 + len(flips))
+    assert blocks[0][0] == " ".join(["sym", *flips])
+    q = np.hstack([s.toarray() for _, s in blocks])
+    np.testing.assert_allclose(q.T @ q, np.eye(sector.dim), rtol=0.0, atol=1e-15)
+    xmap = sector.exchange_map()
+    for label, s in blocks:
+        parity = 1 if label.startswith("sym ") else -1
+        dense = s.toarray()
+        assert np.array_equal(dense[xmap], parity * dense)
+    if (cutoff_sq, total) == (5, (0, 0, 0)):
+        assert [s.shape[1] for _, s in blocks] == BLOCKS_3D_C5
+
+
+def test_point_group_needs_zero_momentum_along_the_axis():
+    p = ts.ModelParams(cutoff_sq=2)
+    names = [m.names for m in ts.point_group(ts.sector_3d(p, (0, 1, 0)))]
+    assert names == [("sym", "anti"), ("+x", "-x"), ("+z", "-z")]
+    names = [m.names for m in ts.point_group(ts.enumerate_basis_1d(p, 0))]
+    assert names == [("sym", "anti"), ("even", "odd")]
+    assert len(ts.point_group(ts.enumerate_basis_1d(p, 3))) == 1

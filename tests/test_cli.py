@@ -1,6 +1,8 @@
 """Command line interface: runs, artifacts, determinism, exit codes."""
 
+import collections
 import csv
+import itertools
 import json
 import os
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from triscar.basis import Sector1D
-from triscar import eigensolve
+from triscar import cli, eigensolve
 from triscar.cli import main
 from triscar.config import ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -211,12 +213,38 @@ def test_solve1d_dump_matrix(tmp_path):
 
 
 def test_solve3d_budget_refusal(tmp_path, capsys):
+    """cutoff_sq 20 (70885 states, 41514433 nonzeros) needs 3331 MB for its
+    labels and operator assembly, over the 1024 MB operator budget; the gate
+    refuses it before the operator exists and records why."""
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 20\n")
     out = str(tmp_path / "big")
-    code = main(["solve3d", "--out", out])
+    code = main(["solve3d", "--config", cfg, "--out", out])
     assert code == 3
     err = capsys.readouterr().err
-    assert "3176523" in err.replace(",", "")
+    assert "70885 states and 41514433 operator nonzeros" in err
+    assert "3331 MB, over the operator budget of 1024 MB" in err
     assert "--allow-large" in err
+    man = read_manifest(out)
+    assert (man["status"], man["exit_code"]) == ("refused", 3)
+    assert "3331 MB" in man["message"]
+    assert not man["artifacts"]
+
+
+def test_solve3d_gate_builds_nothing(tmp_path, capsys, monkeypatch):
+    """At cutoff_sq 100 (8145031 states) the gate refuses from the counts
+    alone: neither the sector nor its operator is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("built before the operator budget was checked")
+
+    monkeypatch.setattr(cli, "sector_3d", never)
+    monkeypatch.setattr(cli, "HamiltonianOperator3D", never)
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 100\n")
+    out = str(tmp_path / "huge")
+    assert main(["solve3d", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "8145031 states and 51288334123 operator nonzeros" in err
+    assert "over the operator budget of 1024 MB" in err
+    assert read_manifest(out)["status"] == "refused"
 
 
 def test_solve3d_small(tmp_path):
@@ -277,18 +305,25 @@ def test_analyze_refuses_components_key(tmp_path, capsys):
     assert "components" in capsys.readouterr().err
 
 
-#: both halves of the cutoff_sq 2 sector (88 + 87) as dense eigenvector arrays
-BUDGET_3D_C2 = 8 * (88 ** 2 + 87 ** 2)
+#: the 16 point-group blocks of the cutoff_sq 2 sector (88 sym + 87 anti)
+BLOCKS_3D_C2 = [25, 12, 12, 8, 12, 8, 8, 3, 18, 15, 15, 7, 15, 7, 7, 3]
+
+#: all 16 blocks as dense eigenvector arrays
+BUDGET_3D_C2 = 8 * sum(m * m for m in BLOCKS_3D_C2)
 
 
 def test_solve3d_auto_routes_by_output_size(tmp_path, monkeypatch):
-    """auto solves both halves densely exactly when their vectors fit the
+    """auto solves every block densely exactly when their vectors fit the
     dense output budget together, and records the route in the manifest."""
     cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
     monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", BUDGET_3D_C2)
     out = str(tmp_path / "fits")
     assert main(["solve3d", "--config", cfg, "--out", out]) == 0
-    assert read_manifest(out)["statistics"]["method"] == "dense"
+    stats = read_manifest(out)["statistics"]
+    assert stats["method"] == "dense"
+    labels = [" ".join(chi) for chi in itertools.product(
+        ("sym", "anti"), ("+x", "-x"), ("+y", "-y"), ("+z", "-z"))]
+    assert stats["block_dimensions"] == dict(zip(labels, BLOCKS_3D_C2))
 
     monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", BUDGET_3D_C2 - 1)
     out = str(tmp_path / "over")
@@ -297,6 +332,13 @@ def test_solve3d_auto_routes_by_output_size(tmp_path, monkeypatch):
     with open(os.path.join(out, "spectrum.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["parity"] for r in rows] == ["sym"] * 8 + ["anti"] * 8
+    # every block is solved iteratively, and each half keeps its lowest 8
+    with open(os.path.join(tmp_path, "fits", "spectrum.csv")) as fh:
+        full = list(csv.DictReader(fh))
+    for tag in ("sym", "anti"):
+        want = [float(r["eigenvalue"]) for r in full if r["parity"] == tag][:8]
+        got = [float(r["eigenvalue"]) for r in rows if r["parity"] == tag]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
 
 
 def test_solve3d_explicit_dense_over_budget_is_refused(tmp_path, monkeypatch,
@@ -306,8 +348,147 @@ def test_solve3d_explicit_dense_over_budget_is_refused(tmp_path, monkeypatch,
                                  "[solve3d]\nmethod = dense\n")
     out = tmp_path / "run"
     assert main(["solve3d", "--config", cfg, "--out", str(out)]) == 3
-    assert "88 x 88 + 87 x 87 eigenvectors" in capsys.readouterr().err
+    shapes = " + ".join(f"{m} x {m}" for m in BLOCKS_3D_C2)
+    assert f"{shapes} eigenvectors" in capsys.readouterr().err
     assert not list(out.glob("eigenvectors_*.npz"))
+
+
+def test_solve3d_manifest_records_blocks_and_timings(tmp_path):
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
+    out = tmp_path / "run3d"
+    assert main(["solve3d", "--config", cfg, "--out", str(out)]) == 0
+    man = read_manifest(str(out))
+    stats = man["statistics"]
+    assert sorted(stats["block_dimensions"].values()) == sorted(BLOCKS_3D_C2)
+    assert stats["eigh_calls"] == 16
+    assert (stats["symmetric_dimension"], stats["antisymmetric_dimension"]) == (88, 87)
+    assert set(man["timings"]) == {"build", "assemble", "solve", "blocks", "eigh", "write"}
+    assert man["timings"]["assemble"] <= man["timings"]["build"]
+    assert man["timings"]["eigh"] <= man["timings"]["solve"]
+    assert (man["status"], man["exit_code"], man["message"]) == ("ok", 0, None)
+    # archives hold every block's vectors in its own coordinates, unpadded:
+    # 8 sum(m^2) bytes, what the dense output budget charges, plus the labels
+    path = out / "eigenvectors_anti.npz"
+    data = np.load(path)
+    held = sum(m * m for m in BLOCKS_3D_C2[8:])
+    assert data["eigenvectors"].shape == (held,)
+    # nothing else of size: the archive is its arrays plus zip and npy headers
+    arrays = sum(data[key].nbytes for key in data.files)
+    assert 0 < os.path.getsize(path) - arrays < 512 * len(data.files)
+    assert sorted(collections.Counter(data["block"]).values()) == sorted(BLOCKS_3D_C2[8:])
+    assert sorted(data["offset"]) == sorted(set(data["offset"]))
+    for label, start in zip(data["block"], data["offset"]):
+        m = stats["block_dimensions"][str(label)]
+        assert abs(np.linalg.norm(data["eigenvectors"][start:start + m]) - 1.0) < 1e-12
+    assert np.all(np.diff(data["eigenvalues"]) >= 0.0)
+
+
+def test_analyze_3d_refuses_archive_without_offsets(tmp_path, capsys):
+    """An archive from before the block layout names no block offsets."""
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
+    run = tmp_path / "run3d"
+    assert main(["solve3d", "--config", cfg, "--out", str(run)]) == 0
+    path = run / "eigenvectors_sym.npz"
+    with np.load(path) as data:
+        kept = {key: data[key] for key in data.files if key not in ("block", "offset")}
+    np.savez(path, **kept)
+    assert main(["analyze", "--from", str(run), "--out", str(tmp_path / "an")]) == 2
+    assert "holds no block offsets" in capsys.readouterr().err
+
+
+def _read_grid(path):
+    with open(path) as fh:
+        next(fh)
+        return np.array([[float(v) for v in line.split(",")] for line in fh])
+
+
+@pytest.mark.parametrize("parity, index", [("sym", 0), ("sym", 5), ("anti", 2)])
+def test_analyze_3d_embeds_block_vectors(tmp_path, parity, index):
+    """analyze on a block archive equals analyze on the exchange-half
+    eigenvector that block vector embeds to."""
+    import triscar as ts
+
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
+    run = tmp_path / "run3d"
+    assert main(["solve3d", "--config", cfg, "--out", str(run)]) == 0
+    out = tmp_path / "an"
+    assert main(["analyze", "--from", str(run), "--parity", parity,
+                 "--index", str(index), "--out", str(out)]) == 0
+
+    p = ts.ModelParams(cutoff_sq=2)
+    sector = ts.sector_3d(p, (0, 0, 0))
+    half = ts.symmetrize_sector(sector)[0 if parity == "sym" else 1]
+    data = np.load(run / f"eigenvectors_{parity}.npz")
+    s = dict(ts.symmetry_blocks(sector))[str(data["block"][index])]
+    # the block vector, embedded, lies in the exchange half and is an
+    # eigenvector of that half's block
+    start = data["offset"][index]
+    v = data["eigenvectors"][start:start + s.shape[1]]
+    u = half.project(s @ v)
+    h = ts.SymmetrizedOperator3D(half, ts.HamiltonianOperator3D(
+        sector, ts.MatrixElementRule3D(p))).dense()
+    energy = data["eigenvalues"][index]
+    assert np.linalg.norm(h @ u - energy * u) < 1e-12
+    coeffs = half.embed(u)
+    np.testing.assert_allclose(coeffs, s @ v,
+                               rtol=0.0, atol=1e-15)
+
+    radial = ts.integrated_probability_3d(coeffs, sector, p, n_r=48, n_eta=48)
+    got = _read_grid(out / f"radial_{parity}_state{index:04d}.csv")
+    np.testing.assert_allclose(got, radial.values, rtol=0.0,
+                               atol=1e-12 * np.abs(radial.values).max())
+    for comp_eta, label in ((0, "like"), (1, "unlike")):
+        grid = ts.pair_projection_3d(coeffs, sector, p, 0, comp_eta, n_r=128, n_eta=128)
+        want = grid.density()
+        got = _read_grid(out / f"projection_{label}_{parity}_state{index:04d}.csv")
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+#: lowest 8 symmetric levels at the paper's default point (cutoff_sq 10),
+#: agreed on by dense eigh of the whole half, scipy eigsh and the blocks
+PAPER_SYM_LOWEST = [-0.382973, -0.362776, -0.362776, -0.362776,
+                    -0.357101, -0.357101, -0.218774, -0.218774]
+
+
+def test_solve3d_paper_point_is_exact_without_flag(tmp_path):
+    """The default config (cutoff_sq 10, 10105 states) passes the operator
+    budget and the dense output budget, and yields the exact spectrum."""
+    out = tmp_path / "paper"
+    assert main(["solve3d", "--out", str(out)]) == 0
+    stats = read_manifest(str(out))["statistics"]
+    assert stats["method"] == "dense"
+    assert (stats["symmetric_dimension"], stats["antisymmetric_dimension"]) == (5062, 5043)
+    assert max(stats["block_dimensions"].values()) == 828
+    with open(out / "spectrum.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["parity"] == "sym"]
+    assert len(rows) == 5062
+    got = [float(r["eigenvalue"]) for r in rows[:8]]
+    np.testing.assert_allclose(got, PAPER_SYM_LOWEST, rtol=0.0, atol=1e-6)
+    assert max(float(r["residual"]) for r in rows) < 1e-8
+
+
+def test_failed_run_writes_its_manifest(tmp_path, capsys):
+    """A numerical failure (exit 4) leaves a manifest that says why, and
+    report prints it."""
+    cfg = write_config(tmp_path, "[solve1d]\nmethod = iterative\ntol = 1e-14\n")
+    out = str(tmp_path / "run")
+    assert main(["solve1d", "--config", cfg, "--out", out]) == 4
+    man = read_manifest(out)
+    assert (man["status"], man["exit_code"]) == ("failed", 4)
+    assert man["message"].startswith("numerical failure: no convergence")
+    assert man["parameters"]["solve1d"]["tol"] == 1e-14
+    capsys.readouterr()
+    assert main(["report", "--from", out, "--out", str(tmp_path / "rep")]) == 0
+    text = capsys.readouterr().out
+    assert "status   : failed (exit 4)" in text
+    assert f"message  : {man['message']}" in text
+
+
+def test_solve3d_refuses_max_states_key(tmp_path, capsys):
+    """The operator byte budget replaced the product-state count gate."""
+    cfg = write_config(tmp_path, "[solve3d]\nmax_states = 100\n")
+    assert main(["solve3d", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "max_states" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve1d", "solve3d"])

@@ -288,3 +288,29 @@ def test_band_id_per_state(bands729):
     assert ids[0] == 1
     assert ids[26] == 1
     assert ids[27] == 2
+
+
+def test_merge_blocks_orders_stably_and_flattens():
+    """Equal eigenvalues keep block order, k cuts the merged list, and each
+    block's vectors land, column after column, in one unpadded flat array."""
+    a = ts.Spectrum("a", np.array([1.0, 3.0]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+                    np.array([1e-15, 2e-15]), "dense", meta={"dim": 2})
+    b = ts.Spectrum("b", np.array([1.0, 2.0, 5.0]), np.arange(9.0).reshape(3, 3),
+                    np.array([3e-15, 4e-15, 5e-15]), "dense", meta={"dim": 3})
+    merged, labels, offsets = ts.merge_blocks(
+        "P=0 sym", iter([("a", a), ("b", b)]), 13, k=4)
+    assert merged.sector_key == "P=0 sym"
+    assert list(merged.eigenvalues) == [1.0, 1.0, 2.0, 3.0]
+    assert list(labels) == ["a", "b", "b", "a"]
+    np.testing.assert_array_equal(merged.residuals, [1e-15, 3e-15, 4e-15, 2e-15])
+    np.testing.assert_array_equal(merged.eigenvectors,
+                                  [1, 3, 2, 4, 0, 3, 6, 1, 4, 7, 2, 5, 8])
+    assert list(offsets) == [0, 4, 7, 2]
+    for label, start, spec in zip(labels, offsets, (a, b, b, a)):
+        m = spec.eigenvectors.shape[0]
+        assert any(np.array_equal(merged.eigenvectors[start:start + m], col)
+                   for col in spec.eigenvectors.T)
+    assert merged.meta["block_dimensions"] == {"a": 2, "b": 3}
+    assert ts.merge_blocks("P=0 sym", [("a", a), ("b", b)], 13)[0].k == 5
+    with pytest.raises(ValueError, match="13 vector entries, not 14"):
+        ts.merge_blocks("P=0 sym", [("a", a), ("b", b)], 14)

@@ -204,3 +204,92 @@ def test_full_c1_block_completeness():
             full[i, j] = ts.matrix_element_3d(a, b, rule)
     want = np.linalg.eigvalsh(full)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# spectator-group assembly and point-group blocks
+
+
+def reference_operator_matrix(sector, rule, cutoff_sq):
+    """The former assembly: one label lookup per transfer q and pair type."""
+    from triscar.basis import assemble_csr, enumerate_vectors
+
+    n1, n2, p = sector.n1, sector.n2, sector.p
+    kin = (np.einsum("ij,ij->i", n1, n1) + np.einsum("ij,ij->i", n2, n2)
+           + np.einsum("ij,ij->i", p, p) / rule.params.gamma)
+    w = rule.interaction_coeff
+    transfers = []
+    for q in enumerate_vectors(4 * cutoff_sq):
+        if not q.any():
+            continue
+        coeff = w * f2(2.0 * np.linalg.norm(q))
+        for t1, t2, sign in ((n1 + q, n2 - q, +1.0), (n1 + q, n2, -1.0),
+                             (n1, n2 + q, -1.0)):
+            rows, cols = sector.locate(t1, t2)
+            transfers.append((rows, cols, sign * coeff))
+    return assemble_csr(rule.kinetic_coeff * kin, transfers)
+
+
+@pytest.mark.parametrize("cutoff_sq, total, operator_cutoff", [
+    (2, (0, 0, 0), 2), (5, (0, 0, 0), 5), (5, (1, -1, 2), 5), (5, (0, 0, 0), 2)])
+def test_spectator_assembly_matches_locate_loop(params, cutoff_sq, total,
+                                                operator_cutoff):
+    """Grouping by spectator label builds the same CSR as one lookup per
+    transfer, bit for bit, also when the operator's cutoff is the smaller."""
+    sector = ts.sector_3d(params, total, cutoff_sq=cutoff_sq)
+    rule = ts.MatrixElementRule3D(params)
+    got = ts.HamiltonianOperator3D(sector, rule, cutoff_sq=operator_cutoff).matrix
+    want = reference_operator_matrix(sector, rule, operator_cutoff)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("cutoff_sq, total", [(2, (0, 0, 0)), (5, (0, 0, 0)),
+                                             (5, (1, 0, 0)), (5, (1, -1, 2)),
+                                             (3, (5, 5, 5))])
+def test_operator_size_is_exact(params, cutoff_sq, total):
+    """operator_size counts, without building the sector, its dimension and
+    the nonzeros of the operator on it."""
+    from triscar.hamiltonian3d import operator_size
+
+    sector = ts.sector_3d(params, total, cutoff_sq=cutoff_sq)
+    op = ts.HamiltonianOperator3D(sector, ts.MatrixElementRule3D(params),
+                                  cutoff_sq=cutoff_sq)
+    assert operator_size(total, cutoff_sq) == (sector.dim, op.matrix.nnz)
+    if (cutoff_sq, total) == (5, (0, 0, 0)):
+        assert op.matrix.nnz == 120847
+    if total == (5, 5, 5):
+        assert sector.dim == 0
+
+
+@pytest.mark.parametrize("cutoff_sq, total", [(2, (0, 0, 0)), (5, (0, 0, 0)),
+                                             (2, (1, 0, 0))])
+def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
+    """The point-group blocks of each exchange half hold every eigenvalue of
+    that half, degenerate copies included, within 1e-12 max(1, |E|)."""
+    sector = ts.sector_3d(params, total, cutoff_sq=cutoff_sq)
+    plain = ts.HamiltonianOperator3D(sector, ts.MatrixElementRule3D(params),
+                                     cutoff_sq=cutoff_sq)
+    blocks = ts.symmetry_blocks(sector)
+    for half in ts.symmetrize_sector(sector):
+        want = np.linalg.eigvalsh(ts.SymmetrizedOperator3D(half, plain).dense())
+        mine = [b for b in blocks if b[0].partition(" ")[0] == half.tag]
+        got = np.sort(np.concatenate([
+            np.linalg.eigvalsh(ts.SymmetrizedOperator3D(b, plain).dense())
+            for b in mine]))
+        np.testing.assert_array_less(np.abs(got - want),
+                                     1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_block_assembly_equals_sparse_product(params, sector3d_c2):
+    """Rows taken at each orbit's lowest state give S^T H S."""
+    plain = ts.HamiltonianOperator3D(sector3d_c2, ts.MatrixElementRule3D(params),
+                                     cutoff_sq=2)
+    for block in ts.symmetry_blocks(sector3d_c2):
+        s = block[1]
+        want = (s.T @ (plain.matrix @ s)).toarray()
+        got = ts.SymmetrizedOperator3D(block, plain).dense()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+        assert np.array_equal(got, got.T)
