@@ -1,10 +1,10 @@
 """Eigensolvers and band assembly.
 
-Two independent routes: a dense LAPACK path for sectors whose full set of
-eigenvectors fits one output budget, and a thick-restart Rayleigh-Ritz
-iteration with full reorthogonalization that touches the Hamiltonian only
-through matvec.  Both report per-pair residual norms ||H v - E v|| so
-agreement can be checked from the outside.
+Two routes over an operator's sparse `.matrix`: a dense LAPACK path for
+sectors whose full set of eigenvectors fits one output budget, and
+shift-invert ARPACK (scipy's eigsh) for the lowest few pairs of larger ones.
+Both report per-pair residual norms ||H v - E v|| so agreement can be
+checked from the outside.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ DENSE_OUTPUT_BYTES = 2 ** 28
 #: eigenvector columns per residual product in solve_blocks
 _RESIDUAL_CHUNK = 256
 
-#: thick restarts solve_iterative allows before it gives up
-_MAX_RESTARTS = 80
+#: pairs solve_iterative finds beyond k, so clusters straddling k are whole
+_EXTRA_PAIRS = 4
 
 
 class IterationError(Exception):
-    """Iterative solver failed to converge within its restart budget."""
+    """Iterative solver did not reach its residual tolerance."""
 
     def __init__(self, message, eigenvalues=None, residuals=None):
         super().__init__(message)
@@ -129,14 +129,6 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     return evals, vecs
 
 
-def residual_norms(op, eigenvalues, eigenvectors) -> np.ndarray:
-    out = np.empty(len(eigenvalues))
-    for c in range(len(eigenvalues)):
-        v = eigenvectors[:, c]
-        out[c] = np.linalg.norm(op.matvec(v) - eigenvalues[c] * v)
-    return out
-
-
 def dense_budget_error(dims) -> ResourceLimitError | None:
     """Why full spectra of blocks of these dimensions cannot be solved densely.
 
@@ -182,18 +174,17 @@ def _key(op, sector_key: str | None) -> str:
 
 
 class _BlockOperator:
-    """The block S^T H S of a sparse plain-sector matrix H, for solve_dense."""
+    """The sparse block S^T H S of a plain-sector matrix H, for solve_dense."""
 
     def __init__(self, matrix, isometry):
-        self.matrix = matrix
-        self.isometry = isometry
+        self.matrix = isometry.T @ (matrix @ isometry)
 
     @property
     def dim(self) -> int:
-        return self.isometry.shape[1]
+        return self.matrix.shape[0]
 
     def dense(self) -> np.ndarray:
-        return (self.isometry.T @ (self.matrix @ self.isometry)).toarray()
+        return self.matrix.toarray()
 
 
 def solve_blocks(op, blocks) -> Spectrum:
@@ -280,131 +271,53 @@ def merge_blocks(key: str, parts, size: int,
 
 def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0,
                     sector_key: str | None = None) -> Spectrum:
-    """Thick-restart Rayleigh-Ritz iteration, matrix-free.
+    """The k lowest eigenpairs of the sparse op.matrix by shift-invert ARPACK.
 
-    Finds the k algebraically smallest eigenpairs in a subspace of at most
-    max(4 k + 24, 48) vectors.  Convergence is decided on true residuals
-    ||H x - theta x|| <= tol * max(1, |theta|).
-
-    A converged set is only accepted after it survives a verification
-    restart seeded with a fresh random direction; a single Krylov chain can
-    otherwise return k converged pairs while silently skipping a copy of a
-    degenerate eigenvalue.  Subspaces spanning the whole space are exact and
-    skip the probe.
-
-    Deterministic for a fixed seed.  Raises IterationError after
-    _MAX_RESTARTS restarts, carrying the best eigenvalue/residual estimates.
+    eigsh (implicitly restarted Lanczos) runs on H - sigma I with sigma one
+    below the Gershgorin lower bound, so that operator is positive definite
+    and its largest inverse eigenvalues are H's lowest.  ARPACK iterates to
+    machine precision (tol 0), from a start vector drawn from seed.  It is
+    asked for _EXTRA_PAIRS more pairs than k; all of them are canonicalized
+    and then cut to k, so a degenerate cluster that straddles k gets
+    representatives that do not depend on the solver.  Blocks too small for
+    ARPACK go through LAPACK.  The pairs are accepted on their true
+    residuals, ||H v - E v|| <= tol * max(1, |E|); otherwise, or when ARPACK
+    does not converge, IterationError carries the k lowest eigenvalues
+    found and their residuals.
     """
     n = op.dim
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
-    max_subspace = min(n, max(4 * k + 24, 48))
+    n_pairs = min(n, k + _EXTRA_PAIRS)
     key = _key(op, sector_key)
+    h = op.matrix
+    failure = None
+    if n_pairs >= n - 1:
+        evals, vecs = scipy.linalg.eigh(h.toarray(), subset_by_index=(0, n_pairs - 1))
+    else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    rng = np.random.default_rng(seed)
-    V = np.zeros((n, max_subspace))
-    S = np.zeros((max_subspace, max_subspace))
-    v0 = rng.standard_normal(n)
-    V[:, 0] = v0 / np.linalg.norm(v0)
-    m = 1            # orthonormal columns currently held
-    done = 0         # columns whose H-image has been projected into S
-    nmv = 0
-    keep = min(max(2 * k, k + 6), max(max_subspace - 6, k + 1))
-
-    def orthonormal_against(w, ncols):
-        w = w - V[:, :ncols] @ (V[:, :ncols].T @ w)
-        w = w - V[:, :ncols] @ (V[:, :ncols].T @ w)
-        nrm = np.linalg.norm(w)
-        return w, nrm
-
-    probe_ref = None
-    for restart in range(_MAX_RESTARTS + 1):
-        # expand: process the H-image of every held column, growing the basis
-        # until max_subspace (or the whole space) is spanned
-        while done < m:
-            j = done
-            w = op.matvec(V[:, j])
-            nmv += 1
-            h = V[:, :m].T @ w
-            S[:m, j] = h
-            S[j, :m] = h
-            done += 1
-            if m < max_subspace:
-                w, nrm = orthonormal_against(w, m)
-                if nrm < 1e-12:
-                    w, nrm = orthonormal_against(rng.standard_normal(n), m)
-                if nrm >= 1e-12:
-                    V[:, m] = w / nrm
-                    m += 1
-        mm = m
-        theta, Y = scipy.linalg.eigh(S[:mm, :mm])
-
-        pool = min(mm, k)
-        X = V[:, :mm] @ Y[:, :pool]
-
-        evals = np.empty(pool)
-        resid = np.empty(pool)
-        HX = np.empty((n, pool))
-        for c in range(pool):
-            x = X[:, c]
-            hx = op.matvec(x)
-            nmv += 1
-            evals[c] = x @ hx
-            resid[c] = np.linalg.norm(hx - evals[c] * x)
-            HX[:, c] = hx
-
-        finished = pool == k and np.all(
-            resid <= tol * np.maximum(1.0, np.abs(evals)))
-        confirmed = False
-        if finished:
-            vals_now = np.sort(evals)
-            confirmed = mm >= n or (
-                probe_ref is not None
-                and np.all(np.abs(vals_now - probe_ref)
-                           <= tol * np.maximum(1.0, np.abs(vals_now))))
-            # unconfirmed: remember the values and fall through to a probe
-            # restart; a missed degenerate copy would change them
-            probe_ref = vals_now
-        if confirmed:
-            sel = np.argsort(evals, kind="stable")
-            out_vals, out_vecs = canonicalize(evals[sel], X[:, sel])
-            out_res = residual_norms(op, out_vals, out_vecs)
-            nmv += len(sel)
-            return Spectrum(key, out_vals, out_vecs, out_res, "lanczos",
-                            meta={"dim": n, "matvecs": nmv, "restarts": restart,
-                                  "subspace": mm, "seed": seed})
-
-        if restart == _MAX_RESTARTS:
-            break
-
-        # thick restart: keep the best Ritz vectors, reseed with the residual
-        # of the worst unconverged pair
-        keep_now = min(keep, mm - 1) if mm > 1 else mm
-        V[:, :keep_now] = V[:, :mm] @ Y[:, :keep_now]
-        S[:, :] = 0.0
-        S[:keep_now, :keep_now] = np.diag(theta[:keep_now])
-        m = keep_now
-        done = keep_now
-
-        if not finished:
-            bad = int(np.argmax(resid))
-            r = HX[:, bad] - evals[bad] * X[:, bad]
-        else:
-            # converged residuals carry no new directions, so the probe
-            # restart must be seeded randomly
-            r = rng.standard_normal(n)
-        r, nrm = orthonormal_against(r, m)
-        if nrm < 1e-12:
-            r, nrm = orthonormal_against(rng.standard_normal(n), m)
-        if nrm >= 1e-12 and m < max_subspace:
-            V[:, m] = r / nrm
-            m += 1
-
-    raise IterationError(
-        f"no convergence after {_MAX_RESTARTS} restarts ({nmv} matvecs); "
-        f"best residuals {np.array2string(resid, precision=3)}",
-        eigenvalues=evals, residuals=resid)
+        diagonal = h.diagonal()
+        radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diagonal)
+        sigma = float(np.min(diagonal - radius)) - 1.0
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        try:
+            evals, vecs = eigsh(h, k=n_pairs, sigma=sigma, which="LM", v0=v0, tol=0)
+        except ArpackNoConvergence as exc:
+            evals, vecs, failure = exc.eigenvalues, exc.eigenvectors, str(exc)
+    order = np.argsort(evals, kind="stable")
+    evals, vecs = canonicalize(evals[order], vecs[:, order])
+    evals, vecs = evals[:k], vecs[:, :k]
+    resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    if failure is None and not np.all(resid <= tol * np.maximum(1.0, np.abs(evals))):
+        failure = f"residuals over tol = {tol:g} relative"
+    if failure is not None:
+        raise IterationError(
+            f"no convergence for {key} (dim {n}, k {k}): {failure}; "
+            f"residuals {np.array2string(resid, precision=3)}",
+            eigenvalues=evals, residuals=resid)
+    return Spectrum(key, evals, vecs, resid, "lanczos", meta={"dim": n, "seed": seed})
 
 
 def assemble_bands(eigenvalues: np.ndarray, gap_threshold: float) -> list[Band]:

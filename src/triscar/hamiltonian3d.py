@@ -283,30 +283,24 @@ class SymmetrizedOperator3D:
     def dim(self) -> int:
         return self.isometry.shape[1]
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Block action S^T H S vec for the iterative solver."""
-        s = self.isometry
-        if self._lowest is None:
-            return (s.sign().T @ self.plain_op.matvec(s @ vec)) / self._orbit_norm
-        return (self._lowest_rows @ (s @ vec)) * self._orbit_norm
-
-    def dense(self) -> np.ndarray:
+    @cached_property
+    def matrix(self):
+        """The symmetrized sparse block S^T H S."""
         s = self.isometry
         if self._lowest is None:
             # Contract with the +-1 pattern of S, then divide each row by the
             # root of its orbit size: the operations SymmetrizedSector.project
             # applies, so the block is bit-identical to stacking
             # project(H embed(e_j)) column by column.
-            h = (s.sign().T @ (self.plain_op.matrix @ s)).toarray()
-            h /= self._orbit_norm[:, None]
+            h = (s.sign().T @ (self.plain_op.matrix @ s)).tocsr()
+            h.data /= np.repeat(self._orbit_norm, np.diff(h.indptr))
         else:
-            h = (self._lowest_rows @ s).toarray()
-            h *= self._orbit_norm[:, None]
+            # H commutes with the group, so row g a of H S is chi(g) times row
+            # a: row i of S^T H S is sqrt(|orbit i|) times the row of H S at
+            # the orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|)
+            h = (self.plain_op.matrix[self._lowest] @ s).tocsr()
+            h.data *= np.repeat(self._orbit_norm, np.diff(h.indptr))
         return 0.5 * (h + h.T)
 
-    @cached_property
-    def _lowest_rows(self):
-        # H commutes with the group, so row g a of H S is chi(g) times row
-        # a: row i of S^T H S is sqrt(|orbit i|) times the row of H S at the
-        # orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|)
-        return self.plain_op.matrix[self._lowest]
+    def dense(self) -> np.ndarray:
+        return self.matrix.toarray()

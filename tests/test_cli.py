@@ -5,6 +5,8 @@ import csv
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -450,11 +452,25 @@ PAPER_SYM_LOWEST = [-0.382973, -0.362776, -0.362776, -0.362776,
                     -0.357101, -0.357101, -0.218774, -0.218774]
 
 
-def test_solve3d_paper_point_is_exact_without_flag(tmp_path):
+@pytest.fixture(scope="module")
+def paper3d_run(tmp_path_factory):
+    """solve3d with the default config, shared by the paper-point tests."""
+    out = tmp_path_factory.mktemp("paper3d")
+    assert main(["solve3d", "--out", str(out)]) == 0
+    return out
+
+
+def _spectrum_by_parity(out):
+    with open(out / "spectrum.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return {tag: [float(r["eigenvalue"]) for r in rows if r["parity"] == tag]
+            for tag in ("sym", "anti")}
+
+
+def test_solve3d_paper_point_is_exact_without_flag(paper3d_run):
     """The default config (cutoff_sq 10, 10105 states) passes the operator
     budget and the dense output budget, and yields the exact spectrum."""
-    out = tmp_path / "paper"
-    assert main(["solve3d", "--out", str(out)]) == 0
+    out = paper3d_run
     stats = read_manifest(str(out))["statistics"]
     assert stats["method"] == "dense"
     assert (stats["symmetric_dimension"], stats["antisymmetric_dimension"]) == (5062, 5043)
@@ -465,6 +481,55 @@ def test_solve3d_paper_point_is_exact_without_flag(tmp_path):
     got = [float(r["eigenvalue"]) for r in rows[:8]]
     np.testing.assert_allclose(got, PAPER_SYM_LOWEST, rtol=0.0, atol=1e-6)
     assert max(float(r["residual"]) for r in rows) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_solve3d_iterative_paper_point_keeps_every_copy(paper3d_run, tmp_path, seed):
+    """The iterative route returns each half's lowest 8 levels of the dense
+    solve, every copy of the threefold level included."""
+    cfg = write_config(tmp_path, f"[solve3d]\nmethod = iterative\nseed = {seed}\n")
+    out = tmp_path / "iterative"
+    assert main(["solve3d", "--config", cfg, "--out", str(out)]) == 0
+    assert read_manifest(str(out))["statistics"]["method"] == "lanczos"
+    got = _spectrum_by_parity(out)
+    want = _spectrum_by_parity(paper3d_run)
+    for tag in ("sym", "anti"):
+        assert len(got[tag]) == 8
+        np.testing.assert_allclose(got[tag], want[tag][:8], rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(got["sym"], PAPER_SYM_LOWEST, rtol=0.0, atol=1e-6)
+
+
+def test_solve1d_auto_past_the_dense_budget_converges(tmp_path):
+    """heavy_cutoff 40 (dim 6561) is the first 1D size auto solves
+    iteratively; it converges to the dense ground energy of heavy_cutoff 24."""
+    stats = {}
+    for cutoff in (24, 40):
+        cfg = write_config(tmp_path, f"[model]\nheavy_cutoff = {cutoff}\n",
+                           name=f"h{cutoff}.ini")
+        out = str(tmp_path / f"h{cutoff}")
+        assert main(["solve1d", "--config", cfg, "--out", out]) == 0
+        stats[cutoff] = read_manifest(out)["statistics"]
+    assert stats[24]["method"] == "dense"
+    assert (stats[40]["method"], stats[40]["dimension"]) == ("lanczos", 6561)
+    assert stats[40]["max_residual_ratio"] <= 1e-8
+    with open(tmp_path / "h40" / "spectrum.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 8
+    assert stats[40]["ground_energy"] == pytest.approx(stats[24]["ground_energy"],
+                                                       rel=0.0, abs=1e-6)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """Commands that assemble no operator (estimate, orbit, report) start
+    without loading scipy.sparse; the solvers import it where they use it."""
+    code = ("import sys, triscar.cli; "
+            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
+            "if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_failed_run_writes_its_manifest(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 
 import triscar as ts
 from triscar import eigensolve
-from triscar.eigensolve import residual_norms
 
 MPMATH_ORACLE_C1 = np.array([
     -5.151546329577804,
@@ -61,14 +60,6 @@ def test_eigenvector_orthonormality(spectrum729, rng):
     cols = rng.choice(729, size=40, replace=False)
     v = spectrum729.eigenvectors[:, cols]
     np.testing.assert_allclose(v.T @ v, np.eye(40), atol=1e-12)
-
-
-def test_residual_norms_definition(c1_operator):
-    # recomputation goes through matvec instead of the dense product, so the
-    # two paths agree only to accumulation noise
-    sp = ts.solve_dense(c1_operator)
-    again = residual_norms(c1_operator, sp.eigenvalues, sp.eigenvectors)
-    np.testing.assert_allclose(again, sp.residuals, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +233,40 @@ def test_iterative_failure_carries_partial_results(operator729):
     assert err.residuals is not None
 
 
-def test_iterative_matvec_count(operator729):
-    sp = ts.solve_iterative(operator729, k=6, tol=1e-10, seed=0)
-    assert sp.meta["matvecs"] < 3000
+def test_iterative_cluster_straddling_k_matches_dense():
+    """A degenerate pair cut by k gets the dense solve's representative,
+    whatever the seed.  Compared up to sign: the sign convention reads the
+    largest entry, and symmetry can tie two entries."""
+    p = ts.ModelParams(cutoff_sq=2)
+    sec = ts.sector_3d(p, (0, 0, 0))
+    plain = ts.HamiltonianOperator3D(sec, ts.MatrixElementRule3D(p), cutoff_sq=2)
+    label = "sym +x +y +z"
+    op = ts.SymmetrizedOperator3D((label, dict(ts.symmetry_blocks(sec))[label]), plain)
+    dense = ts.solve_dense(op)
+    e = dense.eigenvalues
+    assert e[2] - e[1] < 1e-12 < e[1] - e[0]
+    for seed in (0, 3):
+        sp = ts.solve_iterative(op, k=2, seed=seed)
+        overlap = np.einsum("ij,ij->j", sp.eigenvectors, dense.eigenvectors[:, :2])
+        np.testing.assert_allclose(np.abs(overlap), 1.0, rtol=0.0, atol=1e-8)
+
+
+def test_iterative_arpack_failure_carries_partial_results(operator729, monkeypatch):
+    """ARPACK's no-convergence error becomes IterationError with the pairs
+    it did converge, lowest first, and their true residuals."""
+    import scipy.sparse.linalg
+
+    vals, vecs = np.linalg.eigh(operator729.dense())
+
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", vals[[2, 0]], vecs[:, [2, 0]])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    with pytest.raises(ts.IterationError, match="^no convergence") as exc:
+        ts.solve_iterative(operator729, k=6, seed=0)
+    np.testing.assert_array_equal(exc.value.eigenvalues, vals[[0, 2]])
+    assert np.all(exc.value.residuals < 1e-10)
 
 
 # ---------------------------------------------------------------------------
