@@ -18,7 +18,7 @@ from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             matrix_element_3d, symmetrized_element_3d)
 from .eigensolve import (Band, IterationError, Spectrum, assemble_bands,
                          band_id_per_state, canonicalize, merge_blocks,
-                         solve_blocks, solve_dense, solve_iterative)
+                         solve_dense, solve_iterative)
 from .wavefunction import (AutocorrelationSeries, RadialDensity,
                            WavefunctionGrid, autocorrelation,
                            concentration_ratio, heavy_overlap,

@@ -24,8 +24,8 @@ from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
 from .config import ConfigError, load_config, model_params, section
 from .eigensolve import (IterationError, assemble_bands, band_id_per_state,
-                         dense_budget_error, merge_blocks, solve_blocks,
-                         solve_dense, solve_iterative)
+                         dense_budget_error, merge_blocks, solve_dense,
+                         solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
@@ -129,6 +129,70 @@ def _route(method: str, dims, command: str) -> str:
     return method
 
 
+def _solve_sector(plain_op, blocks, group, s: dict, command: str, man) -> dict:
+    """Solve a sector block by block and merge the blocks of each group.
+
+    blocks are the (label, S) pairs of symmetry_blocks(plain_op.sector);
+    group(label) names the group a block merges into ("" for all of them
+    in 1D, the exchange half in 3D).  The route follows the [command]
+    method and the dense output budget over all blocks.  Each block S^T H S
+    is assembled (its time added to timings["blocks"]) and solved when its
+    group asks for it, fully by solve_dense or for its lowest k by
+    solve_iterative.  merge_blocks copies its vectors into the group's flat
+    array in block coordinates (all of a block's on the dense route, its
+    lowest k on the iterative one, which keeps the group's lowest k pairs).
+    Returns {group: (Spectrum, labels, offsets)}.
+    """
+    dense = _route(s["method"], [iso.shape[1] for _, iso in blocks], command) == "dense"
+    groups: dict[str, list] = {}
+    for label, iso in blocks:
+        groups.setdefault(group(label), []).append((label, iso))
+    assembly_s = eigh_s = 0.0
+
+    def solve(members):
+        """Each block of one group, solved when it is asked for."""
+        nonlocal assembly_s, eigh_s
+        for label, iso in members:
+            op = SymmetrizedOperator3D((label, iso), plain_op)
+            t0 = time.perf_counter()
+            op.matrix  # assembled here, so its time is counted
+            assembly_s += time.perf_counter() - t0
+            if dense:
+                spec = solve_dense(op)
+                eigh_s += spec.meta["eigh_s"]
+            else:
+                spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
+            yield label, spec
+
+    t0 = time.perf_counter()
+    solved = {}
+    for name, members in groups.items():
+        size = sum(m * (m if dense else min(s["k"], m))
+                   for m in (iso.shape[1] for _, iso in members))
+        key = f"{plain_op.sector.key} {name}".rstrip()
+        solved[name] = merge_blocks(key, solve(members), size, None if dense else s["k"])
+    man.add_timing("solve", time.perf_counter() - t0)
+    man.add_timing("blocks", man.timings["blocks"] + assembly_s)
+    if dense:
+        man.add_timing("eigh", eigh_s)
+    return solved
+
+
+def _write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:
+    """An eigenvector archive: one merged group of blocks, its vectors in
+    block coordinates, each state's block label and vector offset, and what
+    analyze needs to rebuild the blocks (sector labels, total momentum, model
+    parameters); extra adds command-specific arrays."""
+    spec, labels, offsets = solved
+    total = np.atleast_1d(np.asarray(sector.total_momentum, dtype=np.int64))
+    np.savez(path,
+             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
+             residuals=spec.residuals, block=labels, offset=offsets,
+             n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
+             dimension=np.array(f"{len(total)}d"),
+             params=np.array(json.dumps(_params_dict(params))), **extra)
+
+
 # ---------------------------------------------------------------------------
 # solve1d
 
@@ -145,21 +209,28 @@ def cmd_solve1d(args) -> int:
 
     t0 = time.perf_counter()
     sector = enumerate_basis_1d(params, s["total_momentum"])
-    rule = MatrixElementRule1D(params)
-    op = HamiltonianOperator1D(sector, rule)
+    if not sector.dim:
+        raise ConfigError(f"sector {sector.key} holds no states")
+    t1 = time.perf_counter()
+    op = HamiltonianOperator1D(sector, MatrixElementRule1D(params))
+    t2 = time.perf_counter()
     blocks = symmetry_blocks(sector)
-    man.add_timing("build", time.perf_counter() - t0)
+    t3 = time.perf_counter()
+    man.add_timing("build", t3 - t0)
+    man.add_timing("assemble", t2 - t1)
+    man.add_timing("blocks", t3 - t2)
 
-    t0 = time.perf_counter()
-    if _route(s["method"], [sector.dim], "solve1d") == "dense":
-        spectrum = solve_blocks(op, blocks)
-    else:
-        spectrum = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
-    man.add_timing("solve", time.perf_counter() - t0)
-
+    solved = _solve_sector(op, blocks, lambda label: "", s, "solve1d", man)[""]
+    spectrum = solved[0]
     bands = assemble_bands(spectrum.eigenvalues, s["gap_threshold"])
     bids = band_id_per_state(spectrum.k, bands)
+    saddle = _saddle_analysis(params)
+    comp = None
+    if saddle is not None:
+        comp = compare_with_spectrum(saddle, spectrum.eigenvalues, bands,
+                                     n_levels=s["scar_levels"])
 
+    t0 = time.perf_counter()
     path = os.path.join(out, "spectrum.csv")
     _write_csv(path, ["index", "eigenvalue", "residual", "band"],
                ([str(i), _fmt(spectrum.eigenvalues[i]), _fmt(spectrum.residuals[i]),
@@ -175,10 +246,7 @@ def cmd_solve1d(args) -> int:
     })
     man.add_artifact(path)
 
-    saddle = _saddle_analysis(params)
-    if saddle is not None and spectrum.k:
-        comp = compare_with_spectrum(saddle, spectrum.eigenvalues, bands,
-                                     n_levels=s["scar_levels"])
+    if comp is not None:
         path = os.path.join(out, "scar_comparison.json")
         payload = comp.as_dict()
         payload["scaling"] = params.scaling.value
@@ -186,13 +254,7 @@ def cmd_solve1d(args) -> int:
         man.add_artifact(path)
 
     path = os.path.join(out, "eigenvectors.npz")
-    np.savez(path,
-             eigenvalues=spectrum.eigenvalues, eigenvectors=spectrum.eigenvectors,
-             residuals=spectrum.residuals, band_ids=bids,
-             n1=sector.n1, n2=sector.n2, p=sector.p,
-             total_momentum=np.array([s["total_momentum"]]),
-             dimension=np.array("1d"),
-             params=np.array(json.dumps(_params_dict(params))))
+    _write_archive(path, sector, params, solved, band_ids=bids)
     man.add_artifact(path)
 
     if s["dump_matrix"]:
@@ -200,20 +262,19 @@ def cmd_solve1d(args) -> int:
         _write_csv(path, ["row", "col", "value"],
                    ([str(i), str(j), _fmt(v)] for i, j, v in op.nonzero_triplets()))
         man.add_artifact(path)
+    man.add_timing("write", time.perf_counter() - t0)
 
     man.statistics = {
         "dimension": sector.dim,
         "method": spectrum.method,
-        "ground_energy": float(spectrum.eigenvalues[0]) if spectrum.k else None,
+        "ground_energy": float(spectrum.eigenvalues[0]),
         "n_bands": len(bands),
         "max_residual_ratio": spectrum.max_residual_ratio(),
-        "block_dimensions": spectrum.meta.get("block_dimensions"),
+        "block_dimensions": spectrum.meta["block_dimensions"],
     }
     man.write(out)
     print(f"sector {sector.key}: {sector.dim} states, method {spectrum.method}")
-    if spectrum.k:
-        print(f"ground energy {_fmt(spectrum.eigenvalues[0])} "
-              f"({params.scaling.value})")
+    print(f"ground energy {_fmt(spectrum.eigenvalues[0])} ({params.scaling.value})")
     print(f"bands: {len(bands)}  ->  {out}")
     return EXIT_OK
 
@@ -254,40 +315,10 @@ def cmd_solve3d(args) -> int:
     t3 = time.perf_counter()
     man.add_timing("build", t3 - t0)
     man.add_timing("assemble", t2 - t1)
+    man.add_timing("blocks", t3 - t2)
 
-    t0 = time.perf_counter()
-    dense = _route(s["method"], [iso.shape[1] for _, iso in blocks], "solve3d") == "dense"
-    metas = []
-
-    def solve_half(tag):
-        """Each block of one exchange half, solved when it is asked for."""
-        for label, iso in blocks:
-            if label.partition(" ")[0] != tag:
-                continue
-            op = SymmetrizedOperator3D((label, iso), plain_op)
-            key = f"{sector.key} {label}"
-            if dense:
-                spec = solve_dense(op, sector_key=key)
-            else:
-                spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"],
-                                       sector_key=key)
-            metas.append(spec.meta)
-            yield label, spec
-
-    # each half's vectors go into one flat array: all of a block's on the
-    # dense route, its lowest k on the iterative one, which keeps the
-    # half's lowest k pairs
-    spectra = {}
-    for tag in ("sym", "anti"):
-        ms = [iso.shape[1] for label, iso in blocks if label.partition(" ")[0] == tag]
-        if ms:
-            size = sum(m * (m if dense else min(s["k"], m)) for m in ms)
-            spectra[tag] = merge_blocks(f"{sector.key} {tag}", solve_half(tag), size,
-                                        None if dense else s["k"])
-    man.add_timing("solve", time.perf_counter() - t0)
-    man.add_timing("blocks", t3 - t2 + sum(meta.get("assemble_s", 0.0) for meta in metas))
-    if dense:
-        man.add_timing("eigh", sum(meta["eigh_s"] for meta in metas))
+    spectra = _solve_sector(plain_op, blocks, lambda label: label.partition(" ")[0],
+                            s, "solve3d", man)
 
     t0 = time.perf_counter()
     rows = []
@@ -315,19 +346,14 @@ def cmd_solve3d(args) -> int:
     })
     man.add_artifact(path)
 
-    for tag, (spec, labels, offsets) in spectra.items():
+    for tag, solved in spectra.items():
         path = os.path.join(out, f"eigenvectors_{tag}.npz")
-        np.savez(path,
-                 eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
-                 residuals=spec.residuals, block=labels, offset=offsets,
-                 parity=np.array([1 if tag == "sym" else -1]),
-                 n1=sector.n1, n2=sector.n2, p=sector.p,
-                 total_momentum=np.array(total),
-                 dimension=np.array("3d"),
-                 params=np.array(json.dumps(_params_dict(params))))
+        _write_archive(path, sector, params, solved,
+                       parity=np.array([1 if tag == "sym" else -1]))
         man.add_artifact(path)
     man.add_timing("write", time.perf_counter() - t0)
 
+    method = next(iter(spectra.values()))[0].method if spectra else None
     grounds = {tag: float(spec.eigenvalues[0]) for tag, (spec, _, _) in spectra.items()}
     e_sym, e_anti = grounds.get("sym"), grounds.get("anti")
     ordered = None
@@ -340,8 +366,8 @@ def cmd_solve3d(args) -> int:
         "nonzeros_per_row": plain_op.nonzeros_per_row(),
         "operator_mb": need / 2 ** 20,
         "block_dimensions": {label: iso.shape[1] for label, iso in blocks},
-        "eigh_calls": len(metas) if dense else 0,
-        "method": next(iter(spectra.values()))[0].method if spectra else None,
+        "eigh_calls": len(blocks) if method == "dense" else 0,
+        "method": method,
         "ground_energy_symmetric": e_sym,
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,
@@ -408,26 +434,56 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
     return chosen
 
 
-def _analyze_1d(args, cfg, s, out, man) -> None:
-    path = os.path.join(args.from_dir, "eigenvectors.npz")
-    data = np.load(path)
+def _load_archive(path: str):
+    """The arrays of a solve1d or solve3d eigenvector archive, with the model,
+    the sector and the symmetry blocks (by label) it was solved in.  The
+    blocks are a deterministic function of the sector, so they are rebuilt."""
+    with np.load(path) as npz:
+        data = dict(npz)
+    if "offset" not in data:
+        raise ConfigError(f"{path} holds no block offsets; rerun solve1d/solve3d")
     params = model_params({"model": json.loads(str(data["params"]))})
-    sector = Sector1D(int(data["total_momentum"][0]),
-                      data["n1"], data["n2"], data["p"])
+    total = [int(v) for v in data["total_momentum"]]
+    if len(total) == 1:
+        sector = Sector1D(total[0], data["n1"], data["n2"], data["p"])
+    else:
+        sector = Sector3D(tuple(total), data["n1"], data["n2"], data["p"])
+    blocks = dict(symmetry_blocks(sector))
+    unknown = set(map(str, data["block"])) - set(blocks)
+    if unknown:
+        raise ConfigError(f"{path} names blocks {sorted(unknown)} that "
+                          f"{sector.key} lacks")
+    return data, params, sector, blocks
+
+
+def _embedded(data: dict, blocks: dict, i: int) -> np.ndarray:
+    """Archived state i as a plain-sector vector: S v for its block's S."""
+    s = blocks[str(data["block"][i])]
+    start = data["offset"][i]
+    return s @ data["eigenvectors"][start:start + s.shape[1]]
+
+
+def _analyze_1d(args, cfg, s, out, man) -> None:
+    data, params, sector, blocks = _load_archive(
+        os.path.join(args.from_dir, "eigenvectors.npz"))
     evals = data["eigenvalues"]
-    evecs = data["eigenvectors"]
     bids = data["band_ids"]
     L = params.box_length
 
     select = args.select or s["select"]
     chosen = _parse_selector(select, evals, bids)
 
-    # heavy overlap for every state: group coefficient mass by light momentum
+    # heavy overlap for every state: group coefficient mass by light
+    # momentum, block by block, so no full set of plain vectors is formed
     p_vals = np.unique(sector.p)
     scatter = np.zeros((len(p_vals), sector.dim))
     scatter[np.searchsorted(p_vals, sector.p), np.arange(sector.dim)] = 1.0
-    amp = scatter @ evecs
-    overlaps = np.sum(np.abs(amp) ** 2, axis=0) / L
+    overlaps = np.empty(len(evals))
+    for label, iso in blocks.items():
+        members = np.nonzero(data["block"] == label)[0]
+        columns = data["offset"][members] + np.arange(iso.shape[1])[:, None]
+        amp = (scatter @ iso) @ data["eigenvectors"][columns]
+        overlaps[members] = np.sum(amp ** 2, axis=0) / L
 
     path = os.path.join(out, "overlaps.csv")
     _write_csv(path, ["index", "eigenvalue", "band", "heavy_overlap"],
@@ -437,7 +493,7 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
 
     strip = s["strip_fraction"] * L
     for i in chosen:
-        grid = position_wavefunction_1d(evecs[:, i], sector, params,
+        grid = position_wavefunction_1d(_embedded(data, blocks, i), sector, params,
                                         n_r=s["n_r"], n_eta=s["n_eta"])
         dens = grid.density()
         path = os.path.join(out, f"grid_state{i:04d}.csv")
@@ -522,24 +578,12 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
     path = os.path.join(args.from_dir, f"eigenvectors_{tag}.npz")
     if not os.path.exists(path):
         raise ConfigError(f"no {os.path.basename(path)} under {args.from_dir}")
-    data = np.load(path)
-    if "offset" not in data.files:
-        raise ConfigError(f"{path} holds no block offsets; rerun solve3d")
-    params = model_params({"model": json.loads(str(data["params"]))})
-    sector = Sector3D(tuple(int(v) for v in data["total_momentum"]),
-                      data["n1"], data["n2"], data["p"])
+    data, params, sector, blocks = _load_archive(path)
     evals = data["eigenvalues"]
     idx = args.index if args.index is not None else 0
     if not 0 <= idx < len(evals):
         raise ConfigError(f"--index {idx} out of range 0..{len(evals) - 1}")
-    # the blocks are a deterministic function of the sector, so the archived
-    # label names the isometry that embeds the block coordinates
-    label = str(data["block"][idx])
-    isometry = dict(symmetry_blocks(sector)).get(label)
-    if isometry is None:
-        raise ConfigError(f"block {label!r} of {path} is not a block of {sector.key}")
-    start = int(data["offset"][idx])
-    coeffs = isometry @ data["eigenvectors"][start:start + isometry.shape[1]]
+    coeffs = _embedded(data, blocks, idx)
 
     t0 = time.perf_counter()
     radial = integrated_probability_3d(coeffs, sector, params,

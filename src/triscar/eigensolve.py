@@ -4,7 +4,9 @@ Two routes over an operator's sparse `.matrix`: a dense LAPACK path for
 sectors whose full set of eigenvectors fits one output budget, and
 shift-invert ARPACK (scipy's eigsh) for the lowest few pairs of larger ones.
 Both report per-pair residual norms ||H v - E v|| so agreement can be
-checked from the outside.
+checked from the outside.  A sector split into symmetry blocks is solved one
+block at a time, and merge_blocks joins the blocks' spectra with their
+vectors left in block coordinates.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .basis import ResourceLimitError
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792)
 DENSE_OUTPUT_BYTES = 2 ** 28
 
-#: eigenvector columns per residual product in solve_blocks
-_RESIDUAL_CHUNK = 256
+#: relative margin within which canonicalize treats magnitudes as tied
+_SIGN_TIE = 1e-8
 
 #: pairs solve_iterative finds beyond k, so clusters straddling k are whole
 _EXTRA_PAIRS = 4
@@ -81,7 +83,8 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     projecting and orthonormalizing coordinate axes, longest projection
     first (ties in index order), which depends only on the cluster's
     subspace and not on the basis the solver returned for it; then fix
-    each column's sign so its largest-magnitude entry is positive.  Mixing
+    each column's sign so its first entry within a relative 1e-8 of its
+    largest magnitude is positive.  Mixing
     across a cluster perturbs residuals by at most the cluster width, so the
     relative tolerance keeps ||Hv - Ev|| well below 1e-8 max(1, |E|).
     A float64 eigenvectors array is rotated in place and returned.
@@ -122,10 +125,11 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
                 vecs[:, start:stop] = new
         start = stop
 
-    for c in range(n_pairs):
-        imax = int(np.argmax(np.abs(vecs[:, c])))
-        if vecs[imax, c] < 0:
-            vecs[:, c] = -vecs[:, c]
+    # symmetry ties magnitudes exactly, so the sign is read at the first
+    # entry within _SIGN_TIE of the largest, where rounding cannot decide it
+    mag = np.abs(vecs)
+    lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
+    vecs[:, vecs[lead, np.arange(n_pairs)] < 0] *= -1.0
     return evals, vecs
 
 
@@ -153,17 +157,15 @@ def solve_dense(op, *, sector_key: str | None = None,
     error = dense_budget_error([n])
     if error is not None:
         raise error
-    t0 = time.perf_counter()
     h = op.dense()
-    t1 = time.perf_counter()
+    t0 = time.perf_counter()
     asym = float(np.max(np.abs(h - h.T))) if n else 0.0
     evals, vecs = scipy.linalg.eigh(h)
-    t2 = time.perf_counter()
+    t1 = time.perf_counter()
     evals, vecs = canonicalize(evals, vecs, degen_tol)
     resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
     return Spectrum(_key(op, sector_key), evals, vecs, resid, "dense",
-                    meta={"dim": n, "hermiticity_defect": asym,
-                          "assemble_s": t1 - t0, "eigh_s": t2 - t1})
+                    meta={"dim": n, "hermiticity_defect": asym, "eigh_s": t1 - t0})
 
 
 def _key(op, sector_key: str | None) -> str:
@@ -171,62 +173,6 @@ def _key(op, sector_key: str | None) -> str:
     if sector_key is not None:
         return sector_key
     return getattr(op, "key", None) or getattr(getattr(op, "sector", None), "key", "")
-
-
-class _BlockOperator:
-    """The sparse block S^T H S of a plain-sector matrix H, for solve_dense."""
-
-    def __init__(self, matrix, isometry):
-        self.matrix = isometry.T @ (matrix @ isometry)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def solve_blocks(op, blocks) -> Spectrum:
-    """Full spectrum of op.matrix from its symmetry blocks, in the plain basis.
-
-    blocks holds (label, S) pairs whose sparse isometries S commute with H
-    and together span the sector.  Each block S^T H S goes through
-    solve_dense; the vectors S V land in one preallocated array in ascending
-    eigenvalue order.  Degeneracies cross blocks, so canonicalize runs once
-    more over the merged spectrum, and residuals are taken against op.matrix
-    itself, a few hundred columns at a time so no second full-size array is
-    allocated.  Refuses with ResourceLimitError, before any solve, when that
-    array would exceed the dense output budget.
-    """
-    key = op.sector.key
-    error = dense_budget_error([op.dim])
-    if error is not None:
-        raise error
-    parts = [solve_dense(_BlockOperator(op.matrix, s), sector_key=f"{key} {label}")
-             for label, s in blocks]
-    evals = np.concatenate([part.eigenvalues for part in parts])
-    n = len(evals)
-    if n != op.dim:
-        raise ValueError(f"blocks span {n} of {op.dim} dimensions")
-    order = np.argsort(evals, kind="stable")
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    vecs = np.empty((n, n), order="F")
-    start = 0
-    for (_, s), part in zip(blocks, parts):
-        vecs[:, position[start:start + part.k]] = s @ part.eigenvectors
-        start += part.k
-    evals, vecs = canonicalize(evals[order], vecs)
-    resid = np.empty(n)
-    for a in range(0, n, _RESIDUAL_CHUNK):
-        cols = slice(a, a + _RESIDUAL_CHUNK)
-        v = vecs[:, cols]
-        resid[cols] = np.linalg.norm(op.matrix @ v - v * evals[cols], axis=0)
-    return Spectrum(key, evals, vecs, resid, "dense", meta={
-        "dim": n,
-        "block_dimensions": {label: part.k for (label, _), part in zip(blocks, parts)},
-        "hermiticity_defect": max(part.meta["hermiticity_defect"] for part in parts)})
 
 
 def merge_blocks(key: str, parts, size: int,

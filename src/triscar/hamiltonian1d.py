@@ -97,8 +97,8 @@ _HOPS = (
 class HamiltonianOperator1D:
     """H1 on a single momentum sector, held as one CSR matrix.
 
-    The diagonal plus the six one-unit transfers; matvec cost is O(dim)
-    per transfer.
+    The diagonal plus the six one-unit transfers, so at most seven entries
+    per row.
     """
 
     def __init__(self, sector: Sector1D, rule: MatrixElementRule1D):
@@ -118,11 +118,6 @@ class HamiltonianOperator1D:
     @property
     def dim(self) -> int:
         return self.sector.dim
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        if len(vec) != self.dim:
-            raise ValueError(f"vector length {len(vec)} != operator dim {self.dim}")
-        return self.matrix @ vec
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()

@@ -253,10 +253,12 @@ class SymmetrizedOperator3D:
     """Symmetry block S^T H S of a plain-sector operator.
 
     `block` is an exchange half (a SymmetrizedSector) or one (label, S)
-    pair of basis.symmetry_blocks.
+    pair of basis.symmetry_blocks.  `plain_op` needs only `.matrix`, `.dim`
+    and `.sector`, so a (label, S) block of a 1D HamiltonianOperator1D
+    works the same way.
     """
 
-    def __init__(self, block, plain_op: HamiltonianOperator3D):
+    def __init__(self, block, plain_op):
         if isinstance(block, SymmetrizedSector):
             if block.parent is not plain_op.sector:
                 raise ValueError("symmetrized sector does not match the operator sector")

@@ -26,6 +26,9 @@ def write_config(tmp_path, text, name="run.ini"):
 
 SMALL_1D = "[model]\nheavy_cutoff = 4\n"
 
+#: a small [model] section for each solve command
+SMALL_MODEL = {"solve1d": "heavy_cutoff = 4", "solve3d": "cutoff_sq = 2"}
+
 
 # ---------------------------------------------------------------------------
 # config layer
@@ -121,30 +124,56 @@ def test_solve1d_deterministic_bytes(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def _embedded(run, indices=None):
+    """Eigenvalues, sector and plain-sector eigenvectors (as columns) of a
+    solve1d archive, embedded from block coordinates."""
+    import triscar as ts
+
+    with np.load(os.path.join(run, "eigenvectors.npz")) as npz:
+        evals, flat = npz["eigenvalues"], npz["eigenvectors"]
+        labels, offsets = npz["block"], npz["offset"]
+        sector = Sector1D(int(npz["total_momentum"][0]), npz["n1"], npz["n2"], npz["p"])
+    blocks = dict(ts.symmetry_blocks(sector))
+    if indices is None:
+        indices = range(len(evals))
+    isometries = [blocks[str(labels[i])] for i in indices]
+    vecs = np.column_stack([s @ flat[offsets[i]:offsets[i] + s.shape[1]]
+                            for i, s in zip(indices, isometries)])
+    return evals, sector, vecs
+
+
 def test_solve1d_npz_reconstructs(solve1d_run):
+    """The archive holds each block's vectors in its own coordinates, sum(m^2)
+    floats, and embeds to an orthonormal eigenbasis of the sector."""
+    stats = read_manifest(solve1d_run)["statistics"]
+    dims = stats["block_dimensions"]
+    assert sum(dims.values()) == 729
     with np.load(os.path.join(solve1d_run, "eigenvectors.npz")) as npz:
         assert npz["eigenvalues"].shape == (729,)
-        assert npz["eigenvectors"].shape == (729, 729)
+        assert npz["eigenvectors"].shape == (sum(m * m for m in dims.values()),)
+        assert collections.Counter(map(str, npz["block"])) == dims
         params = json.loads(str(npz["params"]))
         assert params["gamma"] == 2.7e-4
         assert npz["n1"].shape == (729,)
+        assert npz["band_ids"].shape == (729,)
+    _, _, vecs = _embedded(solve1d_run)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(729), rtol=0.0, atol=1e-12)
 
 
 def test_solve1d_isolated_vectors_keep_exact_symmetry(solve1d_run):
-    """Block vectors are orbit sums, so every isolated eigenvector is exchange
-    and inversion (anti)symmetric bit for bit, whatever its sign."""
+    """Block vectors are orbit sums, so every isolated eigenvector, embedded,
+    is exchange and inversion (anti)symmetric bit for bit, whatever its sign."""
     with np.load(os.path.join(solve1d_run, "eigenvectors.npz")) as npz:
-        evals, vecs = npz["eigenvalues"], npz["eigenvectors"]
-        sector = Sector1D(0, npz["n1"], npz["n2"], npz["p"])
-    xmap = sector.exchange_map()
-    imap, _ = sector.locate(-sector.n1, -sector.n2)
+        evals = npz["eigenvalues"]
     # canonicalize's default degeneracy tolerance
     tol = 1e-11 * np.maximum(1.0, np.abs(evals))
     apart = np.diff(evals) > np.maximum(tol[1:], tol[:-1])
     isolated = np.nonzero(np.append(True, apart) & np.append(apart, True))[0]
     assert len(isolated) > 100
-    for c in isolated:
-        v = vecs[:, c]
+    _, sector, vecs = _embedded(solve1d_run, isolated)
+    xmap = sector.exchange_map()
+    imap, _ = sector.locate(-sector.n1, -sector.n2)
+    for c, v in zip(isolated, vecs.T):
         for perm in (xmap, imap):
             assert np.array_equal(v[perm], v) or np.array_equal(v[perm], -v), c
 
@@ -162,19 +191,60 @@ def test_solve1d_auto_routes_by_largest_block(tmp_path):
 
 
 def test_solve1d_auto_routes_by_output_size(tmp_path, monkeypatch):
-    # the 121 x 121 output does not fit the budget, so auto falls back to
-    # the iterative solver
-    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", 8 * 121 ** 2 - 1)
+    # the four blocks' vectors do not fit the budget, so auto falls back to
+    # the iterative solver, block by block
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES",
+                        8 * (36 ** 2 + 30 ** 2 + 25 ** 2 + 30 ** 2) - 1)
     cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n")
     out = str(tmp_path / "run")
     assert main(["solve1d", "--config", cfg, "--out", out]) == 0
     stats = read_manifest(out)["statistics"]
     assert stats["method"] == "lanczos"
-    assert stats["block_dimensions"] is None
+    assert stats["block_dimensions"] == {"sym even": 36, "sym odd": 30,
+                                         "anti even": 25, "anti odd": 30}
     # an explicit dense solve over the budget is refused as a resource limit
     cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\n"
                                  "[solve1d]\nmethod = dense\n", name="dense.ini")
     assert main(["solve1d", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_solve1d_dense_and_iterative_routes_agree(solve1d_run, tmp_path, seed):
+    """The iterative route returns the dense route's lowest 8 pairs, the
+    same blocks and the same block vectors, sign included."""
+    cfg = write_config(tmp_path, f"[solve1d]\nmethod = iterative\nseed = {seed}\n")
+    out = str(tmp_path / "iterative")
+    assert main(["solve1d", "--config", cfg, "--out", out]) == 0
+    assert read_manifest(out)["statistics"]["method"] == "lanczos"
+    dims = read_manifest(solve1d_run)["statistics"]["block_dimensions"]
+    with np.load(os.path.join(solve1d_run, "eigenvectors.npz")) as dense, \
+            np.load(os.path.join(out, "eigenvectors.npz")) as iterative:
+        assert len(iterative["eigenvalues"]) == 8
+        np.testing.assert_allclose(iterative["eigenvalues"], dense["eigenvalues"][:8],
+                                   rtol=0.0, atol=1e-10)
+        assert list(iterative["block"]) == list(dense["block"][:8])
+        for label, a, b in zip(iterative["block"], iterative["offset"], dense["offset"]):
+            m = dims[str(label)]
+            np.testing.assert_allclose(iterative["eigenvectors"][a:a + m],
+                                       dense["eigenvectors"][b:b + m],
+                                       rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve3d"])
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_solve_manifests_record_the_same_timings(tmp_path, command, method):
+    """Both solve commands run one block pipeline and time the same steps;
+    eigh only on the dense route."""
+    cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
+                                 f"[{command}]\nmethod = {method}\n")
+    out = str(tmp_path / "run")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    timings = read_manifest(out)["timings"]
+    keys = {"build", "assemble", "blocks", "solve", "write"}
+    assert set(timings) == (keys | {"eigh"} if method == "dense" else keys)
+    assert timings["assemble"] <= timings["build"]
+    assert timings.get("eigh", 0.0) <= timings["solve"]
+    assert all(v > 0.0 for v in timings.values())
 
 
 def test_solve1d_config_error_exit(tmp_path, capsys):
@@ -385,17 +455,19 @@ def test_solve3d_manifest_records_blocks_and_timings(tmp_path):
     assert np.all(np.diff(data["eigenvalues"]) >= 0.0)
 
 
-def test_analyze_3d_refuses_archive_without_offsets(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve1d", "solve3d"])
+def test_analyze_refuses_archive_without_offsets(tmp_path, capsys, command):
     """An archive from before the block layout names no block offsets."""
-    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
-    run = tmp_path / "run3d"
-    assert main(["solve3d", "--config", cfg, "--out", str(run)]) == 0
-    path = run / "eigenvectors_sym.npz"
+    cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n")
+    run = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(run)]) == 0
+    path = run / ("eigenvectors.npz" if command == "solve1d" else "eigenvectors_sym.npz")
     with np.load(path) as data:
         kept = {key: data[key] for key in data.files if key not in ("block", "offset")}
     np.savez(path, **kept)
     assert main(["analyze", "--from", str(run), "--out", str(tmp_path / "an")]) == 2
-    assert "holds no block offsets" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "holds no block offsets; rerun solve1d/solve3d" in err
 
 
 def _read_grid(path):
@@ -500,21 +572,27 @@ def test_solve3d_iterative_paper_point_keeps_every_copy(paper3d_run, tmp_path, s
 
 
 def test_solve1d_auto_past_the_dense_budget_converges(tmp_path):
-    """heavy_cutoff 40 (dim 6561) is the first 1D size auto solves
-    iteratively; it converges to the dense ground energy of heavy_cutoff 24."""
+    """heavy_cutoff 54 (dim 11881; its four blocks' vectors need 269 MB) is
+    the first 1D size auto solves iteratively; it converges to the dense
+    ground energy of heavy_cutoff 24."""
     stats = {}
-    for cutoff in (24, 40):
+    for cutoff in (24, 54):
         cfg = write_config(tmp_path, f"[model]\nheavy_cutoff = {cutoff}\n",
                            name=f"h{cutoff}.ini")
         out = str(tmp_path / f"h{cutoff}")
         assert main(["solve1d", "--config", cfg, "--out", out]) == 0
         stats[cutoff] = read_manifest(out)["statistics"]
     assert stats[24]["method"] == "dense"
-    assert (stats[40]["method"], stats[40]["dimension"]) == ("lanczos", 6561)
-    assert stats[40]["max_residual_ratio"] <= 1e-8
-    with open(tmp_path / "h40" / "spectrum.csv") as fh:
+    import triscar as ts
+
+    last = ts.symmetry_blocks(ts.enumerate_basis_1d(ts.ModelParams(heavy_cutoff=53)))
+    assert eigensolve.dense_budget_error([s.shape[1] for _, s in last]) is None
+    assert (stats[54]["method"], stats[54]["dimension"]) == ("lanczos", 11881)
+    assert eigensolve.dense_budget_error(stats[54]["block_dimensions"].values())
+    assert stats[54]["max_residual_ratio"] <= 1e-8
+    with open(tmp_path / "h54" / "spectrum.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 8
-    assert stats[40]["ground_energy"] == pytest.approx(stats[24]["ground_energy"],
+    assert stats[54]["ground_energy"] == pytest.approx(stats[24]["ground_energy"],
                                                        rel=0.0, abs=1e-6)
 
 
@@ -588,6 +666,40 @@ def test_analyze_selectors(solve1d_run, tmp_path):
     with open(os.path.join(out, "grid_state0024.json")) as fh:
         near = json.load(fh)
     assert top["concentration_ratio"] > near["concentration_ratio"]
+
+
+def test_analyze_1d_matches_full_sector_solve(solve1d_run, tmp_path, params,
+                                             sector729, spectrum729):
+    """For isolated states, analyze on the block archive gives the grids and
+    heavy overlaps of the full-sector dense solve's eigenvectors.  Isolated
+    means 0.1 from both neighbours: rounding mixes the full solve's vectors
+    by about 1e-16 |H| / gap (|H| is about 7.6e3 here), and exchange or
+    inversion pairs 1e-9 apart differ by 2e-5, the block vectors being the
+    exactly symmetric ones."""
+    evals = spectrum729.eigenvalues
+    gap = np.minimum(np.append(np.inf, np.diff(evals)), np.append(np.diff(evals), np.inf))
+    isolated = np.nonzero(gap > 0.1)[0]
+    assert len(isolated) > 30
+    chosen = [int(isolated[j]) for j in (0, len(isolated) // 2, -1)]
+    out = tmp_path / "an"
+    assert main(["analyze", "--from", solve1d_run, "--out", str(out), "--select",
+                 ",".join(f"index:{i}" for i in chosen)]) == 0
+    with open(out / "overlaps.csv") as fh:
+        overlaps = [float(r["heavy_overlap"]) for r in csv.DictReader(fh)]
+    import triscar as ts
+
+    for i in chosen:
+        grid = ts.position_wavefunction_1d(spectrum729.eigenvectors[:, i], sector729,
+                                           params, n_r=128, n_eta=128)
+        want = grid.density()
+        got = _read_grid(out / f"grid_state{i:04d}.csv")
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        # squared light-momentum amplitudes, in units of 1/L; each sums up
+        # to 27 coefficients that agree to about 1e-12
+        amp = np.array([spectrum729.eigenvectors[sector729.p == p, i].sum()
+                        for p in np.unique(sector729.p)])
+        L = params.box_length
+        assert overlaps[i] == pytest.approx(np.sum(amp ** 2) / L, rel=0.0, abs=1e-10 / L)
 
 
 def test_analyze_bad_selector(solve1d_run, tmp_path, capsys):

@@ -99,21 +99,6 @@ def test_dense_symmetric(operator729):
     np.testing.assert_allclose(h, h.T, atol=0.0)
 
 
-def test_matvec_matches_dense(small_sector, rng):
-    params, sec = small_sector
-    op = ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(params))
-    h = op.dense()
-    v = rng.standard_normal(sec.dim)
-    np.testing.assert_allclose(op.matvec(v), h @ v, rtol=1e-13, atol=1e-16)
-
-
-def test_matvec_wrapper_checks_shape(small_sector):
-    params, sec = small_sector
-    op = ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(params))
-    with pytest.raises(ValueError):
-        op.matvec(np.zeros(sec.dim + 1))
-
-
 def test_origin_diagonal_scaled(params):
     """<000|H|000> has no kinetic part; the three pair averages give
     (g/2L - g/2L - g/2L) * L = -g/2 = -3 in scaled units."""
