@@ -8,7 +8,7 @@ and symplectic center-of-mass orbit integration.
 
 from .params import LightCutoffMode, ModelParams, Scaling
 from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
-                    Sector3D, SymmetrizedSector, basis_size_3d,
+                    Sector3D, SymmetryBlock, basis_size_3d,
                     enumerate_basis_1d, enumerate_basis_3d, enumerate_vectors,
                     point_group, sector_3d, symmetrize_sector, symmetry_blocks)
 from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -84,13 +84,6 @@ class _PairLabels:
         order = np.argsort(keys, kind="stable")
         return lo, span.astype(np.uint64), strides, keys[order], order
 
-    def exchange_map(self) -> np.ndarray:
-        """Index permutation realizing heavy-particle exchange n1 <-> n2."""
-        rows, cols = self.locate(self.n2, self.n1)
-        if len(cols) != self.dim:
-            raise ValueError(f"sector {self.key} is not closed under exchange")
-        return rows
-
 
 def _components(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Labels as rows of components, n1 then n2: shape (2, N) in 1D, (6, N) in 3D."""
@@ -133,70 +126,24 @@ class Sector3D(_PairLabels):
                             tuple(int(v) for v in self.p[i]))
 
 
-@dataclass
-class SymmetrizedSector:
-    """Exchange eigenbasis built on top of a plain sector.
+class SymmetryBlock(NamedTuple):
+    """One joint eigenspace of a sector's symmetry maps.
 
-    Each row combines a plain state a and its heavy-exchange image b as
-    (|a> + parity |b>) / sqrt(2); a diagonal state (a = b, n1 = n2) is its
-    own image and appears only at parity +1.
+    `isometry` is a sparse (sector dim x block dim) S with S^T S = identity
+    whose columns span the block; `label` names the block's sign under each
+    map, e.g. "sym" or "anti +x -y +z".
     """
 
-    parent: object            # Sector1D or Sector3D
-    parity: int               # +1 symmetric, -1 antisymmetric
-    idx_a: np.ndarray
-    idx_b: np.ndarray
+    label: str
+    isometry: sparse.csr_array
 
     @property
     def dim(self) -> int:
-        return len(self.idx_a)
-
-    @property
-    def tag(self) -> str:
-        return "sym" if self.parity == 1 else "anti"
-
-    @property
-    def key(self) -> str:
-        return f"{self.parent.key} {self.tag}"
+        return self.isometry.shape[1]
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
-        """Expand symmetrized coordinates into the plain sector."""
-        if len(vec) != self.dim:
-            raise ValueError(f"vector length {len(vec)} != sector dim {self.dim}")
-        out = np.zeros(self.parent.dim, dtype=np.result_type(vec.dtype, np.float64))
-        # each parent index occurs in exactly one entry, so plain assignment is safe
-        diag = self.idx_a == self.idx_b
-        off = ~diag
-        w = 1.0 / np.sqrt(2.0)
-        out[self.idx_a[off]] = w * vec[off]
-        out[self.idx_b[off]] = self.parity * w * vec[off]
-        out[self.idx_a[diag]] = vec[diag]
-        return out
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        """Adjoint of embed: restrict a plain-sector vector to this parity block."""
-        if len(vec) != self.parent.dim:
-            raise ValueError(f"vector length {len(vec)} != parent dim {self.parent.dim}")
-        diag = self.idx_a == self.idx_b
-        out = (vec[self.idx_a] + self.parity * vec[self.idx_b]) / np.sqrt(2.0)
-        out[diag] = vec[self.idx_a[diag]]
-        return out
-
-    def embedding_matrix(self) -> sparse.csr_array:
-        """Sparse (parent.dim x dim) isometry S with S^T S = identity.
-
-        Holds the same entries embed writes, so S @ v equals embed(v).
-        """
-        from scipy import sparse
-
-        pair = self.idx_a != self.idx_b
-        w = 1.0 / np.sqrt(2.0)
-        cols = np.arange(self.dim)
-        rows = np.concatenate([self.idx_a, self.idx_b[pair]])
-        vals = np.concatenate([np.where(pair, w, 1.0),
-                               np.full(int(pair.sum()), self.parity * w)])
-        return sparse.csr_array((vals, (rows, np.concatenate([cols, cols[pair]]))),
-                                shape=(self.parent.dim, self.dim))
+        """Expand block coordinates into the plain sector: S @ vec."""
+        return self.isometry @ vec
 
 
 @dataclass(frozen=True)
@@ -266,11 +213,8 @@ def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector1D:
 def enumerate_vectors(cutoff_sq: int) -> np.ndarray:
     """Integer 3-vectors with |n|^2 <= cutoff_sq, sorted lexicographically."""
     c = int(np.floor(np.sqrt(cutoff_sq)))
-    rng = range(-c, c + 1)
-    vecs = [v for v in itertools.product(rng, rng, rng)
-            if v[0] * v[0] + v[1] * v[1] + v[2] * v[2] <= cutoff_sq]
-    vecs.sort()
-    return np.array(vecs, dtype=np.int64).reshape(len(vecs), 3)
+    grid = np.mgrid[-c:c + 1, -c:c + 1, -c:c + 1].reshape(3, -1).T.astype(np.int64)
+    return grid[np.einsum("ij,ij->i", grid, grid) <= cutoff_sq]
 
 
 def basis_size_3d(cutoff_sq: int) -> tuple[int, int]:
@@ -342,40 +286,42 @@ def sector_3d(params, total_momentum=(0, 0, 0),
                     np.concatenate(rows_p))
 
 
-def symmetrize_sector(sector) -> tuple[SymmetrizedSector, SymmetrizedSector]:
+def symmetrize_sector(sector) -> tuple[SymmetryBlock, SymmetryBlock]:
     """Split a sector into heavy-exchange symmetric and antisymmetric blocks.
 
-    Returns (symmetric, antisymmetric).  Block dimensions add up to the
-    parent dimension; diagonal states contribute to the symmetric block only.
+    Returns (sym, anti), the orbit blocks of exchange alone.  Block
+    dimensions add up to the sector dimension; a diagonal state (n1 = n2)
+    is its own image and enters the symmetric block only, so the
+    antisymmetric one may have no columns.
     """
-    xmap = sector.exchange_map()
-    idx = np.arange(sector.dim, dtype=np.int64)
-    # each exchange pair is listed once, from its lower index
-    sym = idx <= xmap
-    anti = idx < xmap
-    return (SymmetrizedSector(sector, 1, idx[sym], xmap[sym]),
-            SymmetrizedSector(sector, -1, idx[anti], xmap[anti]))
+    return tuple(_orbit_blocks(sector, [EXCHANGE]))
 
 
-def symmetry_blocks(sector) -> list[tuple[str, sparse.csr_array]]:
+def symmetry_blocks(sector) -> list[SymmetryBlock]:
     """Split a sector into the joint eigenspaces of its point group.
 
-    The maps of point_group(sector) are r commuting involutions; they
-    generate a group G of 2^r elements, and each character chi of G, one
-    sign per map, gives one block.  The block's columns are the projections
-    chi(g_b) |b> / sqrt(|orbit|), summed over the distinct states b of one
-    orbit (the G-images of its lowest row a, with g_b a = b), for every
-    orbit on whose stabilizer chi is trivial.  Returns one (label, S) per
-    nonempty block, S a sparse (dim x block_dim) isometry, in character
-    order (the first map varies slowest, +1 before -1) with the maps' names
-    joined as label; columns ascend by their orbit's lowest row.  The
-    columns of all blocks together form an orthogonal matrix, and each row
-    of S holds one entry, of equal magnitude over an orbit, so S @ V
-    reproduces V up to an exact +-1 on each orbit.
+    Returns the nonempty orbit blocks of point_group(sector).
+    """
+    return [block for block in _orbit_blocks(sector, point_group(sector)) if block.dim]
+
+
+def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
+    """The joint eigenspaces of commuting label involutions on a sector.
+
+    The r maps generate a group G of 2^r elements, and each character chi
+    of G, one sign per map, gives one block.  The block's columns are the
+    projections chi(g_b) |b> / sqrt(|orbit|), summed over the distinct
+    states b of one orbit (the G-images of its lowest row a, with
+    g_b a = b), for every orbit on whose stabilizer chi is trivial.
+    Returns all 2^r blocks, empty ones included, in character order (the
+    first map varies slowest, +1 before -1) with the maps' names joined as
+    label; columns ascend by their orbit's lowest row.  The columns of all
+    blocks together form an orthogonal matrix, and each row of S holds one
+    entry, of equal magnitude over an orbit, so S @ V reproduces V up to an
+    exact +-1 on each orbit.
     """
     from scipy import sparse
 
-    maps = point_group(sector)
     n = sector.dim
     # images[g, i]: state i under the group element g, bit j of g applying maps[j]
     images = np.arange(n, dtype=np.int64)[None, :]
@@ -399,16 +345,14 @@ def symmetry_blocks(sector) -> list[tuple[str, sparse.csr_array]]:
     for chi in itertools.product((0, 1), repeat=len(maps)):
         sign = 1 - 2 * (bits @ np.array(chi, dtype=np.int64) % 2)
         keep = np.nonzero(np.all((sign[:, None] == 1) | ~fixes, axis=0))[0]
-        if not len(keep):
-            continue
         # every state of an orbit appears once per stabilizer element, with
         # the same sign; keep its first occurrence
         rows, first = np.unique(orbits[:, keep], return_index=True)
         g, col = np.divmod(first, len(keep))
         vals = sign[g] * magnitude[keep[col]]
         label = " ".join(m.names[c] for m, c in zip(maps, chi))
-        blocks.append((label, sparse.csr_array((vals, (rows, col)),
-                                               shape=(n, len(keep)))))
+        blocks.append(SymmetryBlock(label, sparse.csr_array(
+            (vals, (rows, col)), shape=(n, len(keep)))))
     return blocks
 
 

@@ -627,15 +627,20 @@ def cmd_analyze(args) -> int:
     })
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
-    out, man = _start(args, "analyze", {"from": args.from_dir,
-                                        "analyze": {k: v for k, v in s.items()}})
     if os.path.exists(os.path.join(args.from_dir, "eigenvectors.npz")):
-        _analyze_1d(args, cfg, s, out, man)
+        kind, analyze, foreign = "1D", _analyze_1d, ("parity", "index")
     elif (os.path.exists(os.path.join(args.from_dir, "eigenvectors_sym.npz"))
           or os.path.exists(os.path.join(args.from_dir, "eigenvectors_anti.npz"))):
-        _analyze_3d(args, cfg, s, out, man)
+        kind, analyze, foreign = "3D", _analyze_3d, ("select", "weights")
     else:
         raise ConfigError(f"no eigenvector archives under {args.from_dir}")
+    given = [f"--{flag}" for flag in foreign if getattr(args, flag) is not None]
+    if given:
+        raise ConfigError(f"{' and '.join(given)} cannot be used with the {kind} "
+                          f"run in {args.from_dir}")
+    out, man = _start(args, "analyze", {"from": args.from_dir,
+                                        "analyze": {k: v for k, v in s.items()}})
+    analyze(args, cfg, s, out, man)
     man.write(out)
     print(f"analyze ->  {out}")
     return EXIT_OK

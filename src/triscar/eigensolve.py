@@ -25,6 +25,9 @@ DENSE_OUTPUT_BYTES = 2 ** 28
 #: relative margin within which canonicalize treats magnitudes as tied
 _SIGN_TIE = 1e-8
 
+#: relative spacing within which canonicalize treats eigenvalues as degenerate
+_DEGEN_TOL = 1e-11
+
 #: pairs solve_iterative finds beyond k, so clusters straddling k are whole
 _EXTRA_PAIRS = 4
 
@@ -74,11 +77,10 @@ class Band:
         return self.stop - self.start + 1
 
 
-def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-                 degen_tol: float = 1e-11):
+def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
     """Deterministic eigenvector representatives.
 
-    Within clusters of eigenvalues closer than degen_tol * max(1, |E|)
+    Within clusters of eigenvalues closer than _DEGEN_TOL * max(1, |E|)
     (degenerate up to solver noise), rotate to the basis obtained by
     projecting and orthonormalizing coordinate axes, longest projection
     first (ties in index order), which depends only on the cluster's
@@ -99,7 +101,7 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     start = 0
     for stop in range(1, n_pairs + 1):
         at_end = stop == n_pairs
-        if not at_end and evals[stop] - evals[stop - 1] <= degen_tol * max(
+        if not at_end and evals[stop] - evals[stop - 1] <= _DEGEN_TOL * max(
                 1.0, abs(evals[stop]), abs(evals[stop - 1])):
             continue
         if stop - start > 1:
@@ -150,8 +152,7 @@ def dense_budget_error(dims) -> ResourceLimitError | None:
         f"use the iterative method")
 
 
-def solve_dense(op, *, sector_key: str | None = None,
-                degen_tol: float = 1e-11) -> Spectrum:
+def solve_dense(op) -> Spectrum:
     """Full spectrum via LAPACK.  Refuses sectors over the dense output budget."""
     n = op.dim
     error = dense_budget_error([n])
@@ -162,16 +163,14 @@ def solve_dense(op, *, sector_key: str | None = None,
     asym = float(np.max(np.abs(h - h.T))) if n else 0.0
     evals, vecs = scipy.linalg.eigh(h)
     t1 = time.perf_counter()
-    evals, vecs = canonicalize(evals, vecs, degen_tol)
+    evals, vecs = canonicalize(evals, vecs)
     resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
-    return Spectrum(_key(op, sector_key), evals, vecs, resid, "dense",
+    return Spectrum(_key(op), evals, vecs, resid, "dense",
                     meta={"dim": n, "hermiticity_defect": asym, "eigh_s": t1 - t0})
 
 
-def _key(op, sector_key: str | None) -> str:
-    """The label a spectrum of op carries: sector_key, else the operator's."""
-    if sector_key is not None:
-        return sector_key
+def _key(op) -> str:
+    """The label a spectrum of op carries: the operator's key, else its sector's."""
     return getattr(op, "key", None) or getattr(getattr(op, "sector", None), "key", "")
 
 
@@ -215,8 +214,7 @@ def merge_blocks(key: str, parts, size: int,
     return spectrum, np.concatenate(labels)[order], np.concatenate(offsets)[order]
 
 
-def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0,
-                    sector_key: str | None = None) -> Spectrum:
+def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectrum:
     """The k lowest eigenpairs of the sparse op.matrix by shift-invert ARPACK.
 
     eigsh (implicitly restarted Lanczos) runs on H - sigma I with sigma one
@@ -236,7 +234,7 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0,
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
     n_pairs = min(n, k + _EXTRA_PAIRS)
-    key = _key(op, sector_key)
+    key = _key(op)
     h = op.matrix
     failure = None
     if n_pairs >= n - 1:

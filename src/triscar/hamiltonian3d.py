@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (BasisState3D, Sector3D, SymmetrizedSector, assemble_csr,
-                    enumerate_vectors)
+from .basis import BasisState3D, Sector3D, assemble_csr, enumerate_vectors
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -98,10 +97,11 @@ def matrix_element_3d(bra, ket, rule: MatrixElementRule3D) -> float:
 
 def symmetrized_element_3d(sector: Sector3D, bra_entry, ket_entry,
                            rule: MatrixElementRule3D, parity: int) -> float:
-    """Matrix element between exchange eigenstates given as (idx_a, idx_b) pairs.
+    """Matrix element between exchange eigenstates given as (a, b) pairs.
 
-    Each entry is expanded into its two exchange images with the parity sign
-    and the 1/(c_bra c_ket) normalization applied.
+    Each entry names a state a and its exchange image b (b = a for a
+    diagonal state); it is expanded into both with the parity sign and the
+    1/(c_bra c_ket) normalization applied.
     """
     ia, ib = bra_entry
     ja, jb = ket_entry
@@ -163,16 +163,23 @@ def operator_size(total_momentum, cutoff_sq: int) -> tuple[int, int]:
     every pair type has the same spectator groups.  Any two states of a
     group are coupled, since every transfer between in-sector states obeys
     |q|^2 <= 4 cutoff_sq: dim = sum(s) and nnz = dim + 3 sum(s^2 - s).
-    Holds O(#vectors) memory.
+    s(x) is the self-convolution of the cutoff ball's indicator at P - x,
+    taken by FFT on a grid of 4c + 1 points per axis (c = floor(sqrt
+    cutoff_sq)), wide enough that the cyclic convolution does not wrap.
+    Holds O(cutoff_sq^1.5) memory.
     """
     vecs = enumerate_vectors(cutoff_sq)
-    rest = np.asarray(total_momentum, dtype=np.int64) - vecs
-    sizes = np.empty(len(vecs), dtype=np.int64)
-    chunk = max(1, 2 ** 18 // max(len(vecs), 1))
-    for a in range(0, len(vecs), chunk):
-        pc = rest[a:a + chunk, None, :] - vecs[None, :, :]
-        sizes[a:a + chunk] = np.count_nonzero(
-            np.einsum("ijk,ijk->ij", pc, pc) <= cutoff_sq, axis=1)
+    c = int(np.floor(np.sqrt(cutoff_sq)))
+    ball = np.zeros((2 * c + 1,) * 3)
+    ball[tuple((vecs + c).T)] = 1.0
+    grid, axes = (4 * c + 1,) * 3, (0, 1, 2)
+    counts = np.rint(np.fft.irfftn(np.fft.rfftn(ball, grid, axes=axes) ** 2,
+                                   grid, axes=axes))
+    # the convolution's index of P - x, outside the grid where no w fits
+    at = np.asarray(total_momentum, dtype=np.int64) - vecs + 2 * c
+    inside = np.all((at >= 0) & (at <= 4 * c), axis=1)
+    sizes = np.zeros(len(vecs), dtype=np.int64)
+    sizes[inside] = counts[tuple(at[inside].T)]
     dim = int(sizes.sum())
     return dim, dim + 3 * int(np.sum(sizes * (sizes - 1)))
 
@@ -252,34 +259,25 @@ class HamiltonianOperator3D:
 class SymmetrizedOperator3D:
     """Symmetry block S^T H S of a plain-sector operator.
 
-    `block` is an exchange half (a SymmetrizedSector) or one (label, S)
-    pair of basis.symmetry_blocks.  `plain_op` needs only `.matrix`, `.dim`
-    and `.sector`, so a (label, S) block of a 1D HamiltonianOperator1D
-    works the same way.
+    `block` is a (label, S) basis.SymmetryBlock, of symmetry_blocks or
+    symmetrize_sector.  `plain_op` needs only `.matrix`, `.dim` and
+    `.sector`, so a block of a 1D HamiltonianOperator1D works the same way.
     """
 
     def __init__(self, block, plain_op):
-        if isinstance(block, SymmetrizedSector):
-            if block.parent is not plain_op.sector:
-                raise ValueError("symmetrized sector does not match the operator sector")
-            self.key = block.key
-            self.isometry = block.embedding_matrix()
-        else:
-            label, self.isometry = block
-            if self.isometry.shape[0] != plain_op.dim:
-                raise ValueError(f"block {label!r} has {self.isometry.shape[0]} "
-                                 f"rows, the operator {plain_op.dim}")
-            self.key = f"{plain_op.sector.key} {label}"
+        label, self.isometry = block
+        if self.isometry.shape[0] != plain_op.dim:
+            raise ValueError(f"block {label!r} has {self.isometry.shape[0]} "
+                             f"rows, the operator {plain_op.dim}")
+        self.key = f"{plain_op.sector.key} {label}"
         self.plain_op = plain_op
         # every column of S holds one orbit with entries of magnitude
-        # 1/sqrt(orbit size), so its nonzero count is the orbit size
+        # 1/sqrt(orbit size), so its nonzero count is the orbit size, and
+        # its first stored row is the orbit's lowest row
         columns = self.isometry.tocsc()
         columns.sort_indices()
         self._orbit_norm = np.sqrt(np.diff(columns.indptr).astype(np.float64))
-        # for a point-group block: the first stored row of each column, its
-        # orbit's lowest row
-        self._lowest = (None if isinstance(block, SymmetrizedSector)
-                        else columns.indices[columns.indptr[:-1]])
+        self._lowest = columns.indices[columns.indptr[:-1]]
 
     @property
     def dim(self) -> int:
@@ -287,21 +285,14 @@ class SymmetrizedOperator3D:
 
     @cached_property
     def matrix(self):
-        """The symmetrized sparse block S^T H S."""
-        s = self.isometry
-        if self._lowest is None:
-            # Contract with the +-1 pattern of S, then divide each row by the
-            # root of its orbit size: the operations SymmetrizedSector.project
-            # applies, so the block is bit-identical to stacking
-            # project(H embed(e_j)) column by column.
-            h = (s.sign().T @ (self.plain_op.matrix @ s)).tocsr()
-            h.data /= np.repeat(self._orbit_norm, np.diff(h.indptr))
-        else:
-            # H commutes with the group, so row g a of H S is chi(g) times row
-            # a: row i of S^T H S is sqrt(|orbit i|) times the row of H S at
-            # the orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|)
-            h = (self.plain_op.matrix[self._lowest] @ s).tocsr()
-            h.data *= np.repeat(self._orbit_norm, np.diff(h.indptr))
+        """The symmetrized sparse block S^T H S.
+
+        H commutes with the group, so row g a of H S is chi(g) times row a:
+        row i of S^T H S is sqrt(|orbit i|) times the row of H S at the
+        orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|).
+        """
+        h = (self.plain_op.matrix[self._lowest] @ self.isometry).tocsr()
+        h.data *= np.repeat(self._orbit_norm, np.diff(h.indptr))
         return 0.5 * (h + h.T)
 
     def dense(self) -> np.ndarray:

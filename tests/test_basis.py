@@ -66,7 +66,9 @@ def test_lexicographic_order(sector729):
 
 
 def test_exchange_closure(sector729):
-    perm = sector729.exchange_map()
+    """locate finds every state's exchange image, an involution."""
+    perm, cols = sector729.locate(sector729.n2, sector729.n1)
+    assert np.array_equal(cols, np.arange(sector729.dim))
     assert np.array_equal(sector729.n1[perm], sector729.n2)
     assert np.array_equal(sector729.n2[perm], sector729.n1)
     # involution
@@ -178,15 +180,21 @@ def test_symmetrize_dimensions(sector3d_c2):
 
 
 def test_symmetrize_normalization(sector3d_c2):
-    _, anti = ts.symmetrize_sector(sector3d_c2)
-    # diagonal states never appear in the antisymmetric sector
-    assert not np.any(anti.idx_a == anti.idx_b)
+    sym, anti = ts.symmetrize_sector(sector3d_c2)
+    assert (sym.label, anti.label) == ("sym", "anti")
+    # diagonal states never appear in the antisymmetric sector: each of its
+    # columns is a pair (|a> - |b>) / sqrt(2)
+    a = anti.isometry.tocsc()
+    assert np.array_equal(np.diff(a.indptr), np.full(anti.dim, 2))
+    assert np.array_equal(np.abs(a.data), np.full(2 * anti.dim, 1.0 / np.sqrt(2.0)))
+    diagonal = np.all(sector3d_c2.n1 == sector3d_c2.n2, axis=1)
+    assert not np.any(diagonal[a.indices])
 
 
 def test_embedding_isometry(sector3d_c2):
     sym, anti = ts.symmetrize_sector(sector3d_c2)
-    s_mat = sym.embedding_matrix().toarray()
-    a_mat = anti.embedding_matrix().toarray()
+    s_mat = sym.isometry.toarray()
+    a_mat = anti.isometry.toarray()
     np.testing.assert_allclose(s_mat.T @ s_mat, np.eye(sym.dim), atol=1e-14)
     np.testing.assert_allclose(a_mat.T @ a_mat, np.eye(anti.dim), atol=1e-14)
     # the two images are orthogonal and together span the parent sector
@@ -198,7 +206,8 @@ def test_embedding_isometry(sector3d_c2):
 def test_embed_project_roundtrip(sector3d_c2, rng):
     sym, _ = ts.symmetrize_sector(sector3d_c2)
     v = rng.standard_normal(sym.dim)
-    np.testing.assert_allclose(sym.project(sym.embed(v)), v, atol=1e-14)
+    # the projection back is the adjoint S^T
+    np.testing.assert_allclose(sym.isometry.T @ sym.embed(v), v, atol=1e-14)
 
 
 def test_two_state_exchange_pair():
@@ -206,8 +215,8 @@ def test_two_state_exchange_pair():
     sec = ts.sector_3d(p, (1, 0, 0), cutoff_sq=1)
     sym, anti = ts.symmetrize_sector(sec)
     assert sym.dim + anti.dim == sec.dim
-    pair_states = sym.idx_a != sym.idx_b
-    assert np.any(pair_states)
+    # some symmetric column combines a state with a distinct exchange image
+    assert np.any(np.diff(sym.isometry.tocsc().indptr) == 2)
 
 
 
@@ -229,27 +238,41 @@ def _reference_pair_isometry(n, idx_a, idx_b, signs):
                             shape=(n, len(idx_a)))
 
 
+def reference_exchange_halves(sector):
+    """(tag, parity, idx_a, idx_b, S) of both exchange halves, built from the
+    exchange map: each pair listed once from its lower index a, with image
+    b, and diagonal states (a = b) in the symmetric half only."""
+    xmap, cols = sector.locate(sector.n2, sector.n1)
+    assert len(cols) == sector.dim
+    idx = np.arange(sector.dim, dtype=np.int64)
+    halves = []
+    for tag, parity, keep in (("sym", 1, idx <= xmap), ("anti", -1, idx < xmap)):
+        a, b = idx[keep], xmap[keep]
+        halves.append((tag, parity, a, b,
+                       _reference_pair_isometry(sector.dim, a, b, parity)))
+    return halves
+
+
 def reference_symmetry_blocks_1d(sector):
     """The former 1D-only builder: exchange halves, each split once more by
     inversion at P = 0 through a second pair isometry."""
-    halves = ts.symmetrize_sector(sector)
+    halves = reference_exchange_halves(sector)
     if sector.total_momentum != 0:
-        return [(half.tag, half.embedding_matrix()) for half in halves]
+        return [(tag, s) for tag, _, _, _, s in halves]
     rows, cols = sector.locate(-sector.n1, -sector.n2)
     inverse = np.empty(sector.dim, dtype=np.int64)
     inverse[cols] = rows
     blocks = []
-    for half in halves:
-        a, b = inverse[half.idx_a], inverse[half.idx_b]
-        image = np.searchsorted(half.idx_a, np.minimum(a, b))
-        sign = np.where(a <= b, 1, half.parity)
-        col = np.arange(half.dim)
-        s = half.embedding_matrix()
+    for half_tag, half_parity, idx_a, idx_b, s in halves:
+        a, b = inverse[idx_a], inverse[idx_b]
+        image = np.searchsorted(idx_a, np.minimum(a, b))
+        sign = np.where(a <= b, 1, half_parity)
+        col = np.arange(len(idx_a))
         for parity, tag in ((1, "even"), (-1, "odd")):
             keep = (col < image) | ((col == image) & (sign == parity))
-            t = _reference_pair_isometry(half.dim, col[keep], image[keep],
+            t = _reference_pair_isometry(len(idx_a), col[keep], image[keep],
                                          parity * sign[keep])
-            blocks.append((f"{half.tag} {tag}", (s @ t).tocsr()))
+            blocks.append((f"{half_tag} {tag}", (s @ t).tocsr()))
     return blocks
 
 
@@ -270,6 +293,34 @@ def test_symmetry_blocks_match_reference_1d(heavy_cutoff, total_momentum, mode):
         assert np.array_equal(s.toarray(), r.toarray())
 
 
+@pytest.mark.parametrize("sector", [
+    pytest.param(("3d", 0, (0, 0, 0)), id="3d-c0"),
+    pytest.param(("3d", 2, (0, 0, 0)), id="3d-c2"),
+    pytest.param(("3d", 5, (1, 0, 0)), id="3d-c5-P100"),
+    pytest.param(("1d", 5, 0), id="1d-h5"),
+    pytest.param(("1d", 4, -2), id="1d-h4-P-2")])
+def test_exchange_halves_match_pair_reference(sector):
+    """symmetrize_sector's halves, orbit blocks of exchange alone, equal the
+    pair isometries built from the exchange map, bit for bit; at cutoff_sq 0
+    the one state is diagonal and the antisymmetric half has no columns."""
+    kind, cutoff, total = sector
+    if kind == "3d":
+        sector = ts.sector_3d(ts.ModelParams(cutoff_sq=cutoff), total)
+    else:
+        sector = ts.enumerate_basis_1d(ts.ModelParams(heavy_cutoff=cutoff), total)
+    got = ts.symmetrize_sector(sector)
+    assert len(got) == 2
+    for block, (tag, _, _, _, want) in zip(got, reference_exchange_halves(sector)):
+        assert isinstance(block, ts.SymmetryBlock)
+        assert block.label == tag
+        assert block.isometry.shape == want.shape
+        assert np.array_equal(block.isometry.indptr, want.indptr)
+        assert np.array_equal(block.isometry.indices, want.indices)
+        assert np.array_equal(block.isometry.data, want.data)
+    if cutoff == 0:
+        assert [block.dim for block in got] == [1, 0]
+
+
 #: (label, dim) of the 16 P = 0 blocks at cutoff_sq 5 (733 sym + 726 anti)
 BLOCKS_3D_C5 = [162, 102, 102, 73, 102, 73, 73, 46, 127, 111, 111, 74, 111, 74, 74, 44]
 
@@ -286,7 +337,7 @@ def test_point_group_blocks_are_orthogonal(params, cutoff_sq, total):
     assert blocks[0][0] == " ".join(["sym", *flips])
     q = np.hstack([s.toarray() for _, s in blocks])
     np.testing.assert_allclose(q.T @ q, np.eye(sector.dim), rtol=0.0, atol=1e-15)
-    xmap = sector.exchange_map()
+    xmap, _ = sector.locate(sector.n2, sector.n1)
     for label, s in blocks:
         parity = 1 if label.startswith("sym ") else -1
         dense = s.toarray()

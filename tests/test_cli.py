@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -165,13 +166,13 @@ def test_solve1d_isolated_vectors_keep_exact_symmetry(solve1d_run):
     is exchange and inversion (anti)symmetric bit for bit, whatever its sign."""
     with np.load(os.path.join(solve1d_run, "eigenvectors.npz")) as npz:
         evals = npz["eigenvalues"]
-    # canonicalize's default degeneracy tolerance
-    tol = 1e-11 * np.maximum(1.0, np.abs(evals))
+    # canonicalize's degeneracy tolerance
+    tol = eigensolve._DEGEN_TOL * np.maximum(1.0, np.abs(evals))
     apart = np.diff(evals) > np.maximum(tol[1:], tol[:-1])
     isolated = np.nonzero(np.append(True, apart) & np.append(apart, True))[0]
     assert len(isolated) > 100
     _, sector, vecs = _embedded(solve1d_run, isolated)
-    xmap = sector.exchange_map()
+    xmap, _ = sector.locate(sector.n2, sector.n1)
     imap, _ = sector.locate(-sector.n1, -sector.n2)
     for c, v in zip(isolated, vecs.T):
         for perm in (xmap, imap):
@@ -317,6 +318,19 @@ def test_solve3d_gate_builds_nothing(tmp_path, capsys, monkeypatch):
     assert "8145031 states and 51288334123 operator nonzeros" in err
     assert "over the operator budget of 1024 MB" in err
     assert read_manifest(out)["status"] == "refused"
+
+
+def test_solve3d_large_refusal_is_fast(tmp_path, capsys):
+    """The gate counts cutoff_sq 400 (522950569 states) from one FFT of the
+    cutoff ball, so the refusal comes well inside 5 s (the pairwise count
+    took about 19 s)."""
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 400\n")
+    t0 = time.perf_counter()
+    code = main(["solve3d", "--config", cfg, "--out", str(tmp_path / "huge")])
+    elapsed = time.perf_counter() - t0
+    assert code == 3
+    assert "522950569 states" in capsys.readouterr().err
+    assert elapsed < 5.0
 
 
 def test_solve3d_small(tmp_path):
@@ -498,7 +512,7 @@ def test_analyze_3d_embeds_block_vectors(tmp_path, parity, index):
     # eigenvector of that half's block
     start = data["offset"][index]
     v = data["eigenvectors"][start:start + s.shape[1]]
-    u = half.project(s @ v)
+    u = half.isometry.T @ (s @ v)
     h = ts.SymmetrizedOperator3D(half, ts.HamiltonianOperator3D(
         sector, ts.MatrixElementRule3D(p))).dense()
     energy = data["eigenvalues"][index]
@@ -714,6 +728,34 @@ def test_analyze_missing_run(tmp_path, capsys):
     code = main(["analyze", "--from", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "an")])
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def small3d_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("small3d")
+    cfg = write_config(tmp, "[model]\ncutoff_sq = 1\n")
+    run = str(tmp / "run")
+    assert main(["solve3d", "--config", cfg, "--out", run]) == 0
+    return run
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("1d", "--parity", "sym"), ("1d", "--index", "0"),
+    ("3d", "--select", "ground"), ("3d", "--weights", "missing.csv")])
+def test_analyze_refuses_flags_of_the_other_dimension(request, tmp_path, capsys,
+                                                       kind, flag, value):
+    """--parity/--index apply only to 3D runs and --select/--weights only to
+    1D runs; given to the other kind, analyze exits 2 naming the flag and
+    writes nothing, even when the flag's value is itself unusable."""
+    run = request.getfixturevalue("solve1d_run" if kind == "1d" else "small3d_run")
+    if flag == "--weights":
+        value = str(tmp_path / value)
+    out = tmp_path / "an"
+    code = main(["analyze", "--from", run, flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err and f"the {kind.upper()} run" in err
+    assert not out.exists()
 
 
 def test_analyze_autocorrelation(solve1d_run, tmp_path):

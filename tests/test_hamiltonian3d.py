@@ -4,6 +4,8 @@ The F2 reference values below are frozen from a 50-digit mpmath evaluation
 of (1 - cos(pi rho a)) / (2 pi a) with rho = 2 (3 / 4 pi)^(1/3).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,12 +131,19 @@ def test_symmetrized_element_oracle(c2_blocks, params, sector3d_c2):
     plain, op_s, op_a, sym, anti = c2_blocks
     rule = ts.MatrixElementRule3D(params)
     h = op_s.dense()
-    idx = [0, 5, 17, 43, 87]
+    # each column stores one state or an exchange pair, lowest row first
+    columns = sym.isometry.tocsc()
+    columns.sort_indices()
+    rows = np.split(columns.indices, columns.indptr[1:-1])
+    pair = [(int(r[0]), int(r[-1])) for r in rows]
+    # column 68 holds the one diagonal state, n1 = n2 = p = 0
+    idx = [0, 5, 17, 43, 68, 87]
+    assert any(pair[i][0] == pair[i][1] for i in idx)
+    assert any(pair[i][0] != pair[i][1] for i in idx)
     for i in idx:
         for j in idx:
-            want = ts.symmetrized_element_3d(
-                sector3d_c2, (sym.idx_a[i], sym.idx_b[i]),
-                (sym.idx_a[j], sym.idx_b[j]), rule, parity=+1)
+            want = ts.symmetrized_element_3d(sector3d_c2, pair[i], pair[j], rule,
+                                             parity=+1)
             assert h[i, j] == pytest.approx(want, rel=1e-12, abs=1e-18)
 
 
@@ -157,20 +166,6 @@ def test_blocks_are_symmetric(c2_blocks):
     np.testing.assert_allclose(ha, ha.T, atol=1e-12)
 
 
-@pytest.mark.parametrize("parity", [+1, -1])
-def test_block_assembly_matches_column_reference(c2_blocks, parity):
-    """The sparse S^T H S block equals the column-by-column matvec build exactly."""
-    plain, op_s, op_a, sym, anti = c2_blocks
-    op, block = (op_s, sym) if parity == 1 else (op_a, anti)
-    ref = np.empty((block.dim, block.dim))
-    e = np.zeros(block.dim)
-    for j in range(block.dim):
-        e[j] = 1.0
-        ref[:, j] = block.project(plain.matvec(block.embed(e)))
-        e[j] = 0.0
-    assert np.array_equal(op.dense(), 0.5 * (ref + ref.T))
-
-
 def test_nonzeros_per_row_c2(c2_blocks):
     plain = c2_blocks[0]
     assert plain.dim == 175
@@ -181,7 +176,7 @@ def test_exchange_commutes(params, sector3d_c2):
     """H commutes with the heavy-particle exchange permutation."""
     rule = ts.MatrixElementRule3D(params)
     h = ts.HamiltonianOperator3D(sector3d_c2, rule, cutoff_sq=2).dense()
-    perm = sector3d_c2.exchange_map()
+    perm, _ = sector3d_c2.locate(sector3d_c2.n2, sector3d_c2.n1)
     np.testing.assert_allclose(h[np.ix_(perm, perm)], h, atol=1e-18)
 
 
@@ -264,6 +259,42 @@ def test_operator_size_is_exact(params, cutoff_sq, total):
         assert sector.dim == 0
 
 
+def reference_vectors(cutoff_sq):
+    """Lattice vectors within the cutoff, by a loop over the enclosing cube."""
+    c = int(np.floor(np.sqrt(cutoff_sq)))
+    rng = range(-c, c + 1)
+    vecs = sorted(v for v in itertools.product(rng, rng, rng)
+                  if v[0] * v[0] + v[1] * v[1] + v[2] * v[2] <= cutoff_sq)
+    return np.array(vecs, dtype=np.int64).reshape(len(vecs), 3)
+
+
+def reference_operator_size(total, cutoff_sq):
+    """The former count: s(x) by testing every pair of vectors, in chunks."""
+    vecs = reference_vectors(cutoff_sq)
+    rest = np.asarray(total, dtype=np.int64) - vecs
+    sizes = np.empty(len(vecs), dtype=np.int64)
+    chunk = max(1, 2 ** 18 // max(len(vecs), 1))
+    for a in range(0, len(vecs), chunk):
+        pc = rest[a:a + chunk, None, :] - vecs[None, :, :]
+        sizes[a:a + chunk] = np.count_nonzero(
+            np.einsum("ijk,ijk->ij", pc, pc) <= cutoff_sq, axis=1)
+    dim = int(sizes.sum())
+    return dim, dim + 3 * int(np.sum(sizes * (sizes - 1)))
+
+
+@pytest.mark.parametrize("cutoff_sq", [0, 1, 2, 3, 5, 10, 17, 40, 100])
+def test_operator_size_matches_pair_count(cutoff_sq):
+    """The FFT autocorrelation of the ball gives the pairwise count exactly,
+    also for a total momentum whose sector is empty; enumerate_vectors
+    gives the cube loop's vectors in its order."""
+    from triscar.hamiltonian3d import operator_size
+
+    assert np.array_equal(ts.enumerate_vectors(cutoff_sq), reference_vectors(cutoff_sq))
+    far = 3 * int(np.floor(np.sqrt(cutoff_sq))) + 1
+    for total in ((0, 0, 0), (1, 0, 0), (1, -1, 2), (far, 0, 1)):
+        assert operator_size(total, cutoff_sq) == reference_operator_size(total, cutoff_sq)
+
+
 @pytest.mark.parametrize("cutoff_sq, total", [(2, (0, 0, 0)), (5, (0, 0, 0)),
                                              (2, (1, 0, 0))])
 def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
@@ -275,7 +306,7 @@ def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
     blocks = ts.symmetry_blocks(sector)
     for half in ts.symmetrize_sector(sector):
         want = np.linalg.eigvalsh(ts.SymmetrizedOperator3D(half, plain).dense())
-        mine = [b for b in blocks if b[0].partition(" ")[0] == half.tag]
+        mine = [b for b in blocks if b.label.partition(" ")[0] == half.label]
         got = np.sort(np.concatenate([
             np.linalg.eigvalsh(ts.SymmetrizedOperator3D(b, plain).dense())
             for b in mine]))
@@ -284,11 +315,12 @@ def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
 
 
 def test_block_assembly_equals_sparse_product(params, sector3d_c2):
-    """Rows taken at each orbit's lowest state give S^T H S."""
+    """Rows taken at each orbit's lowest state give S^T H S, for the
+    point-group blocks and for the two exchange halves."""
     plain = ts.HamiltonianOperator3D(sector3d_c2, ts.MatrixElementRule3D(params),
                                      cutoff_sq=2)
-    for block in ts.symmetry_blocks(sector3d_c2):
-        s = block[1]
+    for block in [*ts.symmetry_blocks(sector3d_c2), *ts.symmetrize_sector(sector3d_c2)]:
+        s = block.isometry
         want = (s.T @ (plain.matrix @ s)).toarray()
         got = ts.SymmetrizedOperator3D(block, plain).dense()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
