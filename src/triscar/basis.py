@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:
-    # imported where used, so commands that never assemble a Hamiltonian
-    # (estimate, orbit, report) do not pay for loading scipy.sparse
+    # imported where used, so commands that build no sparse matrix (estimate,
+    # orbit, report and 3D analyze) start without loading scipy at all
     from scipy import sparse
 
 
@@ -126,24 +126,53 @@ class Sector3D(_PairLabels):
                             tuple(int(v) for v in self.p[i]))
 
 
-class SymmetryBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SymmetryBlock:
     """One joint eigenspace of a sector's symmetry maps.
 
-    `isometry` is a sparse (sector dim x block dim) S with S^T S = identity
-    whose columns span the block; `label` names the block's sign under each
-    map, e.g. "sym" or "anti +x -y +z".
+    Held as the entries S[rows[j], cols[j]] = values[j] of a sparse
+    isometry S of `shape` (sector dim x block dim), S^T S = identity, whose
+    columns span the block; each row of S holds at most one entry.  `label`
+    names the block's sign under each map, e.g. "sym" or "anti +x -y +z".
+    A block unpacks as (label, isometry); `embed` needs numpy alone, and
+    the scipy `isometry` is built on first use.
     """
 
     label: str
-    isometry: sparse.csr_array
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
 
     @property
     def dim(self) -> int:
-        return self.isometry.shape[1]
+        return self.shape[1]
+
+    @cached_property
+    def isometry(self) -> sparse.csr_array:
+        from scipy import sparse
+
+        return sparse.csr_array((self.values, (self.rows, self.cols)), shape=self.shape)
+
+    def __iter__(self):
+        return iter((self.label, self.isometry))
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
-        """Expand block coordinates into the plain sector: S @ vec."""
-        return self.isometry @ vec
+        """Expand block coordinates into the plain sector: S @ vec.
+
+        Every row of S holds one entry at most, so each output entry is
+        0.0 plus one product, exactly as the sparse product forms it.
+        """
+        vec = np.asarray(vec)
+        if len(vec) != self.dim:
+            raise ValueError(f"block {self.label!r} has {self.dim} columns, "
+                             f"the vector {len(vec)} entries")
+        # one value per row of vec, broadcast over any further axes
+        values = self.values.reshape((-1,) + (1,) * (vec.ndim - 1))
+        out = np.zeros((self.shape[0],) + vec.shape[1:],
+                       dtype=np.result_type(values, vec))
+        out[self.rows] += values * vec[self.cols]
+        return out
 
 
 @dataclass(frozen=True)
@@ -320,8 +349,6 @@ def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
     entry, of equal magnitude over an orbit, so S @ V reproduces V up to an
     exact +-1 on each orbit.
     """
-    from scipy import sparse
-
     n = sector.dim
     # images[g, i]: state i under the group element g, bit j of g applying maps[j]
     images = np.arange(n, dtype=np.int64)[None, :]
@@ -351,8 +378,7 @@ def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
         g, col = np.divmod(first, len(keep))
         vals = sign[g] * magnitude[keep[col]]
         label = " ".join(m.names[c] for m, c in zip(maps, chi))
-        blocks.append(SymmetryBlock(label, sparse.csr_array(
-            (vals, (rows, col)), shape=(n, len(keep)))))
+        blocks.append(SymmetryBlock(label, rows, col, vals, (n, len(keep))))
     return blocks
 
 

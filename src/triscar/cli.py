@@ -29,7 +29,7 @@ from .eigensolve import (IterationError, assemble_bands, band_id_per_state,
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
-                            operator_bytes, operator_size)
+                            count_bytes, operator_bytes, operator_size)
 from .manifest import RunManifest, read_manifest
 from .params import ModelParams, Scaling
 from .scars import compare_with_spectrum, predicted_gap, scar_intensity, \
@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
+
+#: seconds into a sector solve after which each finished block is reported
+#: on stderr
+PROGRESS_AFTER_S = 2.0
 
 
 def _fmt(x) -> str:
@@ -112,6 +116,13 @@ def _saddle_analysis(params: ModelParams):
     return ana
 
 
+def _load_scipy() -> None:
+    """Load the scipy modules a solve uses before its timed steps start, so
+    their import (which no other command pays) is counted in none of them."""
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
 def _route(method: str, dims, command: str) -> str:
     """The solver route, dense or iterative, for a [command] method setting.
 
@@ -132,49 +143,58 @@ def _route(method: str, dims, command: str) -> str:
 def _solve_sector(plain_op, blocks, group, s: dict, command: str, man) -> dict:
     """Solve a sector block by block and merge the blocks of each group.
 
-    blocks are the (label, S) pairs of symmetry_blocks(plain_op.sector);
+    blocks are the SymmetryBlocks of symmetry_blocks(plain_op.sector);
     group(label) names the group a block merges into ("" for all of them
     in 1D, the exchange half in 3D).  The route follows the [command]
     method and the dense output budget over all blocks.  Each block S^T H S
     is assembled (its time added to timings["blocks"]) and solved when its
     group asks for it, fully by solve_dense or for its lowest k by
-    solve_iterative.  merge_blocks copies its vectors into the group's flat
+    solve_iterative; the dense route also times eigh, canonicalize and the
+    residuals.  merge_blocks copies its vectors into the group's flat
     array in block coordinates (all of a block's on the dense route, its
     lowest k on the iterative one, which keeps the group's lowest k pairs).
-    Returns {group: (Spectrum, labels, offsets)}.
+    Once the solve has run PROGRESS_AFTER_S, each finished block is
+    reported on stderr.  Returns {group: (Spectrum, labels, offsets)}.
     """
-    dense = _route(s["method"], [iso.shape[1] for _, iso in blocks], command) == "dense"
+    dense = _route(s["method"], [block.dim for block in blocks], command) == "dense"
     groups: dict[str, list] = {}
-    for label, iso in blocks:
-        groups.setdefault(group(label), []).append((label, iso))
-    assembly_s = eigh_s = 0.0
+    for block in blocks:
+        groups.setdefault(group(block.label), []).append(block)
+    assembly_s = 0.0
+    dense_s = {"eigh": 0.0, "canonicalize": 0.0, "residuals": 0.0}
 
     def solve(members):
         """Each block of one group, solved when it is asked for."""
-        nonlocal assembly_s, eigh_s
-        for label, iso in members:
-            op = SymmetrizedOperator3D((label, iso), plain_op)
+        nonlocal assembly_s
+        for block in members:
+            op = SymmetrizedOperator3D(block, plain_op)
             t0 = time.perf_counter()
             op.matrix  # assembled here, so its time is counted
             assembly_s += time.perf_counter() - t0
             if dense:
                 spec = solve_dense(op)
-                eigh_s += spec.meta["eigh_s"]
+                for step in dense_s:
+                    dense_s[step] += spec.meta[f"{step}_s"]
             else:
                 spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
-            yield label, spec
+            elapsed = time.perf_counter() - started
+            if elapsed > PROGRESS_AFTER_S:
+                print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
+                      f"at {elapsed:.1f} s", file=sys.stderr)
+            yield block.label, spec
 
-    t0 = time.perf_counter()
+    started = time.perf_counter()
     solved = {}
     for name, members in groups.items():
         size = sum(m * (m if dense else min(s["k"], m))
-                   for m in (iso.shape[1] for _, iso in members))
+                   for m in (block.dim for block in members))
         key = f"{plain_op.sector.key} {name}".rstrip()
         solved[name] = merge_blocks(key, solve(members), size, None if dense else s["k"])
-    man.add_timing("solve", time.perf_counter() - t0)
+    man.add_timing("solve", time.perf_counter() - started)
     man.add_timing("blocks", man.timings["blocks"] + assembly_s)
     if dense:
-        man.add_timing("eigh", eigh_s)
+        for step, seconds in dense_s.items():
+            man.add_timing(step, seconds)
     return solved
 
 
@@ -207,6 +227,7 @@ def cmd_solve1d(args) -> int:
     out, man = _start(args, "solve1d", {**_params_dict(params),
                                         "solve1d": {k: v for k, v in s.items()}})
 
+    _load_scipy()
     t0 = time.perf_counter()
     sector = enumerate_basis_1d(params, s["total_momentum"])
     if not sector.dim:
@@ -296,15 +317,22 @@ def cmd_solve3d(args) -> int:
     out, man = _start(args, "solve3d", {**_params_dict(params),
                                         "solve3d": {k: v for k, v in s.items()}})
 
+    _load_scipy()
     t0 = time.perf_counter()
+    budget = f"over the operator budget of {OPERATOR_BUDGET_BYTES / 2 ** 20:.0f} MB"
+    counting = count_bytes(params.cutoff_sq)
+    if counting > OPERATOR_BUDGET_BYTES and not args.allow_large:
+        raise ResourceLimitError(
+            f"cutoff_sq={params.cutoff_sq} needs {counting / 2 ** 20:.0f} MB "
+            f"just to count its states, {budget}; rerun with --allow-large "
+            f"to proceed")
     dim, nnz = operator_size(total, params.cutoff_sq)
     need = operator_bytes(dim, nnz)
     if need > OPERATOR_BUDGET_BYTES and not args.allow_large:
         raise ResourceLimitError(
             f"cutoff_sq={params.cutoff_sq} gives {dim} states and {nnz} "
             f"operator nonzeros, whose labels and assembly need "
-            f"{need / 2 ** 20:.0f} MB, over the operator budget of "
-            f"{OPERATOR_BUDGET_BYTES / 2 ** 20:.0f} MB; rerun with --allow-large "
+            f"{need / 2 ** 20:.0f} MB, {budget}; rerun with --allow-large "
             f"to proceed")
     sector = sector_3d(params, total)
     t1 = time.perf_counter()
@@ -365,7 +393,7 @@ def cmd_solve3d(args) -> int:
         "antisymmetric_dimension": dims["anti"],
         "nonzeros_per_row": plain_op.nonzeros_per_row(),
         "operator_mb": need / 2 ** 20,
-        "block_dimensions": {label: iso.shape[1] for label, iso in blocks},
+        "block_dimensions": {block.label: block.dim for block in blocks},
         "eigh_calls": len(blocks) if method == "dense" else 0,
         "method": method,
         "ground_energy_symmetric": e_sym,
@@ -448,7 +476,7 @@ def _load_archive(path: str):
         sector = Sector1D(total[0], data["n1"], data["n2"], data["p"])
     else:
         sector = Sector3D(tuple(total), data["n1"], data["n2"], data["p"])
-    blocks = dict(symmetry_blocks(sector))
+    blocks = {block.label: block for block in symmetry_blocks(sector)}
     unknown = set(map(str, data["block"])) - set(blocks)
     if unknown:
         raise ConfigError(f"{path} names blocks {sorted(unknown)} that "
@@ -458,9 +486,9 @@ def _load_archive(path: str):
 
 def _embedded(data: dict, blocks: dict, i: int) -> np.ndarray:
     """Archived state i as a plain-sector vector: S v for its block's S."""
-    s = blocks[str(data["block"][i])]
+    block = blocks[str(data["block"][i])]
     start = data["offset"][i]
-    return s @ data["eigenvectors"][start:start + s.shape[1]]
+    return block.embed(data["eigenvectors"][start:start + block.dim])
 
 
 def _analyze_1d(args, cfg, s, out, man) -> None:
@@ -479,10 +507,10 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
     scatter = np.zeros((len(p_vals), sector.dim))
     scatter[np.searchsorted(p_vals, sector.p), np.arange(sector.dim)] = 1.0
     overlaps = np.empty(len(evals))
-    for label, iso in blocks.items():
+    for label, block in blocks.items():
         members = np.nonzero(data["block"] == label)[0]
-        columns = data["offset"][members] + np.arange(iso.shape[1])[:, None]
-        amp = (scatter @ iso) @ data["eigenvectors"][columns]
+        columns = data["offset"][members] + np.arange(block.dim)[:, None]
+        amp = (scatter @ block.isometry) @ data["eigenvectors"][columns]
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
 
     path = os.path.join(out, "overlaps.csv")

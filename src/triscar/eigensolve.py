@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .basis import ResourceLimitError
 
@@ -153,7 +152,12 @@ def dense_budget_error(dims) -> ResourceLimitError | None:
 
 
 def solve_dense(op) -> Spectrum:
-    """Full spectrum via LAPACK.  Refuses sectors over the dense output budget."""
+    """Full spectrum via LAPACK.  Refuses sectors over the dense output budget.
+
+    meta records the seconds spent in eigh, canonicalize and the residuals.
+    """
+    import scipy.linalg
+
     n = op.dim
     error = dense_budget_error([n])
     if error is not None:
@@ -164,9 +168,12 @@ def solve_dense(op) -> Spectrum:
     evals, vecs = scipy.linalg.eigh(h)
     t1 = time.perf_counter()
     evals, vecs = canonicalize(evals, vecs)
+    t2 = time.perf_counter()
     resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    t3 = time.perf_counter()
     return Spectrum(_key(op), evals, vecs, resid, "dense",
-                    meta={"dim": n, "hermiticity_defect": asym, "eigh_s": t1 - t0})
+                    meta={"dim": n, "hermiticity_defect": asym, "eigh_s": t1 - t0,
+                          "canonicalize_s": t2 - t1, "residuals_s": t3 - t2})
 
 
 def _key(op) -> str:
@@ -238,6 +245,8 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
     h = op.matrix
     failure = None
     if n_pairs >= n - 1:
+        import scipy.linalg
+
         evals, vecs = scipy.linalg.eigh(h.toarray(), subset_by_index=(0, n_pairs - 1))
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh

@@ -210,6 +210,31 @@ def test_embed_project_roundtrip(sector3d_c2, rng):
     np.testing.assert_allclose(sym.isometry.T @ sym.embed(v), v, atol=1e-14)
 
 
+@pytest.mark.parametrize("cutoff_sq, total", [(2, (0, 0, 0)), (2, (1, -1, 0))])
+def test_embed_is_the_sparse_product_bit_for_bit(params, rng, cutoff_sq, total):
+    """embed forms S @ v with numpy alone, bit for bit, signed zeros
+    included, for one vector and for a stack of columns; the isometry is
+    built only when asked for, and a block unpacks as (label, isometry)."""
+    sector = ts.sector_3d(params, total, cutoff_sq=cutoff_sq)
+    for block in ts.symmetry_blocks(sector):
+        assert "isometry" not in vars(block)
+        vec = rng.standard_normal(block.dim)
+        vec[::3] = -0.0
+        stack = rng.standard_normal((block.dim, 4))
+        stack[1::2] = -0.0
+        got_vec, got_stack = block.embed(vec), block.embed(stack)
+        label, iso = block
+        assert label == block.label and iso is block.isometry
+        assert iso.shape == block.shape == (sector.dim, block.dim)
+        for got, want in ((got_vec, iso @ vec), (got_stack, iso @ stack)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            block.embed(vec[1:])
+    blocks = ts.symmetry_blocks(sector)
+    assert list(dict(blocks)) == [block.label for block in blocks]
+
+
 def test_two_state_exchange_pair():
     p = ts.ModelParams(cutoff_sq=1)
     sec = ts.sector_3d(p, (1, 0, 0), cutoff_sq=1)
@@ -334,7 +359,7 @@ def test_point_group_blocks_are_orthogonal(params, cutoff_sq, total):
     blocks = ts.symmetry_blocks(sector)
     flips = [f"+{axis}" for axis, component in zip("xyz", total) if component == 0]
     assert len(blocks) == 2 ** (1 + len(flips))
-    assert blocks[0][0] == " ".join(["sym", *flips])
+    assert blocks[0].label == " ".join(["sym", *flips])
     q = np.hstack([s.toarray() for _, s in blocks])
     np.testing.assert_allclose(q.T @ q, np.eye(sector.dim), rtol=0.0, atol=1e-15)
     xmap, _ = sector.locate(sector.n2, sector.n1)

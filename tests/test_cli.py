@@ -235,17 +235,38 @@ def test_solve1d_dense_and_iterative_routes_agree(solve1d_run, tmp_path, seed):
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 def test_solve_manifests_record_the_same_timings(tmp_path, command, method):
     """Both solve commands run one block pipeline and time the same steps;
-    eigh only on the dense route."""
+    eigh, canonicalize and residuals only on the dense route, where the
+    three fit inside the solve."""
     cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
                                  f"[{command}]\nmethod = {method}\n")
     out = str(tmp_path / "run")
     assert main([command, "--config", cfg, "--out", out]) == 0
     timings = read_manifest(out)["timings"]
     keys = {"build", "assemble", "blocks", "solve", "write"}
-    assert set(timings) == (keys | {"eigh"} if method == "dense" else keys)
+    dense_keys = {"eigh", "canonicalize", "residuals"}
+    assert set(timings) == (keys | dense_keys if method == "dense" else keys)
     assert timings["assemble"] <= timings["build"]
-    assert timings.get("eigh", 0.0) <= timings["solve"]
+    assert sum(timings.get(key, 0.0) for key in dense_keys) <= timings["solve"]
     assert all(v > 0.0 for v in timings.values())
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve3d"])
+def test_long_solves_report_each_block_on_stderr(tmp_path, capsys, monkeypatch,
+                                                 command):
+    """Past PROGRESS_AFTER_S a solve prints one stderr line per finished
+    block; the small default runs stay silent."""
+    cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "PROGRESS_AFTER_S", 0.0)
+    out = str(tmp_path / "loud")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    dims = read_manifest(out)["statistics"]["block_dimensions"]
+    assert len(lines) == len(dims)
+    for line, (label, dim) in zip(sorted(lines), sorted(dims.items())):
+        assert line.startswith(f"{command}: block {label!r} (dim {dim}) solved at ")
+        assert line.endswith(" s")
 
 
 def test_solve1d_config_error_exit(tmp_path, capsys):
@@ -318,6 +339,25 @@ def test_solve3d_gate_builds_nothing(tmp_path, capsys, monkeypatch):
     assert "8145031 states and 51288334123 operator nonzeros" in err
     assert "over the operator budget of 1024 MB" in err
     assert read_manifest(out)["status"] == "refused"
+
+
+def test_solve3d_refuses_before_the_counting_grid(tmp_path, capsys, monkeypatch):
+    """At cutoff_sq 10^4 counting the states alone would take a 1.7 GB FFT
+    grid, over the operator budget: the refusal comes before any transform
+    runs, unless --allow-large asks for it."""
+    def never(*args, **kwargs):
+        raise AssertionError("the counting grid was transformed")
+
+    monkeypatch.setattr(np.fft, "rfftn", never)
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 10000\n")
+    out = str(tmp_path / "huge")
+    assert main(["solve3d", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "cutoff_sq=10000 needs 1722 MB just to count its states" in err
+    assert "over the operator budget of 1024 MB; rerun with --allow-large" in err
+    assert read_manifest(out)["status"] == "refused"
+    with pytest.raises(AssertionError, match="counting grid was transformed"):
+        main(["solve3d", "--config", cfg, "--out", out, "--allow-large"])
 
 
 def test_solve3d_large_refusal_is_fast(tmp_path, capsys):
@@ -448,7 +488,8 @@ def test_solve3d_manifest_records_blocks_and_timings(tmp_path):
     assert sorted(stats["block_dimensions"].values()) == sorted(BLOCKS_3D_C2)
     assert stats["eigh_calls"] == 16
     assert (stats["symmetric_dimension"], stats["antisymmetric_dimension"]) == (88, 87)
-    assert set(man["timings"]) == {"build", "assemble", "solve", "blocks", "eigh", "write"}
+    assert set(man["timings"]) == {"build", "assemble", "solve", "blocks", "eigh",
+                                   "canonicalize", "residuals", "write"}
     assert man["timings"]["assemble"] <= man["timings"]["build"]
     assert man["timings"]["eigh"] <= man["timings"]["solve"]
     assert (man["status"], man["exit_code"], man["message"]) == ("ok", 0, None)
@@ -610,18 +651,43 @@ def test_solve1d_auto_past_the_dense_budget_converges(tmp_path):
                                                        rel=0.0, abs=1e-6)
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    """Commands that assemble no operator (estimate, orbit, report) start
-    without loading scipy.sparse; the solvers import it where they use it."""
+def _scipy_modules_in_fresh_cli(*argv):
+    """The scipy modules a fresh interpreter holds after importing triscar.cli
+    and, given argv, after running that command."""
     code = ("import sys, triscar.cli; "
-            "print([m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
-            "if m in sys.modules])")
+            "code = triscar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy']); "
+            "sys.exit(code)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__)),
          os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the CLI loads no scipy module; the solvers and the sparse
+    isometry import it where they use it."""
+    assert _scipy_modules_in_fresh_cli() == "[]"
+
+
+@pytest.mark.parametrize("command", ["estimate", "report", "orbit", "analyze3d"])
+def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
+    """estimate, report, orbit and 3D analyze finish without loading scipy:
+    a 3D state is embedded from its block's entries with numpy alone."""
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n[orbit]\nsteps = 20\n")
+    run = str(tmp_path / "run3d")
+    assert main(["solve3d", "--config", cfg, "--out", run]) == 0
+    argv = {"estimate": ["estimate", "--config", cfg],
+            "report": ["report", "--from", run],
+            "orbit": ["orbit", "--config", cfg],
+            "analyze3d": ["analyze", "--config", cfg, "--from", run,
+                          "--parity", "anti", "--index", "1"]}[command]
+    out = str(tmp_path / "out")
+    assert _scipy_modules_in_fresh_cli(*argv, "--out", out) == "[]"
+    assert os.path.exists(os.path.join(out, "report.txt" if command == "report"
+                                       else "manifest.json"))
 
 
 def test_failed_run_writes_its_manifest(tmp_path, capsys):

@@ -295,6 +295,39 @@ def test_operator_size_matches_pair_count(cutoff_sq):
         assert operator_size(total, cutoff_sq) == reference_operator_size(total, cutoff_sq)
 
 
+@pytest.mark.parametrize("cutoff_sq", [100, 400])
+def test_count_bytes_bounds_the_counting_peak(cutoff_sq):
+    """count_bytes, which gates solve3d before operator_size runs, covers
+    the traced peak of operator_size."""
+    import tracemalloc
+
+    from triscar.hamiltonian3d import count_bytes, operator_size
+
+    tracemalloc.start()
+    try:
+        operator_size((0, 0, 0), cutoff_sq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * count_bytes(cutoff_sq) <= peak <= count_bytes(cutoff_sq)
+
+
+def test_operator_size_counts_in_exact_integers(monkeypatch):
+    """Spectator groups whose sum of s(s - 1) overflows int64 still count
+    exactly: operator_size sums in Python integers."""
+    from triscar import hamiltonian3d
+
+    big = 2 ** 32
+    monkeypatch.setattr(hamiltonian3d, "enumerate_vectors",
+                        lambda cutoff_sq: np.zeros((3, 3), dtype=np.int64))
+    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kwargs: np.full((1, 1, 1), big))
+    monkeypatch.setattr(np.fft, "rfftn", lambda *args, **kwargs: np.zeros((1, 1, 1)))
+    dim, nnz = hamiltonian3d.operator_size((0, 0, 0), 0)
+    assert dim == 3 * big
+    assert nnz == 3 * big + 3 * 3 * big * (big - 1)
+    assert nnz > np.iinfo(np.int64).max
+
+
 @pytest.mark.parametrize("cutoff_sq, total", [(2, (0, 0, 0)), (5, (0, 0, 0)),
                                              (2, (1, 0, 0))])
 def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
