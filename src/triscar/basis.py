@@ -130,10 +130,11 @@ class Sector3D(_PairLabels):
 class SymmetryBlock:
     """One joint eigenspace of a sector's symmetry maps.
 
-    Held as the entries S[rows[j], cols[j]] = values[j] of a sparse
-    isometry S of `shape` (sector dim x block dim), S^T S = identity, whose
-    columns span the block; each row of S holds at most one entry.  `label`
-    names the block's sign under each map, e.g. "sym" or "anti +x -y +z".
+    Held as the entries S[rows[j], cols[j]] = values[j], rows ascending, of
+    a sparse isometry S of `shape` (sector dim x block dim), S^T S =
+    identity, whose columns span the block; each row of S holds at most one
+    entry, and each column the states of one orbit.  `label` names the
+    block's sign under each map, e.g. "sym" or "anti +x -y +z".
     A block unpacks as (label, isometry); `embed` needs numpy alone, and
     the scipy `isometry` is built on first use.
     """
@@ -380,6 +381,23 @@ def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
         label = " ".join(m.names[c] for m, c in zip(maps, chi))
         blocks.append(SymmetryBlock(label, rows, col, vals, (n, len(keep))))
     return blocks
+
+
+def _pairs_within_groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (rows, cols), rows != cols, of equal labels."""
+    _, inverse, sizes = np.unique(labels, axis=0, return_inverse=True,
+                                  return_counts=True)
+    # rows sorted by label (stable), so each group is one run
+    order = np.argsort(inverse.ravel(), kind="stable")
+    # each sorted row meets every member of its group: repeat the row s times
+    # and walk the group from its first sorted position
+    per_row = np.repeat(sizes, sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offset = np.arange(per_row.sum()) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    rows = np.repeat(order, per_row)
+    cols = order[np.repeat(start, per_row) + offset]
+    keep = rows != cols
+    return rows[keep], cols[keep]
 
 
 def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:

@@ -502,7 +502,11 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
     chosen = _parse_selector(select, evals, bids)
 
     # heavy overlap for every state: group coefficient mass by light
-    # momentum, block by block, so no full set of plain vectors is formed
+    # momentum, block by block, so no full set of plain vectors is formed;
+    # the isometries need scipy.sparse, whose import no step's timing counts
+    import scipy.sparse  # noqa: F401
+
+    t0 = time.perf_counter()
     p_vals = np.unique(sector.p)
     scatter = np.zeros((len(p_vals), sector.dim))
     scatter[np.searchsorted(p_vals, sector.p), np.arange(sector.dim)] = 1.0
@@ -512,6 +516,7 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
         columns = data["offset"][members] + np.arange(block.dim)[:, None]
         amp = (scatter @ block.isometry) @ data["eigenvectors"][columns]
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
+    man.add_timing("overlaps", time.perf_counter() - t0)
 
     path = os.path.join(out, "overlaps.csv")
     _write_csv(path, ["index", "eigenvalue", "band", "heavy_overlap"],
@@ -520,9 +525,12 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
     man.add_artifact(path)
 
     strip = s["strip_fraction"] * L
+    grids_s = 0.0
     for i in chosen:
+        t0 = time.perf_counter()
         grid = position_wavefunction_1d(_embedded(data, blocks, i), sector, params,
                                         n_r=s["n_r"], n_eta=s["n_eta"])
+        grids_s += time.perf_counter() - t0
         dens = grid.density()
         path = os.path.join(out, f"grid_state{i:04d}.csv")
         _write_csv(path, [_fmt(eta) for eta in grid.eta_axis],
@@ -541,6 +549,7 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
             "eta_axis": [float(v) for v in grid.eta_axis],
         })
         man.add_artifact(path)
+    man.add_timing("grids", grids_s)
 
     if args.weights:
         coeffs = _read_weights(args.weights, len(evals))
@@ -558,7 +567,9 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
         if t_max <= 0:
             t_max = 3.0 * 2.0 * np.pi / omega
         times = np.linspace(0.0, t_max, s["n_times"])
+        t0 = time.perf_counter()
         series = autocorrelation(coeffs, evals, times, broad)
+        man.add_timing("autocorrelation", time.perf_counter() - t0)
         path = os.path.join(out, "autocorr.csv")
         _write_csv(path, ["t", "re", "im", "abs"],
                    ([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]

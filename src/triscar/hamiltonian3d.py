@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisState3D, Sector3D, assemble_csr, enumerate_vectors
+from .basis import (BasisState3D, Sector3D, SymmetryBlock, _pairs_within_groups,
+                    assemble_csr, enumerate_vectors)
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -136,23 +137,6 @@ def dense_from_elements(sector: Sector3D, rule: MatrixElementRule3D) -> np.ndarr
 _PAIR_TYPES = (("p", "n1", +1.0),     # heavy-heavy repulsion
                ("n2", "n1", -1.0),    # heavy 1 - light attraction
                ("n1", "n2", -1.0))    # heavy 2 - light attraction
-
-
-def _pairs_within_groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (rows, cols), rows != cols, of equal labels."""
-    _, inverse, sizes = np.unique(labels, axis=0, return_inverse=True,
-                                  return_counts=True)
-    # rows sorted by label (stable), so each group is one run
-    order = np.argsort(inverse.ravel(), kind="stable")
-    # each sorted row meets every member of its group: repeat the row s times
-    # and walk the group from its first sorted position
-    per_row = np.repeat(sizes, sizes)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    offset = np.arange(per_row.sum()) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    rows = np.repeat(order, per_row)
-    cols = order[np.repeat(start, per_row) + offset]
-    keep = rows != cols
-    return rows[keep], cols[keep]
 
 
 def operator_size(total_momentum, cutoff_sq: int) -> tuple[int, int]:
@@ -274,29 +258,28 @@ class HamiltonianOperator3D:
 class SymmetrizedOperator3D:
     """Symmetry block S^T H S of a plain-sector operator.
 
-    `block` is a (label, S) basis.SymmetryBlock, of symmetry_blocks or
+    `block` is a basis.SymmetryBlock, of symmetry_blocks or
     symmetrize_sector.  `plain_op` needs only `.matrix`, `.dim` and
     `.sector`, so a block of a 1D HamiltonianOperator1D works the same way.
     """
 
-    def __init__(self, block, plain_op):
-        label, self.isometry = block
-        if self.isometry.shape[0] != plain_op.dim:
-            raise ValueError(f"block {label!r} has {self.isometry.shape[0]} "
+    def __init__(self, block: SymmetryBlock, plain_op):
+        if block.shape[0] != plain_op.dim:
+            raise ValueError(f"block {block.label!r} has {block.shape[0]} "
                              f"rows, the operator {plain_op.dim}")
-        self.key = f"{plain_op.sector.key} {label}"
+        self.key = f"{plain_op.sector.key} {block.label}"
+        self.block = block
         self.plain_op = plain_op
         # every column of S holds one orbit with entries of magnitude
-        # 1/sqrt(orbit size), so its nonzero count is the orbit size, and
-        # its first stored row is the orbit's lowest row
-        columns = self.isometry.tocsc()
-        columns.sort_indices()
-        self._orbit_norm = np.sqrt(np.diff(columns.indptr).astype(np.float64))
-        self._lowest = columns.indices[columns.indptr[:-1]]
+        # 1/sqrt(orbit size), so its entry count is the orbit size; rows
+        # ascend, so a column's first entry sits at the orbit's lowest row
+        _, first, size = np.unique(block.cols, return_index=True, return_counts=True)
+        self._orbit_norm = np.sqrt(size.astype(np.float64))
+        self._lowest = block.rows[first]
 
     @property
     def dim(self) -> int:
-        return self.isometry.shape[1]
+        return self.block.dim
 
     @cached_property
     def matrix(self):
@@ -306,7 +289,7 @@ class SymmetrizedOperator3D:
         row i of S^T H S is sqrt(|orbit i|) times the row of H S at the
         orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|).
         """
-        h = (self.plain_op.matrix[self._lowest] @ self.isometry).tocsr()
+        h = (self.plain_op.matrix[self._lowest] @ self.block.isometry).tocsr()
         h.data *= np.repeat(self._orbit_norm, np.diff(h.indptr))
         return 0.5 * (h + h.T)
 

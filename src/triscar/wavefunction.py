@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import _pairs_within_groups
+
 TWO_PI = 2.0 * np.pi
 
 #: bytes of one int64 row block of the N x N state-pair space; the 3D
-#: observables walk the pairs in row chunks of this size (about 90 rows at
-#: N = 1459), so their memory grows as N rather than N^2
+#: radial density walks the pairs in row chunks of this size (about 90 rows
+#: at N = 1459), so its memory grows as N rather than N^2
 PAIR_CHUNK_BYTES = 2 ** 20
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -268,16 +270,12 @@ def _j0(x: np.ndarray) -> np.ndarray:
 
 def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
                               n_eta: int = 48, r_max: float | None = None,
-                              eta_max: float | None = None,
-                              method: str = "analytic",
-                              n_angle: int = 16) -> RadialDensity:
+                              eta_max: float | None = None) -> RadialDensity:
     """Angular-integrated two-radius density of a 3D eigenvector.
 
-    The analytic route reduces each angular average to a spherical Bessel
-    factor, P = (4 pi)^2 / L^6 * sum_ab Re(c_a c_b*) j0(|dk| r) j0(|dq| eta);
-    the quadrature route averages |Psi|^2 over product angular grids and is
-    kept as an independent cross-check.  Radial domains default to the
-    volume-matching sphere radius rho L / 2.
+    Each angular average reduces to a spherical Bessel factor,
+    P = (4 pi)^2 / L^6 * sum_ab Re(c_a c_b*) j0(|dk| r) j0(|dq| eta).
+    Radial domains default to the volume-matching sphere radius rho L / 2.
     """
     if len(coefficients) != sector.dim:
         raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
@@ -292,91 +290,45 @@ def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
     r_axis = np.linspace(0.0, r_max, n_r)
     eta_axis = np.linspace(0.0, eta_max, n_eta)
 
-    if method == "analytic":
-        dm2, dp2, acc = _pair_signature_weights(coefficients, sector)
-        kr = np.pi * np.sqrt(dm2.astype(np.float64)) / L
-        qe = TWO_PI * np.sqrt(dp2.astype(np.float64)) / L
-        jr = _j0(np.outer(r_axis, kr))            # (n_r, U)
-        je = _j0(np.outer(eta_axis, qe))          # (n_eta, U)
-        values = (4.0 * np.pi) ** 2 / L ** 6 * (jr * acc) @ je.T
-    elif method == "quadrature":
-        values = _integrated_probability_quadrature(
-            coefficients, sector, L, r_axis, eta_axis, n_angle)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    dm2, dp2, acc = _pair_signature_weights(coefficients, sector)
+    kr = np.pi * np.sqrt(dm2.astype(np.float64)) / L
+    qe = TWO_PI * np.sqrt(dp2.astype(np.float64)) / L
+    jr = _j0(np.outer(r_axis, kr))            # (n_r, U)
+    je = _j0(np.outer(eta_axis, qe))          # (n_eta, U)
+    values = (4.0 * np.pi) ** 2 / L ** 6 * (jr * acc) @ je.T
     return RadialDensity(r_axis, eta_axis, values,
                          _trapezoid_weights(r_axis), _trapezoid_weights(eta_axis),
-                         L, meta={"method": method, "r_max": r_max,
-                                  "eta_max": eta_max})
-
-
-def _sphere_points(n_angle: int):
-    """Product angular rule: Gauss-Legendre in cos(theta), uniform in phi."""
-    x, w = np.polynomial.legendre.leggauss(n_angle)
-    phi = TWO_PI * np.arange(2 * n_angle) / (2 * n_angle)
-    ct = x[:, None] + 0.0 * phi[None, :]
-    st = np.sqrt(1.0 - x[:, None] ** 2) + 0.0 * phi[None, :]
-    pts = np.stack([st * np.cos(phi[None, :]), st * np.sin(phi[None, :]), ct],
-                   axis=-1).reshape(-1, 3)
-    wts = (w[:, None] * (TWO_PI / (2 * n_angle)) * np.ones_like(phi)[None, :]).ravel()
-    return pts, wts
-
-
-def _integrated_probability_quadrature(coefficients, sector, L, r_axis,
-                                       eta_axis, n_angle):
-    c = np.asarray(coefficients, dtype=np.complex128)
-    k = np.pi * (sector.n1 - sector.n2) / L      # (N, 3)
-    q = TWO_PI * sector.p / L
-    pts, wts = _sphere_points(n_angle)
-    values = np.empty((len(r_axis), len(eta_axis)))
-    for i, r in enumerate(r_axis):
-        er = np.exp(1j * (r * pts) @ k.T)        # (P, N)
-        for j, eta in enumerate(eta_axis):
-            ee = np.exp(1j * (eta * pts) @ q.T)
-            amp = (er * c) @ ee.T                # (P_r, P_eta)
-            values[i, j] = float(wts @ (np.abs(amp) ** 2) @ wts)
-    return values / L ** 6
+                         L, meta={"r_max": r_max, "eta_max": eta_max})
 
 
 def _pair_projection_grid(coefficients, sector, component_r: int,
                           component_eta: int):
     """Summed c_a conj(c_b) over the state pairs that agree on every axis but
-    r_i and eta_j, binned by (dm_i, dp_j) and cropped to the occupied range.
+    r_i and eta_j, binned by (dm_i, dp_j) over the range the pairs occupy.
 
+    Those pairs are each state with itself and the pairs within groups of
+    equal other coordinates, as H pairs states within spectator groups.
     Returns the complex grid and its dm_i and dp_j axes.
     """
     c = np.asarray(coefficients, dtype=np.complex128)
     m = (sector.n1 - sector.n2).astype(np.int64)
     p = sector.p.astype(np.int64)
     mi, pj = m[:, component_r], p[:, component_eta]
-    others = ([m[:, ax] for ax in range(3) if ax != component_r]
-              + [p[:, ax] for ax in range(3) if ax != component_eta])
-    # every (dm_i, dp_j) lies in [-sm, sm] x [-sp, sp]
-    sm, sp = int(np.ptp(mi)), int(np.ptp(pj))
-    shape = (2 * sm + 1, 2 * sp + 1)
+    others = np.column_stack([m[:, ax] for ax in range(3) if ax != component_r]
+                             + [p[:, ax] for ax in range(3) if ax != component_eta])
+    a, b = _pairs_within_groups(others)
+    diag = np.arange(len(c))
+    a, b = np.concatenate([diag, a]), np.concatenate([diag, b])
+    wab = c[a] * c.conj()[b]
+    dm, dp = mi[a] - mi[b], pj[a] - pj[b]
+    m_lo, p_lo = dm.min(), dp.min()
+    shape = (dm.max() - m_lo + 1, dp.max() - p_lo + 1)
+    key = (dm - m_lo) * shape[1] + (dp - p_lo)
     nbins = shape[0] * shape[1]
-    re = np.zeros(nbins)
-    im = np.zeros(nbins)
-    count = np.zeros(nbins, dtype=np.int64)
-    for lo, hi in _row_chunks(len(c)):
-        keep = np.ones((hi - lo, len(c)), dtype=bool)
-        for x in others:
-            keep &= x[lo:hi, None] == x[None, :]
-        a, b = np.nonzero(keep)
-        a += lo
-        key = (mi[a] - mi[b] + sm) * shape[1] + (pj[a] - pj[b] + sp)
-        wab = c[a] * np.conj(c[b])
-        re += np.bincount(key, wab.real, minlength=nbins)
-        im += np.bincount(key, wab.imag, minlength=nbins)
-        count += np.bincount(key, minlength=nbins)
-
-    occupied = count.reshape(shape) > 0
-    rows = np.flatnonzero(occupied.any(axis=1))
-    cols = np.flatnonzero(occupied.any(axis=0))
-    rsel = slice(rows[0], rows[-1] + 1)
-    csel = slice(cols[0], cols[-1] + 1)
-    grid = (re + 1j * im).reshape(shape)[rsel, csel]
-    return grid, np.arange(-sm, sm + 1)[rsel], np.arange(-sp, sp + 1)[csel]
+    grid = (np.bincount(key, wab.real, minlength=nbins)
+            + 1j * np.bincount(key, wab.imag, minlength=nbins))
+    return (grid.reshape(shape), np.arange(m_lo, m_lo + shape[0]),
+            np.arange(p_lo, p_lo + shape[1]))
 
 
 def pair_projection_3d(coefficients, sector, params, component_r: int,

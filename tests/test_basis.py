@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
-from triscar.basis import estimate_basis_bytes
+from triscar.basis import _pairs_within_groups, estimate_basis_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +378,28 @@ def test_point_group_needs_zero_momentum_along_the_axis():
     names = [m.names for m in ts.point_group(ts.enumerate_basis_1d(p, 0))]
     assert names == [("sym", "anti"), ("even", "odd")]
     assert len(ts.point_group(ts.enumerate_basis_1d(p, 3))) == 1
+
+
+# ---------------------------------------------------------------------------
+# pairing within label groups
+
+
+def _labels(columns, high, rows, seed):
+    return np.random.default_rng(seed).integers(0, high, size=(rows, columns))
+
+
+@pytest.mark.parametrize("labels", [
+    pytest.param(_labels(1, 5, 40, seed=0), id="1-column"),
+    pytest.param(_labels(3, 3, 60, seed=1), id="3-column"),
+    pytest.param(_labels(4, 2, 50, seed=2), id="4-column"),
+    pytest.param(np.array([[0, 1, 0], [2, 2, 2], [0, 1, 0], [0, 1, 0], [1, 0, 0]]),
+                 id="singleton-groups"),
+    pytest.param(np.array([[7, 7, 7, 7]]), id="one-row"),
+    pytest.param(np.zeros((0, 4), dtype=np.int64), id="zero-rows"),
+])
+def test_pairs_within_groups_match_brute_force(labels):
+    """Every ordered pair (i, j), i != j, of equal label rows, each once."""
+    rows, cols = _pairs_within_groups(labels)
+    want = [(i, j) for i in range(len(labels)) for j in range(len(labels))
+            if i != j and np.array_equal(labels[i], labels[j])]
+    assert sorted(zip(rows.tolist(), cols.tolist())) == want

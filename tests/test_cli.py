@@ -421,6 +421,22 @@ def test_analyze_3d_manifest_records_timings_and_peak_rss(tmp_path, capsys):
     assert f"peak RSS: {man['peak_rss_mb']} MB" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("weights", [False, True], ids=["plain", "weights"])
+def test_analyze_1d_manifest_records_timings(solve1d_run, tmp_path, weights):
+    args = ["analyze", "--from", solve1d_run, "--select", "ground,index:3"]
+    keys = {"overlaps", "grids"}
+    if weights:
+        path = tmp_path / "w.csv"
+        path.write_text("index,coefficient\n0,0.8\n26,0.6\n")
+        args += ["--weights", str(path)]
+        keys.add("autocorrelation")
+    out = str(tmp_path / "an")
+    assert main(args + ["--out", out]) == 0
+    man = read_manifest(out)
+    assert set(man["timings"]) == keys
+    assert all(t > 0.0 for t in man["timings"].values())
+
+
 def test_analyze_refuses_components_key(tmp_path, capsys):
     """3D projections are fixed to the (0, 0) and (0, 1) pairs; the former
     `components` key had no reader and is now an unknown key."""

@@ -160,9 +160,9 @@ def _assert_same_spectrum(got, expected):
 def _solve_by_blocks(op, blocks):
     """Every block S^T H S solved densely and merged in block coordinates,
     as the dense CLI route does."""
-    parts = ((label, ts.solve_dense(ts.SymmetrizedOperator3D((label, s), op)))
-             for label, s in blocks)
-    return ts.merge_blocks(op.sector.key, parts, sum(s.shape[1] ** 2 for _, s in blocks))
+    parts = ((block.label, ts.solve_dense(ts.SymmetrizedOperator3D(block, op)))
+             for block in blocks)
+    return ts.merge_blocks(op.sector.key, parts, sum(block.dim ** 2 for block in blocks))
 
 
 @pytest.mark.parametrize("heavy_cutoff", [5, 13])
@@ -263,8 +263,8 @@ def test_iterative_cluster_straddling_k_matches_dense():
     p = ts.ModelParams(cutoff_sq=2)
     sec = ts.sector_3d(p, (0, 0, 0))
     plain = ts.HamiltonianOperator3D(sec, ts.MatrixElementRule3D(p), cutoff_sq=2)
-    label = "sym +x +y +z"
-    op = ts.SymmetrizedOperator3D((label, dict(ts.symmetry_blocks(sec))[label]), plain)
+    block = next(b for b in ts.symmetry_blocks(sec) if b.label == "sym +x +y +z")
+    op = ts.SymmetrizedOperator3D(block, plain)
     dense = ts.solve_dense(op)
     e = dense.eigenvalues
     assert e[2] - e[1] < 1e-12 < e[1] - e[0]

@@ -347,12 +347,24 @@ def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
                                      1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-def test_block_assembly_equals_sparse_product(params, sector3d_c2):
+@pytest.mark.parametrize("model, total", [
+    pytest.param("3d", (0, 0, 0), id="3d-P0"),
+    pytest.param("1d", 0, id="1d-P0"),
+    pytest.param("1d", 1, id="1d-P1"),
+])
+def test_block_assembly_equals_sparse_product(params, sector3d_c2, model, total):
     """Rows taken at each orbit's lowest state give S^T H S, for the
-    point-group blocks and for the two exchange halves."""
-    plain = ts.HamiltonianOperator3D(sector3d_c2, ts.MatrixElementRule3D(params),
-                                     cutoff_sq=2)
-    for block in [*ts.symmetry_blocks(sector3d_c2), *ts.symmetrize_sector(sector3d_c2)]:
+    point-group blocks and for the two exchange halves, of the 3D operator
+    at cutoff_sq 2 and the 1D operator at heavy_cutoff 5."""
+    if model == "3d":
+        plain = ts.HamiltonianOperator3D(sector3d_c2, ts.MatrixElementRule3D(params),
+                                         cutoff_sq=2)
+    else:
+        p = ts.ModelParams(heavy_cutoff=5)
+        plain = ts.HamiltonianOperator1D(ts.enumerate_basis_1d(p, total),
+                                         ts.MatrixElementRule1D(p))
+    sector = plain.sector
+    for block in [*ts.symmetry_blocks(sector), *ts.symmetrize_sector(sector)]:
         s = block.isometry
         want = (s.T @ (plain.matrix @ s)).toarray()
         got = ts.SymmetrizedOperator3D(block, plain).dense()
