@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 if TYPE_CHECKING:
-    # imported where used, so commands that build no sparse matrix (estimate,
-    # orbit, report and 3D analyze) start without loading scipy at all
+    # imported where a CSR is built, so commands that build none (a dense
+    # solve, estimate, orbit, report and analyze) never load scipy
     from scipy import sparse
 
 
@@ -151,9 +151,15 @@ class SymmetryBlock:
 
     @cached_property
     def isometry(self) -> sparse.csr_array:
-        from scipy import sparse
+        return csr_from_triplets(self.rows, self.cols, self.values, self.shape)
 
-        return sparse.csr_array((self.values, (self.rows, self.cols)), shape=self.shape)
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lowest, size): each column's orbit's lowest row and state count;
+        a column holds one entry per state of its orbit."""
+        lowest = np.full(self.dim, self.shape[0])
+        np.minimum.at(lowest, self.cols, self.rows)
+        return lowest, np.bincount(self.cols, minlength=self.dim)
 
     def __iter__(self):
         return iter((self.label, self.isometry))
@@ -400,20 +406,62 @@ def _pairs_within_groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], cols[keep]
 
 
-def assemble_csr(diagonal: np.ndarray, transfers) -> sparse.csr_array:
-    """CSR matrix with `diagonal` plus `coeff` at every (rows, cols) of `transfers`.
+def assemble_triplets(diagonal: np.ndarray, transfers):
+    """(rows, cols, values) of `diagonal` plus `coeff` at every (rows, cols) of
+    `transfers`.
 
     `transfers` holds (rows, cols, coeff) triples, coeff a scalar or one
     value per position, whose positions must not overlap each other or the
-    diagonal.  Zero diagonal entries stay stored, so nnz counts every
-    structurally nonzero element.
+    diagonal.  Zero diagonal entries stay, so every structurally nonzero
+    element is counted.
     """
-    from scipy import sparse
-
     n = len(diagonal)
     diag = np.arange(n)
     rows = np.concatenate([diag, *(r for r, _, _ in transfers)])
     cols = np.concatenate([diag, *(c for _, c, _ in transfers)])
     vals = np.concatenate([diagonal, *(np.broadcast_to(coeff, r.shape)
                                        for r, _, coeff in transfers)])
-    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    return rows, cols, vals
+
+
+def csr_from_triplets(rows, cols, values, shape) -> sparse.csr_array:
+    """The scipy CSR matrix of (rows, cols, values); scipy is imported here."""
+    from scipy import sparse
+
+    return sparse.csr_array((values, (rows, cols)), shape=shape)
+
+
+class SectorOperator:
+    """An operator on one plain sector, held as numpy triplets.
+
+    Subclasses set `sector` and `triplets`, the (rows, cols, values) of
+    assemble_triplets, whose positions do not repeat.  `dense()` places
+    them with numpy; `.matrix`, the scipy CSR, is built on first use.
+    """
+
+    sector: Sector1D | Sector3D
+    triplets: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return self.sector.dim
+
+    @cached_property
+    def matrix(self) -> sparse.csr_array:
+        return csr_from_triplets(*self.triplets, (self.dim, self.dim))
+
+    def dense(self) -> np.ndarray:
+        rows, cols, values = self.triplets
+        h = np.zeros((self.dim, self.dim))
+        h[rows, cols] = values
+        return h
+
+    def nonzeros_per_row(self) -> float:
+        return len(self.triplets[0]) / max(self.dim, 1)
+
+    def rows(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triplets in the rows `states`, in stored order."""
+        keep = np.zeros(self.dim, dtype=bool)
+        keep[states] = True
+        at = np.flatnonzero(keep[self.triplets[0]])
+        return tuple(a[at] for a in self.triplets)

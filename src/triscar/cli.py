@@ -117,10 +117,11 @@ def _saddle_analysis(params: ModelParams):
 
 
 def _load_scipy() -> None:
-    """Load the scipy modules a solve uses before its timed steps start, so
-    their import (which no other command pays) is counted in none of them."""
+    """Load the scipy modules an iterative solve uses before its timed steps
+    start, so their import (which no other run pays) is counted in none of
+    them."""
     import scipy.linalg  # noqa: F401
-    import scipy.sparse  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
 
 
 def _route(method: str, dims, command: str) -> str:
@@ -146,36 +147,45 @@ def _solve_sector(plain_op, blocks, group, s: dict, command: str, man) -> dict:
     blocks are the SymmetryBlocks of symmetry_blocks(plain_op.sector);
     group(label) names the group a block merges into ("" for all of them
     in 1D, the exchange half in 3D).  The route follows the [command]
-    method and the dense output budget over all blocks.  Each block S^T H S
-    is assembled (its time added to timings["blocks"]) and solved when its
-    group asks for it, fully by solve_dense or for its lowest k by
-    solve_iterative; the dense route also times eigh, canonicalize and the
-    residuals.  merge_blocks copies its vectors into the group's flat
-    array in block coordinates (all of a block's on the dense route, its
-    lowest k on the iterative one, which keeps the group's lowest k pairs).
+    method and the dense output budget over all blocks; only the iterative
+    route loads scipy.  The rows of H at the blocks' orbit representatives
+    are taken once.  Each block S^T H S is assembled from them (its time,
+    and theirs, added to timings["blocks"]) and solved when its group asks
+    for it, fully by solve_dense or for its lowest k by solve_iterative;
+    the dense route also times eigh, canonicalize and the residuals.
+    merge_blocks copies its vectors into the group's flat array in block
+    coordinates (all of a block's on the dense route, its lowest k on the
+    iterative one, which keeps the group's lowest k pairs).
     Once the solve has run PROGRESS_AFTER_S, each finished block is
     reported on stderr.  Returns {group: (Spectrum, labels, offsets)}.
     """
     dense = _route(s["method"], [block.dim for block in blocks], command) == "dense"
+    if not dense:
+        _load_scipy()
     groups: dict[str, list] = {}
     for block in blocks:
         groups.setdefault(group(block.label), []).append(block)
-    assembly_s = 0.0
     dense_s = {"eigh": 0.0, "canonicalize": 0.0, "residuals": 0.0}
+
+    t0 = time.perf_counter()
+    lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]))
+    triplets = plain_op.rows(lowest)
+    assembly_s = time.perf_counter() - t0
 
     def solve(members):
         """Each block of one group, solved when it is asked for."""
         nonlocal assembly_s
         for block in members:
-            op = SymmetrizedOperator3D(block, plain_op)
-            t0 = time.perf_counter()
-            op.matrix  # assembled here, so its time is counted
-            assembly_s += time.perf_counter() - t0
+            op = SymmetrizedOperator3D(block, plain_op, triplets)
             if dense:
-                spec = solve_dense(op)
+                spec = solve_dense(op)  # assembles op.dense() and times it
+                assembly_s += spec.meta["dense_s"]
                 for step in dense_s:
                     dense_s[step] += spec.meta[f"{step}_s"]
             else:
+                t0 = time.perf_counter()
+                op.matrix  # assembled here, so its time is counted
+                assembly_s += time.perf_counter() - t0
                 spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
             elapsed = time.perf_counter() - started
             if elapsed > PROGRESS_AFTER_S:
@@ -227,7 +237,6 @@ def cmd_solve1d(args) -> int:
     out, man = _start(args, "solve1d", {**_params_dict(params),
                                         "solve1d": {k: v for k, v in s.items()}})
 
-    _load_scipy()
     t0 = time.perf_counter()
     sector = enumerate_basis_1d(params, s["total_momentum"])
     if not sector.dim:
@@ -317,7 +326,6 @@ def cmd_solve3d(args) -> int:
     out, man = _start(args, "solve3d", {**_params_dict(params),
                                         "solve3d": {k: v for k, v in s.items()}})
 
-    _load_scipy()
     t0 = time.perf_counter()
     budget = f"over the operator budget of {OPERATOR_BUDGET_BYTES / 2 ** 20:.0f} MB"
     counting = count_bytes(params.cutoff_sq)
@@ -502,19 +510,17 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
     chosen = _parse_selector(select, evals, bids)
 
     # heavy overlap for every state: group coefficient mass by light
-    # momentum, block by block, so no full set of plain vectors is formed;
-    # the isometries need scipy.sparse, whose import no step's timing counts
-    import scipy.sparse  # noqa: F401
-
+    # momentum, block by block, so no full set of plain vectors is formed
     t0 = time.perf_counter()
-    p_vals = np.unique(sector.p)
-    scatter = np.zeros((len(p_vals), sector.dim))
-    scatter[np.searchsorted(p_vals, sector.p), np.arange(sector.dim)] = 1.0
+    p_vals, light = np.unique(sector.p, return_inverse=True)
     overlaps = np.empty(len(evals))
     for label, block in blocks.items():
         members = np.nonzero(data["block"] == label)[0]
         columns = data["offset"][members] + np.arange(block.dim)[:, None]
-        amp = (scatter @ block.isometry) @ data["eigenvectors"][columns]
+        # the entries of S summed by light momentum, column by column
+        by_light = np.bincount(light[block.rows] * block.dim + block.cols,
+                               weights=block.values, minlength=len(p_vals) * block.dim)
+        amp = by_light.reshape(len(p_vals), block.dim) @ data["eigenvectors"][columns]
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
     man.add_timing("overlaps", time.perf_counter() - t0)
 

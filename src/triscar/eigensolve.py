@@ -1,8 +1,9 @@
 """Eigensolvers and band assembly.
 
-Two routes over an operator's sparse `.matrix`: a dense LAPACK path for
-sectors whose full set of eigenvectors fits one output budget, and
-shift-invert ARPACK (scipy's eigsh) for the lowest few pairs of larger ones.
+Two routes: numpy's LAPACK eigh on an operator's `dense()` for sectors
+whose full set of eigenvectors fits one output budget, and shift-invert
+ARPACK (scipy's eigsh) on its sparse `.matrix` for the lowest few pairs of
+larger ones.  Only the second imports scipy.
 Both report per-pair residual norms ||H v - E v|| so agreement can be
 checked from the outside.  A sector split into symmetry blocks is solved one
 block at a time, and merge_blocks joins the blocks' spectra with their
@@ -18,7 +19,10 @@ import numpy as np
 
 from .basis import ResourceLimitError
 
-#: largest total of eigenvector arrays a dense solve returns (one dim 5792)
+#: largest total of eigenvector arrays a dense solve returns (one dim 5792).
+#: A solve_dense at this edge peaks at about 5.2 times it in RSS: the block,
+#: numpy's working copy, syevd's 2 dim^2 workspace and the eigenvectors
+#: (1320 MB at dim 5778, one BLAS thread; 4.4 times with scipy's syevr)
 DENSE_OUTPUT_BYTES = 2 ** 28
 
 #: relative margin within which canonicalize treats magnitudes as tied
@@ -152,28 +156,32 @@ def dense_budget_error(dims) -> ResourceLimitError | None:
 
 
 def solve_dense(op) -> Spectrum:
-    """Full spectrum via LAPACK.  Refuses sectors over the dense output budget.
+    """Full spectrum of op.dense() by numpy's LAPACK eigh (divide and conquer,
+    syevd).  Refuses sectors over the dense output budget.
 
-    meta records the seconds spent in eigh, canonicalize and the residuals.
+    meta records the seconds spent in op.dense(), eigh, canonicalize and the
+    residuals.
     """
-    import scipy.linalg
-
     n = op.dim
     error = dense_budget_error([n])
     if error is not None:
         raise error
-    h = op.dense()
     t0 = time.perf_counter()
-    asym = float(np.max(np.abs(h - h.T))) if n else 0.0
-    evals, vecs = scipy.linalg.eigh(h)
+    h = op.dense()
     t1 = time.perf_counter()
-    evals, vecs = canonicalize(evals, vecs)
+    asym = float(np.max(np.abs(h - h.T))) if n else 0.0
+    evals, vecs = np.linalg.eigh(h)
     t2 = time.perf_counter()
-    resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    # numpy returns the vectors in C order; canonicalize and merge_blocks
+    # read them column by column, about twice as fast in Fortran order
+    evals, vecs = canonicalize(evals, np.asfortranarray(vecs))
     t3 = time.perf_counter()
+    resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    t4 = time.perf_counter()
     return Spectrum(_key(op), evals, vecs, resid, "dense",
-                    meta={"dim": n, "hermiticity_defect": asym, "eigh_s": t1 - t0,
-                          "canonicalize_s": t2 - t1, "residuals_s": t3 - t2})
+                    meta={"dim": n, "hermiticity_defect": asym, "dense_s": t1 - t0,
+                          "eigh_s": t2 - t1, "canonicalize_s": t3 - t2,
+                          "residuals_s": t4 - t3})
 
 
 def _key(op) -> str:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import BasisState1D, Sector1D, assemble_csr
+from .basis import BasisState1D, Sector1D, SectorOperator, assemble_triplets
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -94,8 +94,8 @@ _HOPS = (
 )
 
 
-class HamiltonianOperator1D:
-    """H1 on a single momentum sector, held as one CSR matrix.
+class HamiltonianOperator1D(SectorOperator):
+    """H1 on a single momentum sector, held as (rows, cols, values) triplets.
 
     The diagonal plus the six one-unit transfers, so at most seven entries
     per row.
@@ -113,17 +113,10 @@ class HamiltonianOperator1D:
             rows, cols = sector.locate(n1 + da, n2 + db)
             transfers.append((rows, cols, sign * quarter))
         # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
-        self.matrix = assemble_csr(kin - 0.5 * rule.coupling_coeff, transfers)
-
-    @property
-    def dim(self) -> int:
-        return self.sector.dim
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        self.triplets = assemble_triplets(kin - 0.5 * rule.coupling_coeff, transfers)
 
     def nonzero_triplets(self):
         """Yield (row, col, value) for every structurally nonzero element, row by row."""
-        coo = self.matrix.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            yield int(i), int(j), float(v)
+        rows, cols, values = self.triplets
+        for k in np.lexsort((cols, rows)):
+            yield int(rows[k]), int(cols[k]), float(values[k])

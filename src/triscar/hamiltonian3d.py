@@ -17,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (BasisState3D, Sector3D, SymmetryBlock, _pairs_within_groups,
-                    assemble_csr, enumerate_vectors)
+from .basis import (BasisState3D, Sector3D, SectorOperator, SymmetryBlock,
+                    _pairs_within_groups, assemble_triplets, csr_from_triplets,
+                    enumerate_vectors)
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -182,10 +183,11 @@ def count_bytes(cutoff_sq: int) -> int:
     return COUNT_BYTES_PER_POINT * (4 * math.isqrt(cutoff_sq) + 1) ** 3
 
 
-#: peak bytes per nonzero while the operator is assembled: the (row, col,
-#: value) triplets of every pair type (3 x 8), their concatenation (3 x 8),
-#: the int64 CSR (8 + 8) and one pair type's grouping transients; measured
-#: with tracemalloc at 72-83 bytes for cutoff_sq 5 to 13
+#: bytes per nonzero the operator assembly may take at its peak: the (row,
+#: col, value) triplets of every pair type (3 x 8), their concatenation
+#: (3 x 8), which the operator keeps, and one pair type's grouping
+#: transients.  Measured with tracemalloc at 56 bytes for cutoff_sq 5 to 13;
+#: the bound stays at 84, so the sizes solve3d refuses do not move
 BYTES_PER_NONZERO = 84
 
 #: bytes per sector state of its three int64 momentum labels
@@ -202,8 +204,8 @@ def operator_bytes(dim: int, nnz: int) -> int:
     return BYTES_PER_STATE * dim + BYTES_PER_NONZERO * nnz
 
 
-class HamiltonianOperator3D:
-    """3D Hamiltonian on one momentum sector, held as one CSR matrix.
+class HamiltonianOperator3D(SectorOperator):
+    """3D Hamiltonian on one momentum sector, held as (rows, cols, values) triplets.
 
     The kinetic energy fills the diagonal.  Each pair interaction moves a
     transfer q between two particles and leaves the third, the spectator,
@@ -237,61 +239,88 @@ class HamiltonianOperator3D:
             inside = qsq <= 4 * cutoff_sq
             transfers.append((rows[inside], cols[inside], sign * coupling[qsq[inside]]))
         # q = 0 carries no weight (f2(0) = 0), so the diagonal is purely kinetic
-        self.matrix = assemble_csr(rule.kinetic_coeff * kin, transfers)
-
-    @property
-    def dim(self) -> int:
-        return self.sector.dim
+        self.triplets = assemble_triplets(rule.kinetic_coeff * kin, transfers)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != operator dim {self.dim}")
         return self.matrix @ vec
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
-    def nonzeros_per_row(self) -> float:
-        return self.matrix.nnz / max(self.dim, 1)
+#: rows per strip of SymmetrizedOperator3D.dense's in-place symmetrization;
+#: narrow strips keep the transposed reads in cache, about twice as fast as
+#: h + h.T at dim 2000 to 4000, and no second dim x dim array is needed
+_STRIP = 32
 
 
 class SymmetrizedOperator3D:
     """Symmetry block S^T H S of a plain-sector operator.
 
     `block` is a basis.SymmetryBlock, of symmetry_blocks or
-    symmetrize_sector.  `plain_op` needs only `.matrix`, `.dim` and
-    `.sector`, so a block of a 1D HamiltonianOperator1D works the same way.
+    symmetrize_sector.  `plain_op` is a basis.SectorOperator, so a block of
+    a 1D HamiltonianOperator1D works the same way.  `triplets` may hold
+    only part of plain_op's, as long as it keeps every row at the lowest
+    state of one of the block's orbits (plain_op.rows of them).
     """
 
-    def __init__(self, block: SymmetryBlock, plain_op):
+    def __init__(self, block: SymmetryBlock, plain_op, triplets=None):
         if block.shape[0] != plain_op.dim:
             raise ValueError(f"block {block.label!r} has {block.shape[0]} "
                              f"rows, the operator {plain_op.dim}")
         self.key = f"{plain_op.sector.key} {block.label}"
         self.block = block
         self.plain_op = plain_op
-        # every column of S holds one orbit with entries of magnitude
-        # 1/sqrt(orbit size), so its entry count is the orbit size; rows
-        # ascend, so a column's first entry sits at the orbit's lowest row
-        _, first, size = np.unique(block.cols, return_index=True, return_counts=True)
-        self._orbit_norm = np.sqrt(size.astype(np.float64))
-        self._lowest = block.rows[first]
+        self._source = plain_op.triplets if triplets is None else triplets
 
     @property
     def dim(self) -> int:
         return self.block.dim
 
-    @cached_property
-    def matrix(self):
-        """The symmetrized sparse block S^T H S.
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, weights): S^T H S / 2 before symmetrization, one term per
+        source entry, at the flat position key = i * dim + j.
 
         H commutes with the group, so row g a of H S is chi(g) times row a:
         row i of S^T H S is sqrt(|orbit i|) times the row of H S at the
-        orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|).
+        orbit's lowest state, whose entry in S is +1/sqrt(|orbit i|).  So an
+        entry H[a, b] at the lowest state a of orbit i, with b in column j
+        of S, adds sqrt(|orbit i|) H[a, b] S[b, j] at (i, j).  Any other
+        entry adds an exact 0 at row or column 0, which leaves every sum
+        as it is and spares a filtering pass.  The exact factor 1/2 of the
+        symmetrization is taken here.
         """
-        h = (self.plain_op.matrix[self._lowest] @ self.block.isometry).tocsr()
-        h.data *= np.repeat(self._orbit_norm, np.diff(h.indptr))
-        return 0.5 * (h + h.T)
+        block, n = self.block, self.plain_op.dim
+        lowest, size = block.orbits
+        row_at = np.zeros(n, dtype=np.int64)
+        row_at[lowest] = self.dim * np.arange(self.dim)
+        half_norm = np.zeros(n)
+        half_norm[lowest] = 0.5 * np.sqrt(size)
+        col_of = np.zeros(n, dtype=np.int64)
+        col_of[block.rows] = block.cols
+        entry = np.zeros(n)
+        entry[block.rows] = block.values
+        rows, cols, values = self._source
+        return row_at[rows] + col_of[cols], half_norm[rows] * values * entry[cols]
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The block as a dense array: its terms summed by np.bincount in
+        stored order, then symmetrized as h + h^T in place, a strip of rows
+        and the matching strip of columns at a time."""
+        keys, weights = self._terms()
+        n = self.dim
+        h = np.bincount(keys, weights=weights, minlength=n * n).reshape(n, n)
+        for a in range(0, n, _STRIP):
+            # the strips hold only entries no earlier strip has written
+            t = h[a:a + _STRIP, a:] + h[a:, a:a + _STRIP].T
+            h[a:a + _STRIP, a:] = t
+            h[a:, a:a + _STRIP] = t.T
+        return h
+
+    @cached_property
+    def matrix(self):
+        """The block as a scipy CSR matrix, summed exactly as dense() sums it."""
+        keys, weights = self._terms()
+        at, inverse = np.unique(keys, return_inverse=True)
+        n = self.dim
+        h = csr_from_triplets(at // n, at % n, np.bincount(inverse, weights=weights), (n, n))
+        return h + h.T

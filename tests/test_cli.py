@@ -706,6 +706,38 @@ def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
                                        else "manifest.json"))
 
 
+@pytest.mark.parametrize("command", ["solve1d", "solve3d", "analyze1d"])
+def test_dense_solves_and_1d_analyze_leave_scipy_unloaded(tmp_path, command):
+    """solve1d and solve3d on the dense route and 1D analyze finish without
+    loading scipy: dense blocks are assembled and solved with numpy alone."""
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\ncutoff_sq = 2\n")
+    run = str(tmp_path / "run1d")
+    if command == "analyze1d":
+        assert main(["solve1d", "--config", cfg, "--out", run]) == 0
+    argv = {"solve1d": ["solve1d", "--config", cfg],
+            "solve3d": ["solve3d", "--config", cfg],
+            "analyze1d": ["analyze", "--config", cfg, "--from", run]}[command]
+    out = str(tmp_path / "out")
+    assert _scipy_modules_in_fresh_cli(*argv, "--out", out) == "[]"
+    man = read_manifest(out)
+    assert man["status"] == "ok"
+    if command != "analyze1d":
+        assert man["statistics"]["method"] == "dense"
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve3d"])
+def test_iterative_solves_load_scipy(tmp_path, command):
+    """method = iterative loads scipy's sparse eigensolver and solves."""
+    cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
+                                 f"[{command}]\nmethod = iterative\nk = 3\n")
+    out = str(tmp_path / "out")
+    loaded = _scipy_modules_in_fresh_cli(command, "--config", cfg, "--out", out)
+    assert "'scipy.sparse.linalg'" in loaded
+    man = read_manifest(out)
+    assert man["status"] == "ok"
+    assert man["statistics"]["method"] == "lanczos"
+
+
 def test_failed_run_writes_its_manifest(tmp_path, capsys):
     """A numerical failure (exit 4) leaves a manifest that says why, and
     report prints it."""

@@ -206,8 +206,9 @@ def test_full_c1_block_completeness():
 
 
 def reference_operator_matrix(sector, rule, cutoff_sq):
-    """The former assembly: one label lookup per transfer q and pair type."""
-    from triscar.basis import assemble_csr, enumerate_vectors
+    """The former assembly: one label lookup per transfer q and pair type,
+    as a CSR matrix."""
+    from triscar.basis import assemble_triplets, csr_from_triplets, enumerate_vectors
 
     n1, n2, p = sector.n1, sector.n2, sector.p
     kin = (np.einsum("ij,ij->i", n1, n1) + np.einsum("ij,ij->i", n2, n2)
@@ -222,7 +223,8 @@ def reference_operator_matrix(sector, rule, cutoff_sq):
                              (n1, n2 + q, -1.0)):
             rows, cols = sector.locate(t1, t2)
             transfers.append((rows, cols, sign * coeff))
-    return assemble_csr(rule.kinetic_coeff * kin, transfers)
+    triplets = assemble_triplets(rule.kinetic_coeff * kin, transfers)
+    return csr_from_triplets(*triplets, (sector.dim, sector.dim))
 
 
 @pytest.mark.parametrize("cutoff_sq, total, operator_cutoff", [
@@ -355,7 +357,9 @@ def test_block_spectra_union_equals_exchange_halves(params, cutoff_sq, total):
 def test_block_assembly_equals_sparse_product(params, sector3d_c2, model, total):
     """Rows taken at each orbit's lowest state give S^T H S, for the
     point-group blocks and for the two exchange halves, of the 3D operator
-    at cutoff_sq 2 and the 1D operator at heavy_cutoff 5."""
+    at cutoff_sq 2 and the 1D operator at heavy_cutoff 5; the block's CSR
+    .matrix holds dense() exactly, and so do the rows at the block's lowest
+    states alone."""
     if model == "3d":
         plain = ts.HamiltonianOperator3D(sector3d_c2, ts.MatrixElementRule3D(params),
                                          cutoff_sq=2)
@@ -367,6 +371,10 @@ def test_block_assembly_equals_sparse_product(params, sector3d_c2, model, total)
     for block in [*ts.symmetry_blocks(sector), *ts.symmetrize_sector(sector)]:
         s = block.isometry
         want = (s.T @ (plain.matrix @ s)).toarray()
-        got = ts.SymmetrizedOperator3D(block, plain).dense()
+        op = ts.SymmetrizedOperator3D(block, plain)
+        got = op.dense()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
         assert np.array_equal(got, got.T)
+        assert np.array_equal(op.matrix.toarray(), got)
+        lowest_rows = plain.rows(block.orbits[0])
+        assert np.array_equal(ts.SymmetrizedOperator3D(block, plain, lowest_rows).dense(), got)
