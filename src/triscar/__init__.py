@@ -8,9 +8,9 @@ and symplectic center-of-mass orbit integration.
 
 from .params import LightCutoffMode, ModelParams, Scaling
 from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
-                    Sector3D, SymmetryBlock, basis_size_3d,
-                    enumerate_basis_1d, enumerate_basis_3d, enumerate_vectors,
-                    point_group, sector_3d, symmetrize_sector, symmetry_blocks)
+                    Sector3D, SymmetryBlock, basis_size_3d, enumerate_basis_1d,
+                    enumerate_vectors, point_group, sector_3d,
+                    symmetrize_sector, symmetry_blocks)
 from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,
                             matrix_element_1d)
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,

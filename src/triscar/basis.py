@@ -22,14 +22,7 @@ if TYPE_CHECKING:
 
 
 class ResourceLimitError(Exception):
-    """Requested basis exceeds the configured state budget."""
-
-
-#: default cap on the number of product states enumerated at once
-DEFAULT_MAX_STATES = 1_000_000
-
-#: bytes per basis row used for the memory estimate in diagnostics
-_ROW_BYTES = 9 * 2
+    """A run would need more memory than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -259,42 +252,6 @@ def basis_size_3d(cutoff_sq: int) -> tuple[int, int]:
     return nv, nv ** 3
 
 
-def estimate_basis_bytes(n_states: int) -> int:
-    return n_states * _ROW_BYTES
-
-
-def enumerate_basis_3d(params, cutoff_sq: int | None = None,
-                       max_states: int = DEFAULT_MAX_STATES) -> dict:
-    """Enumerate all 3D product states and partition them into momentum sectors.
-
-    Returns a dict mapping total-momentum tuples to Sector3D.  Raises
-    ResourceLimitError before allocating anything when the product basis
-    exceeds max_states.
-    """
-    if cutoff_sq is None:
-        cutoff_sq = params.cutoff_sq
-    n_vec, n_states = basis_size_3d(cutoff_sq)
-    if n_states > max_states:
-        mb = estimate_basis_bytes(n_states) / 2 ** 20
-        raise ResourceLimitError(
-            f"cutoff_sq={cutoff_sq} gives {n_vec} vectors and {n_states} product "
-            f"states (~{mb:.0f} MB of labels), over the budget of {max_states}; "
-            f"raise the budget explicitly to proceed")
-    vecs = enumerate_vectors(cutoff_sq)
-    sectors: dict[tuple[int, int, int], list] = {}
-    for i1 in range(n_vec):
-        for i2 in range(n_vec):
-            for i3 in range(n_vec):
-                total = tuple(int(v) for v in vecs[i1] + vecs[i2] + vecs[i3])
-                sectors.setdefault(total, []).append((i1, i2, i3))
-    out = {}
-    for total, rows in sorted(sectors.items()):
-        rows = np.array(rows, dtype=np.int64)
-        out[total] = Sector3D(total, vecs[rows[:, 0]], vecs[rows[:, 1]],
-                              vecs[rows[:, 2]])
-    return out
-
-
 def sector_3d(params, total_momentum=(0, 0, 0),
               cutoff_sq: int | None = None) -> Sector3D:
     """Enumerate a single 3D momentum sector without building the full basis.
@@ -389,36 +346,43 @@ def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
     return blocks
 
 
-def _pairs_within_groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (rows, cols), rows != cols, of equal labels."""
+def _pairs_within_groups(labels: np.ndarray, states: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (rows, cols), rows != cols, of equal labels.
+
+    Given `states`, ascending, only the pairs whose row is in it; their
+    order is that of the full set of pairs, which groups the rows by label.
+    """
     _, inverse, sizes = np.unique(labels, axis=0, return_inverse=True,
                                   return_counts=True)
+    inverse = inverse.ravel()
     # rows sorted by label (stable), so each group is one run
-    order = np.argsort(inverse.ravel(), kind="stable")
-    # each sorted row meets every member of its group: repeat the row s times
+    order = np.argsort(inverse, kind="stable")
+    paired = (order if states is None
+              else states[np.argsort(inverse[states], kind="stable")])
+    # each paired row meets every member of its group: repeat the row s times
     # and walk the group from its first sorted position
-    per_row = np.repeat(sizes, sizes)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    group = inverse[paired]
+    per_row = sizes[group]
+    start = (np.cumsum(sizes) - sizes)[group]
     offset = np.arange(per_row.sum()) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    rows = np.repeat(order, per_row)
+    rows = np.repeat(paired, per_row)
     cols = order[np.repeat(start, per_row) + offset]
     keep = rows != cols
     return rows[keep], cols[keep]
 
 
-def assemble_triplets(diagonal: np.ndarray, transfers):
-    """(rows, cols, values) of `diagonal` plus `coeff` at every (rows, cols) of
-    `transfers`.
+def assemble_triplets(states: np.ndarray, diagonal: np.ndarray, transfers):
+    """(rows, cols, values) of `diagonal` at the rows `states`, then `coeff`
+    at every (rows, cols) of `transfers`.
 
     `transfers` holds (rows, cols, coeff) triples, coeff a scalar or one
     value per position, whose positions must not overlap each other or the
     diagonal.  Zero diagonal entries stay, so every structurally nonzero
     element is counted.
     """
-    n = len(diagonal)
-    diag = np.arange(n)
-    rows = np.concatenate([diag, *(r for r, _, _ in transfers)])
-    cols = np.concatenate([diag, *(c for _, c, _ in transfers)])
+    rows = np.concatenate([states, *(r for r, _, _ in transfers)])
+    cols = np.concatenate([states, *(c for _, c, _ in transfers)])
     vals = np.concatenate([diagonal, *(np.broadcast_to(coeff, r.shape)
                                        for r, _, coeff in transfers)])
     return rows, cols, vals
@@ -434,17 +398,23 @@ def csr_from_triplets(rows, cols, values, shape) -> sparse.csr_array:
 class SectorOperator:
     """An operator on one plain sector, held as numpy triplets.
 
-    Subclasses set `sector` and `triplets`, the (rows, cols, values) of
-    assemble_triplets, whose positions do not repeat.  `dense()` places
-    them with numpy; `.matrix`, the scipy CSR, is built on first use.
+    Subclasses set `sector` and define `rows(states)`, the (rows, cols,
+    values) of assemble_triplets in the rows `states` (ascending and
+    unique) alone, whose positions do not repeat.  A solve assembles only
+    the rows it reads; `triplets`, every row, is assembled on first use,
+    and so are `dense()`, which places them with numpy, and `.matrix`, the
+    scipy CSR.
     """
 
     sector: Sector1D | Sector3D
-    triplets: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def dim(self) -> int:
         return self.sector.dim
+
+    @cached_property
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows(np.arange(self.dim))
 
     @cached_property
     def matrix(self) -> sparse.csr_array:
@@ -458,10 +428,3 @@ class SectorOperator:
 
     def nonzeros_per_row(self) -> float:
         return len(self.triplets[0]) / max(self.dim, 1)
-
-    def rows(self, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The triplets in the rows `states`, in stored order."""
-        keep = np.zeros(self.dim, dtype=bool)
-        keep[states] = True
-        at = np.flatnonzero(keep[self.triplets[0]])
-        return tuple(a[at] for a in self.triplets)

@@ -95,7 +95,8 @@ _HOPS = (
 
 
 class HamiltonianOperator1D(SectorOperator):
-    """H1 on a single momentum sector, held as (rows, cols, values) triplets.
+    """H1 on a single momentum sector, assembled as (rows, cols, values)
+    triplets of the rows asked for.
 
     The diagonal plus the six one-unit transfers, so at most seven entries
     per row.
@@ -104,16 +105,26 @@ class HamiltonianOperator1D(SectorOperator):
     def __init__(self, sector: Sector1D, rule: MatrixElementRule1D):
         self.sector = sector
         self.rule = rule
-        n1, n2, p = sector.n1, sector.n2, sector.p
+
+    def rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triplets in the rows `states` (ascending, unique).
+
+        A hop moves (n1, n2) by (da, db), so row a holds the hop from the
+        state labelled (n1[a] - da, n2[a] - db); a shift keeps the sector's
+        lexicographic order, so each hop's entries ascend by row and by
+        column alike.
+        """
+        sector, rule = self.sector, self.rule
+        n1, n2, p = sector.n1[states], sector.n2[states], sector.p[states]
         gamma = rule.params.gamma
         kin = rule.kinetic_coeff * (n1 * n1 + n2 * n2 + p * p / gamma)
         quarter = 0.25 * rule.coupling_coeff
         transfers = []
         for da, db, sign in _HOPS:
-            rows, cols = sector.locate(n1 + da, n2 + db)
-            transfers.append((rows, cols, sign * quarter))
+            cols, at = sector.locate(n1 - da, n2 - db)
+            transfers.append((states[at], cols, sign * quarter))
         # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
-        self.triplets = assemble_triplets(kin - 0.5 * rule.coupling_coeff, transfers)
+        return assemble_triplets(states, kin - 0.5 * rule.coupling_coeff, transfers)
 
     def nonzero_triplets(self):
         """Yield (row, col, value) for every structurally nonzero element, row by row."""

@@ -183,11 +183,13 @@ def count_bytes(cutoff_sq: int) -> int:
     return COUNT_BYTES_PER_POINT * (4 * math.isqrt(cutoff_sq) + 1) ** 3
 
 
-#: bytes per nonzero the operator assembly may take at its peak: the (row,
-#: col, value) triplets of every pair type (3 x 8), their concatenation
-#: (3 x 8), which the operator keeps, and one pair type's grouping
-#: transients.  Measured with tracemalloc at 56 bytes for cutoff_sq 5 to 13;
-#: the bound stays at 84, so the sizes solve3d refuses do not move
+#: bytes per nonzero the assembly of every row may take at its peak: the
+#: (row, col, value) triplets of every pair type (3 x 8), their concatenation
+#: (3 x 8), which `triplets` keeps, and one pair type's grouping transients.
+#: Measured with tracemalloc at 56 bytes for cutoff_sq 5 to 13; the bound
+#: stays at 84, so the sizes solve3d refuses do not move.  A solve assembles
+#: only the rows at orbit representatives (186,596 of 2,220,679 nonzeros at
+#: cutoff_sq 10), so charging every nonzero is an upper bound
 BYTES_PER_NONZERO = 84
 
 #: bytes per sector state of its three int64 momentum labels
@@ -205,7 +207,8 @@ def operator_bytes(dim: int, nnz: int) -> int:
 
 
 class HamiltonianOperator3D(SectorOperator):
-    """3D Hamiltonian on one momentum sector, held as (rows, cols, values) triplets.
+    """3D Hamiltonian on one momentum sector, assembled as (rows, cols, values)
+    triplets of the rows asked for.
 
     The kinetic energy fills the diagonal.  Each pair interaction moves a
     transfer q between two particles and leaves the third, the spectator,
@@ -218,20 +221,23 @@ class HamiltonianOperator3D(SectorOperator):
                  cutoff_sq: int | None = None):
         self.sector = sector
         self.rule = rule
-        if cutoff_sq is None:
-            cutoff_sq = rule.params.cutoff_sq
-        gamma = rule.params.gamma
-        n1, n2, p = sector.n1, sector.n2, sector.p
+        self.cutoff_sq = rule.params.cutoff_sq if cutoff_sq is None else cutoff_sq
+
+    def rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triplets in the rows `states` (ascending, unique): each row's
+        partners in its spectator groups, and nothing else."""
+        rule, sector, cutoff_sq = self.rule, self.sector, self.cutoff_sq
+        n1, n2, p = sector.n1[states], sector.n2[states], sector.p[states]
         kin = (np.einsum("ij,ij->i", n1, n1)
                + np.einsum("ij,ij->i", n2, n2)
-               + np.einsum("ij,ij->i", p, p) / gamma)
+               + np.einsum("ij,ij->i", p, p) / rule.params.gamma)
         w = rule.interaction_coeff
         # the coupling depends on |q|^2 only; evaluated once per value
         coupling = np.array([w * f2(2.0 * np.sqrt(float(qsq)))
                              for qsq in range(4 * cutoff_sq + 1)])
         transfers = []
         for spectator, moving, sign in _PAIR_TYPES:
-            rows, cols = _pairs_within_groups(getattr(sector, spectator))
+            rows, cols = _pairs_within_groups(getattr(sector, spectator), states)
             label = getattr(sector, moving)
             qsq = np.zeros(len(rows), dtype=np.int64)
             for axis in range(3):
@@ -239,7 +245,7 @@ class HamiltonianOperator3D(SectorOperator):
             inside = qsq <= 4 * cutoff_sq
             transfers.append((rows[inside], cols[inside], sign * coupling[qsq[inside]]))
         # q = 0 carries no weight (f2(0) = 0), so the diagonal is purely kinetic
-        self.triplets = assemble_triplets(rule.kinetic_coeff * kin, transfers)
+        return assemble_triplets(states, rule.kinetic_coeff * kin, transfers)
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != self.dim:
@@ -258,9 +264,10 @@ class SymmetrizedOperator3D:
 
     `block` is a basis.SymmetryBlock, of symmetry_blocks or
     symmetrize_sector.  `plain_op` is a basis.SectorOperator, so a block of
-    a 1D HamiltonianOperator1D works the same way.  `triplets` may hold
-    only part of plain_op's, as long as it keeps every row at the lowest
-    state of one of the block's orbits (plain_op.rows of them).
+    a 1D HamiltonianOperator1D works the same way.  `triplets` are the
+    rows of plain_op it reads, plain_op.rows of states that include the
+    lowest state of each of the block's orbits; without them it reads
+    plain_op.triplets, which assembles every row.
     """
 
     def __init__(self, block: SymmetryBlock, plain_op, triplets=None):

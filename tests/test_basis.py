@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
-from triscar.basis import _pairs_within_groups, estimate_basis_bytes
+from triscar.basis import _pairs_within_groups
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +120,8 @@ def test_reference_basis_size():
     assert ts.basis_size_3d(10)[1] == 3_176_523
 
 
-def test_full_enumeration_partition():
-    p = ts.ModelParams(cutoff_sq=1)
-    sectors = ts.enumerate_basis_3d(p, cutoff_sq=1)
+def test_full_enumeration_partition(product_sectors):
+    sectors = product_sectors(1)
     total = sum(sec.dim for sec in sectors.values())
     assert total == 7 ** 3
     # no duplicated state across sectors
@@ -136,9 +135,8 @@ def test_full_enumeration_partition():
     assert len(seen) == 343
 
 
-def test_sector_momentum_consistency():
-    p = ts.ModelParams(cutoff_sq=1)
-    sectors = ts.enumerate_basis_3d(p, cutoff_sq=1)
+def test_sector_momentum_consistency(product_sectors):
+    sectors = product_sectors(1)
     for total, sec in sectors.items():
         arr = sec.n1 + sec.n2 + sec.p
         assert np.all(arr == np.asarray(total))
@@ -148,24 +146,12 @@ def test_zero_sector_dimension(sector3d_c2):
     assert sector3d_c2.dim == 175
 
 
-def test_sector_3d_matches_full_enumeration(sector3d_c2):
-    p = ts.ModelParams(cutoff_sq=2)
-    sectors = ts.enumerate_basis_3d(p, cutoff_sq=2)
+def test_sector_3d_matches_full_enumeration(sector3d_c2, product_sectors):
+    sectors = product_sectors(2)
     full = sectors[(0, 0, 0)]
     assert full.dim == sector3d_c2.dim
     assert np.array_equal(full.n1, sector3d_c2.n1)
     assert np.array_equal(full.p, sector3d_c2.p)
-
-
-def test_budget_gate():
-    p = ts.ModelParams(cutoff_sq=10)
-    with pytest.raises(ts.ResourceLimitError) as exc:
-        ts.enumerate_basis_3d(p, cutoff_sq=10, max_states=1_000_000)
-    assert "3176523" in str(exc.value).replace(",", "")
-
-
-def test_budget_estimate_positive():
-    assert estimate_basis_bytes(3_176_523) > 3_176_523
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +384,14 @@ def _labels(columns, high, rows, seed):
     pytest.param(np.zeros((0, 4), dtype=np.int64), id="zero-rows"),
 ])
 def test_pairs_within_groups_match_brute_force(labels):
-    """Every ordered pair (i, j), i != j, of equal label rows, each once."""
+    """Every ordered pair (i, j), i != j, of equal label rows, each once;
+    given ascending states, the pairs whose row is in them, in the same
+    order."""
     rows, cols = _pairs_within_groups(labels)
     want = [(i, j) for i in range(len(labels)) for j in range(len(labels))
             if i != j and np.array_equal(labels[i], labels[j])]
     assert sorted(zip(rows.tolist(), cols.tolist())) == want
+    states = np.flatnonzero(np.random.default_rng(3).random(len(labels)) < 0.5)
+    keep = np.isin(rows, states)
+    got = _pairs_within_groups(labels, states)
+    assert np.array_equal(got[0], rows[keep]) and np.array_equal(got[1], cols[keep])

@@ -45,7 +45,6 @@ def test_dense_metadata(spectrum729):
     assert spectrum729.method == "dense"
     assert spectrum729.sector_key == "P=0"
     assert spectrum729.k == 729
-    assert spectrum729.meta["hermiticity_defect"] == 0.0
 
 
 def test_dense_threshold_guard(operator729, monkeypatch):

@@ -180,11 +180,10 @@ def test_exchange_commutes(params, sector3d_c2):
     np.testing.assert_allclose(h[np.ix_(perm, perm)], h, atol=1e-18)
 
 
-def test_full_c1_block_completeness():
+def test_full_c1_block_completeness(product_sectors):
     """Eigenvalues of all momentum sectors together match the full matrix."""
-    p = ts.ModelParams(cutoff_sq=1)
-    rule = ts.MatrixElementRule3D(p)
-    sectors = ts.enumerate_basis_3d(p, cutoff_sq=1)
+    rule = ts.MatrixElementRule3D(ts.ModelParams(cutoff_sq=1))
+    sectors = product_sectors(1)
     sector_vals = []
     for sec in sectors.values():
         h = ts.dense_from_elements(sec, rule)
@@ -223,7 +222,8 @@ def reference_operator_matrix(sector, rule, cutoff_sq):
                              (n1, n2 + q, -1.0)):
             rows, cols = sector.locate(t1, t2)
             transfers.append((rows, cols, sign * coeff))
-    triplets = assemble_triplets(rule.kinetic_coeff * kin, transfers)
+    triplets = assemble_triplets(np.arange(sector.dim), rule.kinetic_coeff * kin,
+                                 transfers)
     return csr_from_triplets(*triplets, (sector.dim, sector.dim))
 
 
@@ -378,3 +378,34 @@ def test_block_assembly_equals_sparse_product(params, sector3d_c2, model, total)
         assert np.array_equal(op.matrix.toarray(), got)
         lowest_rows = plain.rows(block.orbits[0])
         assert np.array_equal(ts.SymmetrizedOperator3D(block, plain, lowest_rows).dense(), got)
+
+
+@pytest.mark.parametrize("model, total, sector_cutoff, operator_cutoff", [
+    pytest.param("1d", 0, 5, None, id="1d-P0"),
+    pytest.param("1d", 1, 5, None, id="1d-P1"),
+    pytest.param("3d", (0, 0, 0), 5, 5, id="3d-P000"),
+    pytest.param("3d", (1, 0, 0), 5, 5, id="3d-P100"),
+    pytest.param("3d", (1, -1, 2), 5, 5, id="3d-P1-12"),
+    pytest.param("3d", (0, 0, 0), 5, 2, id="3d-operator-cutoff-2"),
+])
+def test_rows_equal_the_full_assembly_at_those_rows(model, total, sector_cutoff,
+                                                    operator_cutoff):
+    """rows(states) assembles, bit for bit and in stored order, the entries
+    of `triplets` whose row is in states, for any ascending subset."""
+    params = ts.ModelParams(heavy_cutoff=sector_cutoff, cutoff_sq=sector_cutoff)
+    if model == "1d":
+        plain = ts.HamiltonianOperator1D(ts.enumerate_basis_1d(params, total),
+                                         ts.MatrixElementRule1D(params))
+    else:
+        plain = ts.HamiltonianOperator3D(ts.sector_3d(params, total),
+                                         ts.MatrixElementRule3D(params),
+                                         cutoff_sq=operator_cutoff)
+    full = plain.triplets
+    rng = np.random.default_rng(7)
+    subsets = [np.arange(0), np.array([plain.dim // 2])]
+    subsets += [np.flatnonzero(rng.random(plain.dim) < share) for share in (0.05, 0.5)]
+    for states in subsets:
+        keep = np.isin(full[0], states)
+        for got, want in zip(plain.rows(states), full):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want[keep].tobytes()
