@@ -11,11 +11,10 @@ from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
                     Sector3D, SymmetryBlock, basis_size_3d, enumerate_basis_1d,
                     enumerate_vectors, point_group, sector_3d,
                     symmetrize_sector, symmetry_blocks)
-from .hamiltonian1d import (HamiltonianOperator1D, MatrixElementRule1D, f1,
-                            matrix_element_1d)
+from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D, dense_from_elements, f2,
-                            matrix_element_3d, symmetrized_element_3d)
+                            matrix_element_3d)
 from .eigensolve import (Band, IterationError, Spectrum, assemble_bands,
                          band_id_per_state, canonicalize, merge_blocks,
                          solve_dense, solve_iterative)
@@ -34,5 +33,6 @@ from .scars import (ScarComparison, ScarEnergy, compare_with_spectrum,
                     predicted_gap, scar_energy, scar_intensity,
                     stable_frequency)
 from .config import ConfigError, load_config, model_params
+from .pipeline import solve_sector
 
 __version__ = "0.1.0"

@@ -65,15 +65,8 @@ class _PairLabels:
 
     @cached_property
     def _label_keys(self):
-        # Mixed-radix key over the sector's own component ranges: distinct
-        # labels inside the ranges get distinct keys, and a label with a
-        # component outside them cannot be in the sector.  The initial values
-        # only widen the ranges, except that an empty sector gets span 0.
-        comps = _components(self.n1, self.n2)
-        lo = comps.min(axis=1, keepdims=True, initial=0)
-        span = comps.max(axis=1, keepdims=True, initial=-1) - lo + 1
-        strides = np.cumprod(np.append(1, span[:0:-1]))[::-1]
-        keys = strides @ (comps - lo)
+        # a label with a component outside the sector's ranges cannot be in it
+        keys, lo, span, strides = _mixed_radix(_components(self.n1, self.n2))
         order = np.argsort(keys, kind="stable")
         return lo, span.astype(np.uint64), strides, keys[order], order
 
@@ -81,6 +74,18 @@ class _PairLabels:
 def _components(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Labels as rows of components, n1 then n2: shape (2, N) in 1D, (6, N) in 3D."""
     return np.vstack([n1.T, n2.T], dtype=np.int64)
+
+
+def _mixed_radix(comps: np.ndarray):
+    """(keys, lo, span, strides): keys = strides @ (comps - lo), one per
+    column of comps (int64, a row per component), in radix [lo, lo + span)
+    per component, so they ascend in the columns' lexicographic order.  The
+    initial values only widen the ranges, except that empty input gets span 0.
+    """
+    lo = comps.min(axis=1, keepdims=True, initial=0)
+    span = comps.max(axis=1, keepdims=True, initial=-1) - lo + 1
+    strides = np.cumprod(np.append(1, span[:0:-1]))[::-1]
+    return strides @ (comps - lo), lo, span, strides
 
 
 @dataclass
@@ -348,14 +353,15 @@ def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
 
 def _pairs_within_groups(labels: np.ndarray, states: np.ndarray | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (rows, cols), rows != cols, of equal labels.
+    """Every ordered pair (rows, cols), rows != cols, of equal labels, one
+    label per row of the (N, C) `labels`.
 
-    Given `states`, ascending, only the pairs whose row is in it; their
-    order is that of the full set of pairs, which groups the rows by label.
+    The pairs are ordered by label, ascending lexicographically, then by
+    row and by column.  Given `states`, ascending, only the pairs whose row
+    is in it, in the same order.
     """
-    _, inverse, sizes = np.unique(labels, axis=0, return_inverse=True,
-                                  return_counts=True)
-    inverse = inverse.ravel()
+    keys = _mixed_radix(np.asarray(labels, dtype=np.int64).T)[0]
+    _, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
     # rows sorted by label (stable), so each group is one run
     order = np.argsort(inverse, kind="stable")
     paired = (order if states is None

@@ -18,20 +18,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .basis import (ResourceLimitError, Sector1D, Sector3D, basis_size_3d,
-                    enumerate_basis_1d, sector_3d, symmetry_blocks)
+from .basis import ResourceLimitError, basis_size_3d
 from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
 from .config import ConfigError, load_config, model_params, section
-from .eigensolve import (IterationError, assemble_bands, band_id_per_state,
-                         dense_budget_error, merge_blocks, solve_dense,
-                         solve_iterative)
-from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
-from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
-                            OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
-                            count_bytes, operator_bytes, operator_size)
+from .eigensolve import IterationError, assemble_bands, band_id_per_state
 from .manifest import RunManifest, read_manifest
 from .params import ModelParams, Scaling
+from .pipeline import (embedded, load_archive, params_dict, read_archive,
+                       solve_sector, write_archive)
 from .scars import compare_with_spectrum, predicted_gap, scar_intensity, \
     stable_frequency
 from .wavefunction import (autocorrelation, concentration_ratio, heavy_overlap,
@@ -42,10 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
-
-#: seconds into a sector solve after which each finished block is reported
-#: on stderr
-PROGRESS_AFTER_S = 2.0
 
 
 def _fmt(x) -> str:
@@ -65,41 +56,40 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_quote(f) for f in row) + "\n")
 
 
-def _params_dict(params: ModelParams) -> dict:
-    return {
-        "gamma": params.gamma,
-        "box_length": params.box_length,
-        "coupling": params.coupling,
-        "heavy_cutoff": params.heavy_cutoff,
-        "cutoff_sq": params.cutoff_sq,
-        "scaling": params.scaling.value,
-        "light_cutoff_mode": params.light_cutoff_mode.value,
-    }
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _ensure_out(out: str) -> str:
+def _save(man: RunManifest, out: str, name: str, write, *args, **kwargs) -> None:
+    """Write the artifact out/name by write(path, *args, **kwargs) and list
+    it in the manifest."""
     os.makedirs(out, exist_ok=True)
-    return out
+    path = os.path.join(out, name)
+    write(path, *args, **kwargs)
+    man.add_artifact(path)
 
 
-def _start(args, command: str, parameters: dict) -> tuple[str, RunManifest]:
-    """Create --out and the run's manifest.  main writes that manifest with
-    the exit status when the run is refused or fails."""
+def _start(args, command: str, defaults: dict, model: bool = True):
+    """Read --config: the model (unless model is False) and the [command]
+    section over defaults, both recorded in the run's new manifest.  main
+    writes that manifest with the exit status when the run is refused or
+    fails.  Returns (params, section, --out, manifest); params is None
+    without the model."""
+    cfg = load_config(args.config)
+    params = model_params(cfg) if model else None
+    s = section(cfg, command, defaults)
+    parameters = {**(params_dict(params) if model else {}), command: dict(s)}
     args.manifest = RunManifest(command, parameters=parameters)
-    return _ensure_out(args.out), args.manifest
+    return params, s, args.out, args.manifest
 
 
 def _write_exit(args, status: str, code: int, message: str) -> int:
     """Record a refused or failed run in its --out manifest; returns code."""
     man = getattr(args, "manifest", None) or RunManifest(args.command)
     man.status, man.exit_code, man.message = status, code, message
-    man.write(_ensure_out(args.out))
+    man.write(args.out)
     return code
 
 
@@ -116,113 +106,14 @@ def _saddle_analysis(params: ModelParams):
     return ana
 
 
-def _load_scipy() -> None:
-    """Load the scipy modules an iterative solve uses before its timed steps
-    start, so their import (which no other run pays) is counted in none of
-    them."""
-    import scipy.linalg  # noqa: F401
-    import scipy.sparse.linalg  # noqa: F401
-
-
-def _route(method: str, dims, command: str) -> str:
-    """The solver route, dense or iterative, for a [command] method setting.
-
-    dims are the dimensions of the eigenvector arrays a dense solve would
-    return.  auto is dense exactly when they fit the dense output budget; an
-    explicit dense that does not fit is refused before any solve.
-    """
-    if method not in ("auto", "dense", "iterative"):
-        raise ConfigError(f"bad value for [{command}] method: {method!r}")
-    error = dense_budget_error(dims)
-    if method == "auto":
-        return "dense" if error is None else "iterative"
-    if method == "dense" and error is not None:
-        raise error
-    return method
-
-
-def _solve_sector(plain_op, blocks, group, s: dict, command: str, man) -> dict:
-    """Solve a sector block by block and merge the blocks of each group.
-
-    blocks are the SymmetryBlocks of symmetry_blocks(plain_op.sector);
-    group(label) names the group a block merges into ("" for all of them
-    in 1D, the exchange half in 3D).  The route follows the [command]
-    method and the dense output budget over all blocks; only the iterative
-    route loads scipy.  The rows of H at the blocks' orbit representatives,
-    the only rows any block reads, are assembled once (timings["assemble"]);
-    no other row of H is built.  Each block S^T H S is assembled from them
-    (its time added to timings["blocks"]) and solved when its group asks
-    for it, fully by solve_dense or for its lowest k by solve_iterative;
-    the dense route also times eigh, canonicalize and the residuals.
-    merge_blocks copies its vectors into the group's flat array in block
-    coordinates (all of a block's on the dense route, its lowest k on the
-    iterative one, which keeps the group's lowest k pairs).
-    Once the solve has run PROGRESS_AFTER_S, each finished block is
-    reported on stderr.  Returns {group: (Spectrum, labels, offsets)}.
-    """
-    dense = _route(s["method"], [block.dim for block in blocks], command) == "dense"
-    if not dense:
-        _load_scipy()
-    groups: dict[str, list] = {}
-    for block in blocks:
-        groups.setdefault(group(block.label), []).append(block)
-    dense_s = {"eigh": 0.0, "canonicalize": 0.0, "residuals": 0.0}
-
-    t0 = time.perf_counter()
-    lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]))
-    triplets = plain_op.rows(lowest)
-    man.add_timing("assemble", time.perf_counter() - t0)
-    assembly_s = 0.0
-
-    def solve(members):
-        """Each block of one group, solved when it is asked for."""
-        nonlocal assembly_s
-        for block in members:
-            op = SymmetrizedOperator3D(block, plain_op, triplets)
-            if dense:
-                spec = solve_dense(op)  # assembles op.dense() and times it
-                assembly_s += spec.meta["dense_s"]
-                for step in dense_s:
-                    dense_s[step] += spec.meta[f"{step}_s"]
-            else:
-                t0 = time.perf_counter()
-                op.matrix  # assembled here, so its time is counted
-                assembly_s += time.perf_counter() - t0
-                spec = solve_iterative(op, s["k"], tol=s["tol"], seed=s["seed"])
-            elapsed = time.perf_counter() - started
-            if elapsed > PROGRESS_AFTER_S:
-                print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
-                      f"at {elapsed:.1f} s", file=sys.stderr)
-            yield block.label, spec
-
-    started = time.perf_counter()
-    solved = {}
-    for name, members in groups.items():
-        size = sum(m * (m if dense else min(s["k"], m))
-                   for m in (block.dim for block in members))
-        key = f"{plain_op.sector.key} {name}".rstrip()
-        solved[name] = merge_blocks(key, solve(members), size, None if dense else s["k"])
-    man.add_timing("solve", time.perf_counter() - started)
-    man.add_timing("blocks", man.timings["blocks"] + assembly_s)
-    if dense:
-        for step, seconds in dense_s.items():
-            man.add_timing(step, seconds)
-    return solved
-
-
-def _write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:
-    """An eigenvector archive: one merged group of blocks, its vectors in
-    block coordinates, each state's block label and vector offset, and what
-    analyze needs to rebuild the blocks (sector labels, total momentum, model
-    parameters); extra adds command-specific arrays."""
-    spec, labels, offsets = solved
-    total = np.atleast_1d(np.asarray(sector.total_momentum, dtype=np.int64))
-    np.savez(path,
-             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
-             residuals=spec.residuals, block=labels, offset=offsets,
-             n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
-             dimension=np.array(f"{len(total)}d"),
-             params=np.array(json.dumps(_params_dict(params))), **extra)
+def _solve(args, params: ModelParams, s: dict, man: RunManifest):
+    """solve_sector on the [solve1d] or [solve3d] section s; its timings go
+    into the manifest."""
+    run = solve_sector(params, s["total_momentum"], method=s["method"], k=s["k"],
+                       tol=s["tol"], seed=s["seed"],
+                       allow_large=getattr(args, "allow_large", False))
+    man.timings.update(run.timings)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +121,13 @@ def _write_archive(path: str, sector, params: ModelParams, solved, **extra) -> N
 
 
 def cmd_solve1d(args) -> int:
-    cfg = load_config(args.config)
-    params = model_params(cfg)
-    s = section(cfg, "solve1d", {
+    params, s, out, man = _start(args, "solve1d", {
         "total_momentum": 0, "gap_threshold": 2.0, "method": "auto", "k": 8,
         "tol": 1e-10, "seed": 0, "dump_matrix": False, "scar_levels": 3,
     })
-    out, man = _start(args, "solve1d", {**_params_dict(params),
-                                        "solve1d": {k: v for k, v in s.items()}})
-
-    import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)
-    t0 = time.perf_counter()
-    sector = enumerate_basis_1d(params, s["total_momentum"])
-    if not sector.dim:
-        raise ConfigError(f"sector {sector.key} holds no states")
-    op = HamiltonianOperator1D(sector, MatrixElementRule1D(params))
-    t1 = time.perf_counter()
-    blocks = symmetry_blocks(sector)
-    t2 = time.perf_counter()
-    man.add_timing("build", t2 - t0)
-    man.add_timing("blocks", t2 - t1)
-
-    solved = _solve_sector(op, blocks, lambda label: "", s, "solve1d", man)[""]
+    run = _solve(args, params, s, man)
+    sector = run.sector
+    solved = run.groups[""]
     spectrum = solved[0]
     bands = assemble_bands(spectrum.eigenvalues, s["gap_threshold"])
     bids = band_id_per_state(spectrum.k, bands)
@@ -262,37 +138,26 @@ def cmd_solve1d(args) -> int:
                                      n_levels=s["scar_levels"])
 
     t0 = time.perf_counter()
-    path = os.path.join(out, "spectrum.csv")
-    _write_csv(path, ["index", "eigenvalue", "residual", "band"],
-               ([str(i), _fmt(spectrum.eigenvalues[i]), _fmt(spectrum.residuals[i]),
-                 str(int(bids[i]))] for i in range(spectrum.k)))
-    man.add_artifact(path)
-
-    path = os.path.join(out, "bands.json")
-    _write_json(path, {
+    _save(man, out, "spectrum.csv", _write_csv,
+          ["index", "eigenvalue", "residual", "band"],
+          ([str(i), _fmt(spectrum.eigenvalues[i]), _fmt(spectrum.residuals[i]),
+            str(int(bids[i]))] for i in range(spectrum.k)))
+    _save(man, out, "bands.json", _write_json, {
         "gap_threshold": s["gap_threshold"],
         "bands": [{"band": b.band_id, "start": b.start, "stop": b.stop,
                    "size": b.size, "head": b.head, "top": b.top}
                   for b in bands],
     })
-    man.add_artifact(path)
-
     if comp is not None:
-        path = os.path.join(out, "scar_comparison.json")
-        payload = comp.as_dict()
-        payload["scaling"] = params.scaling.value
-        _write_json(path, payload)
-        man.add_artifact(path)
-
-    path = os.path.join(out, "eigenvectors.npz")
-    _write_archive(path, sector, params, solved, band_ids=bids)
-    man.add_artifact(path)
-
+        _save(man, out, "scar_comparison.json", _write_json,
+              {**comp.as_dict(), "scaling": params.scaling.value})
+    _save(man, out, "eigenvectors.npz", write_archive, sector, params, solved,
+          band_ids=bids)
     if s["dump_matrix"]:
-        path = os.path.join(out, "hamiltonian_nonzeros.csv")
-        _write_csv(path, ["row", "col", "value"],
-                   ([str(i), str(j), _fmt(v)] for i, j, v in op.nonzero_triplets()))
-        man.add_artifact(path)
+        _save(man, out, "hamiltonian_nonzeros.csv", _write_csv,
+              ["row", "col", "value"],
+              ([str(i), str(j), _fmt(v)]
+               for i, j, v in run.operator.nonzero_triplets()))
     man.add_timing("write", time.perf_counter() - t0)
 
     man.statistics = {
@@ -315,46 +180,13 @@ def cmd_solve1d(args) -> int:
 
 
 def cmd_solve3d(args) -> int:
-    cfg = load_config(args.config)
-    params = model_params(cfg)
-    s = section(cfg, "solve3d", {
+    params, s, out, man = _start(args, "solve3d", {
         "total_momentum": [0, 0, 0], "method": "auto", "k": 8,
         "tol": 1e-10, "seed": 0,
     })
-    total = tuple(s["total_momentum"])
-    if len(total) != 3:
-        raise ConfigError("[solve3d] total_momentum needs three integers")
-    out, man = _start(args, "solve3d", {**_params_dict(params),
-                                        "solve3d": {k: v for k, v in s.items()}})
-
-    import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)
-    t0 = time.perf_counter()
-    budget = f"over the operator budget of {OPERATOR_BUDGET_BYTES / 2 ** 20:.0f} MB"
-    counting = count_bytes(params.cutoff_sq)
-    if counting > OPERATOR_BUDGET_BYTES and not args.allow_large:
-        raise ResourceLimitError(
-            f"cutoff_sq={params.cutoff_sq} needs {counting / 2 ** 20:.0f} MB "
-            f"just to count its states, {budget}; rerun with --allow-large "
-            f"to proceed")
-    dim, nnz = operator_size(total, params.cutoff_sq)
-    need = operator_bytes(dim, nnz)
-    if need > OPERATOR_BUDGET_BYTES and not args.allow_large:
-        raise ResourceLimitError(
-            f"cutoff_sq={params.cutoff_sq} gives {dim} states and {nnz} "
-            f"operator nonzeros, whose labels and assembly need "
-            f"{need / 2 ** 20:.0f} MB, {budget}; rerun with --allow-large "
-            f"to proceed")
-    sector = sector_3d(params, total)
-    plain_op = HamiltonianOperator3D(sector, MatrixElementRule3D(params),
-                                     cutoff_sq=params.cutoff_sq)
-    t1 = time.perf_counter()
-    blocks = symmetry_blocks(sector)
-    t2 = time.perf_counter()
-    man.add_timing("build", t2 - t0)
-    man.add_timing("blocks", t2 - t1)
-
-    spectra = _solve_sector(plain_op, blocks, lambda label: label.partition(" ")[0],
-                            s, "solve3d", man)
+    run = _solve(args, params, s, man)
+    sector, blocks, spectra = run.sector, run.blocks, run.groups
+    dim, nnz, need = run.counts
 
     t0 = time.perf_counter()
     rows = []
@@ -362,31 +194,25 @@ def cmd_solve3d(args) -> int:
         for i in range(spec.k):
             rows.append([sector.key, tag, str(i), _fmt(spec.eigenvalues[i]),
                          _fmt(spec.residuals[i])])
-    path = os.path.join(out, "spectrum.csv")
-    _write_csv(path, ["sector", "parity", "index", "eigenvalue", "residual"], rows)
-    man.add_artifact(path)
+    _save(man, out, "spectrum.csv", _write_csv,
+          ["sector", "parity", "index", "eigenvalue", "residual"], rows)
 
     n_vec, n_states = basis_size_3d(params.cutoff_sq)
     dims = {tag: spectra[tag][0].meta["dim"] if tag in spectra else 0
             for tag in ("sym", "anti")}
-    path = os.path.join(out, "sectors.json")
-    _write_json(path, {
-        "total_momentum": list(total),
+    sizes = {"sector_dimension": sector.dim, "symmetric_dimension": dims["sym"],
+             "antisymmetric_dimension": dims["anti"],
+             "nonzeros_per_row": nnz / max(dim, 1)}
+    _save(man, out, "sectors.json", _write_json, {
+        "total_momentum": list(sector.total_momentum),
         "cutoff_sq": params.cutoff_sq,
         "vectors": n_vec,
         "full_basis_states": n_states,
-        "sector_dimension": sector.dim,
-        "symmetric_dimension": dims["sym"],
-        "antisymmetric_dimension": dims["anti"],
-        "nonzeros_per_row": nnz / max(dim, 1),
+        **sizes,
     })
-    man.add_artifact(path)
-
     for tag, solved in spectra.items():
-        path = os.path.join(out, f"eigenvectors_{tag}.npz")
-        _write_archive(path, sector, params, solved,
-                       parity=np.array([1 if tag == "sym" else -1]))
-        man.add_artifact(path)
+        _save(man, out, f"eigenvectors_{tag}.npz", write_archive, sector, params,
+              solved, parity=np.array([1 if tag == "sym" else -1]))
     man.add_timing("write", time.perf_counter() - t0)
 
     method = next(iter(spectra.values()))[0].method if spectra else None
@@ -396,10 +222,7 @@ def cmd_solve3d(args) -> int:
     if e_sym is not None and e_anti is not None:
         ordered = bool(e_sym < e_anti)
     man.statistics = {
-        "sector_dimension": sector.dim,
-        "symmetric_dimension": dims["sym"],
-        "antisymmetric_dimension": dims["anti"],
-        "nonzeros_per_row": nnz / max(dim, 1),
+        **sizes,
         "operator_mb": need / 2 ** 20,
         "block_dimensions": {block.label: block.dim for block in blocks},
         "eigh_calls": len(blocks) if method == "dense" else 0,
@@ -470,37 +293,8 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
     return chosen
 
 
-def _load_archive(path: str):
-    """The arrays of a solve1d or solve3d eigenvector archive, with the model,
-    the sector and the symmetry blocks (by label) it was solved in.  The
-    blocks are a deterministic function of the sector, so they are rebuilt."""
-    with np.load(path) as npz:
-        data = dict(npz)
-    if "offset" not in data:
-        raise ConfigError(f"{path} holds no block offsets; rerun solve1d/solve3d")
-    params = model_params({"model": json.loads(str(data["params"]))})
-    total = [int(v) for v in data["total_momentum"]]
-    if len(total) == 1:
-        sector = Sector1D(total[0], data["n1"], data["n2"], data["p"])
-    else:
-        sector = Sector3D(tuple(total), data["n1"], data["n2"], data["p"])
-    blocks = {block.label: block for block in symmetry_blocks(sector)}
-    unknown = set(map(str, data["block"])) - set(blocks)
-    if unknown:
-        raise ConfigError(f"{path} names blocks {sorted(unknown)} that "
-                          f"{sector.key} lacks")
-    return data, params, sector, blocks
-
-
-def _embedded(data: dict, blocks: dict, i: int) -> np.ndarray:
-    """Archived state i as a plain-sector vector: S v for its block's S."""
-    block = blocks[str(data["block"][i])]
-    start = data["offset"][i]
-    return block.embed(data["eigenvectors"][start:start + block.dim])
-
-
-def _analyze_1d(args, cfg, s, out, man) -> None:
-    data, params, sector, blocks = _load_archive(
+def _analyze_1d(args, s, out, man) -> None:
+    data, params, sector, blocks = load_archive(
         os.path.join(args.from_dir, "eigenvectors.npz"))
     evals = data["eigenvalues"]
     bids = data["band_ids"]
@@ -524,26 +318,22 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
     man.add_timing("overlaps", time.perf_counter() - t0)
 
-    path = os.path.join(out, "overlaps.csv")
-    _write_csv(path, ["index", "eigenvalue", "band", "heavy_overlap"],
-               ([str(i), _fmt(evals[i]), str(int(bids[i])), _fmt(overlaps[i])]
-                for i in range(len(evals))))
-    man.add_artifact(path)
+    _save(man, out, "overlaps.csv", _write_csv,
+          ["index", "eigenvalue", "band", "heavy_overlap"],
+          ([str(i), _fmt(evals[i]), str(int(bids[i])), _fmt(overlaps[i])]
+           for i in range(len(evals))))
 
     strip = s["strip_fraction"] * L
     grids_s = 0.0
     for i in chosen:
         t0 = time.perf_counter()
-        grid = position_wavefunction_1d(_embedded(data, blocks, i), sector, params,
+        grid = position_wavefunction_1d(embedded(data, blocks, i), sector, params,
                                         n_r=s["n_r"], n_eta=s["n_eta"])
         grids_s += time.perf_counter() - t0
-        dens = grid.density()
-        path = os.path.join(out, f"grid_state{i:04d}.csv")
-        _write_csv(path, [_fmt(eta) for eta in grid.eta_axis],
-                   ([_fmt(v) for v in row] for row in dens))
-        man.add_artifact(path)
-        path = os.path.join(out, f"grid_state{i:04d}.json")
-        _write_json(path, {
+        _save(man, out, f"grid_state{i:04d}.csv", _write_csv,
+              [_fmt(eta) for eta in grid.eta_axis],
+              ([_fmt(v) for v in row] for row in grid.density()))
+        _save(man, out, f"grid_state{i:04d}.json", _write_json, {
             "index": int(i),
             "eigenvalue": float(evals[i]),
             "band": int(bids[i]),
@@ -554,7 +344,6 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
             "r_axis": [float(v) for v in grid.r_axis],
             "eta_axis": [float(v) for v in grid.eta_axis],
         })
-        man.add_artifact(path)
     man.add_timing("grids", grids_s)
 
     if args.weights:
@@ -576,16 +365,12 @@ def _analyze_1d(args, cfg, s, out, man) -> None:
         t0 = time.perf_counter()
         series = autocorrelation(coeffs, evals, times, broad)
         man.add_timing("autocorrelation", time.perf_counter() - t0)
-        path = os.path.join(out, "autocorr.csv")
-        _write_csv(path, ["t", "re", "im", "abs"],
-                   ([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-                    for t, v in zip(series.times, series.values)))
-        man.add_artifact(path)
-        path = os.path.join(out, "spectral_density.csv")
-        _write_csv(path, ["energy", "density"],
-                   ([_fmt(e), _fmt(d)] for e, d in
-                    zip(series.energy_grid, series.spectral_density)))
-        man.add_artifact(path)
+        _save(man, out, "autocorr.csv", _write_csv, ["t", "re", "im", "abs"],
+              ([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
+               for t, v in zip(series.times, series.values)))
+        _save(man, out, "spectral_density.csv", _write_csv, ["energy", "density"],
+              ([_fmt(e), _fmt(d)] for e, d in
+               zip(series.energy_grid, series.spectral_density)))
         man.statistics["spectral_mass"] = series.spectral_mass()
         man.statistics["broadening"] = broad
 
@@ -616,37 +401,34 @@ def _read_weights(path: str, n: int) -> np.ndarray:
     return coeffs
 
 
-def _analyze_3d(args, cfg, s, out, man) -> None:
+def _analyze_3d(args, s, out, man) -> None:
     tag = args.parity or "sym"
     if tag not in ("sym", "anti"):
         raise ConfigError(f"--parity must be sym or anti, got {tag!r}")
     path = os.path.join(args.from_dir, f"eigenvectors_{tag}.npz")
     if not os.path.exists(path):
         raise ConfigError(f"no {os.path.basename(path)} under {args.from_dir}")
-    data, params, sector, blocks = _load_archive(path)
+    data, params, sector, blocks = load_archive(path)
     evals = data["eigenvalues"]
     idx = args.index if args.index is not None else 0
     if not 0 <= idx < len(evals):
         raise ConfigError(f"--index {idx} out of range 0..{len(evals) - 1}")
-    coeffs = _embedded(data, blocks, idx)
+    coeffs = embedded(data, blocks, idx)
 
     t0 = time.perf_counter()
     radial = integrated_probability_3d(coeffs, sector, params,
                                        n_r=s["n_radial"], n_eta=s["n_radial"])
     man.add_timing("radial", time.perf_counter() - t0)
-    path = os.path.join(out, f"radial_{tag}_state{idx:04d}.csv")
-    _write_csv(path, [_fmt(e) for e in radial.eta_axis],
-               ([_fmt(v) for v in row] for row in radial.values))
-    man.add_artifact(path)
-    path = os.path.join(out, f"radial_{tag}_state{idx:04d}.json")
-    _write_json(path, {
+    _save(man, out, f"radial_{tag}_state{idx:04d}.csv", _write_csv,
+          [_fmt(e) for e in radial.eta_axis],
+          ([_fmt(v) for v in row] for row in radial.values))
+    _save(man, out, f"radial_{tag}_state{idx:04d}.json", _write_json, {
         "parity": tag, "index": int(idx), "eigenvalue": float(evals[idx]),
         "r_axis": [float(v) for v in radial.r_axis],
         "eta_axis": [float(v) for v in radial.eta_axis],
         "mass": radial.mass(),
         "mass_small_r": radial.mass_small_r(0.1 * params.box_length),
     })
-    man.add_artifact(path)
 
     projection_s = 0.0
     for comp_r, comp_eta, label in ((0, 0, "like"), (0, 1, "unlike")):
@@ -654,22 +436,20 @@ def _analyze_3d(args, cfg, s, out, man) -> None:
         grid = pair_projection_3d(coeffs, sector, params, comp_r, comp_eta,
                                   n_r=s["n_r"], n_eta=s["n_eta"])
         projection_s += time.perf_counter() - t0
-        path = os.path.join(out, f"projection_{label}_{tag}_state{idx:04d}.csv")
-        _write_csv(path, [_fmt(v) for v in grid.eta_axis],
-                   ([_fmt(v) for v in row] for row in grid.density()))
-        man.add_artifact(path)
+        _save(man, out, f"projection_{label}_{tag}_state{idx:04d}.csv", _write_csv,
+              [_fmt(v) for v in grid.eta_axis],
+              ([_fmt(v) for v in row] for row in grid.density()))
     man.add_timing("projections", projection_s)
     man.statistics.update({"parity": tag, "index": int(idx),
                            "eigenvalue": float(evals[idx])})
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    s = section(cfg, "analyze", {
+    _, s, out, man = _start(args, "analyze", {
         "select": "band:1:top", "n_r": 128, "n_eta": 128,
         "strip_fraction": 0.0625, "times_max": 0.0, "n_times": 512,
         "broadening": 0.0, "n_radial": 48,
-    })
+    }, model=False)
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
     if os.path.exists(os.path.join(args.from_dir, "eigenvectors.npz")):
@@ -683,9 +463,8 @@ def cmd_analyze(args) -> int:
     if given:
         raise ConfigError(f"{' and '.join(given)} cannot be used with the {kind} "
                           f"run in {args.from_dir}")
-    out, man = _start(args, "analyze", {"from": args.from_dir,
-                                        "analyze": {k: v for k, v in s.items()}})
-    analyze(args, cfg, s, out, man)
+    man.parameters["from"] = args.from_dir
+    analyze(args, s, out, man)
     man.write(out)
     print(f"analyze ->  {out}")
     return EXIT_OK
@@ -696,14 +475,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    cfg = load_config(args.config)
-    params = model_params(cfg)
-    L = params.box_length
-    s = section(cfg, "orbit", {
+    params, s, out, man = _start(args, "orbit", {
         "dimension": 1, "initial": None, "dt": 0.0, "steps": 10000,
         "wrap": True, "singularity_tol": 0.0, "ensemble": "none",
         "n_orbits": 8, "spread": 0.15, "store_every": 1,
     })
+    L = params.box_length
     dim = s["dimension"]
     if dim not in (1, 3):
         raise ConfigError(f"[orbit] dimension must be 1 or 3, got {dim}")
@@ -720,10 +497,8 @@ def cmd_orbit(args) -> int:
             raise ConfigError("[orbit] dt must be set explicitly for 3D runs")
         dt = suggest_timestep(params)
     sing = s["singularity_tol"] if s["singularity_tol"] > 0 else None
-    out, man = _start(args, "orbit", {**_params_dict(params),
-                                      "orbit": {k: (v if k != "initial" else list(initial))
-                                                for k, v in s.items()},
-                                      "dt_used": dt})
+    man.parameters["orbit"]["initial"] = list(initial)
+    man.parameters["dt_used"] = dt
 
     t0 = time.perf_counter()
     orbits = []
@@ -773,9 +548,7 @@ def cmd_orbit(args) -> int:
                 yield ([str(i), _fmt(traj.times[i])] + [_fmt(v) for v in st]
                        + [_fmt(traj.energies[i]), _fmt(dmin)])
 
-    path = os.path.join(out, "trajectory.csv")
-    _write_csv(path, header, rows(main_traj))
-    man.add_artifact(path)
+    _save(man, out, "trajectory.csv", _write_csv, header, rows(main_traj))
 
     all_events = []
     for oid2, traj in trajectories:
@@ -783,12 +556,10 @@ def cmd_orbit(args) -> int:
             all_events.append([str(oid2), str(ev.step), _fmt(ev.time), ev.kind,
                                ev.detail.replace(",", ";")])
     if all_events:
-        path = os.path.join(out, "events.csv")
-        _write_csv(path, ["orbit", "step", "t", "kind", "detail"], all_events)
-        man.add_artifact(path)
+        _save(man, out, "events.csv", _write_csv,
+              ["orbit", "step", "t", "kind", "detail"], all_events)
 
     if len(trajectories) > 1 or s["ensemble"] != "none":
-        path = os.path.join(out, "portrait.csv")
         prows = []
         for oid2, traj in trajectories:
             side = "+" if traj.states[-1][0] >= 0 else "-"
@@ -799,8 +570,8 @@ def cmd_orbit(args) -> int:
             for i in range(0, len(traj.times), every):
                 prows.append([str(oid2), label, _fmt(traj.times[i]),
                               _fmt(traj.states[i][ir]), _fmt(traj.states[i][ieta])])
-        _write_csv(path, ["orbit", "label", "t", "r1", "eta2"], prows)
-        man.add_artifact(path)
+        _save(man, out, "portrait.csv", _write_csv,
+              ["orbit", "label", "t", "r1", "eta2"], prows)
 
     drift = main_traj.energy_drift()
     man.statistics = {
@@ -829,15 +600,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
-    params = model_params(cfg)
-    s = section(cfg, "estimate", {"n_levels": 3, "convention": "both"})
+    params, s, out, man = _start(args, "estimate", {"n_levels": 3, "convention": "both"})
     if s["convention"] not in ("sigma", "rate", "both"):
         raise ConfigError(f"bad value for [estimate] convention: "
                           f"{s['convention']!r}")
-    out, man = _start(args, "estimate", {**_params_dict(params),
-                                         "estimate": {k: v for k, v in s.items()}})
     L = params.box_length
+    t0 = time.perf_counter()
     result = find_critical_points(params)
     points = []
     saddle_raw = None
@@ -852,8 +620,9 @@ def cmd_estimate(args) -> int:
         })
         if pt.kind == "saddle" and saddle_raw is None:
             saddle_raw = ana
+    man.add_timing("critical", time.perf_counter() - t0)
     payload = {
-        "parameters": _params_dict(params),
+        "parameters": params_dict(params),
         "critical_points": points,
         "failed_seeds": [list(t) for t in result.failed_seeds],
     }
@@ -888,8 +657,8 @@ def cmd_estimate(args) -> int:
             spath = os.path.join(args.from_dir, "eigenvectors.npz")
             if not os.path.exists(spath):
                 raise ConfigError(f"no eigenvectors.npz under {args.from_dir}")
-            data = np.load(spath)
-            run_params = model_params({"model": json.loads(str(data["params"]))})
+            t0 = time.perf_counter()
+            data, run_params = read_archive(spath, ["eigenvalues"])
             ana = saddle_raw
             if run_params.scaling is Scaling.TIMES_L:
                 ana = saddle_raw.scaled(run_params.box_length)
@@ -899,10 +668,9 @@ def cmd_estimate(args) -> int:
                                          n_levels=s["n_levels"])
             payload["comparison"] = comp.as_dict()
             payload["comparison"]["scaling"] = run_params.scaling.value
+            man.add_timing("comparison", time.perf_counter() - t0)
 
-    path = os.path.join(out, "scar_estimates.json")
-    _write_json(path, payload)
-    man.add_artifact(path)
+    _save(man, out, "scar_estimates.json", _write_json, payload)
     man.statistics = {
         "n_critical_points": len(points),
         "kinds": sorted(p["kind"] for p in points),
@@ -968,9 +736,8 @@ def cmd_report(args) -> int:
     lines.append(f"timings: {man.get('timings', {})}")
     lines.append(f"peak RSS: {man.get('peak_rss_mb')} MB")
     text = "\n".join(lines) + "\n"
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "report.txt")
-    with open(path, "w") as fh:
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(text)
     print(text, end="")
     return EXIT_OK

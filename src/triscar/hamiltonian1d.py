@@ -14,23 +14,13 @@ f1(0) = 1/2, f1(+-2) = 1/4 (in units of g/L, after the transfer deltas).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .basis import BasisState1D, Sector1D, SectorOperator, assemble_triplets
+from .basis import Sector1D, SectorOperator, assemble_triplets
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
-
-
-def f1(alpha: int) -> Fraction:
-    """Fourier weight of (1 + cos) against e^{i pi alpha u / L}: exact rational."""
-    if alpha == 0:
-        return Fraction(1, 2)
-    if alpha == 2 or alpha == -2:
-        return Fraction(1, 4)
-    return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -49,41 +39,6 @@ class MatrixElementRule1D:
     def coupling_coeff(self) -> float:
         # g / L prefactor shared by all interaction terms
         return self.params.coupling / self.params.box_length * self.params.energy_scale
-
-
-def _unpack(state) -> tuple[int, int, int]:
-    if isinstance(state, BasisState1D):
-        return state.n1, state.n2, state.p
-    a, b, c = state
-    return int(a), int(b), int(c)
-
-
-def matrix_element_1d(bra, ket, rule: MatrixElementRule1D) -> float:
-    """<bra| H1 |ket> for plane-wave product states (n1, n2, p).
-
-    Kinetic term on the diagonal; heavy-heavy attraction-free term with
-    weight +f1, the two heavy-light terms with weight -f1.  Total momentum
-    must be conserved or the element vanishes.
-    """
-    b1, b2, bp = _unpack(bra)
-    k1, k2, kp = _unpack(ket)
-    gamma = rule.params.gamma
-
-    val = 0.0
-    if (b1, b2, bp) == (k1, k2, kp):
-        val += rule.kinetic_coeff * (k1 * k1 + k2 * k2 + kp * kp / gamma)
-
-    g_over_l = rule.coupling_coeff
-    # heavy-heavy: transfer between the two heavy particles
-    if bp == kp and (k1 - b1) + (k2 - b2) == 0:
-        val += g_over_l * float(f1((k1 - b1) - (k2 - b2)))
-    # heavy 1 with light
-    if b2 == k2 and (k1 - b1) + (kp - bp) == 0:
-        val -= g_over_l * float(f1((k1 - b1) - (kp - bp)))
-    # heavy 2 with light
-    if b1 == k1 and (k2 - b2) + (kp - bp) == 0:
-        val -= g_over_l * float(f1((k2 - b2) - (kp - bp)))
-    return val
 
 
 # momentum-transfer stencil: (dn1, dn2, sign) with dp = -(dn1 + dn2)

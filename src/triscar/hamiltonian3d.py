@@ -98,27 +98,6 @@ def matrix_element_3d(bra, ket, rule: MatrixElementRule3D) -> float:
     return val
 
 
-def symmetrized_element_3d(sector: Sector3D, bra_entry, ket_entry,
-                           rule: MatrixElementRule3D, parity: int) -> float:
-    """Matrix element between exchange eigenstates given as (a, b) pairs.
-
-    Each entry names a state a and its exchange image b (b = a for a
-    diagonal state); it is expanded into both with the parity sign and the
-    1/(c_bra c_ket) normalization applied.
-    """
-    ia, ib = bra_entry
-    ja, jb = ket_entry
-    c_bra = 2.0 if ia == ib else np.sqrt(2.0)
-    c_ket = 2.0 if ja == jb else np.sqrt(2.0)
-    total = 0.0
-    for bi, bsign in ((ia, 1.0), (ib, float(parity))):
-        bra = (sector.n1[bi], sector.n2[bi], sector.p[bi])
-        for ki, ksign in ((ja, 1.0), (jb, float(parity))):
-            ket = (sector.n1[ki], sector.n2[ki], sector.p[ki])
-            total += bsign * ksign * matrix_element_3d(bra, ket, rule)
-    return total / (c_bra * c_ket)
-
-
 def dense_from_elements(sector: Sector3D, rule: MatrixElementRule3D) -> np.ndarray:
     """Elementwise dense build; quadratic cost, intended for small sectors."""
     n = sector.dim

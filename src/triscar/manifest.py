@@ -44,6 +44,7 @@ class RunManifest:
         if not self.version:
             from . import __version__
             self.version = __version__
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "manifest.json")
         payload = {
             "command": self.command,

@@ -1,0 +1,228 @@
+"""One momentum sector solved block by block, as solve1d and solve3d run it,
+and the eigenvector archives that hold the result."""
+
+from __future__ import annotations
+
+import json
+import sys
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from .basis import (ResourceLimitError, Sector1D, Sector3D, SectorOperator,
+                    SymmetryBlock, enumerate_basis_1d, sector_3d,
+                    symmetry_blocks)
+from .config import ConfigError, model_params
+from .eigensolve import dense_budget_error, merge_blocks, solve_dense, solve_iterative
+from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
+from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
+                            OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
+                            count_bytes, operator_bytes, operator_size)
+from .params import ModelParams
+
+#: seconds into a sector solve after which each finished block is reported
+#: on stderr
+PROGRESS_AFTER_S = 2.0
+
+
+@dataclass
+class SectorSolution:
+    """What solve_sector returns.  `groups` maps "" (the whole 1D sector) or
+    "sym" and "anti" (the 3D exchange halves) to merge_blocks' (Spectrum,
+    labels, offsets); `operator` is the plain H; `counts` is the 3D gate's
+    (dim, nnz, operator bytes), None in 1D; `timings` are in seconds."""
+
+    sector: Sector1D | Sector3D
+    blocks: list[SymmetryBlock]
+    operator: SectorOperator
+    groups: dict[str, tuple]
+    counts: tuple[int, int, int] | None
+    timings: dict[str, float]
+
+
+def _gate(cutoff_sq: int, total, allow_large: bool) -> tuple[int, int, int]:
+    """The 3D sector's (dim, nnz, operator bytes), counted from the
+    single-particle vectors alone; a count or an operator over
+    OPERATOR_BUDGET_BYTES is refused unless allow_large."""
+    budget = f"over the operator budget of {OPERATOR_BUDGET_BYTES / 2 ** 20:.0f} MB"
+    counting = count_bytes(cutoff_sq)
+    if counting > OPERATOR_BUDGET_BYTES and not allow_large:
+        raise ResourceLimitError(
+            f"cutoff_sq={cutoff_sq} needs {counting / 2 ** 20:.0f} MB "
+            f"just to count its states, {budget}; rerun with --allow-large "
+            f"to proceed")
+    dim, nnz = operator_size(total, cutoff_sq)
+    need = operator_bytes(dim, nnz)
+    if need > OPERATOR_BUDGET_BYTES and not allow_large:
+        raise ResourceLimitError(
+            f"cutoff_sq={cutoff_sq} gives {dim} states and {nnz} "
+            f"operator nonzeros, whose labels and assembly need "
+            f"{need / 2 ** 20:.0f} MB, {budget}; rerun with --allow-large "
+            f"to proceed")
+    return dim, nnz, need
+
+
+def _route(method: str, dims, command: str) -> str:
+    """The solver route, dense or iterative, for a [command] method setting.
+
+    dims are the dimensions of the eigenvector arrays a dense solve would
+    return.  auto is dense exactly when they fit the dense output budget; an
+    explicit dense that does not fit is refused before any solve.
+    """
+    if method not in ("auto", "dense", "iterative"):
+        raise ConfigError(f"bad value for [{command}] method: {method!r}")
+    error = dense_budget_error(dims)
+    if method == "auto":
+        return "dense" if error is None else "iterative"
+    if method == "dense" and error is not None:
+        raise error
+    return method
+
+
+def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
+                 k: int = 8, tol: float = 1e-10, seed: int = 0,
+                 allow_large: bool = False) -> SectorSolution:
+    """Solve the sector of total_momentum, an int in 1D or three ints in 3D.
+
+    3D sectors pass the operator budget first (see _gate).  The route
+    follows method and the dense output budget over all blocks; only the
+    iterative route loads scipy.  The rows of H at the blocks' orbit
+    representatives, the only rows any block reads, are assembled once
+    (timings["assemble"]); each block S^T H S is assembled from them (its
+    time added to timings["blocks"]) and solved fully by solve_dense or for
+    its lowest k by solve_iterative (tol, seed).  Once the solve has run
+    PROGRESS_AFTER_S, each finished block is reported on stderr.
+    """
+    three_d = np.ndim(total_momentum) > 0
+    command = "solve3d" if three_d else "solve1d"
+    if three_d and len(total_momentum) != 3:
+        raise ConfigError("[solve3d] total_momentum needs three integers")
+    timings: dict[str, float] = {}
+
+    import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)
+    t0 = time.perf_counter()
+    counts = None
+    if three_d:
+        counts = _gate(params.cutoff_sq, total_momentum, allow_large)
+        sector = sector_3d(params, total_momentum)
+        plain_op = HamiltonianOperator3D(sector, MatrixElementRule3D(params))
+    else:
+        sector = enumerate_basis_1d(params, total_momentum)
+        plain_op = HamiltonianOperator1D(sector, MatrixElementRule1D(params))
+    if not sector.dim:
+        raise ConfigError(f"sector {sector.key} holds no states")
+    t1 = time.perf_counter()
+    blocks = symmetry_blocks(sector)
+    t2 = time.perf_counter()
+    timings["build"] = t2 - t0
+    timings["blocks"] = t2 - t1
+
+    dense = _route(method, [block.dim for block in blocks], command) == "dense"
+    if not dense:
+        # loaded before the timed steps, so no timing holds their import
+        import scipy.linalg  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+    groups: dict[str, list] = {}
+    for block in blocks:
+        name = block.label.partition(" ")[0] if three_d else ""
+        groups.setdefault(name, []).append(block)
+
+    t0 = time.perf_counter()
+    lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]))
+    triplets = plain_op.rows(lowest)
+    timings["assemble"] = time.perf_counter() - t0
+
+    def solve(members):
+        """Each block of one group, solved when it is asked for."""
+        for block in members:
+            op = SymmetrizedOperator3D(block, plain_op, triplets)
+            if dense:
+                spec = solve_dense(op)  # assembles op.dense() and times it
+                timings["blocks"] += spec.meta["dense_s"]
+                for step in ("eigh", "canonicalize", "residuals"):
+                    timings[step] = timings.get(step, 0.0) + spec.meta[f"{step}_s"]
+            else:
+                t0 = time.perf_counter()
+                op.matrix  # assembled here, so its time is counted
+                timings["blocks"] += time.perf_counter() - t0
+                spec = solve_iterative(op, k, tol=tol, seed=seed)
+            elapsed = time.perf_counter() - started
+            if elapsed > PROGRESS_AFTER_S:
+                print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
+                      f"at {elapsed:.1f} s", file=sys.stderr)
+            yield block.label, spec
+
+    started = time.perf_counter()
+    solved = {}
+    for name, members in groups.items():
+        size = sum(m * (m if dense else min(k, m))
+                   for m in (block.dim for block in members))
+        key = f"{sector.key} {name}".rstrip()
+        solved[name] = merge_blocks(key, solve(members), size, None if dense else k)
+    timings["solve"] = time.perf_counter() - started
+    return SectorSolution(sector, blocks, plain_op, solved, counts, timings)
+
+
+def params_dict(params: ModelParams) -> dict:
+    """The model parameters as the [model] keys of a configuration."""
+    return {
+        "gamma": params.gamma,
+        "box_length": params.box_length,
+        "coupling": params.coupling,
+        "heavy_cutoff": params.heavy_cutoff,
+        "cutoff_sq": params.cutoff_sq,
+        "scaling": params.scaling.value,
+        "light_cutoff_mode": params.light_cutoff_mode.value,
+    }
+
+
+def write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:
+    """An eigenvector archive: one merged group of blocks, its vectors in
+    block coordinates, each state's block label and vector offset, and what
+    analyze needs to rebuild the blocks (sector labels, total momentum, model
+    parameters); extra adds command-specific arrays."""
+    spec, labels, offsets = solved
+    total = np.atleast_1d(np.asarray(sector.total_momentum, dtype=np.int64))
+    np.savez(path,
+             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
+             residuals=spec.residuals, block=labels, offset=offsets,
+             n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
+             dimension=np.array(f"{len(total)}d"),
+             params=np.array(json.dumps(params_dict(params))), **extra)
+
+
+def read_archive(path: str, names=None) -> tuple[dict, ModelParams]:
+    """The arrays `names` (every array when None; "params" always) of an
+    eigenvector archive, and the model it was solved in."""
+    with np.load(path) as npz:
+        data = {name: npz[name]
+                for name in (npz.files if names is None else {*names, "params"})}
+    return data, model_params({"model": json.loads(str(data["params"]))})
+
+
+def load_archive(path: str):
+    """The arrays of an eigenvector archive, with the model, the sector and
+    the symmetry blocks (by label) it was solved in.  The blocks are a
+    deterministic function of the sector, so they are rebuilt."""
+    data, params = read_archive(path)
+    if "offset" not in data:
+        raise ConfigError(f"{path} holds no block offsets; rerun solve1d/solve3d")
+    total = [int(v) for v in data["total_momentum"]]
+    if len(total) == 1:
+        sector = Sector1D(total[0], data["n1"], data["n2"], data["p"])
+    else:
+        sector = Sector3D(tuple(total), data["n1"], data["n2"], data["p"])
+    blocks = {block.label: block for block in symmetry_blocks(sector)}
+    unknown = set(map(str, data["block"])) - set(blocks)
+    if unknown:
+        raise ConfigError(f"{path} names blocks {sorted(unknown)} that "
+                          f"{sector.key} lacks")
+    return data, params, sector, blocks
+
+
+def embedded(data: dict, blocks: dict, i: int) -> np.ndarray:
+    """Archived state i as a plain-sector vector: S v for its block's S."""
+    block = blocks[str(data["block"][i])]
+    start = data["offset"][i]
+    return block.embed(data["eigenvectors"][start:start + block.dim])

@@ -378,19 +378,21 @@ def _labels(columns, high, rows, seed):
     pytest.param(_labels(1, 5, 40, seed=0), id="1-column"),
     pytest.param(_labels(3, 3, 60, seed=1), id="3-column"),
     pytest.param(_labels(4, 2, 50, seed=2), id="4-column"),
+    pytest.param(_labels(3, 5, 60, seed=4) - 2, id="negative-components"),
     pytest.param(np.array([[0, 1, 0], [2, 2, 2], [0, 1, 0], [0, 1, 0], [1, 0, 0]]),
                  id="singleton-groups"),
     pytest.param(np.array([[7, 7, 7, 7]]), id="one-row"),
     pytest.param(np.zeros((0, 4), dtype=np.int64), id="zero-rows"),
 ])
 def test_pairs_within_groups_match_brute_force(labels):
-    """Every ordered pair (i, j), i != j, of equal label rows, each once;
-    given ascending states, the pairs whose row is in them, in the same
-    order."""
+    """Every ordered pair (i, j), i != j, of equal label rows, each once,
+    ordered by ascending lexicographic label, then by i and j; given
+    ascending states, the pairs whose row is in them, in the same order."""
     rows, cols = _pairs_within_groups(labels)
-    want = [(i, j) for i in range(len(labels)) for j in range(len(labels))
-            if i != j and np.array_equal(labels[i], labels[j])]
-    assert sorted(zip(rows.tolist(), cols.tolist())) == want
+    want = sorted((tuple(labels[i]), i, j) for i in range(len(labels))
+                  for j in range(len(labels))
+                  if i != j and np.array_equal(labels[i], labels[j]))
+    assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for _, i, j in want]
     states = np.flatnonzero(np.random.default_rng(3).random(len(labels)) < 0.5)
     keep = np.isin(rows, states)
     got = _pairs_within_groups(labels, states)

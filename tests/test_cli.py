@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from triscar.basis import Sector1D, SectorOperator
-from triscar import cli, eigensolve
+from triscar import cli, eigensolve, pipeline
 from triscar.cli import main
 from triscar.config import ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -272,7 +272,7 @@ def test_long_solves_report_each_block_on_stderr(tmp_path, capsys, monkeypatch,
     cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(cli, "PROGRESS_AFTER_S", 0.0)
+    monkeypatch.setattr(pipeline, "PROGRESS_AFTER_S", 0.0)
     out = str(tmp_path / "loud")
     assert main([command, "--config", cfg, "--out", out]) == 0
     lines = capsys.readouterr().err.splitlines()
@@ -281,6 +281,21 @@ def test_long_solves_report_each_block_on_stderr(tmp_path, capsys, monkeypatch,
     for line, (label, dim) in zip(sorted(lines), sorted(dims.items())):
         assert line.startswith(f"{command}: block {label!r} (dim {dim}) solved at ")
         assert line.endswith(" s")
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve1d", "[model]\nheavy_cutoff = 2\nlight_cutoff_mode = product-filter\n"
+                "[solve1d]\ntotal_momentum = 99\n", "P=99"),
+    ("solve3d", "[model]\ncutoff_sq = 2\n[solve3d]\ntotal_momentum = 9 9 9\n",
+     "P=(9,9,9)")])
+def test_solves_refuse_an_empty_sector(tmp_path, capsys, command, config, key):
+    """A total momentum no state carries is a configuration error (exit 2)
+    that names the sector, in either dimension, and writes nothing."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: sector {key} holds no states\n"
+    assert not out.exists()
 
 
 def test_solve1d_config_error_exit(tmp_path, capsys):
@@ -344,8 +359,8 @@ def test_solve3d_gate_builds_nothing(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("built before the operator budget was checked")
 
-    monkeypatch.setattr(cli, "sector_3d", never)
-    monkeypatch.setattr(cli, "HamiltonianOperator3D", never)
+    monkeypatch.setattr(pipeline, "sector_3d", never)
+    monkeypatch.setattr(pipeline, "HamiltonianOperator3D", never)
     cfg = write_config(tmp_path, "[model]\ncutoff_sq = 100\n")
     out = str(tmp_path / "huge")
     assert main(["solve3d", "--config", cfg, "--out", out]) == 3
@@ -702,6 +717,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _scipy_modules_in_fresh_cli() == "[]"
 
 
+def test_readme_library_example_runs_without_scipy():
+    """The README's python block runs in a fresh interpreter, exits 0 and
+    loads no scipy module."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        example = fh.read().split("```python\n")[1].split("```")[0]
+    code = (example + "import sys\n"
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("command", ["estimate", "report", "orbit", "analyze3d"])
 def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
     """estimate, report, orbit and 3D analyze finish without loading scipy:
@@ -960,6 +993,8 @@ def test_estimate_payload(tmp_path):
     assert sad["levels"][0]["gap_scaled"] == pytest.approx(5.8005, abs=1e-3)
     assert sad["intensity_sigma_convention"] > 0.0
     assert sad["intensity_rate_convention"] > 0.0
+    timings = read_manifest(out)["timings"]
+    assert set(timings) == {"critical"} and timings["critical"] > 0.0
 
 
 def test_estimate_with_comparison(solve1d_run, tmp_path):
@@ -971,6 +1006,9 @@ def test_estimate_with_comparison(solve1d_run, tmp_path):
     first = comp["entries"][0]
     assert first["predicted_gap"] == pytest.approx(5.8005, abs=1e-3)
     assert first["measured_gap"] == pytest.approx(5.0132, abs=1e-3)
+    timings = read_manifest(out)["timings"]
+    assert set(timings) == {"critical", "comparison"}
+    assert all(t > 0.0 for t in timings.values())
 
 
 def test_run_parameters_round_trip_through_npz(tmp_path):
