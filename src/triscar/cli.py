@@ -107,8 +107,7 @@ def _saddle_analysis(params: ModelParams):
 
 
 def _solve(args, params: ModelParams, s: dict, man: RunManifest):
-    """solve_sector on the [solve1d] or [solve3d] section s; its timings go
-    into the manifest."""
+    """solve_sector on the [solve1d] or [solve3d] section s, timed in man."""
     run = solve_sector(params, s["total_momentum"], method=s["method"], k=s["k"],
                        tol=s["tol"], seed=s["seed"],
                        allow_large=getattr(args, "allow_large", False))
