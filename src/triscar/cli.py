@@ -56,6 +56,17 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_quote(f) for f in row) + "\n")
 
 
+def _write_grid(path: str, axis, values) -> None:
+    """A numeric grid as CSV: the axis as header, then one line per row of
+    `values`, each cell as _fmt writes it."""
+    values = np.asarray(values, dtype=np.float64)
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_fmt(v) for v in axis) + "\n")
+        for row in values:
+            fh.write(line % tuple(row.tolist()))
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -292,9 +303,11 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
     return chosen
 
 
-def _analyze_1d(args, s, out, man) -> None:
+def _analyze_1d(args, s, save, man) -> None:
+    t0 = time.perf_counter()
     data, params, sector, blocks = load_archive(
         os.path.join(args.from_dir, "eigenvectors.npz"))
+    man.add_timing("load", time.perf_counter() - t0)
     evals = data["eigenvalues"]
     bids = data["band_ids"]
     L = params.box_length
@@ -317,10 +330,10 @@ def _analyze_1d(args, s, out, man) -> None:
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
     man.add_timing("overlaps", time.perf_counter() - t0)
 
-    _save(man, out, "overlaps.csv", _write_csv,
-          ["index", "eigenvalue", "band", "heavy_overlap"],
-          ([str(i), _fmt(evals[i]), str(int(bids[i])), _fmt(overlaps[i])]
-           for i in range(len(evals))))
+    save("overlaps.csv", _write_csv,
+         ["index", "eigenvalue", "band", "heavy_overlap"],
+         ([str(i), _fmt(evals[i]), str(int(bids[i])), _fmt(overlaps[i])]
+          for i in range(len(evals))))
 
     strip = s["strip_fraction"] * L
     grids_s = 0.0
@@ -329,10 +342,8 @@ def _analyze_1d(args, s, out, man) -> None:
         grid = position_wavefunction_1d(embedded(data, blocks, i), sector, params,
                                         n_r=s["n_r"], n_eta=s["n_eta"])
         grids_s += time.perf_counter() - t0
-        _save(man, out, f"grid_state{i:04d}.csv", _write_csv,
-              [_fmt(eta) for eta in grid.eta_axis],
-              ([_fmt(v) for v in row] for row in grid.density()))
-        _save(man, out, f"grid_state{i:04d}.json", _write_json, {
+        save(f"grid_state{i:04d}.csv", _write_grid, grid.eta_axis, grid.density())
+        save(f"grid_state{i:04d}.json", _write_json, {
             "index": int(i),
             "eigenvalue": float(evals[i]),
             "band": int(bids[i]),
@@ -364,12 +375,12 @@ def _analyze_1d(args, s, out, man) -> None:
         t0 = time.perf_counter()
         series = autocorrelation(coeffs, evals, times, broad)
         man.add_timing("autocorrelation", time.perf_counter() - t0)
-        _save(man, out, "autocorr.csv", _write_csv, ["t", "re", "im", "abs"],
-              ([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-               for t, v in zip(series.times, series.values)))
-        _save(man, out, "spectral_density.csv", _write_csv, ["energy", "density"],
-              ([_fmt(e), _fmt(d)] for e, d in
-               zip(series.energy_grid, series.spectral_density)))
+        save("autocorr.csv", _write_csv, ["t", "re", "im", "abs"],
+             ([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
+              for t, v in zip(series.times, series.values)))
+        save("spectral_density.csv", _write_csv, ["energy", "density"],
+             ([_fmt(e), _fmt(d)] for e, d in
+              zip(series.energy_grid, series.spectral_density)))
         man.statistics["spectral_mass"] = series.spectral_mass()
         man.statistics["broadening"] = broad
 
@@ -400,14 +411,16 @@ def _read_weights(path: str, n: int) -> np.ndarray:
     return coeffs
 
 
-def _analyze_3d(args, s, out, man) -> None:
+def _analyze_3d(args, s, save, man) -> None:
     tag = args.parity or "sym"
     if tag not in ("sym", "anti"):
         raise ConfigError(f"--parity must be sym or anti, got {tag!r}")
     path = os.path.join(args.from_dir, f"eigenvectors_{tag}.npz")
     if not os.path.exists(path):
         raise ConfigError(f"no {os.path.basename(path)} under {args.from_dir}")
+    t0 = time.perf_counter()
     data, params, sector, blocks = load_archive(path)
+    man.add_timing("load", time.perf_counter() - t0)
     evals = data["eigenvalues"]
     idx = args.index if args.index is not None else 0
     if not 0 <= idx < len(evals):
@@ -415,13 +428,13 @@ def _analyze_3d(args, s, out, man) -> None:
     coeffs = embedded(data, blocks, idx)
 
     t0 = time.perf_counter()
-    radial = integrated_probability_3d(coeffs, sector, params,
-                                       n_r=s["n_radial"], n_eta=s["n_radial"])
+    radial = integrated_probability_3d(
+        coeffs, sector, params, n_r=s["n_radial"], n_eta=s["n_radial"],
+        orbits=blocks[str(data["block"][idx])].orbits)
     man.add_timing("radial", time.perf_counter() - t0)
-    _save(man, out, f"radial_{tag}_state{idx:04d}.csv", _write_csv,
-          [_fmt(e) for e in radial.eta_axis],
-          ([_fmt(v) for v in row] for row in radial.values))
-    _save(man, out, f"radial_{tag}_state{idx:04d}.json", _write_json, {
+    save(f"radial_{tag}_state{idx:04d}.csv", _write_grid, radial.eta_axis,
+         radial.values)
+    save(f"radial_{tag}_state{idx:04d}.json", _write_json, {
         "parity": tag, "index": int(idx), "eigenvalue": float(evals[idx]),
         "r_axis": [float(v) for v in radial.r_axis],
         "eta_axis": [float(v) for v in radial.eta_axis],
@@ -435,9 +448,8 @@ def _analyze_3d(args, s, out, man) -> None:
         grid = pair_projection_3d(coeffs, sector, params, comp_r, comp_eta,
                                   n_r=s["n_r"], n_eta=s["n_eta"])
         projection_s += time.perf_counter() - t0
-        _save(man, out, f"projection_{label}_{tag}_state{idx:04d}.csv", _write_csv,
-              [_fmt(v) for v in grid.eta_axis],
-              ([_fmt(v) for v in row] for row in grid.density()))
+        save(f"projection_{label}_{tag}_state{idx:04d}.csv", _write_grid,
+             grid.eta_axis, grid.density())
     man.add_timing("projections", projection_s)
     man.statistics.update({"parity": tag, "index": int(idx),
                            "eigenvalue": float(evals[idx])})
@@ -463,7 +475,16 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"{' and '.join(given)} cannot be used with the {kind} "
                           f"run in {args.from_dir}")
     man.parameters["from"] = args.from_dir
-    analyze(args, s, out, man)
+    write_s = 0.0
+
+    def save(name, write, *rest):
+        nonlocal write_s
+        t0 = time.perf_counter()
+        _save(man, out, name, write, *rest)
+        write_s += time.perf_counter() - t0
+
+    analyze(args, s, save, man)
+    man.add_timing("write", write_s)
     man.write(out)
     print(f"analyze ->  {out}")
     return EXIT_OK

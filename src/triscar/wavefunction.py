@@ -19,9 +19,9 @@ from .basis import _pairs_within_groups
 
 TWO_PI = 2.0 * np.pi
 
-#: bytes of one int64 row block of the N x N state-pair space; the 3D
-#: radial density walks the pairs in row chunks of this size (about 90 rows
-#: at N = 1459), so its memory grows as N rather than N^2
+#: bytes of one int64 row block of the state-pair space, N columns wide; the
+#: 3D radial density walks its rows in chunks of this size (about 90 rows at
+#: N = 1459), so its memory grows as N rather than N^2
 PAIR_CHUNK_BYTES = 2 ** 20
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -218,43 +218,61 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _row_chunks(n: int):
-    """(lo, hi) row ranges covering 0..n, each a PAIR_CHUNK_BYTES int64 block
-    of the n x n pair space."""
+def _row_chunks(rows: np.ndarray, n: int):
+    """Consecutive slices of `rows`, each a PAIR_CHUNK_BYTES int64 block of
+    pairs against all n columns."""
     step = max(1, PAIR_CHUNK_BYTES // (8 * n))
-    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+    return (slice(lo, lo + step) for lo in range(0, len(rows), step))
 
 
-def _squared_distance(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """|x_a - x_b|^2 for rows a in lo:hi against every row b."""
-    out = np.zeros((hi - lo, len(x)), dtype=np.int64)
-    for k in range(x.shape[1]):
-        d = x[lo:hi, k, None] - x[None, :, k]
-        out += d * d
+def _squared_distance(x: np.ndarray, weights: np.ndarray,
+                      rows: np.ndarray) -> np.ndarray:
+    """sum_k weights_k (x_ak - x_bk)^2 for the rows a in `rows` against every
+    row b of the integer (N, K) `x`.
+
+    Formed as |x_a|^2 + |x_b|^2 - 2 x_a . x_b in the weights' metric, with
+    one float64 matrix product; it is exact while every partial sum of that
+    product stays below 2^53 in magnitude.
+    """
+    wx = x * weights
+    norm = np.sum(wx * x, axis=1)
+    out = (wx[rows].astype(np.float64) @ x.T.astype(np.float64)).astype(np.int64)
+    out *= -2
+    out += norm[rows, None]
+    out += norm
     return out
 
 
-def _pair_signature_weights(coefficients, sector):
-    """Occurring (|dm|^2, |dp|^2) signatures over all state pairs (a, b), in
+def _pair_signature_weights(coefficients, sector, orbits=None):
+    """Occurring (|dm|^2, |dp|^2) signatures over the state pairs (a, b), in
     increasing (dm2, dp2) order, and their summed Re(c_a conj(c_b)).
 
-    Pairs are binned on the key dm2 * (dp2max + 1) + dp2, whose range follows
-    from the per-axis label spans, one row chunk at a time.
+    Pairs are binned on the key dm2 * (dp2max + 1) + dp2, the squared
+    distance of the labels (m, p) in the metric (dp2max + 1, 1), whose range
+    follows from the per-axis label spans, one row chunk at a time.  Rows a
+    run over every state with weight 1, or, given the (lowest, size)
+    `orbits` of the symmetry block holding the vector, over each orbit's
+    lowest state weighted by its orbit's size: the key and the pair weight
+    are invariant under the block's group, so every row of an orbit sums
+    alike.  Rows outside the block's orbits carry zero coefficients, so only
+    signatures whose sum is exactly zero can drop out.
     """
     c = np.asarray(coefficients, dtype=np.complex128)
     cr, ci = c.real, c.imag
     m = (sector.n1 - sector.n2).astype(np.int64)
     p = sector.p.astype(np.int64)
+    rows, size = (np.arange(len(c)), np.ones(len(c))) if orbits is None else orbits
     dm2max = int(np.sum(np.ptp(m, axis=0) ** 2))
     dp2max = int(np.sum(np.ptp(p, axis=0) ** 2))
     nbins = (dm2max + 1) * (dp2max + 1)
     acc = np.zeros(nbins)
     count = np.zeros(nbins, dtype=np.int64)
-    for lo, hi in _row_chunks(len(c)):
-        key = _squared_distance(m, lo, hi) * (dp2max + 1)
-        key += _squared_distance(p, lo, hi)
-        key = key.ravel()
-        wre = np.outer(cr[lo:hi], cr) + np.outer(ci[lo:hi], ci)
+    labels = np.hstack([m, p])
+    metric = np.repeat([dp2max + 1, 1], [m.shape[1], p.shape[1]])
+    for chunk in _row_chunks(rows, len(c)):
+        a, w = rows[chunk], size[chunk]
+        key = _squared_distance(labels, metric, a).ravel()
+        wre = np.outer(w * cr[a], cr) + np.outer(w * ci[a], ci)
         acc += np.bincount(key, wre.ravel(), minlength=nbins)
         count += np.bincount(key, minlength=nbins)
     keys = np.flatnonzero(count)
@@ -270,12 +288,15 @@ def _j0(x: np.ndarray) -> np.ndarray:
 
 def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
                               n_eta: int = 48, r_max: float | None = None,
-                              eta_max: float | None = None) -> RadialDensity:
+                              eta_max: float | None = None,
+                              orbits=None) -> RadialDensity:
     """Angular-integrated two-radius density of a 3D eigenvector.
 
     Each angular average reduces to a spherical Bessel factor,
     P = (4 pi)^2 / L^6 * sum_ab Re(c_a c_b*) j0(|dk| r) j0(|dq| eta).
     Radial domains default to the volume-matching sphere radius rho L / 2.
+    For a vector in one symmetry block, pass that block's `orbits`: the
+    sum then walks only the orbits' lowest rows, weighted by orbit size.
     """
     if len(coefficients) != sector.dim:
         raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
@@ -290,7 +311,7 @@ def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
     r_axis = np.linspace(0.0, r_max, n_r)
     eta_axis = np.linspace(0.0, eta_max, n_eta)
 
-    dm2, dp2, acc = _pair_signature_weights(coefficients, sector)
+    dm2, dp2, acc = _pair_signature_weights(coefficients, sector, orbits=orbits)
     kr = np.pi * np.sqrt(dm2.astype(np.float64)) / L
     qe = TWO_PI * np.sqrt(dp2.astype(np.float64)) / L
     jr = _j0(np.outer(r_axis, kr))            # (n_r, U)

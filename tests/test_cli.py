@@ -443,7 +443,7 @@ def test_analyze_3d_manifest_records_timings_and_peak_rss(tmp_path, capsys):
     assert main(["analyze", "--from", run, "--parity", "anti", "--index", "1",
                  "--out", out]) == 0
     man = read_manifest(out)
-    assert set(man["timings"]) == {"radial", "projections"}
+    assert set(man["timings"]) == {"load", "radial", "projections", "write"}
     assert all(t > 0.0 for t in man["timings"].values())
     assert man["peak_rss_mb"] > 0.0
     capsys.readouterr()
@@ -454,7 +454,7 @@ def test_analyze_3d_manifest_records_timings_and_peak_rss(tmp_path, capsys):
 @pytest.mark.parametrize("weights", [False, True], ids=["plain", "weights"])
 def test_analyze_1d_manifest_records_timings(solve1d_run, tmp_path, weights):
     args = ["analyze", "--from", solve1d_run, "--select", "ground,index:3"]
-    keys = {"overlaps", "grids"}
+    keys = {"load", "overlaps", "grids", "write"}
     if weights:
         path = tmp_path / "w.csv"
         path.write_text("index,coefficient\n0,0.8\n26,0.6\n")
@@ -465,6 +465,20 @@ def test_analyze_1d_manifest_records_timings(solve1d_run, tmp_path, weights):
     man = read_manifest(out)
     assert set(man["timings"]) == keys
     assert all(t > 0.0 for t in man["timings"].values())
+
+
+def test_write_grid_matches_write_csv(tmp_path):
+    """_write_grid writes the bytes _write_csv writes from _fmt cells."""
+    axis = np.array([-0.0, 0.1, 1e300])
+    values = np.array([[-0.0, 5e-324, 1e300],
+                       [np.inf, -np.inf, np.nan],
+                       [1.0 / 3.0, -2.5e-308, 123456789.0]])
+    grid, rows = tmp_path / "grid.csv", tmp_path / "rows.csv"
+    cli._write_grid(str(grid), axis, values)
+    cli._write_csv(str(rows), [cli._fmt(v) for v in axis],
+                   ([cli._fmt(v) for v in row] for row in values))
+    assert grid.read_bytes() == rows.read_bytes()
+    assert b"-0,4.9406564584124654e-324,1.0000000000000001e+300\n" in grid.read_bytes()
 
 
 def test_analyze_refuses_components_key(tmp_path, capsys):

@@ -256,22 +256,32 @@ def test_pair_projection_component_validation(c1_state, params):
 # cutoff_sq 5).
 
 
-def reference_signature_weights(coefficients, sector):
-    """Unique (|dm|^2, |dp|^2) signatures and their summed Re(c_a conj(c_b))."""
-    c = np.asarray(coefficients, dtype=np.complex128)
+def reference_signature_keys(sector):
+    """Unique (|dm|^2, |dp|^2) signatures over all state pairs, and each
+    pair's index into them, pairs in row-major order."""
     m = (sector.n1 - sector.n2).astype(np.int64)
     p = sector.p.astype(np.int64)
     dm = m[:, None, :] - m[None, :, :]
     dp = p[:, None, :] - p[None, :, :]
     dm2 = np.einsum("abk,abk->ab", dm, dm)
     dp2 = np.einsum("abk,abk->ab", dp, dp)
-    wre = np.real(np.outer(c, np.conj(c)))
     key = dm2.ravel() * (dp2.max() + 1) + dp2.ravel()
     uniq, inverse = np.unique(key, return_inverse=True)
-    acc = np.bincount(inverse, weights=wre.ravel())
-    dm2u = uniq // (dp2.max() + 1)
-    dp2u = uniq % (dp2.max() + 1)
-    return dm2u, dp2u, acc
+    return uniq // (dp2.max() + 1), uniq % (dp2.max() + 1), inverse
+
+
+def summed_by_signature(coefficients, keys):
+    """The signatures of `keys` and their summed Re(c_a conj(c_b))."""
+    c = np.asarray(coefficients, dtype=np.complex128)
+    dm2u, dp2u, inverse = keys
+    wre = np.real(np.outer(c, np.conj(c)))
+    return dm2u, dp2u, np.bincount(inverse, weights=wre.ravel())
+
+
+def reference_signature_weights(coefficients, sector, orbits=None):
+    """Unique (|dm|^2, |dp|^2) signatures and their summed Re(c_a conj(c_b)),
+    over every pair; `orbits` is accepted and ignored."""
+    return summed_by_signature(coefficients, reference_signature_keys(sector))
 
 
 def reference_projection_grid(coefficients, sector, component_r,
@@ -372,6 +382,60 @@ def test_chunked_projection_matches_reference(pair_case, params, monkeypatch,
     want = ts.pair_projection_3d(c, sec, params, *components, n_r=24,
                                  n_eta=24)
     _assert_close(got.values, want.values)
+
+
+@pytest.fixture(scope="module", params=[(0, 0, 0), (1, 0, 0)],
+                ids=["P000", "P100"])
+def orbit_case(request, params):
+    """A cutoff_sq 5 sector, its nonempty blocks and its reference keys."""
+    sec = ts.sector_3d(params, request.param, cutoff_sq=5)
+    return sec, ts.symmetry_blocks(sec), reference_signature_keys(sec)
+
+
+def _block_vectors(blocks, seed):
+    """One random unit vector per block, embedded in the plain sector."""
+    return [block.embed(_random_unit(block.dim, seed + i))
+            for i, block in enumerate(blocks)]
+
+
+def _on_union(got, want):
+    """Both signature sums on the union of their signatures, zero-filled."""
+    sums = [dict(zip(zip(dm2.tolist(), dp2.tolist()), acc))
+            for dm2, dp2, acc in (got, want)]
+    union = sorted(set(sums[0]) | set(sums[1]))
+    return [np.array([s.get(k, 0.0) for k in union]) for s in sums]
+
+
+def test_orbit_signatures_match_reference(orbit_case):
+    """A block vector's sums over orbit rows weighted by orbit size equal
+    the sums over every pair."""
+    sec, blocks, keys = orbit_case
+    for block, c in zip(blocks, _block_vectors(blocks, seed=11)):
+        got = wavefunction._pair_signature_weights(c, sec, orbits=block.orbits)
+        _assert_close(*_on_union(got, summed_by_signature(c, keys)))
+
+
+def test_orbit_walk_visits_one_row_per_orbit(orbit_case, monkeypatch):
+    """Given a block's orbits, the walk visits its lowest rows, one per
+    orbit, not all N rows."""
+    sec, blocks, _ = orbit_case
+    visited = []
+    squared_distance = wavefunction._squared_distance
+
+    def counting(x, weights, rows):
+        visited.append(np.array(rows))
+        return squared_distance(x, weights, rows)
+
+    monkeypatch.setattr(wavefunction, "_squared_distance", counting)
+    for block, c in zip(blocks, _block_vectors(blocks, seed=11)):
+        visited.clear()
+        wavefunction._pair_signature_weights(c, sec, orbits=block.orbits)
+        # one call per row chunk
+        np.testing.assert_array_equal(np.concatenate(visited), block.orbits[0])
+        assert block.dim < sec.dim
+    visited.clear()
+    wavefunction._pair_signature_weights(c, sec)
+    assert sum(map(len, visited)) == sec.dim
 
 
 def _traced_peak_bytes(fn, *args, **kwargs):
