@@ -7,10 +7,9 @@ and symplectic center-of-mass orbit integration.
 """
 
 from .params import LightCutoffMode, ModelParams, Scaling
-from .basis import (BasisState1D, BasisState3D, ResourceLimitError, Sector1D,
-                    Sector3D, SymmetryBlock, basis_size_3d, enumerate_basis_1d,
-                    enumerate_vectors, point_group, sector_3d,
-                    symmetrize_sector, symmetry_blocks)
+from .basis import (ResourceLimitError, Sector1D, Sector3D, SymmetryBlock,
+                    basis_size_3d, enumerate_basis_1d, enumerate_vectors,
+                    point_group, sector_3d, symmetrize_sector, symmetry_blocks)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (RHO, HamiltonianOperator3D, MatrixElementRule3D,
                             SymmetrizedOperator3D, dense_from_elements, f2,

@@ -25,20 +25,6 @@ class ResourceLimitError(Exception):
     """A run would need more memory than its budget allows."""
 
 
-@dataclass(frozen=True)
-class BasisState1D:
-    n1: int
-    n2: int
-    p: int
-
-
-@dataclass(frozen=True)
-class BasisState3D:
-    n1: tuple[int, int, int]
-    n2: tuple[int, int, int]
-    p: tuple[int, int, int]
-
-
 class _PairLabels:
     """Rows labelled by the heavy momenta (n1, n2); shared by 1D and 3D sectors."""
 
@@ -101,9 +87,6 @@ class Sector1D(_PairLabels):
     def key(self) -> str:
         return f"P={self.total_momentum}"
 
-    def state(self, i: int) -> BasisState1D:
-        return BasisState1D(int(self.n1[i]), int(self.n2[i]), int(self.p[i]))
-
 
 @dataclass
 class Sector3D(_PairLabels):
@@ -117,11 +100,6 @@ class Sector3D(_PairLabels):
     @property
     def key(self) -> str:
         return "P=({},{},{})".format(*self.total_momentum)
-
-    def state(self, i: int) -> BasisState3D:
-        return BasisState3D(tuple(int(v) for v in self.n1[i]),
-                            tuple(int(v) for v in self.n2[i]),
-                            tuple(int(v) for v in self.p[i]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from . import __version__
 from .basis import ResourceLimitError, basis_size_3d
 from .classical import (find_critical_points, hessian_analysis,
                         integrate_orbit, pair_distances_3d, suggest_timestep)
-from .config import ConfigError, load_config, model_params, section
+from .config import DEFAULTS, ConfigError, load_config, model_params, section
 from .eigensolve import IterationError, assemble_bands, band_id_per_state
 from .manifest import RunManifest, read_manifest
 from .params import ModelParams, Scaling
@@ -82,15 +82,15 @@ def _save(man: RunManifest, out: str, name: str, write, *args, **kwargs) -> None
     man.add_artifact(path)
 
 
-def _start(args, command: str, defaults: dict, model: bool = True):
+def _start(args, command: str, model: bool = True):
     """Read --config: the model (unless model is False) and the [command]
-    section over defaults, both recorded in the run's new manifest.  main
+    section over its defaults, both recorded in the run's new manifest.  main
     writes that manifest with the exit status when the run is refused or
     fails.  Returns (params, section, --out, manifest); params is None
     without the model."""
     cfg = load_config(args.config)
     params = model_params(cfg) if model else None
-    s = section(cfg, command, defaults)
+    s = section(cfg, command)
     parameters = {**(params_dict(params) if model else {}), command: dict(s)}
     args.manifest = RunManifest(command, parameters=parameters)
     return params, s, args.out, args.manifest
@@ -131,10 +131,7 @@ def _solve(args, params: ModelParams, s: dict, man: RunManifest):
 
 
 def cmd_solve1d(args) -> int:
-    params, s, out, man = _start(args, "solve1d", {
-        "total_momentum": 0, "gap_threshold": 2.0, "method": "auto", "k": 8,
-        "tol": 1e-10, "seed": 0, "dump_matrix": False, "scar_levels": 3,
-    })
+    params, s, out, man = _start(args, "solve1d")
     run = _solve(args, params, s, man)
     sector = run.sector
     solved = run.groups[""]
@@ -164,10 +161,11 @@ def cmd_solve1d(args) -> int:
     _save(man, out, "eigenvectors.npz", write_archive, sector, params, solved,
           band_ids=bids)
     if s["dump_matrix"]:
+        rows, cols, values = run.operator.triplets
         _save(man, out, "hamiltonian_nonzeros.csv", _write_csv,
               ["row", "col", "value"],
-              ([str(i), str(j), _fmt(v)]
-               for i, j, v in run.operator.nonzero_triplets()))
+              ([str(rows[n]), str(cols[n]), _fmt(values[n])]
+               for n in np.lexsort((cols, rows))))
     man.add_timing("write", time.perf_counter() - t0)
 
     man.statistics = {
@@ -190,10 +188,7 @@ def cmd_solve1d(args) -> int:
 
 
 def cmd_solve3d(args) -> int:
-    params, s, out, man = _start(args, "solve3d", {
-        "total_momentum": [0, 0, 0], "method": "auto", "k": 8,
-        "tol": 1e-10, "seed": 0,
-    })
+    params, s, out, man = _start(args, "solve3d")
     run = _solve(args, params, s, man)
     sector, blocks, spectra = run.sector, run.blocks, run.groups
     dim, nnz, need = run.counts
@@ -456,11 +451,7 @@ def _analyze_3d(args, s, save, man) -> None:
 
 
 def cmd_analyze(args) -> int:
-    _, s, out, man = _start(args, "analyze", {
-        "select": "band:1:top", "n_r": 128, "n_eta": 128,
-        "strip_fraction": 0.0625, "times_max": 0.0, "n_times": 512,
-        "broadening": 0.0, "n_radial": 48,
-    }, model=False)
+    _, s, out, man = _start(args, "analyze", model=False)
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
     if os.path.exists(os.path.join(args.from_dir, "eigenvectors.npz")):
@@ -495,11 +486,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    params, s, out, man = _start(args, "orbit", {
-        "dimension": 1, "initial": None, "dt": 0.0, "steps": 10000,
-        "wrap": True, "singularity_tol": 0.0, "ensemble": "none",
-        "n_orbits": 8, "spread": 0.15, "store_every": 1,
-    })
+    params, s, out, man = _start(args, "orbit")
     L = params.box_length
     dim = s["dimension"]
     if dim not in (1, 3):
@@ -525,12 +512,14 @@ def cmd_orbit(args) -> int:
     if s["ensemble"] == "none":
         orbits.append((0, np.array(initial, dtype=np.float64)))
     elif s["ensemble"] == "straddle":
+        if s["n_orbits"] < 2 or s["n_orbits"] % 2:
+            raise ConfigError(f"[orbit] n_orbits must be even and at least 2 "
+                              f"for a straddle ensemble, got {s['n_orbits']}")
         base = np.array(initial, dtype=np.float64)
         if dim == 3 and base[0] == 0:
             raise ConfigError("[orbit] straddle ensemble needs a nonzero "
                               "first component in initial")
-        n_pairs = max(1, s["n_orbits"] // 2)
-        for k in range(n_pairs):
+        for k in range(s["n_orbits"] // 2):
             scale = 1.0 + s["spread"] * k
             for sign in (1.0, -1.0):
                 st = base.copy()
@@ -620,7 +609,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    params, s, out, man = _start(args, "estimate", {"n_levels": 3, "convention": "both"})
+    params, s, out, man = _start(args, "estimate")
     if s["convention"] not in ("sigma", "rate", "both"):
         raise ConfigError(f"bad value for [estimate] convention: "
                           f"{s['convention']!r}")
@@ -713,7 +702,7 @@ def _band_gap_threshold(run_dir: str) -> float:
     if os.path.exists(path):
         with open(path) as fh:
             return float(json.load(fh)["gap_threshold"])
-    return 2.0
+    return DEFAULTS["solve1d"]["gap_threshold"]
 
 
 # ---------------------------------------------------------------------------

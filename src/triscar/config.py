@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import configparser
 import os
+from dataclasses import fields
+from enum import Enum
 
-from .params import LightCutoffMode, ModelParams, Scaling
+from .params import ModelParams
 
 
 class ConfigError(Exception):
@@ -34,70 +36,44 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str.strip,
-    "bool": _parse_bool,
-    "floats": _parse_floats,
-    "ints": _parse_ints,
-}
-
-SCHEMAS: dict[str, dict[str, str]] = {
-    "model": {
-        "gamma": "float",
-        "box_length": "float",
-        "coupling": "float",
-        "heavy_cutoff": "int",
-        "cutoff_sq": "int",
-        "scaling": "str",
-        "light_cutoff_mode": "str",
-    },
+#: every INI key by section, with its default.  A value is parsed by its
+#: default's type (see _parser); [model] holds ModelParams' fields.
+DEFAULTS: dict[str, dict] = {
+    "model": {f.name: f.default for f in fields(ModelParams)},
     "solve1d": {
-        "total_momentum": "int",
-        "gap_threshold": "float",
-        "method": "str",
-        "k": "int",
-        "tol": "float",
-        "seed": "int",
-        "dump_matrix": "bool",
-        "scar_levels": "int",
+        "total_momentum": 0, "gap_threshold": 2.0, "method": "auto", "k": 8,
+        "tol": 1e-10, "seed": 0, "dump_matrix": False, "scar_levels": 3,
     },
     "solve3d": {
-        "total_momentum": "ints",
-        "method": "str",
-        "k": "int",
-        "tol": "float",
-        "seed": "int",
+        "total_momentum": [0, 0, 0], "method": "auto", "k": 8, "tol": 1e-10,
+        "seed": 0,
     },
     "analyze": {
-        "select": "str",
-        "n_r": "int",
-        "n_eta": "int",
-        "strip_fraction": "float",
-        "times_max": "float",
-        "n_times": "int",
-        "broadening": "float",
-        "n_radial": "int",
+        "select": "band:1:top", "n_r": 128, "n_eta": 128,
+        "strip_fraction": 0.0625, "times_max": 0.0, "n_times": 512,
+        "broadening": 0.0, "n_radial": 48,
     },
     "orbit": {
-        "dimension": "int",
-        "initial": "floats",
-        "dt": "float",
-        "steps": "int",
-        "wrap": "bool",
-        "singularity_tol": "float",
-        "ensemble": "str",
-        "n_orbits": "int",
-        "spread": "float",
-        "store_every": "int",
+        "dimension": 1, "initial": None, "dt": 0.0, "steps": 10000,
+        "wrap": True, "singularity_tol": 0.0, "ensemble": "none",
+        "n_orbits": 8, "spread": 0.15, "store_every": 1,
     },
-    "estimate": {
-        "n_levels": "int",
-        "convention": "str",
-    },
+    "estimate": {"n_levels": 3, "convention": "both"},
     "report": {},
 }
+
+
+def _parser(default):
+    """The parser of a key with this default: bool, int and float by their
+    type, a list as integers, None (a computed default) as floats, and
+    anything else (text, an Enum's value) as stripped text."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, (int, float)):
+        return type(default)
+    if isinstance(default, list):
+        return _parse_ints
+    return _parse_floats if default is None else str.strip
 
 
 def load_config(path: str | None) -> dict[str, dict]:
@@ -116,16 +92,15 @@ def load_config(path: str | None) -> dict[str, dict]:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     out: dict[str, dict] = {}
     for section in cp.sections():
-        if section not in SCHEMAS:
+        if section not in DEFAULTS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        schema = SCHEMAS[section]
+        defaults = DEFAULTS[section]
         values = {}
         for key, raw in cp[section].items():
-            if key not in schema:
+            if key not in defaults:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            parser = _PARSERS[schema[key]]
             try:
-                values[key] = parser(raw)
+                values[key] = _parser(defaults[key])(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {exc}") from exc
@@ -134,31 +109,23 @@ def load_config(path: str | None) -> dict[str, dict]:
 
 
 def model_params(cfg: dict) -> ModelParams:
-    """Build ModelParams from the [model] section, falling back to defaults."""
+    """Build ModelParams from the [model] section, falling back to defaults;
+    an Enum field is given by its value."""
     sec = dict(cfg.get("model", {}))
-    if "scaling" in sec:
-        try:
-            sec["scaling"] = Scaling(sec["scaling"])
-        except ValueError:
-            raise ConfigError(
-                f"bad value for [model] scaling: {sec['scaling']!r} "
-                f"(use 'raw' or 'multiplied-by-L')") from None
-    if "light_cutoff_mode" in sec:
-        try:
-            sec["light_cutoff_mode"] = LightCutoffMode(sec["light_cutoff_mode"])
-        except ValueError:
-            raise ConfigError(
-                f"bad value for [model] light_cutoff_mode: "
-                f"{sec['light_cutoff_mode']!r} (use 'derived' or "
-                f"'product-filter')") from None
+    for key, default in DEFAULTS["model"].items():
+        if isinstance(default, Enum) and key in sec:
+            try:
+                sec[key] = type(default)(sec[key])
+            except ValueError:
+                use = " or ".join(f"'{member.value}'" for member in type(default))
+                raise ConfigError(f"bad value for [model] {key}: {sec[key]!r} "
+                                  f"(use {use})") from None
     try:
         return ModelParams(**sec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [model] section: {exc}") from exc
 
 
-def section(cfg: dict, name: str, defaults: dict) -> dict:
-    """Merge a config section over command defaults."""
-    merged = dict(defaults)
-    merged.update(cfg.get(name, {}))
-    return merged
+def section(cfg: dict, name: str) -> dict:
+    """The [name] section merged over its DEFAULTS."""
+    return {**DEFAULTS[name], **cfg.get(name, {})}

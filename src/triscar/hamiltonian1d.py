@@ -80,9 +80,3 @@ class HamiltonianOperator1D(SectorOperator):
             transfers.append((states[at], cols, sign * quarter))
         # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
         return assemble_triplets(states, kin - 0.5 * rule.coupling_coeff, transfers)
-
-    def nonzero_triplets(self):
-        """Yield (row, col, value) for every structurally nonzero element, row by row."""
-        rows, cols, values = self.triplets
-        for k in np.lexsort((cols, rows)):
-            yield int(rows[k]), int(cols[k]), float(values[k])

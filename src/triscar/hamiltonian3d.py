@@ -17,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (BasisState3D, Sector3D, SectorOperator, SymmetryBlock,
-                    _pairs_within_groups, assemble_triplets, csr_from_triplets,
-                    enumerate_vectors)
+from .basis import (Sector3D, SectorOperator, SymmetryBlock, _pairs_within_groups,
+                    assemble_triplets, csr_from_triplets, enumerate_vectors)
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -61,13 +60,7 @@ class MatrixElementRule3D:
 
 
 def _unpack3(state):
-    if isinstance(state, BasisState3D):
-        return (np.asarray(state.n1, dtype=np.int64),
-                np.asarray(state.n2, dtype=np.int64),
-                np.asarray(state.p, dtype=np.int64))
-    a, b, c = state
-    return (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-            np.asarray(c, dtype=np.int64))
+    return tuple(np.asarray(v, dtype=np.int64) for v in state)
 
 
 def matrix_element_3d(bra, ket, rule: MatrixElementRule3D) -> float:

@@ -40,8 +40,8 @@ class ModelParams:
     coupling: float = 6.0
     heavy_cutoff: int = 13
     cutoff_sq: int = 10
-    light_cutoff_mode: LightCutoffMode = LightCutoffMode.DERIVED
     scaling: Scaling = Scaling.TIMES_L
+    light_cutoff_mode: LightCutoffMode = LightCutoffMode.DERIVED
 
     def __post_init__(self):
         if not self.gamma > 0:

@@ -6,7 +6,8 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -63,15 +64,13 @@ def _gate(cutoff_sq: int, total, allow_large: bool) -> tuple[int, int, int]:
     return dim, nnz, need
 
 
-def _route(method: str, dims, command: str) -> str:
-    """The solver route, dense or iterative, for a [command] method setting.
+def _route(method: str, dims) -> str:
+    """The solver route, dense or iterative, for a method setting.
 
     dims are the dimensions of the eigenvector arrays a dense solve would
     return.  auto is dense exactly when they fit the dense output budget; an
     explicit dense that does not fit is refused before any solve.
     """
-    if method not in ("auto", "dense", "iterative"):
-        raise ConfigError(f"bad value for [{command}] method: {method!r}")
     error = dense_budget_error(dims)
     if method == "auto":
         return "dense" if error is None else "iterative"
@@ -85,7 +84,9 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
                  allow_large: bool = False) -> SectorSolution:
     """Solve the sector of total_momentum, an int in 1D or three ints in 3D.
 
-    3D sectors pass the operator budget first (see _gate).  The route
+    A method other than auto, dense or iterative, a tol that is not
+    positive or a k below 1 is refused before anything is built, on either
+    route.  3D sectors pass the operator budget first (see _gate).  The route
     follows method and the dense output budget over all blocks; only the
     iterative route loads scipy.  The rows of H at the blocks' orbit
     representatives, the only rows any block reads, are assembled once
@@ -98,6 +99,12 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     command = "solve3d" if three_d else "solve1d"
     if three_d and len(total_momentum) != 3:
         raise ConfigError("[solve3d] total_momentum needs three integers")
+    if method not in ("auto", "dense", "iterative"):
+        raise ConfigError(f"bad value for [{command}] method: {method!r}")
+    if not tol > 0:
+        raise ConfigError(f"bad value for [{command}] tol: {tol} (must be positive)")
+    if k < 1:
+        raise ConfigError(f"bad value for [{command}] k: {k} (must be at least 1)")
     timings: dict[str, float] = {}
 
     import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)
@@ -118,7 +125,7 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     timings["build"] = t2 - t0
     timings["blocks"] = t2 - t1
 
-    dense = _route(method, [block.dim for block in blocks], command) == "dense"
+    dense = _route(method, [block.dim for block in blocks]) == "dense"
     if not dense:
         # loaded before the timed steps, so no timing holds their import
         import scipy.linalg  # noqa: F401
@@ -166,15 +173,9 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
 
 def params_dict(params: ModelParams) -> dict:
     """The model parameters as the [model] keys of a configuration."""
-    return {
-        "gamma": params.gamma,
-        "box_length": params.box_length,
-        "coupling": params.coupling,
-        "heavy_cutoff": params.heavy_cutoff,
-        "cutoff_sq": params.cutoff_sq,
-        "scaling": params.scaling.value,
-        "light_cutoff_mode": params.light_cutoff_mode.value,
-    }
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {key: value.value if isinstance(value, Enum) else value
+            for key, value in values.items()}
 
 
 def write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:

@@ -57,6 +57,13 @@ class WavefunctionGrid:
         return float(np.sum(self.density()) * self.dr * self.deta)
 
 
+def _check_sizes(grid: str, least: int, **sizes) -> None:
+    """Refuse a size below least of the named grid, naming the size."""
+    for name, n in sizes.items():
+        if n < least:
+            raise ValueError(f"{grid} grid size {name} = {n} is below {least}")
+
+
 def _coefficient_grid(coefficients, sector):
     """Scatter sector coefficients onto the (m = n1 - n2, p) lattice.
 
@@ -82,6 +89,7 @@ def position_wavefunction_1d(coefficients, sector, params, n_r: int = 128,
     coordinate cell.  Grids are endpoint-free so even n_r places a node
     exactly at r = 0.
     """
+    _check_sizes("wavefunction", 1, n_r=n_r, n_eta=n_eta)
     if tuple(np.atleast_1d(sector.total_momentum)) != (0,):
         raise ValueError("position reconstruction requires the P = 0 sector")
     if len(coefficients) != sector.dim:
@@ -297,7 +305,9 @@ def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
     Radial domains default to the volume-matching sphere radius rho L / 2.
     For a vector in one symmetry block, pass that block's `orbits`: the
     sum then walks only the orbits' lowest rows, weighted by orbit size.
+    Each axis needs at least 2 points, its two ends.
     """
+    _check_sizes("radial density", 2, n_r=n_r, n_eta=n_eta)
     if len(coefficients) != sector.dim:
         raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
                          f"{sector.dim}")
@@ -361,6 +371,7 @@ def pair_projection_3d(coefficients, sector, params, component_r: int,
     Like pairs (i == j) probe the coupled motion of matching components;
     unlike pairs (i != j) factor through independent marginals.
     """
+    _check_sizes("pair projection", 1, n_r=n_r, n_eta=n_eta)
     if component_r not in (0, 1, 2) or component_eta not in (0, 1, 2):
         raise ValueError(f"component indices must be 0, 1 or 2, got "
                          f"({component_r}, {component_eta})")

@@ -19,8 +19,7 @@ def test_cutoff_zero_single_state():
     p = ts.ModelParams(heavy_cutoff=0)
     sec = ts.enumerate_basis_1d(p, 0)
     assert sec.dim == 1
-    st = sec.state(0)
-    assert (st.n1, st.n2, st.p) == (0, 0, 0)
+    assert (sec.n1[0], sec.n2[0], sec.p[0]) == (0, 0, 0)
 
 
 def test_cutoff_one_derived():
@@ -86,9 +85,8 @@ def test_index_map_roundtrip(sector729):
     n2 = np.array([0, 0, -14, 13, -1])
     rows, cols = sector729.locate(n1, n2)
     assert cols.tolist() == [0, 3, 4]
-    assert [sector729.state(r) for r in rows] == [
-        ts.BasisState1D(0, 0, 0), ts.BasisState1D(-13, 13, 0),
-        ts.BasisState1D(1, -1, 0)]
+    assert [(sector729.n1[r], sector729.n2[r], sector729.p[r]) for r in rows] == [
+        (0, 0, 0), (-13, 13, 0), (1, -1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +126,7 @@ def test_full_enumeration_partition(product_sectors):
     seen = set()
     for sec in sectors.values():
         for i in range(sec.dim):
-            st = sec.state(i)
-            key = (st.n1, st.n2, st.p)
+            key = (tuple(sec.n1[i]), tuple(sec.n2[i]), tuple(sec.p[i]))
             assert key not in seen
             seen.add(key)
     assert len(seen) == 343

@@ -5,9 +5,11 @@ import csv
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ import pytest
 from triscar.basis import Sector1D, SectorOperator
 from triscar import cli, eigensolve, pipeline
 from triscar.cli import main
-from triscar.config import ConfigError, load_config, model_params
+from triscar.config import DEFAULTS, ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
+from triscar.params import ModelParams
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -26,6 +29,9 @@ def write_config(tmp_path, text, name="run.ini"):
 
 
 SMALL_1D = "[model]\nheavy_cutoff = 4\n"
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 #: a small [model] section for each solve command
 SMALL_MODEL = {"solve1d": "heavy_cutoff = 4", "solve3d": "cutoff_sq = 2"}
@@ -69,6 +75,47 @@ def test_config_bad_value(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.ini")
+
+
+def _ini_text(value) -> str:
+    """A default as an INI file spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return value.value if isinstance(value, Enum) else str(value)
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+def test_defaults_load_back_from_their_text(tmp_path, name):
+    """Every key of a DEFAULTS section, given its default's text, loads back
+    to that default with its type (an Enum to its value); the [model]
+    section then builds ModelParams()."""
+    given = {key: value for key, value in DEFAULTS[name].items() if value is not None}
+    text = "".join(f"{key} = {_ini_text(value)}\n" for key, value in given.items())
+    cfg = load_config(write_config(tmp_path, f"[{name}]\n{text}"))
+    want = {key: value.value if isinstance(value, Enum) else value
+            for key, value in given.items()}
+    assert cfg[name] == want
+    assert {key: type(v) for key, v in cfg[name].items()} == \
+        {key: type(v) for key, v in want.items()}
+    if name == "model":
+        assert model_params(cfg) == ModelParams()
+
+
+def test_orbit_initial_loads_as_floats(tmp_path):
+    """[orbit] initial has no default text; its numbers load as floats."""
+    cfg = load_config(write_config(tmp_path, "[orbit]\ninitial = 0.2 0 0 0\n"))
+    assert cfg["orbit"]["initial"] == [0.2, 0.0, 0.0, 0.0]
+
+
+def test_readme_names_every_setting():
+    """README's configuration reference names every key of DEFAULTS."""
+    with open(README) as fh:
+        reference = fh.read().split("## Configuration reference")[1].split("\n## ")[0]
+    missing = [f"[{name}] {key}" for name, keys in DEFAULTS.items() for key in keys
+               if not re.search(rf"\b{key}\b", reference)]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +342,29 @@ def test_solves_refuse_an_empty_sector(tmp_path, capsys, command, config, key):
     cfg = write_config(tmp_path, config)
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: sector {key} holds no states\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve3d"])
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+@pytest.mark.parametrize("setting, reason", [
+    ("tol = 0", "tol: 0.0 (must be positive)"),
+    ("tol = nan", "tol: nan (must be positive)"),
+    ("k = 0", "k: 0 (must be at least 1)")])
+def test_solves_refuse_bad_iterative_settings(tmp_path, capsys, monkeypatch,
+                                              command, method, setting, reason):
+    """A tol that is not positive or a k below 1 exits 2 naming the section,
+    on either route, before the sector is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("built before the settings were checked")
+
+    monkeypatch.setattr(pipeline, "enumerate_basis_1d", never)
+    monkeypatch.setattr(pipeline, "sector_3d", never)
+    cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
+                                 f"[{command}]\nmethod = {method}\n{setting}\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad value for [{command}] {reason}\n"
     assert not out.exists()
 
 
@@ -734,9 +804,7 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_readme_library_example_runs_without_scipy():
     """The README's python block runs in a fresh interpreter, exits 0 and
     loads no scipy module."""
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         example = fh.read().split("```python\n")[1].split("```")[0]
     code = (example + "import sys\n"
             "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n")
@@ -933,6 +1001,24 @@ def test_analyze_refuses_flags_of_the_other_dimension(request, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, setting, reason", [
+    ("1d", "n_r = 0", "wavefunction grid size n_r = 0 is below 1"),
+    ("1d", "n_eta = 0", "wavefunction grid size n_eta = 0 is below 1"),
+    ("3d", "n_r = 0", "pair projection grid size n_r = 0 is below 1"),
+    ("3d", "n_eta = 0", "pair projection grid size n_eta = 0 is below 1"),
+    ("3d", "n_radial = 1", "radial density grid size n_r = 1 is below 2")])
+def test_analyze_refuses_grid_sizes_it_cannot_fill(request, tmp_path, capsys,
+                                                   kind, setting, reason):
+    """A grid with no points (or a radial axis without both ends) exits 2
+    with one line that names the size, not with a traceback."""
+    run = request.getfixturevalue("solve1d_run" if kind == "1d" else "small3d_run")
+    cfg = write_config(tmp_path, f"[analyze]\n{setting}\n")
+    code = main(["analyze", "--config", cfg, "--from", run,
+                 "--out", str(tmp_path / "an")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def test_analyze_autocorrelation(solve1d_run, tmp_path):
     weights = tmp_path / "w.csv"
     weights.write_text("index,coefficient\n0,0.8\n26,0.6\n")
@@ -972,6 +1058,19 @@ def test_orbit_straddle_ensemble(tmp_path):
         rows = list(csv.DictReader(fh))
     orbits = {r["orbit"] for r in rows}
     assert len(orbits) == 4
+
+
+@pytest.mark.parametrize("n_orbits", [1, 7])
+def test_orbit_straddle_refuses_an_odd_count(tmp_path, capsys, n_orbits):
+    """A straddle ensemble runs orbits in +/- pairs, so an odd n_orbits, or
+    one below 2, exits 2 instead of running another count."""
+    cfg = write_config(tmp_path, f"[orbit]\nensemble = straddle\nn_orbits = {n_orbits}\n")
+    out = tmp_path / "orb"
+    assert main(["orbit", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [orbit] n_orbits must be even and at least 2 for a straddle "
+        f"ensemble, got {n_orbits}\n")
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_orbit_bad_dimension(tmp_path, capsys):

@@ -28,10 +28,13 @@ def f1(alpha: int) -> Fraction:
 
 
 def _unpack(state) -> tuple[int, int, int]:
-    if isinstance(state, ts.BasisState1D):
-        return state.n1, state.n2, state.p
     a, b, c = state
     return int(a), int(b), int(c)
+
+
+def _state(sec, i: int) -> tuple[int, int, int]:
+    """The labels (n1, n2, p) of row i of a 1D sector."""
+    return int(sec.n1[i]), int(sec.n2[i]), int(sec.p[i])
 
 
 def matrix_element_1d(bra, ket, rule: ts.MatrixElementRule1D) -> float:
@@ -101,16 +104,18 @@ def quadrature_element(bra, ket, params) -> float:
     integrals come from _pair_integral, not from the f1 table.
     """
     scale = params.energy_scale
+    b1, b2, bp = _unpack(bra)
+    k1, k2, kp = _unpack(ket)
     el = 0.0
-    if (bra.n1, bra.n2, bra.p) == (ket.n1, ket.n2, ket.p):
+    if (b1, b2, bp) == (k1, k2, kp):
         k = (2.0 * np.pi / params.box_length) ** 2
-        el += k * (ket.n1 ** 2 + ket.n2 ** 2 + ket.p ** 2 / params.gamma)
-    if bra.p == ket.p and bra.n1 + bra.n2 == ket.n1 + ket.n2:
-        el += _pair_integral(bra.n1 - ket.n1, params)
-    if bra.n2 == ket.n2 and bra.n1 + bra.p == ket.n1 + ket.p:
-        el -= _pair_integral(bra.n1 - ket.n1, params)
-    if bra.n1 == ket.n1 and bra.n2 + bra.p == ket.n2 + ket.p:
-        el -= _pair_integral(bra.n2 - ket.n2, params)
+        el += k * (k1 ** 2 + k2 ** 2 + kp ** 2 / params.gamma)
+    if bp == kp and b1 + b2 == k1 + k2:
+        el += _pair_integral(b1 - k1, params)
+    if b2 == k2 and b1 + bp == k1 + kp:
+        el -= _pair_integral(b1 - k1, params)
+    if b1 == k1 and b2 + bp == k2 + kp:
+        el -= _pair_integral(b2 - k2, params)
     return el * scale
 
 
@@ -125,8 +130,8 @@ def test_elements_match_quadrature(small_sector):
     rule = ts.MatrixElementRule1D(params)
     for i in range(sec.dim):
         for j in range(sec.dim):
-            got = matrix_element_1d(sec.state(i), sec.state(j), rule)
-            want = quadrature_element(sec.state(i), sec.state(j), params)
+            got = matrix_element_1d(_state(sec, i), _state(sec, j), rule)
+            want = quadrature_element(_state(sec, i), _state(sec, j), params)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -137,7 +142,7 @@ def test_operator_dense_matches_elements(small_sector):
     dense = op.dense()
     for i in range(sec.dim):
         for j in range(sec.dim):
-            want = matrix_element_1d(sec.state(i), sec.state(j), rule)
+            want = matrix_element_1d(_state(sec, i), _state(sec, j), rule)
             assert dense[i, j] == pytest.approx(want, rel=1e-14, abs=1e-18)
 
 
@@ -156,28 +161,28 @@ def test_origin_diagonal_scaled(params):
 
 def test_selection_rules(params):
     rule = ts.MatrixElementRule1D(params)
-    a = ts.BasisState1D(1, 0, -1)
+    a = (1, 0, -1)
     # two-unit transfer is not coupled by a single-cosine potential
-    b = ts.BasisState1D(3, 0, -3)
+    b = (3, 0, -3)
     assert matrix_element_1d(a, b, rule) == 0.0
     # momentum-violating pair
-    c = ts.BasisState1D(1, 1, -1)
+    c = (1, 1, -1)
     assert matrix_element_1d(a, c, rule) == 0.0
 
 
 def test_heavy_heavy_sign_positive(params):
     """The heavy pair repels: its one-unit transfer element is +g/4 scaled."""
     rule = ts.MatrixElementRule1D(params)
-    a = ts.BasisState1D(1, -1, 0)
-    b = ts.BasisState1D(0, 0, 0)
+    a = (1, -1, 0)
+    b = (0, 0, 0)
     got = matrix_element_1d(a, b, rule)
     assert got == pytest.approx(params.coupling / 4.0, rel=1e-14)
 
 
 def test_heavy_light_sign_negative(params):
     rule = ts.MatrixElementRule1D(params)
-    a = ts.BasisState1D(1, 0, -1)
-    b = ts.BasisState1D(0, 0, 0)
+    a = (1, 0, -1)
+    b = (0, 0, 0)
     got = matrix_element_1d(a, b, rule)
     assert got == pytest.approx(-params.coupling / 4.0, rel=1e-14)
 
@@ -186,7 +191,7 @@ def test_nonzero_triplets_consistent(small_sector):
     params, sec = small_sector
     op = ts.HamiltonianOperator1D(sec, ts.MatrixElementRule1D(params))
     h = np.zeros((sec.dim, sec.dim))
-    for i, j, v in op.nonzero_triplets():
+    for i, j, v in zip(*op.triplets):
         h[i, j] += v
     np.testing.assert_allclose(h, op.dense(), rtol=1e-14, atol=1e-18)
 

@@ -59,8 +59,8 @@ def c1_setup():
 def test_single_transfer_element(c1_setup):
     """One momentum unit from heavy 1 to heavy 2 carries +f2(2)/L (scaled)."""
     p, sec, rule = c1_setup
-    a = ts.BasisState3D((1, 0, 0), (-1, 0, 0), (0, 0, 0))
-    b = ts.BasisState3D((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    a = ((1, 0, 0), (-1, 0, 0), (0, 0, 0))
+    b = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
     got = ts.matrix_element_3d(a, b, rule)
     want = F2_FROZEN[2.0] / p.box_length * p.energy_scale
     assert got == pytest.approx(want, rel=1e-14)
@@ -68,8 +68,8 @@ def test_single_transfer_element(c1_setup):
 
 def test_heavy_light_transfer_sign(c1_setup):
     p, sec, rule = c1_setup
-    a = ts.BasisState3D((1, 0, 0), (0, 0, 0), (-1, 0, 0))
-    b = ts.BasisState3D((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    a = ((1, 0, 0), (0, 0, 0), (-1, 0, 0))
+    b = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
     got = ts.matrix_element_3d(a, b, rule)
     want = -F2_FROZEN[2.0] / p.box_length * p.energy_scale
     assert got == pytest.approx(want, rel=1e-14)
@@ -78,7 +78,7 @@ def test_heavy_light_transfer_sign(c1_setup):
 def test_diagonal_purely_kinetic(c1_setup):
     """f2(0) = 0, so the diagonal carries no interaction shift."""
     p, sec, rule = c1_setup
-    st = ts.BasisState3D((1, 0, 0), (-1, 0, 0), (0, 0, 0))
+    st = ((1, 0, 0), (-1, 0, 0), (0, 0, 0))
     got = ts.matrix_element_3d(st, st, rule)
     want = (2.0 * np.pi / p.box_length) ** 2 * 2.0 * p.energy_scale
     assert got == pytest.approx(want, rel=1e-14)
@@ -86,7 +86,7 @@ def test_diagonal_purely_kinetic(c1_setup):
 
 def test_light_kinetic_mass_factor(c1_setup):
     p, sec, rule = c1_setup
-    st = ts.BasisState3D((0, 0, 0), (0, 0, 0), (1, 0, 0))
+    st = ((0, 0, 0), (0, 0, 0), (1, 0, 0))
     got = ts.matrix_element_3d(st, st, rule)
     want = (2.0 * np.pi / p.box_length) ** 2 / p.gamma * p.energy_scale
     assert got == pytest.approx(want, rel=1e-14)
@@ -210,8 +210,8 @@ def test_full_c1_block_completeness(product_sectors):
         sector_vals.append(np.linalg.eigvalsh(h))
     got = np.sort(np.concatenate(sector_vals))
     # oracle: one dense matrix over the whole 343-state basis
-    states = [st for sec in sectors.values()
-              for st in (sec.state(i) for i in range(sec.dim))]
+    states = [(sec.n1[i], sec.n2[i], sec.p[i]) for sec in sectors.values()
+              for i in range(sec.dim)]
     full = np.zeros((len(states), len(states)))
     for i, a in enumerate(states):
         for j, b in enumerate(states):
