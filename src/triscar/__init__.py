@@ -25,7 +25,7 @@ from .wavefunction import (AutocorrelationSeries, RadialDensity,
 from .classical import (CriticalPoint, CriticalPointResult, SaddleAnalysis,
                         Trajectory, effective_potential,
                         effective_potential_grad, effective_potential_hessian,
-                        find_critical_points, hamilton_rhs_1d, hamilton_rhs_3d,
+                        find_critical_points, hamilton_rhs_1d,
                         hamiltonian_cm_1d, hamiltonian_cm_3d, hessian_analysis,
                         integrate_orbit, suggest_timestep)
 from .scars import (ScarComparison, ScarEnergy, compare_with_spectrum,

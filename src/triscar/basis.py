@@ -57,6 +57,11 @@ class _PairLabels:
         return lo, span.astype(np.uint64), strides, keys[order], order
 
 
+def _axes(labels: np.ndarray) -> np.ndarray:
+    """(N,) or (N, C) labels as rows of components: shape (1, N) or (C, N)."""
+    return np.atleast_2d(np.asarray(labels, dtype=np.int64).T)
+
+
 def _components(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Labels as rows of components, n1 then n2: shape (2, N) in 1D, (6, N) in 3D."""
     return np.vstack([n1.T, n2.T], dtype=np.int64)
@@ -332,13 +337,13 @@ def _orbit_blocks(sector, maps) -> list[SymmetryBlock]:
 def _pairs_within_groups(labels: np.ndarray, states: np.ndarray | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair (rows, cols), rows != cols, of equal labels, one
-    label per row of the (N, C) `labels`.
+    label per row of the (N, C) or (N,) `labels`.
 
     The pairs are ordered by label, ascending lexicographically, then by
     row and by column.  Given `states`, ascending, only the pairs whose row
     is in it, in the same order.
     """
-    keys = _mixed_radix(np.asarray(labels, dtype=np.int64).T)[0]
+    keys = _mixed_radix(_axes(labels))[0]
     _, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
     # rows sorted by label (stable), so each group is one run
     order = np.argsort(inverse, kind="stable")
@@ -354,6 +359,14 @@ def _pairs_within_groups(labels: np.ndarray, states: np.ndarray | None = None
     cols = order[np.repeat(start, per_row) + offset]
     keep = rows != cols
     return rows[keep], cols[keep]
+
+
+#: the three pair interactions as (spectator, moving heavy label, sign): a
+#: transfer q between the other two particles keeps the spectator's momentum
+#: and moves the named heavy momentum by q
+PAIR_TYPES = (("p", "n1", +1.0),     # heavy-heavy repulsion
+              ("n2", "n1", -1.0),    # heavy 1 - light attraction
+              ("n1", "n2", -1.0))    # heavy 2 - light attraction
 
 
 def assemble_triplets(states: np.ndarray, diagonal: np.ndarray, transfers):
@@ -380,21 +393,48 @@ def csr_from_triplets(rows, cols, values, shape) -> sparse.csr_array:
 
 
 class SectorOperator:
-    """An operator on one plain sector, held as numpy triplets.
+    """H = kinetic energy + three pair potentials on one plain sector, held
+    as numpy triplets.
 
-    Subclasses set `sector` and define `rows(states)`, the (rows, cols,
-    values) of assemble_triplets in the rows `states` (ascending and
-    unique) alone, whose positions do not repeat.  A solve assembles only
-    the rows it reads; `triplets`, every row, is assembled on first use,
+    Subclasses set `sector`, `rule` (its kinetic_coeff and params.gamma) and
+    `coupling`, a pair potential's Fourier weight indexed by the squared
+    transfer |q|^2; a transfer at or past len(coupling) carries none.
+    `rows(states)` assembles the rows `states` alone; a solve assembles only
+    the rows it reads.  `triplets`, every row, is assembled on first use,
     and so are `dense()`, which places them with numpy, and `.matrix`, the
     scipy CSR.
     """
 
     sector: Sector1D | Sector3D
+    coupling: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.sector.dim
+
+    def rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (rows, cols, values) of assemble_triplets in the rows
+        `states` (ascending, unique); no position repeats.
+
+        The diagonal holds the kinetic energy and the three pair potentials
+        at q = 0, whose signs +1 - 1 - 1 sum to -1.  Each pair type couples
+        a row to the other states of its spectator group, with the transfer
+        q that moves the heavy label, at sign * coupling[|q|^2].  A row's
+        entries come by pair type, then by ascending column.
+        """
+        sector, rule, coupling = self.sector, self.rule, self.coupling
+        n1, n2, p = (_axes(getattr(sector, name)[states]) for name in ("n1", "n2", "p"))
+        kin = (n1 * n1).sum(0) + (n2 * n2).sum(0) + (p * p).sum(0) / rule.params.gamma
+        transfers = []
+        for spectator, moving, sign in PAIR_TYPES:
+            rows, cols = _pairs_within_groups(getattr(sector, spectator), states)
+            # |q|^2 one axis at a time, with no (pairs, C) temporary
+            qsq = np.zeros(len(rows), dtype=np.int64)
+            for axis in _axes(getattr(sector, moving)):
+                qsq += (axis[rows] - axis[cols]) ** 2
+            inside = qsq < len(coupling)
+            transfers.append((rows[inside], cols[inside], sign * coupling[qsq[inside]]))
+        return assemble_triplets(states, rule.kinetic_coeff * kin - coupling[0], transfers)
 
     @cached_property
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -120,13 +120,6 @@ def hamiltonian_cm_3d(state, params: ModelParams) -> float:
     return kin + coulomb_potential_cm(r, eta)
 
 
-def hamilton_rhs_3d(state, params: ModelParams) -> np.ndarray:
-    r, pr, eta, pe = (state[0:3], state[3:6], state[6:9], state[9:12])
-    g_r, g_eta = _coulomb_grads(r, eta)
-    return np.concatenate([4.0 * pr, -g_r,
-                           (2.0 + params.gamma) / params.gamma * pe, -g_eta])
-
-
 @dataclass
 class OrbitEvent:
     step: int
@@ -282,24 +275,22 @@ class CriticalPointResult:
     failed_seeds: list
 
 
-def find_critical_points(params: ModelParams, seeds=None,
-                         max_iter: int = 100) -> CriticalPointResult:
-    """Newton search for critical points of the 1D effective potential.
+def find_critical_points(params: ModelParams) -> CriticalPointResult:
+    """Newton search, at most 100 steps each, for critical points of the 1D
+    effective potential.
 
-    Seeds default to one point near the origin and one near each +-L/3 well.
+    The seeds are one point near the origin and one near each +-L/3 well.
     Non-converged seeds are reported, not fatal.  Duplicate finds (within
     1e-8 L) are merged.
     """
     L = params.box_length
-    if seeds is None:
-        seeds = [(0.02 * L, 0.01 * L), (0.30 * L, 0.02 * L),
-                 (-0.30 * L, 0.02 * L)]
+    seeds = [(0.02 * L, 0.01 * L), (0.30 * L, 0.02 * L), (-0.30 * L, 0.02 * L)]
     points: list[CriticalPoint] = []
     failed: list = []
     for seed in seeds:
         x = np.array(seed, dtype=np.float64)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(100):
             grad = effective_potential_grad(x[0], x[1], params)
             hess = effective_potential_hessian(x[0], x[1], params)
             try:
@@ -407,9 +398,9 @@ def hessian_analysis(point: CriticalPoint, params: ModelParams) -> SaddleAnalysi
                           point.kind == "degenerate")
 
 
-def suggest_timestep(params: ModelParams, fraction: float = 1.0 / 200.0) -> float:
-    """fraction of the fastest stable normal-mode period over all critical
-    points found from the default seeds."""
+def suggest_timestep(params: ModelParams) -> float:
+    """1/200 of the fastest stable normal-mode period over all critical
+    points find_critical_points finds."""
     result = find_critical_points(params)
     periods = []
     for pt in result.points:
@@ -417,4 +408,4 @@ def suggest_timestep(params: ModelParams, fraction: float = 1.0 / 200.0) -> floa
         periods.extend(ana.stable_periods)
     if not periods:
         raise ValueError("no stable mode found; cannot suggest a timestep")
-    return fraction * min(periods)
+    return (1.0 / 200.0) * min(periods)

@@ -466,16 +466,14 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"{' and '.join(given)} cannot be used with the {kind} "
                           f"run in {args.from_dir}")
     man.parameters["from"] = args.from_dir
-    write_s = 0.0
-
-    def save(name, write, *rest):
-        nonlocal write_s
-        t0 = time.perf_counter()
+    # written once the analysis has passed every check, so a refused run
+    # leaves nothing in --out
+    pending = []
+    analyze(args, s, lambda *item: pending.append(item), man)
+    t0 = time.perf_counter()
+    for name, write, *rest in pending:
         _save(man, out, name, write, *rest)
-        write_s += time.perf_counter() - t0
-
-    analyze(args, s, save, man)
-    man.add_timing("write", write_s)
+    man.add_timing("write", time.perf_counter() - t0)
     man.write(out)
     print(f"analyze ->  {out}")
     return EXIT_OK

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Sector1D, SectorOperator, assemble_triplets
+from .basis import Sector1D, SectorOperator
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -41,42 +41,15 @@ class MatrixElementRule1D:
         return self.params.coupling / self.params.box_length * self.params.energy_scale
 
 
-# momentum-transfer stencil: (dn1, dn2, sign) with dp = -(dn1 + dn2)
-_HOPS = (
-    (1, -1, +1), (-1, 1, +1),    # heavy-heavy
-    (1, 0, -1), (-1, 0, -1),     # heavy 1 / light
-    (0, 1, -1), (0, -1, -1),     # heavy 2 / light
-)
-
-
 class HamiltonianOperator1D(SectorOperator):
-    """H1 on a single momentum sector, assembled as (rows, cols, values)
-    triplets of the rows asked for.
+    """H1 on a single momentum sector, assembled by SectorOperator.rows.
 
-    The diagonal plus the six one-unit transfers, so at most seven entries
-    per row.
+    The cosine potential moves one unit, |q|^2 = 1, at f1(+-2) = 1/4 in
+    units of g/L, and its mean f1(0) = 1/2 enters the diagonal; so at most
+    seven entries per row.
     """
 
     def __init__(self, sector: Sector1D, rule: MatrixElementRule1D):
         self.sector = sector
         self.rule = rule
-
-    def rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The triplets in the rows `states` (ascending, unique).
-
-        A hop moves (n1, n2) by (da, db), so row a holds the hop from the
-        state labelled (n1[a] - da, n2[a] - db); a shift keeps the sector's
-        lexicographic order, so each hop's entries ascend by row and by
-        column alike.
-        """
-        sector, rule = self.sector, self.rule
-        n1, n2, p = sector.n1[states], sector.n2[states], sector.p[states]
-        gamma = rule.params.gamma
-        kin = rule.kinetic_coeff * (n1 * n1 + n2 * n2 + p * p / gamma)
-        quarter = 0.25 * rule.coupling_coeff
-        transfers = []
-        for da, db, sign in _HOPS:
-            cols, at = sector.locate(n1 - da, n2 - db)
-            transfers.append((states[at], cols, sign * quarter))
-        # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
-        return assemble_triplets(states, kin - 0.5 * rule.coupling_coeff, transfers)
+        self.coupling = np.array([0.5, 0.25]) * rule.coupling_coeff

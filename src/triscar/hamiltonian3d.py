@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (Sector3D, SectorOperator, SymmetryBlock, _pairs_within_groups,
-                    assemble_triplets, csr_from_triplets, enumerate_vectors)
+from .basis import (Sector3D, SectorOperator, SymmetryBlock, csr_from_triplets,
+                    enumerate_vectors)
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -104,14 +104,6 @@ def dense_from_elements(sector: Sector3D, rule: MatrixElementRule3D) -> np.ndarr
     return h
 
 
-#: the three pair interactions as (spectator, moving heavy label, sign): a
-#: transfer q between the other two particles keeps the spectator's momentum
-#: and moves the named heavy momentum by q
-_PAIR_TYPES = (("p", "n1", +1.0),     # heavy-heavy repulsion
-               ("n2", "n1", -1.0),    # heavy 1 - light attraction
-               ("n1", "n2", -1.0))    # heavy 2 - light attraction
-
-
 def operator_size(total_momentum, cutoff_sq: int) -> tuple[int, int]:
     """(dim, nnz) of HamiltonianOperator3D on a sector, before building either.
 
@@ -179,14 +171,12 @@ def operator_bytes(dim: int, nnz: int) -> int:
 
 
 class HamiltonianOperator3D(SectorOperator):
-    """3D Hamiltonian on one momentum sector, assembled as (rows, cols, values)
-    triplets of the rows asked for.
+    """3D Hamiltonian on one momentum sector, assembled by SectorOperator.rows.
 
-    The kinetic energy fills the diagonal.  Each pair interaction moves a
-    transfer q between two particles and leaves the third, the spectator,
-    alone, so it couples exactly the states that share a spectator label:
-    one grouping per pair type yields every (row, col) position, with
-    coupling +-f2(2|q|)/L for the transfers 0 < |q|^2 <= 4 cutoff_sq.
+    Each pair interaction couples the states that share a spectator label,
+    with coupling +-f2(2|q|)/L for the transfers 0 < |q|^2 <= 4 cutoff_sq,
+    which every transfer between in-sector states obeys; f2(0) = 0, so the
+    diagonal is purely kinetic.
     """
 
     def __init__(self, sector: Sector3D, rule: MatrixElementRule3D,
@@ -194,30 +184,8 @@ class HamiltonianOperator3D(SectorOperator):
         self.sector = sector
         self.rule = rule
         self.cutoff_sq = rule.params.cutoff_sq if cutoff_sq is None else cutoff_sq
-
-    def rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The triplets in the rows `states` (ascending, unique): each row's
-        partners in its spectator groups, and nothing else."""
-        rule, sector, cutoff_sq = self.rule, self.sector, self.cutoff_sq
-        n1, n2, p = sector.n1[states], sector.n2[states], sector.p[states]
-        kin = (np.einsum("ij,ij->i", n1, n1)
-               + np.einsum("ij,ij->i", n2, n2)
-               + np.einsum("ij,ij->i", p, p) / rule.params.gamma)
-        w = rule.interaction_coeff
-        # the coupling depends on |q|^2 only; evaluated once per value
-        coupling = np.array([w * f2(2.0 * np.sqrt(float(qsq)))
-                             for qsq in range(4 * cutoff_sq + 1)])
-        transfers = []
-        for spectator, moving, sign in _PAIR_TYPES:
-            rows, cols = _pairs_within_groups(getattr(sector, spectator), states)
-            label = getattr(sector, moving)
-            qsq = np.zeros(len(rows), dtype=np.int64)
-            for axis in range(3):
-                qsq += (label[rows, axis] - label[cols, axis]) ** 2
-            inside = qsq <= 4 * cutoff_sq
-            transfers.append((rows[inside], cols[inside], sign * coupling[qsq[inside]]))
-        # q = 0 carries no weight (f2(0) = 0), so the diagonal is purely kinetic
-        return assemble_triplets(states, rule.kinetic_coeff * kin, transfers)
+        self.coupling = np.array([rule.interaction_coeff * f2(2.0 * np.sqrt(float(qsq)))
+                                  for qsq in range(4 * self.cutoff_sq + 1)])
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != self.dim:

@@ -149,11 +149,11 @@ class AutocorrelationSeries:
         return float(_trapz(self.spectral_density, self.energy_grid))
 
 
-def autocorrelation(coefficients, eigenvalues, times, broadening: float,
-                    energy_grid=None) -> AutocorrelationSeries:
+def autocorrelation(coefficients, eigenvalues, times,
+                    broadening: float) -> AutocorrelationSeries:
     """C(t) = sum |c_n|^2 exp(-i E_n t) and S(E) = sum |c_n|^2 N(E; E_n, lambda).
 
-    Requires a unit-norm coefficient vector.  The default energy grid covers
+    Requires a unit-norm coefficient vector.  The energy grid covers
     every weighted eigenvalue plus six broadening widths on each side, at a
     step of broadening / 8; trapezoid integration of S over that grid is then
     accurate to well below 1e-6.
@@ -172,16 +172,13 @@ def autocorrelation(coefficients, eigenvalues, times, broadening: float,
     times = np.asarray(times, dtype=np.float64)
     values = np.exp(-1j * np.outer(times, evals)) @ w
 
-    if energy_grid is None:
-        heavy = evals[w > 1e-14]
-        if len(heavy) == 0:
-            heavy = evals
-        lo = float(heavy.min()) - 6.0 * broadening
-        hi = float(heavy.max()) + 6.0 * broadening
-        n_pts = int(np.ceil((hi - lo) / (broadening / 8.0))) + 1
-        energy_grid = np.linspace(lo, hi, n_pts)
-    else:
-        energy_grid = np.asarray(energy_grid, dtype=np.float64)
+    heavy = evals[w > 1e-14]
+    if len(heavy) == 0:
+        heavy = evals
+    lo = float(heavy.min()) - 6.0 * broadening
+    hi = float(heavy.max()) + 6.0 * broadening
+    n_pts = int(np.ceil((hi - lo) / (broadening / 8.0))) + 1
+    energy_grid = np.linspace(lo, hi, n_pts)
     z = (energy_grid[:, None] - evals[None, :]) / broadening
     dens = np.exp(-0.5 * z * z) @ w / (broadening * np.sqrt(TWO_PI))
     return AutocorrelationSeries(times, values, w, evals, energy_grid, dens,
@@ -295,14 +292,12 @@ def _j0(x: np.ndarray) -> np.ndarray:
 
 
 def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
-                              n_eta: int = 48, r_max: float | None = None,
-                              eta_max: float | None = None,
-                              orbits=None) -> RadialDensity:
+                              n_eta: int = 48, orbits=None) -> RadialDensity:
     """Angular-integrated two-radius density of a 3D eigenvector.
 
     Each angular average reduces to a spherical Bessel factor,
     P = (4 pi)^2 / L^6 * sum_ab Re(c_a c_b*) j0(|dk| r) j0(|dq| eta).
-    Radial domains default to the volume-matching sphere radius rho L / 2.
+    Both radial axes run to the volume-matching sphere radius rho L / 2.
     For a vector in one symmetry block, pass that block's `orbits`: the
     sum then walks only the orbits' lowest rows, weighted by orbit size.
     Each axis needs at least 2 points, its two ends.
@@ -314,10 +309,7 @@ def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
     from .hamiltonian3d import RHO
 
     L = params.box_length
-    if r_max is None:
-        r_max = RHO * L / 2.0
-    if eta_max is None:
-        eta_max = RHO * L / 2.0
+    r_max = eta_max = RHO * L / 2.0
     r_axis = np.linspace(0.0, r_max, n_r)
     eta_axis = np.linspace(0.0, eta_max, n_eta)
 

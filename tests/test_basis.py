@@ -380,13 +380,16 @@ def _labels(columns, high, rows, seed):
                  id="singleton-groups"),
     pytest.param(np.array([[7, 7, 7, 7]]), id="one-row"),
     pytest.param(np.zeros((0, 4), dtype=np.int64), id="zero-rows"),
+    pytest.param(_labels(1, 5, 40, seed=5)[:, 0], id="1d-labels"),
+    pytest.param(np.zeros(0, dtype=np.int64), id="1d-zero-rows"),
 ])
 def test_pairs_within_groups_match_brute_force(labels):
     """Every ordered pair (i, j), i != j, of equal label rows, each once,
     ordered by ascending lexicographic label, then by i and j; given
-    ascending states, the pairs whose row is in them, in the same order."""
+    ascending states, the pairs whose row is in them, in the same order.
+    (N,) labels act as one column."""
     rows, cols = _pairs_within_groups(labels)
-    want = sorted((tuple(labels[i]), i, j) for i in range(len(labels))
+    want = sorted((tuple(np.atleast_1d(labels[i])), i, j) for i in range(len(labels))
                   for j in range(len(labels))
                   if i != j and np.array_equal(labels[i], labels[j]))
     assert list(zip(rows.tolist(), cols.tolist())) == [(i, j) for _, i, j in want]

@@ -1019,6 +1019,28 @@ def test_analyze_refuses_grid_sizes_it_cannot_fill(request, tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {reason}\n"
 
 
+@pytest.mark.parametrize("kind, setting, weights", [
+    ("1d", "n_r = 0", None), ("1d", "n_r = 7", None),
+    ("1d", "strip_fraction = 0.9", None), ("1d", "", "index,coefficient\n999,1.0\n"),
+    ("3d", "n_eta = 0", None)])
+def test_refused_analyze_leaves_nothing_in_out(request, tmp_path, capsys, kind,
+                                               setting, weights):
+    """A check that refuses analyze after some artifacts are ready (the
+    overlaps, a grid, the radial density) exits 2 with one error line and
+    leaves no file under --out."""
+    run = request.getfixturevalue("solve1d_run" if kind == "1d" else "small3d_run")
+    cfg = write_config(tmp_path, f"[analyze]\n{setting}\n")
+    out = tmp_path / "an"
+    argv = ["analyze", "--config", cfg, "--from", run, "--out", str(out)]
+    if weights is not None:
+        (tmp_path / "w.csv").write_text(weights)
+        argv += ["--weights", str(tmp_path / "w.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.rglob("*"))
+
+
 def test_analyze_autocorrelation(solve1d_run, tmp_path):
     weights = tmp_path / "w.csv"
     weights.write_text("index,coefficient\n0,0.8\n26,0.6\n")

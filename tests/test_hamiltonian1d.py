@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
+from triscar.basis import assemble_triplets, csr_from_triplets
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +205,72 @@ def test_raw_vs_scaled_factor():
     h_r = ts.HamiltonianOperator1D(sec_r, ts.MatrixElementRule1D(raw)).dense()
     h_s = ts.HamiltonianOperator1D(sec_s, ts.MatrixElementRule1D(scl)).dense()
     np.testing.assert_allclose(h_s, h_r * raw.box_length, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the pair-transfer assembly against the former hop stencil
+
+
+#: momentum-transfer stencil: (dn1, dn2, sign) with dp = -(dn1 + dn2)
+_HOPS = (
+    (1, -1, +1), (-1, 1, +1),    # heavy-heavy
+    (1, 0, -1), (-1, 0, -1),     # heavy 1 / light
+    (0, 1, -1), (0, -1, -1),     # heavy 2 / light
+)
+
+
+def reference_rows(sector, rule, states):
+    """The former assembly of the rows `states`: the diagonal, then one
+    label lookup per hop of the stencil, as (rows, cols, values) in hop
+    order.  A hop moves (n1, n2) by (da, db), so row a holds the hop from
+    the state labelled (n1[a] - da, n2[a] - db)."""
+    n1, n2, p = sector.n1[states], sector.n2[states], sector.p[states]
+    kin = rule.kinetic_coeff * (n1 * n1 + n2 * n2 + p * p / rule.params.gamma)
+    quarter = 0.25 * rule.coupling_coeff
+    transfers = []
+    for da, db, sign in _HOPS:
+        cols, at = sector.locate(n1 - da, n2 - db)
+        transfers.append((states[at], cols, sign * quarter))
+    # diagonal interaction: +f1(0) - 2 f1(0) = -1/2 in units of g/L
+    return assemble_triplets(states, kin - 0.5 * rule.coupling_coeff, transfers)
+
+
+def _hop_case(mode, total):
+    params = ts.ModelParams(heavy_cutoff=9, light_cutoff_mode=ts.LightCutoffMode(mode))
+    sector = ts.enumerate_basis_1d(params, total)
+    rule = ts.MatrixElementRule1D(params)
+    return sector, rule, ts.HamiltonianOperator1D(sector, rule)
+
+
+HOP_CASES = pytest.mark.parametrize("mode, total", [
+    ("derived", 0), ("derived", 1), ("product-filter", 0), ("product-filter", 1)])
+
+
+@HOP_CASES
+def test_operator_matches_the_hop_stencil(mode, total):
+    """The pair-transfer assembly builds the hop stencil's CSR bit for bit."""
+    sector, rule, op = _hop_case(mode, total)
+    got = op.matrix
+    want = csr_from_triplets(*reference_rows(sector, rule, np.arange(sector.dim)),
+                             (sector.dim, sector.dim))
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@HOP_CASES
+def test_blocks_match_the_hop_stencil_byte_for_byte(mode, total):
+    """Each row lists its terms in the stencil's order (pair type, then
+    ascending column), so every dense symmetry block, summed from the rows
+    at the orbit representatives, equals the stencil's byte for byte."""
+    sector, rule, op = _hop_case(mode, total)
+    blocks = ts.symmetry_blocks(sector)
+    lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]))
+    got_rows, want_rows = op.rows(lowest), reference_rows(sector, rule, lowest)
+    by_row = [np.argsort(t[0], kind="stable") for t in (got_rows, want_rows)]
+    for got, want in zip(got_rows, want_rows):
+        assert got[by_row[0]].tobytes() == want[by_row[1]].tobytes()
+    for block in blocks:
+        got = ts.SymmetrizedOperator3D(block, op, got_rows).dense()
+        want = ts.SymmetrizedOperator3D(block, op, want_rows).dense()
+        assert got.tobytes() == want.tobytes(), block.label

@@ -403,6 +403,7 @@ def test_block_assembly_equals_sparse_product(params, sector3d_c2, model, total)
 @pytest.mark.parametrize("model, total, sector_cutoff, operator_cutoff", [
     pytest.param("1d", 0, 5, None, id="1d-P0"),
     pytest.param("1d", 1, 5, None, id="1d-P1"),
+    pytest.param("1d-product-filter", 1, 5, None, id="1d-product-filter-P1"),
     pytest.param("3d", (0, 0, 0), 5, 5, id="3d-P000"),
     pytest.param("3d", (1, 0, 0), 5, 5, id="3d-P100"),
     pytest.param("3d", (1, -1, 2), 5, 5, id="3d-P1-12"),
@@ -412,8 +413,10 @@ def test_rows_equal_the_full_assembly_at_those_rows(model, total, sector_cutoff,
                                                     operator_cutoff):
     """rows(states) assembles, bit for bit and in stored order, the entries
     of `triplets` whose row is in states, for any ascending subset."""
-    params = ts.ModelParams(heavy_cutoff=sector_cutoff, cutoff_sq=sector_cutoff)
-    if model == "1d":
+    mode = ts.LightCutoffMode(model[3:] or "derived")
+    params = ts.ModelParams(heavy_cutoff=sector_cutoff, cutoff_sq=sector_cutoff,
+                            light_cutoff_mode=mode)
+    if model.startswith("1d"):
         plain = ts.HamiltonianOperator1D(ts.enumerate_basis_1d(params, total),
                                          ts.MatrixElementRule1D(params))
     else:
