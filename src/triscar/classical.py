@@ -203,19 +203,24 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
     stored[0] = state
     energies[0] = energy(state)
 
+    def singular(step: int) -> bool:
+        """Stop at step, logging the event, when a pair distance of the 3D
+        state is below singularity_tol."""
+        nonlocal stop_reason
+        dmin = min(pair_distances_3d(state[0:3], state[6:9]))
+        if dmin >= singularity_tol:
+            return False
+        stop_reason = f"pair distance {dmin:.3e} below {singularity_tol:.3e}"
+        events.append(OrbitEvent(step, step * dt, "singularity", stop_reason))
+        return True
+
     vel_eta = (2.0 + gamma) / gamma
-    stopped = False
     stop_reason = None
+    # positions change only in the drift, which is checked, so the start is
+    # the one state checked outside the loop
+    stopped = dimension == 3 and singular(0)
     n_done = 0
-    for step in range(1, steps + 1):
-        if dimension == 3:
-            dmin = min(pair_distances_3d(state[0:3], state[6:9]))
-            if dmin < singularity_tol:
-                stopped = True
-                stop_reason = f"pair distance {dmin:.3e} below {singularity_tol:.3e}"
-                events.append(OrbitEvent(step - 1, times[step - 1],
-                                         "singularity", stop_reason))
-                break
+    for step in range(1, 1 if stopped else steps + 1):
         f = force(state)
         if dimension == 1:
             state[1] += 0.5 * dt * f[0]
@@ -239,12 +244,8 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
             state[9:12] += 0.5 * dt * f[3:6]
             state[0:3] += dt * 4.0 * state[3:6]
             state[6:9] += dt * vel_eta * state[9:12]
-            dmin = min(pair_distances_3d(state[0:3], state[6:9]))
-            if dmin < singularity_tol:
+            if singular(step):
                 stopped = True
-                stop_reason = f"pair distance {dmin:.3e} below {singularity_tol:.3e}"
-                events.append(OrbitEvent(step, step * dt, "singularity",
-                                         stop_reason))
                 break
             f = force(state)
             state[3:6] += 0.5 * dt * f[0:3]

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: solve1d, solve3d, analyze, orbit, estimate, report.  Every run
-writes its outputs plus a manifest.json into --out.  Numeric CSV cells use
-17 significant digits, so identical configurations reproduce byte-identical
-files.  Exit codes: 0 success, 2 configuration or input error, 3 resource
-limit, 4 numerical failure.
+but report writes its outputs plus a manifest.json into --out, and only once
+every check has passed; report writes report.txt alone.  Numeric CSV cells
+use 17 significant digits, so identical configurations reproduce
+byte-identical files.  Exit codes: 0 success, 2 configuration or input
+error, 3 resource limit, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -56,14 +57,16 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_quote(f) for f in row) + "\n")
 
 
-def _write_grid(path: str, axis, values) -> None:
-    """A numeric grid as CSV: the axis as header, then one line per row of
-    `values`, each cell as _fmt writes it."""
-    values = np.asarray(values, dtype=np.float64)
-    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+def _write_table(path: str, header: list[str], *columns) -> None:
+    """An all-numeric table as CSV: the header, then one line per row of the
+    columns side by side (1D arrays, or 2D arrays of several columns), each
+    cell as "%.17g": the bytes _fmt writes, and str(int) for an integer
+    below 2**53 in magnitude."""
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_fmt(v) for v in axis) + "\n")
-        for row in values:
+        fh.write(",".join(header) + "\n")
+        for row in table:
             fh.write(line % tuple(row.tolist()))
 
 
@@ -73,27 +76,40 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _save(man: RunManifest, out: str, name: str, write, *args, **kwargs) -> None:
-    """Write the artifact out/name by write(path, *args, **kwargs) and list
-    it in the manifest."""
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, name)
-    write(path, *args, **kwargs)
-    man.add_artifact(path)
-
-
 def _start(args, command: str, model: bool = True):
     """Read --config: the model (unless model is False) and the [command]
-    section over its defaults, both recorded in the run's new manifest.  main
-    writes that manifest with the exit status when the run is refused or
-    fails.  Returns (params, section, --out, manifest); params is None
-    without the model."""
+    section over its defaults, both recorded in the run's new manifest.  The
+    run queues its artifacts with _save and ends with _finish; main writes
+    the manifest alone when the run is refused or fails.  Returns (params,
+    section, manifest); params is None without the model."""
     cfg = load_config(args.config)
     params = model_params(cfg) if model else None
     s = section(cfg, command)
     parameters = {**(params_dict(params) if model else {}), command: dict(s)}
     args.manifest = RunManifest(command, parameters=parameters)
-    return params, s, args.out, args.manifest
+    args.queue = []
+    return params, s, args.manifest
+
+
+def _save(args, name: str, write, *rest, **kwargs) -> None:
+    """Queue the artifact --out/name, written by write(path, *rest, **kwargs)
+    in _finish, so a run refused by a later check leaves nothing in --out."""
+    args.queue.append((name, write, rest, kwargs))
+
+
+def _finish(args) -> str:
+    """Create --out, write the queued artifacts into it, timed as
+    timings.write, and then the manifest that lists them; returns --out."""
+    man, out = args.manifest, args.out
+    t0 = time.perf_counter()
+    os.makedirs(out, exist_ok=True)
+    for name, write, rest, kwargs in args.queue:
+        path = os.path.join(out, name)
+        write(path, *rest, **kwargs)
+        man.add_artifact(path)
+    man.add_timing("write", time.perf_counter() - t0)
+    man.write(out)
+    return out
 
 
 def _write_exit(args, status: str, code: int, message: str) -> int:
@@ -131,7 +147,7 @@ def _solve(args, params: ModelParams, s: dict, man: RunManifest):
 
 
 def cmd_solve1d(args) -> int:
-    params, s, out, man = _start(args, "solve1d")
+    params, s, man = _start(args, "solve1d")
     run = _solve(args, params, s, man)
     sector = run.sector
     solved = run.groups[""]
@@ -144,29 +160,25 @@ def cmd_solve1d(args) -> int:
         comp = compare_with_spectrum(saddle, spectrum.eigenvalues, bands,
                                      n_levels=s["scar_levels"])
 
-    t0 = time.perf_counter()
-    _save(man, out, "spectrum.csv", _write_csv,
+    _save(args, "spectrum.csv", _write_table,
           ["index", "eigenvalue", "residual", "band"],
-          ([str(i), _fmt(spectrum.eigenvalues[i]), _fmt(spectrum.residuals[i]),
-            str(int(bids[i]))] for i in range(spectrum.k)))
-    _save(man, out, "bands.json", _write_json, {
+          np.arange(spectrum.k), spectrum.eigenvalues, spectrum.residuals, bids)
+    _save(args, "bands.json", _write_json, {
         "gap_threshold": s["gap_threshold"],
         "bands": [{"band": b.band_id, "start": b.start, "stop": b.stop,
                    "size": b.size, "head": b.head, "top": b.top}
                   for b in bands],
     })
     if comp is not None:
-        _save(man, out, "scar_comparison.json", _write_json,
+        _save(args, "scar_comparison.json", _write_json,
               {**comp.as_dict(), "scaling": params.scaling.value})
-    _save(man, out, "eigenvectors.npz", write_archive, sector, params, solved,
+    _save(args, "eigenvectors.npz", write_archive, sector, params, solved,
           band_ids=bids)
     if s["dump_matrix"]:
         rows, cols, values = run.operator.triplets
-        _save(man, out, "hamiltonian_nonzeros.csv", _write_csv,
-              ["row", "col", "value"],
-              ([str(rows[n]), str(cols[n]), _fmt(values[n])]
-               for n in np.lexsort((cols, rows))))
-    man.add_timing("write", time.perf_counter() - t0)
+        order = np.lexsort((cols, rows))
+        _save(args, "hamiltonian_nonzeros.csv", _write_table,
+              ["row", "col", "value"], rows[order], cols[order], values[order])
 
     man.statistics = {
         "dimension": sector.dim,
@@ -176,7 +188,7 @@ def cmd_solve1d(args) -> int:
         "max_residual_ratio": spectrum.max_residual_ratio(),
         "block_dimensions": spectrum.meta["block_dimensions"],
     }
-    man.write(out)
+    out = _finish(args)
     print(f"sector {sector.key}: {sector.dim} states, method {spectrum.method}")
     print(f"ground energy {_fmt(spectrum.eigenvalues[0])} ({params.scaling.value})")
     print(f"bands: {len(bands)}  ->  {out}")
@@ -188,18 +200,17 @@ def cmd_solve1d(args) -> int:
 
 
 def cmd_solve3d(args) -> int:
-    params, s, out, man = _start(args, "solve3d")
+    params, s, man = _start(args, "solve3d")
     run = _solve(args, params, s, man)
     sector, blocks, spectra = run.sector, run.blocks, run.groups
     dim, nnz, need = run.counts
 
-    t0 = time.perf_counter()
     rows = []
     for tag, (spec, _, _) in spectra.items():
         for i in range(spec.k):
             rows.append([sector.key, tag, str(i), _fmt(spec.eigenvalues[i]),
                          _fmt(spec.residuals[i])])
-    _save(man, out, "spectrum.csv", _write_csv,
+    _save(args, "spectrum.csv", _write_csv,
           ["sector", "parity", "index", "eigenvalue", "residual"], rows)
 
     n_vec, n_states = basis_size_3d(params.cutoff_sq)
@@ -208,7 +219,7 @@ def cmd_solve3d(args) -> int:
     sizes = {"sector_dimension": sector.dim, "symmetric_dimension": dims["sym"],
              "antisymmetric_dimension": dims["anti"],
              "nonzeros_per_row": nnz / max(dim, 1)}
-    _save(man, out, "sectors.json", _write_json, {
+    _save(args, "sectors.json", _write_json, {
         "total_momentum": list(sector.total_momentum),
         "cutoff_sq": params.cutoff_sq,
         "vectors": n_vec,
@@ -216,9 +227,8 @@ def cmd_solve3d(args) -> int:
         **sizes,
     })
     for tag, solved in spectra.items():
-        _save(man, out, f"eigenvectors_{tag}.npz", write_archive, sector, params,
+        _save(args, f"eigenvectors_{tag}.npz", write_archive, sector, params,
               solved, parity=np.array([1 if tag == "sym" else -1]))
-    man.add_timing("write", time.perf_counter() - t0)
 
     method = next(iter(spectra.values()))[0].method if spectra else None
     grounds = {tag: float(spec.eigenvalues[0]) for tag, (spec, _, _) in spectra.items()}
@@ -236,7 +246,7 @@ def cmd_solve3d(args) -> int:
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,
     }
-    man.write(out)
+    out = _finish(args)
     print(f"sector {sector.key}: dim {sector.dim} = {dims['sym']} sym + "
           f"{dims['anti']} anti in {len(blocks)} blocks")
     if e_sym is not None:
@@ -298,7 +308,7 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
     return chosen
 
 
-def _analyze_1d(args, s, save, man) -> None:
+def _analyze_1d(args, s, man) -> None:
     t0 = time.perf_counter()
     data, params, sector, blocks = load_archive(
         os.path.join(args.from_dir, "eigenvectors.npz"))
@@ -325,10 +335,9 @@ def _analyze_1d(args, s, save, man) -> None:
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
     man.add_timing("overlaps", time.perf_counter() - t0)
 
-    save("overlaps.csv", _write_csv,
-         ["index", "eigenvalue", "band", "heavy_overlap"],
-         ([str(i), _fmt(evals[i]), str(int(bids[i])), _fmt(overlaps[i])]
-          for i in range(len(evals))))
+    _save(args, "overlaps.csv", _write_table,
+          ["index", "eigenvalue", "band", "heavy_overlap"],
+          np.arange(len(evals)), evals, bids, overlaps)
 
     strip = s["strip_fraction"] * L
     grids_s = 0.0
@@ -337,8 +346,9 @@ def _analyze_1d(args, s, save, man) -> None:
         grid = position_wavefunction_1d(embedded(data, blocks, i), sector, params,
                                         n_r=s["n_r"], n_eta=s["n_eta"])
         grids_s += time.perf_counter() - t0
-        save(f"grid_state{i:04d}.csv", _write_grid, grid.eta_axis, grid.density())
-        save(f"grid_state{i:04d}.json", _write_json, {
+        _save(args, f"grid_state{i:04d}.csv", _write_table,
+              [_fmt(v) for v in grid.eta_axis], grid.density())
+        _save(args, f"grid_state{i:04d}.json", _write_json, {
             "index": int(i),
             "eigenvalue": float(evals[i]),
             "band": int(bids[i]),
@@ -370,12 +380,12 @@ def _analyze_1d(args, s, save, man) -> None:
         t0 = time.perf_counter()
         series = autocorrelation(coeffs, evals, times, broad)
         man.add_timing("autocorrelation", time.perf_counter() - t0)
-        save("autocorr.csv", _write_csv, ["t", "re", "im", "abs"],
-             ([_fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-              for t, v in zip(series.times, series.values)))
-        save("spectral_density.csv", _write_csv, ["energy", "density"],
-             ([_fmt(e), _fmt(d)] for e, d in
-              zip(series.energy_grid, series.spectral_density)))
+        # abs per element: np.abs rounds some moduli differently
+        _save(args, "autocorr.csv", _write_table, ["t", "re", "im", "abs"],
+              series.times, series.values.real, series.values.imag,
+              [abs(v) for v in series.values])
+        _save(args, "spectral_density.csv", _write_table, ["energy", "density"],
+              series.energy_grid, series.spectral_density)
         man.statistics["spectral_mass"] = series.spectral_mass()
         man.statistics["broadening"] = broad
 
@@ -387,26 +397,29 @@ def _analyze_1d(args, s, save, man) -> None:
 
 
 def _read_weights(path: str, n: int) -> np.ndarray:
+    """Coefficients from (index, coefficient) lines, after an optional
+    header line that starts with "index"."""
     if not os.path.exists(path):
         raise ConfigError(f"weights file not found: {path}")
     coeffs = np.zeros(n)
     with open(path) as fh:
-        header = fh.readline()
-        if header.strip() and not header.lower().startswith("index"):
-            fh.seek(0)
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line or (lineno == 1 and line.lower().startswith("index")):
                 continue
-            idx_s, val_s = line.split(",")[:2]
-            i = int(idx_s)
+            fields = line.split(",")
+            try:
+                i, value = int(fields[0]), float(fields[1])
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path} line {lineno}: expected index,coefficient, "
+                                  f"got {line!r}") from None
             if not 0 <= i < n:
                 raise ConfigError(f"weights index {i} out of range 0..{n - 1}")
-            coeffs[i] = float(val_s)
+            coeffs[i] = value
     return coeffs
 
 
-def _analyze_3d(args, s, save, man) -> None:
+def _analyze_3d(args, s, man) -> None:
     tag = args.parity or "sym"
     if tag not in ("sym", "anti"):
         raise ConfigError(f"--parity must be sym or anti, got {tag!r}")
@@ -427,9 +440,9 @@ def _analyze_3d(args, s, save, man) -> None:
         coeffs, sector, params, n_r=s["n_radial"], n_eta=s["n_radial"],
         orbits=blocks[str(data["block"][idx])].orbits)
     man.add_timing("radial", time.perf_counter() - t0)
-    save(f"radial_{tag}_state{idx:04d}.csv", _write_grid, radial.eta_axis,
-         radial.values)
-    save(f"radial_{tag}_state{idx:04d}.json", _write_json, {
+    _save(args, f"radial_{tag}_state{idx:04d}.csv", _write_table,
+          [_fmt(v) for v in radial.eta_axis], radial.values)
+    _save(args, f"radial_{tag}_state{idx:04d}.json", _write_json, {
         "parity": tag, "index": int(idx), "eigenvalue": float(evals[idx]),
         "r_axis": [float(v) for v in radial.r_axis],
         "eta_axis": [float(v) for v in radial.eta_axis],
@@ -443,15 +456,15 @@ def _analyze_3d(args, s, save, man) -> None:
         grid = pair_projection_3d(coeffs, sector, params, comp_r, comp_eta,
                                   n_r=s["n_r"], n_eta=s["n_eta"])
         projection_s += time.perf_counter() - t0
-        save(f"projection_{label}_{tag}_state{idx:04d}.csv", _write_grid,
-             grid.eta_axis, grid.density())
+        _save(args, f"projection_{label}_{tag}_state{idx:04d}.csv", _write_table,
+              [_fmt(v) for v in grid.eta_axis], grid.density())
     man.add_timing("projections", projection_s)
     man.statistics.update({"parity": tag, "index": int(idx),
                            "eigenvalue": float(evals[idx])})
 
 
 def cmd_analyze(args) -> int:
-    _, s, out, man = _start(args, "analyze", model=False)
+    _, s, man = _start(args, "analyze", model=False)
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
     if os.path.exists(os.path.join(args.from_dir, "eigenvectors.npz")):
@@ -466,16 +479,8 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"{' and '.join(given)} cannot be used with the {kind} "
                           f"run in {args.from_dir}")
     man.parameters["from"] = args.from_dir
-    # written once the analysis has passed every check, so a refused run
-    # leaves nothing in --out
-    pending = []
-    analyze(args, s, lambda *item: pending.append(item), man)
-    t0 = time.perf_counter()
-    for name, write, *rest in pending:
-        _save(man, out, name, write, *rest)
-    man.add_timing("write", time.perf_counter() - t0)
-    man.write(out)
-    print(f"analyze ->  {out}")
+    analyze(args, s, man)
+    print(f"analyze ->  {_finish(args)}")
     return EXIT_OK
 
 
@@ -484,7 +489,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    params, s, out, man = _start(args, "orbit")
+    params, s, man = _start(args, "orbit")
     L = params.box_length
     dim = s["dimension"]
     if dim not in (1, 3):
@@ -506,79 +511,59 @@ def cmd_orbit(args) -> int:
     man.parameters["dt_used"] = dt
 
     t0 = time.perf_counter()
-    orbits = []
+    base = np.array(initial, dtype=np.float64)
     if s["ensemble"] == "none":
-        orbits.append((0, np.array(initial, dtype=np.float64)))
+        starts = [base]
     elif s["ensemble"] == "straddle":
         if s["n_orbits"] < 2 or s["n_orbits"] % 2:
             raise ConfigError(f"[orbit] n_orbits must be even and at least 2 "
                               f"for a straddle ensemble, got {s['n_orbits']}")
-        base = np.array(initial, dtype=np.float64)
         if dim == 3 and base[0] == 0:
             raise ConfigError("[orbit] straddle ensemble needs a nonzero "
                               "first component in initial")
+        starts = []
         for k in range(s["n_orbits"] // 2):
             scale = 1.0 + s["spread"] * k
             for sign in (1.0, -1.0):
                 st = base.copy()
                 st[0] = sign * abs(base[0]) * scale
-                orbits.append((len(orbits), st))
+                starts.append(st)
     else:
         raise ConfigError(f"bad value for [orbit] ensemble: {s['ensemble']!r}")
-
-    trajectories = []
-    for oid, init in orbits:
-        traj = integrate_orbit(init, dt, s["steps"], params, dimension=dim,
-                               wrap=s["wrap"], singularity_tol=sing)
-        trajectories.append((oid, traj))
+    trajectories = [integrate_orbit(st, dt, s["steps"], params, dimension=dim,
+                                    wrap=s["wrap"], singularity_tol=sing)
+                    for st in starts]
     man.add_timing("integrate", time.perf_counter() - t0)
 
-    every = max(1, s["store_every"])
-    oid, main_traj = trajectories[0]
+    main_traj = trajectories[0]
+    stored = slice(None, None, max(1, s["store_every"]))
+    columns = [np.arange(len(main_traj.times))[stored], main_traj.times[stored],
+               main_traj.states[stored], main_traj.energies[stored]]
     if dim == 1:
         header = ["step", "t", "r", "p_r", "eta", "p_eta", "energy"]
-
-        def rows(traj):
-            for i in range(0, len(traj.times), every):
-                st = traj.states[i]
-                yield [str(i), _fmt(traj.times[i]), _fmt(st[0]), _fmt(st[1]),
-                       _fmt(st[2]), _fmt(st[3]), _fmt(traj.energies[i])]
     else:
         header = (["step", "t"] + [f"r{c}" for c in "xyz"]
                   + [f"p_r{c}" for c in "xyz"] + [f"eta{c}" for c in "xyz"]
                   + [f"p_eta{c}" for c in "xyz"] + ["energy", "min_distance"])
+        columns.append([min(pair_distances_3d(st[0:3], st[6:9]))
+                        for st in main_traj.states[stored]])
+    _save(args, "trajectory.csv", _write_table, header, *columns)
 
-        def rows(traj):
-            for i in range(0, len(traj.times), every):
-                st = traj.states[i]
-                dmin = min(pair_distances_3d(st[0:3], st[6:9]))
-                yield ([str(i), _fmt(traj.times[i])] + [_fmt(v) for v in st]
-                       + [_fmt(traj.energies[i]), _fmt(dmin)])
+    events = [[str(oid), str(ev.step), _fmt(ev.time), ev.kind,
+               ev.detail.replace(",", ";")]
+              for oid, traj in enumerate(trajectories) for ev in traj.events]
+    if events:
+        _save(args, "events.csv", _write_csv,
+              ["orbit", "step", "t", "kind", "detail"], events)
 
-    _save(man, out, "trajectory.csv", _write_csv, header, rows(main_traj))
-
-    all_events = []
-    for oid2, traj in trajectories:
-        for ev in traj.events:
-            all_events.append([str(oid2), str(ev.step), _fmt(ev.time), ev.kind,
-                               ev.detail.replace(",", ";")])
-    if all_events:
-        _save(man, out, "events.csv", _write_csv,
-              ["orbit", "step", "t", "kind", "detail"], all_events)
-
-    if len(trajectories) > 1 or s["ensemble"] != "none":
-        prows = []
-        for oid2, traj in trajectories:
-            side = "+" if traj.states[-1][0] >= 0 else "-"
-            outcome = "stopped" if traj.stopped else "ran"
-            label = f"{side}{outcome}"
-            ir = 0
-            ieta = 2 if dim == 1 else 7
-            for i in range(0, len(traj.times), every):
-                prows.append([str(oid2), label, _fmt(traj.times[i]),
-                              _fmt(traj.states[i][ir]), _fmt(traj.states[i][ieta])])
-        _save(man, out, "portrait.csv", _write_csv,
-              ["orbit", "label", "t", "r1", "eta2"], prows)
+    if len(trajectories) > 1:
+        ieta = 2 if dim == 1 else 7
+        labels = [("+" if traj.states[-1][0] >= 0 else "-")
+                  + ("stopped" if traj.stopped else "ran") for traj in trajectories]
+        _save(args, "portrait.csv", _write_csv, ["orbit", "label", "t", "r1", "eta2"],
+              ([str(oid), label, _fmt(t), _fmt(st[0]), _fmt(st[ieta])]
+               for oid, (label, traj) in enumerate(zip(labels, trajectories))
+               for t, st in zip(traj.times[stored], traj.states[stored])))
 
     drift = main_traj.energy_drift()
     man.statistics = {
@@ -587,12 +572,12 @@ def cmd_orbit(args) -> int:
         "steps_done": main_traj.n_steps,
         "dt": dt,
         "energy_drift": drift,
-        "wrap_events": sum(1 for _, t in trajectories for e in t.events
+        "wrap_events": sum(1 for t in trajectories for e in t.events
                            if e.kind == "wrap"),
         "stopped": main_traj.stopped,
         "stop_reason": main_traj.stop_reason,
     }
-    man.write(out)
+    out = _finish(args)
     print(f"orbit: {len(trajectories)} trajector"
           f"{'y' if len(trajectories) == 1 else 'ies'}, dt {_fmt(dt)}, "
           f"relative energy drift {drift:.3e}")
@@ -607,7 +592,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    params, s, out, man = _start(args, "estimate")
+    params, s, man = _start(args, "estimate")
     if s["convention"] not in ("sigma", "rate", "both"):
         raise ConfigError(f"bad value for [estimate] convention: "
                           f"{s['convention']!r}")
@@ -677,14 +662,14 @@ def cmd_estimate(args) -> int:
             payload["comparison"]["scaling"] = run_params.scaling.value
             man.add_timing("comparison", time.perf_counter() - t0)
 
-    _save(man, out, "scar_estimates.json", _write_json, payload)
+    _save(args, "scar_estimates.json", _write_json, payload)
     man.statistics = {
         "n_critical_points": len(points),
         "kinds": sorted(p["kind"] for p in points),
     }
     if saddle_raw is not None:
         man.statistics["delta_s_scaled"] = predicted_gap(0, saddle_raw.scaled(L))
-    man.write(out)
+    out = _finish(args)
     for p in points:
         print(f"{p['kind']:>10s} at r/L = {p['r_over_L']:+.6f}, "
               f"eta/L = {p['eta_over_L']:+.6f}, U*L = {p['value_scaled']:.6f}")
@@ -804,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("report", help="summarize a run directory")
-    common(p, "triscar-runs/report")
+    p.add_argument("--out", default="triscar-runs/report", help="output directory")
     p.add_argument("--from", dest="from_dir", required=True)
     p.set_defaults(func=cmd_report)
     return parser

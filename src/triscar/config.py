@@ -59,7 +59,6 @@ DEFAULTS: dict[str, dict] = {
         "n_orbits": 8, "spread": 0.15, "store_every": 1,
     },
     "estimate": {"n_levels": 3, "convention": "both"},
-    "report": {},
 }
 
 

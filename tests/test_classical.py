@@ -281,6 +281,43 @@ def test_singularity_stop(raw_params):
     assert len(traj.times) == traj.n_steps + 1
 
 
+def test_3d_orbit_measures_each_position_once(raw_params, monkeypatch):
+    """Positions change only in the drift, so a 3D orbit measures the pair
+    distances of its start and of each drift: steps + 1 calls."""
+    from triscar import classical
+    calls = []
+    measure = classical.pair_distances_3d
+
+    def counted(r_vec, eta_vec):
+        calls.append(1)
+        return measure(r_vec, eta_vec)
+
+    monkeypatch.setattr(classical, "pair_distances_3d", counted)
+    L = raw_params.box_length
+    init = np.zeros(12)
+    init[0] = 0.2 * L
+    init[7] = 0.1 * L
+    traj = ts.integrate_orbit(init, 5.0, 200, raw_params, dimension=3)
+    assert not traj.stopped and traj.n_steps == 200
+    assert len(calls) == 201
+
+
+def test_singular_start_stops_at_step_zero(raw_params):
+    """A 3D start inside the singular ball stops before the first step,
+    with one event at step 0 and the start's time."""
+    L = raw_params.box_length
+    init = np.zeros(12)
+    init[0] = 0.2 * L
+    init[6] = 0.0999 * L
+    traj = ts.integrate_orbit(init, 1.0, 100, raw_params, dimension=3,
+                              singularity_tol=0.002 * L)
+    assert traj.stopped and traj.n_steps == 0
+    assert len(traj.events) == 1
+    event = traj.events[0]
+    assert (event.kind, event.step, event.time) == ("singularity", 0, traj.times[0])
+    assert event.detail == traj.stop_reason
+
+
 def test_timestep_suggestion(raw_params):
     dt = ts.suggest_timestep(raw_params)
     res = ts.find_critical_points(raw_params)

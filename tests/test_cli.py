@@ -537,18 +537,22 @@ def test_analyze_1d_manifest_records_timings(solve1d_run, tmp_path, weights):
     assert all(t > 0.0 for t in man["timings"].values())
 
 
-def test_write_grid_matches_write_csv(tmp_path):
-    """_write_grid writes the bytes _write_csv writes from _fmt cells."""
-    axis = np.array([-0.0, 0.1, 1e300])
+def test_write_table_matches_write_csv(tmp_path):
+    """_write_table writes the bytes _write_csv writes from _fmt cells, and
+    an integer-valued column's cells as str(int)."""
+    header = [cli._fmt(v) for v in (-0.0, 0.1, 1e300)] + ["n"]
     values = np.array([[-0.0, 5e-324, 1e300],
                        [np.inf, -np.inf, np.nan],
                        [1.0 / 3.0, -2.5e-308, 123456789.0]])
-    grid, rows = tmp_path / "grid.csv", tmp_path / "rows.csv"
-    cli._write_grid(str(grid), axis, values)
-    cli._write_csv(str(rows), [cli._fmt(v) for v in axis],
-                   ([cli._fmt(v) for v in row] for row in values))
-    assert grid.read_bytes() == rows.read_bytes()
-    assert b"-0,4.9406564584124654e-324,1.0000000000000001e+300\n" in grid.read_bytes()
+    ints = np.array([0, -7, 2 ** 53 - 1])
+    table, rows = tmp_path / "table.csv", tmp_path / "rows.csv"
+    cli._write_table(str(table), header, values, ints)
+    cli._write_csv(str(rows), header,
+                   ([cli._fmt(v) for v in row] + [str(int(n))]
+                    for row, n in zip(values, ints)))
+    assert table.read_bytes() == rows.read_bytes()
+    assert b"\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0\n" in table.read_bytes()
+    assert table.read_bytes().endswith(b",9007199254740991\n")
 
 
 def test_analyze_refuses_components_key(tmp_path, capsys):
@@ -1041,6 +1045,60 @@ def test_refused_analyze_leaves_nothing_in_out(request, tmp_path, capsys, kind,
     assert not out.exists() or not any(out.rglob("*"))
 
 
+@pytest.mark.parametrize("command", ["solve1d", "solve3d", "analyze1d", "analyze3d",
+                                     "orbit", "estimate"])
+def test_runs_time_write_and_list_every_file(request, tmp_path, command):
+    """Every command writes its artifacts in one step, timed as
+    timings.write, and its manifest lists every other file in --out."""
+    if command.startswith("analyze"):
+        run = request.getfixturevalue("solve1d_run" if command == "analyze1d"
+                                      else "small3d_run")
+        argv = ["analyze", "--from", run]
+    else:
+        config = {"solve1d": "[model]\nheavy_cutoff = 4\n[solve1d]\ndump_matrix = true\n",
+                  "solve3d": "[model]\ncutoff_sq = 2\n",
+                  "orbit": "[orbit]\nensemble = straddle\nn_orbits = 2\nsteps = 400\n",
+                  "estimate": "[estimate]\n"}[command]
+        argv = [command, "--config", write_config(tmp_path, config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    man = read_manifest(str(out))
+    assert man["timings"]["write"] > 0.0
+    assert man["artifacts"] == sorted(p.name for p in out.iterdir()
+                                      if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("command", ["orbit", "estimate"])
+def test_refused_orbit_and_estimate_leave_nothing_in_out(tmp_path, capsys, command):
+    """orbit with an odd straddle count and estimate --from a directory
+    without an archive exit 2 with one error line and no --out."""
+    if command == "orbit":
+        cfg = write_config(tmp_path, "[orbit]\nensemble = straddle\nn_orbits = 3\n")
+        argv = ["orbit", "--config", cfg]
+    else:
+        (tmp_path / "empty").mkdir()
+        argv = ["estimate", "--from", str(tmp_path / "empty")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["3", "zero,0.5"])
+def test_analyze_refuses_a_malformed_weights_line(solve1d_run, tmp_path, capsys, line):
+    """A weights line without two fields, or with an index that is not an
+    integer, exits 2 naming the file and the line, and writes nothing."""
+    path = tmp_path / "w.csv"
+    path.write_text(f"index,coefficient\n0,0.8\n{line}\n")
+    out = tmp_path / "an"
+    assert main(["analyze", "--from", solve1d_run, "--weights", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} line 3: expected index,coefficient, got {line!r}\n")
+    assert not out.exists()
+
+
 def test_analyze_autocorrelation(solve1d_run, tmp_path):
     weights = tmp_path / "w.csv"
     weights.write_text("index,coefficient\n0,0.8\n26,0.6\n")
@@ -1129,7 +1187,8 @@ def test_estimate_payload(tmp_path):
     assert sad["intensity_sigma_convention"] > 0.0
     assert sad["intensity_rate_convention"] > 0.0
     timings = read_manifest(out)["timings"]
-    assert set(timings) == {"critical"} and timings["critical"] > 0.0
+    assert set(timings) == {"critical", "write"}
+    assert all(t > 0.0 for t in timings.values())
 
 
 def test_estimate_with_comparison(solve1d_run, tmp_path):
@@ -1142,7 +1201,7 @@ def test_estimate_with_comparison(solve1d_run, tmp_path):
     assert first["predicted_gap"] == pytest.approx(5.8005, abs=1e-3)
     assert first["measured_gap"] == pytest.approx(5.0132, abs=1e-3)
     timings = read_manifest(out)["timings"]
-    assert set(timings) == {"critical", "comparison"}
+    assert set(timings) == {"critical", "comparison", "write"}
     assert all(t > 0.0 for t in timings.values())
 
 
@@ -1171,6 +1230,18 @@ def test_report_prints_pairing(solve1d_run, tmp_path, capsys):
     assert "5.8005" in text
     assert "5.0132" in text
     assert os.path.exists(os.path.join(str(tmp_path / "rep"), "report.txt"))
+
+
+def test_report_reads_no_config(solve1d_run, tmp_path, capsys):
+    """report takes no --config, and [report] is not a configuration
+    section."""
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--config", "run.ini", "--from", solve1d_run,
+              "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"unknown section \[report\]"):
+        load_config(write_config(tmp_path, "[report]\n"))
 
 
 def test_report_missing_manifest(tmp_path, capsys):
