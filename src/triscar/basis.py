@@ -15,14 +15,12 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .config import ResourceLimitError  # noqa: F401  (re-exported)
+
 if TYPE_CHECKING:
     # imported where a CSR is built, so commands that build none (a dense
     # solve, estimate, orbit, report and analyze) never load scipy
     from scipy import sparse
-
-
-class ResourceLimitError(Exception):
-    """A run would need more memory than its budget allows."""
 
 
 class _PairLabels:

@@ -6,6 +6,11 @@ every check has passed; report writes report.txt alone.  Numeric CSV cells
 use 17 significant digits, so identical configurations reproduce
 byte-identical files.  Exit codes: 0 success, 2 configuration or input
 error, 3 resource limit, 4 numerical failure.
+
+This module loads neither numpy nor a solver module: each command imports
+what it runs once its configuration is read.  So --help, --version, report
+and a configuration refused while it is read load no numpy, and solve3d
+never loads the classical, scars or wavefunction modules.
 """
 
 from __future__ import annotations
@@ -16,23 +21,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .basis import ResourceLimitError, basis_size_3d
-from .classical import (find_critical_points, hessian_analysis,
-                        integrate_orbit, pair_distances_3d, suggest_timestep)
-from .config import DEFAULTS, ConfigError, load_config, model_params, section
-from .eigensolve import IterationError, assemble_bands, band_id_per_state
+from .config import (DEFAULTS, ConfigError, IterationError, ResourceLimitError,
+                     load_config, model_params, params_dict, section)
 from .manifest import RunManifest, read_manifest
 from .params import ModelParams, Scaling
-from .pipeline import (embedded, load_archive, params_dict, read_archive,
-                       solve_sector, write_archive)
-from .scars import compare_with_spectrum, predicted_gap, scar_intensity, \
-    stable_frequency
-from .wavefunction import (autocorrelation, concentration_ratio, heavy_overlap,
-                           integrated_probability_3d, pair_projection_3d,
-                           position_wavefunction_1d)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +55,8 @@ def _write_table(path: str, header: list[str], *columns) -> None:
     columns side by side (1D arrays, or 2D arrays of several columns), each
     cell as "%.17g": the bytes _fmt writes, and str(int) for an integer
     below 2**53 in magnitude."""
+    import numpy as np
+
     table = np.column_stack(columns).astype(np.float64, copy=False)
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
@@ -123,6 +118,8 @@ def _write_exit(args, status: str, code: int, message: str) -> int:
 def _saddle_analysis(params: ModelParams):
     """Locate the collision saddle and return its mode analysis in the
     reporting convention of params (None when no saddle is found)."""
+    from .classical import find_critical_points, hessian_analysis
+
     result = find_critical_points(params)
     saddle = next((p for p in result.points if p.kind == "saddle"), None)
     if saddle is None:
@@ -135,6 +132,8 @@ def _saddle_analysis(params: ModelParams):
 
 def _solve(args, params: ModelParams, s: dict, man: RunManifest):
     """solve_sector on the [solve1d] or [solve3d] section s, timed in man."""
+    from .pipeline import solve_sector
+
     run = solve_sector(params, s["total_momentum"], method=s["method"], k=s["k"],
                        tol=s["tol"], seed=s["seed"],
                        allow_large=getattr(args, "allow_large", False))
@@ -148,6 +147,13 @@ def _solve(args, params: ModelParams, s: dict, man: RunManifest):
 
 def cmd_solve1d(args) -> int:
     params, s, man = _start(args, "solve1d")
+
+    import numpy as np
+
+    from .eigensolve import assemble_bands, band_id_per_state
+    from .pipeline import write_archive
+    from .scars import compare_with_spectrum
+
     run = _solve(args, params, s, man)
     sector = run.sector
     solved = run.groups[""]
@@ -201,6 +207,12 @@ def cmd_solve1d(args) -> int:
 
 def cmd_solve3d(args) -> int:
     params, s, man = _start(args, "solve3d")
+
+    import numpy as np
+
+    from .basis import basis_size_3d
+    from .pipeline import write_archive
+
     run = _solve(args, params, s, man)
     sector, blocks, spectra = run.sector, run.blocks, run.groups
     dim, nnz, need = run.counts
@@ -265,6 +277,8 @@ def cmd_solve3d(args) -> int:
 
 def _parse_selector(text: str, eigenvalues: np.ndarray,
                     band_ids: np.ndarray) -> list[int]:
+    import numpy as np
+
     chosen: list[int] = []
 
     def add(i: int):
@@ -309,6 +323,12 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
 
 
 def _analyze_1d(args, s, man) -> None:
+    import numpy as np
+
+    from .pipeline import embedded, load_archive
+    from .wavefunction import (autocorrelation, concentration_ratio,
+                               heavy_overlap, position_wavefunction_1d)
+
     t0 = time.perf_counter()
     data, params, sector, blocks = load_archive(
         os.path.join(args.from_dir, "eigenvectors.npz"))
@@ -370,6 +390,8 @@ def _analyze_1d(args, s, man) -> None:
             if saddle is None:
                 raise ConfigError("no saddle found to derive broadening; set "
                                   "[analyze] broadening and times_max")
+            from .scars import stable_frequency
+
             omega = stable_frequency(saddle)
         if broad <= 0:
             broad = omega / 2.0
@@ -399,6 +421,8 @@ def _analyze_1d(args, s, man) -> None:
 def _read_weights(path: str, n: int) -> np.ndarray:
     """Coefficients from (index, coefficient) lines, after an optional
     header line that starts with "index"."""
+    import numpy as np
+
     if not os.path.exists(path):
         raise ConfigError(f"weights file not found: {path}")
     coeffs = np.zeros(n)
@@ -420,6 +444,9 @@ def _read_weights(path: str, n: int) -> np.ndarray:
 
 
 def _analyze_3d(args, s, man) -> None:
+    from .pipeline import embedded, load_archive
+    from .wavefunction import integrated_probability_3d, pair_projection_3d
+
     tag = args.parity or "sym"
     if tag not in ("sym", "anti"):
         raise ConfigError(f"--parity must be sym or anti, got {tag!r}")
@@ -490,6 +517,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_orbit(args) -> int:
     params, s, man = _start(args, "orbit")
+
+    import numpy as np
+
+    from .classical import integrate_orbit, pair_distances_3d, suggest_timestep
+
     L = params.box_length
     dim = s["dimension"]
     if dim not in (1, 3):
@@ -502,7 +534,13 @@ def cmd_orbit(args) -> int:
         raise ConfigError(f"[orbit] initial needs {4 if dim == 1 else 12} "
                           f"numbers for dimension {dim}, got {len(initial)}")
     dt = s["dt"]
-    if dt <= 0:
+    if not (dt >= 0 and np.isfinite(dt)):
+        raise ConfigError(f"bad value for [orbit] dt: {dt} (must be 0 for the "
+                          f"automatic step, or positive and finite)")
+    if s["store_every"] < 1:
+        raise ConfigError(f"bad value for [orbit] store_every: {s['store_every']} "
+                          f"(must be at least 1)")
+    if dt == 0:
         if dim != 1:
             raise ConfigError("[orbit] dt must be set explicitly for 3D runs")
         dt = suggest_timestep(params)
@@ -536,7 +574,7 @@ def cmd_orbit(args) -> int:
     man.add_timing("integrate", time.perf_counter() - t0)
 
     main_traj = trajectories[0]
-    stored = slice(None, None, max(1, s["store_every"]))
+    stored = slice(None, None, s["store_every"])
     columns = [np.arange(len(main_traj.times))[stored], main_traj.times[stored],
                main_traj.states[stored], main_traj.energies[stored]]
     if dim == 1:
@@ -593,6 +631,13 @@ def cmd_orbit(args) -> int:
 
 def cmd_estimate(args) -> int:
     params, s, man = _start(args, "estimate")
+
+    import numpy as np
+
+    from .classical import find_critical_points, hessian_analysis
+    from .scars import (compare_with_spectrum, predicted_gap, scar_intensity,
+                        stable_frequency)
+
     if s["convention"] not in ("sigma", "rate", "both"):
         raise ConfigError(f"bad value for [estimate] convention: "
                           f"{s['convention']!r}")
@@ -646,6 +691,9 @@ def cmd_estimate(args) -> int:
         payload["saddle"] = saddle_info
 
         if args.from_dir:
+            from .eigensolve import assemble_bands
+            from .pipeline import read_archive
+
             spath = os.path.join(args.from_dir, "eigenvectors.npz")
             if not os.path.exists(spath):
                 raise ConfigError(f"no eigenvectors.npz under {args.from_dir}")
@@ -795,6 +843,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    """What main reports as a numerical failure (exit 4).  numpy's
+    LinAlgError is one once a command has loaded numpy.linalg; none can be
+    raised before.  It subclasses ValueError, so it is matched first."""
+    linalg = sys.modules.get("numpy.linalg")
+    return (IterationError, FloatingPointError,
+            *((linalg.LinAlgError,) if linalg is not None else ()))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -806,7 +863,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return _write_exit(args, "refused", EXIT_RESOURCE, f"resource limit: {exc}")
-    except (IterationError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _write_exit(args, "failed", EXIT_NUMERICAL, f"numerical failure: {exc}")
     except (ValueError, FileNotFoundError) as exc:

@@ -3,6 +3,8 @@
 One [model] section holds the physical parameters; each CLI command reads
 its own section for numerical knobs.  Unknown sections, unknown keys, and
 malformed values are reported by name with a nonzero exit, never guessed.
+The errors a run ends with (exit 2, 3 and 4) live here, so the CLI maps
+them to exit codes without loading numpy or a solver module.
 """
 
 from __future__ import annotations
@@ -17,6 +19,19 @@ from .params import ModelParams
 
 class ConfigError(Exception):
     """Malformed or unknown configuration input."""
+
+
+class ResourceLimitError(Exception):
+    """A run would need more memory than its budget allows."""
+
+
+class IterationError(Exception):
+    """Iterative solver did not reach its residual tolerance."""
+
+    def __init__(self, message, eigenvalues=None, residuals=None):
+        super().__init__(message)
+        self.eigenvalues = eigenvalues
+        self.residuals = residuals
 
 
 def _parse_bool(text: str) -> bool:
@@ -123,6 +138,14 @@ def model_params(cfg: dict) -> ModelParams:
         return ModelParams(**sec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad [model] section: {exc}") from exc
+
+
+def params_dict(params: ModelParams) -> dict:
+    """The model parameters as the [model] keys of a configuration; the
+    inverse of model_params."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {key: value.value if isinstance(value, Enum) else value
+            for key, value in values.items()}
 
 
 def section(cfg: dict, name: str) -> dict:

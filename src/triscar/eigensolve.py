@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ResourceLimitError
+from .config import IterationError, ResourceLimitError
 
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792).
 #: A solve_dense at this edge peaks at about 5.2 times it in RSS: the block,
@@ -33,15 +33,6 @@ _DEGEN_TOL = 1e-11
 
 #: pairs solve_iterative finds beyond k, so clusters straddling k are whole
 _EXTRA_PAIRS = 4
-
-
-class IterationError(Exception):
-    """Iterative solver did not reach its residual tolerance."""
-
-    def __init__(self, message, eigenvalues=None, residuals=None):
-        super().__init__(message)
-        self.eigenvalues = eigenvalues
-        self.residuals = residuals
 
 
 @dataclass

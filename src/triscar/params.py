@@ -9,7 +9,8 @@ plane-wave basis used for diagonalization.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 
 class Scaling(enum.Enum):
@@ -44,12 +45,15 @@ class ModelParams:
     light_cutoff_mode: LightCutoffMode = LightCutoffMode.DERIVED
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
+        # written so that nan fails each check
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.box_length < math.inf:
+            raise ValueError(f"box_length must be positive and finite, "
+                             f"got {self.box_length}")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be nonnegative and finite, "
+                             f"got {self.coupling}")
         if self.heavy_cutoff < 0:
             raise ValueError(f"heavy_cutoff must be nonnegative, got {self.heavy_cutoff}")
         if self.cutoff_sq < 0:
@@ -59,6 +63,3 @@ class ModelParams:
     def energy_scale(self) -> float:
         """Factor applied to reported energies (L in the scaled convention)."""
         return self.box_length if self.scaling is Scaling.TIMES_L else 1.0
-
-    def with_scaling(self, scaling: Scaling) -> "ModelParams":
-        return replace(self, scaling=scaling)

@@ -6,15 +6,13 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (ResourceLimitError, Sector1D, Sector3D, SectorOperator,
-                    SymmetryBlock, enumerate_basis_1d, sector_3d,
-                    symmetry_blocks)
-from .config import ConfigError, model_params
+from .basis import (Sector1D, Sector3D, SectorOperator, SymmetryBlock,
+                    enumerate_basis_1d, sector_3d, symmetry_blocks)
+from .config import ConfigError, ResourceLimitError, model_params, params_dict
 from .eigensolve import dense_budget_error, merge_blocks, solve_dense, solve_iterative
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
@@ -169,13 +167,6 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
         solved[name] = merge_blocks(key, solve(members), size, None if dense else k)
     timings["solve"] = time.perf_counter() - started
     return SectorSolution(sector, blocks, plain_op, solved, counts, timings)
-
-
-def params_dict(params: ModelParams) -> dict:
-    """The model parameters as the [model] keys of a configuration."""
-    values = {f.name: getattr(params, f.name) for f in fields(params)}
-    return {key: value.value if isinstance(value, Enum) else value
-            for key, value in values.items()}
 
 
 def write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:

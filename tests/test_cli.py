@@ -784,25 +784,79 @@ def test_solve1d_auto_past_the_dense_budget_converges(tmp_path):
                                                        rel=0.0, abs=1e-6)
 
 
-def _scipy_modules_in_fresh_cli(*argv):
-    """The scipy modules a fresh interpreter holds after importing triscar.cli
-    and, given argv, after running that command."""
-    code = ("import sys, triscar.cli; "
-            "code = triscar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy']); "
-            "sys.exit(code)")
+def _modules_in_fresh_cli(*argv, exit_code=0):
+    """The triscar, numpy and scipy modules ({package: sorted names}) a fresh
+    interpreter holds after importing triscar.cli and, given argv, after
+    running that command, which must end with exit_code (--help and
+    --version end in SystemExit, caught here)."""
+    code = ("import json, sys, triscar.cli\n"
+            "try:\n"
+            "    code = triscar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(json.dumps({top: sorted(m for m in sys.modules\n"
+            "                              if m.partition('.')[0] == top)\n"
+            "                  for top in ('triscar', 'numpy', 'scipy')}))\n"
+            "sys.exit(code)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__)),
          os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True)
-    return done.stdout.strip().splitlines()[-1]
+    assert done.returncode == exit_code, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+#: the modules of a fresh `import triscar.cli`: none loads numpy
+LIGHT_CLI = ["triscar", "triscar.cli", "triscar.config", "triscar.manifest",
+             "triscar.params"]
 
 
 def test_cli_import_leaves_scipy_unloaded():
     """Importing the CLI loads no scipy module; the solvers and the sparse
     isometry import it where they use it."""
-    assert _scipy_modules_in_fresh_cli() == "[]"
+    assert _modules_in_fresh_cli()["scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"]],
+                         ids=["import", "help", "version"])
+def test_cli_import_help_and_version_load_no_numpy(argv):
+    """Importing the CLI, --help and --version load no numpy and no triscar
+    module beyond the CLI, its configuration, the model and the manifest."""
+    loaded = _modules_in_fresh_cli(*argv)
+    assert loaded["numpy"] == []
+    assert loaded["triscar"] == LIGHT_CLI
+
+
+@pytest.mark.parametrize("command", ["report", "refused"])
+def test_report_and_refusals_load_no_numpy(tmp_path, command):
+    """report, and a run refused for its configuration (exit 2), finish
+    without loading numpy or a solver module."""
+    run = str(tmp_path / "run")
+    if command == "report":
+        cfg = write_config(tmp_path, SMALL_1D)
+        assert main(["solve1d", "--config", cfg, "--out", run]) == 0
+        argv, exit_code = ["report", "--from", run], 0
+    else:
+        cfg = write_config(tmp_path, "[model]\ncoupling = nan\n")
+        argv, exit_code = ["solve3d", "--config", cfg], 2
+    loaded = _modules_in_fresh_cli(*argv, "--out", str(tmp_path / "out"),
+                                   exit_code=exit_code)
+    assert loaded["numpy"] == []
+    assert loaded["triscar"] == LIGHT_CLI
+
+
+def test_dense_solve3d_loads_no_classical_scars_or_wavefunction(tmp_path):
+    """A dense solve3d loads the operators and the solver, and none of the
+    classical, scar or wavefunction modules."""
+    cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n")
+    loaded = _modules_in_fresh_cli("solve3d", "--config", cfg,
+                                   "--out", str(tmp_path / "out"))
+    assert {"triscar.pipeline", "triscar.eigensolve",
+            "triscar.hamiltonian3d"} <= set(loaded["triscar"])
+    assert not {"triscar.classical", "triscar.scars",
+                "triscar.wavefunction"} & set(loaded["triscar"])
+    assert loaded["scipy"] == []
 
 
 def test_readme_library_example_runs_without_scipy():
@@ -834,7 +888,7 @@ def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
             "analyze3d": ["analyze", "--config", cfg, "--from", run,
                           "--parity", "anti", "--index", "1"]}[command]
     out = str(tmp_path / "out")
-    assert _scipy_modules_in_fresh_cli(*argv, "--out", out) == "[]"
+    assert _modules_in_fresh_cli(*argv, "--out", out)["scipy"] == []
     assert os.path.exists(os.path.join(out, "report.txt" if command == "report"
                                        else "manifest.json"))
 
@@ -851,7 +905,7 @@ def test_dense_solves_and_1d_analyze_leave_scipy_unloaded(tmp_path, command):
             "solve3d": ["solve3d", "--config", cfg],
             "analyze1d": ["analyze", "--config", cfg, "--from", run]}[command]
     out = str(tmp_path / "out")
-    assert _scipy_modules_in_fresh_cli(*argv, "--out", out) == "[]"
+    assert _modules_in_fresh_cli(*argv, "--out", out)["scipy"] == []
     man = read_manifest(out)
     assert man["status"] == "ok"
     if command != "analyze1d":
@@ -864,8 +918,8 @@ def test_iterative_solves_load_scipy(tmp_path, command):
     cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
                                  f"[{command}]\nmethod = iterative\nk = 3\n")
     out = str(tmp_path / "out")
-    loaded = _scipy_modules_in_fresh_cli(command, "--config", cfg, "--out", out)
-    assert "'scipy.sparse.linalg'" in loaded
+    loaded = _modules_in_fresh_cli(command, "--config", cfg, "--out", out)
+    assert "scipy.sparse.linalg" in loaded["scipy"]
     man = read_manifest(out)
     assert man["status"] == "ok"
     assert man["statistics"]["method"] == "lanczos"
@@ -886,6 +940,48 @@ def test_failed_run_writes_its_manifest(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "status   : failed (exit 4)" in text
     assert f"message  : {man['message']}" in text
+
+
+def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch):
+    """numpy's LinAlgError, a ValueError, is a numerical failure: exit 4 and
+    a failed manifest, not exit 2."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    cfg = write_config(tmp_path, SMALL_1D)
+    out = str(tmp_path / "run")
+    assert main(["solve1d", "--config", cfg, "--out", out]) == 4
+    assert capsys.readouterr().err == ("numerical failure: Eigenvalues did not "
+                                       "converge\n")
+    man = read_manifest(out)
+    assert (man["status"], man["exit_code"]) == ("failed", 4)
+    assert man["message"].startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve1d", "[model]\ngamma = nan", "gamma"),
+    ("solve1d", "[model]\ngamma = inf", "gamma"),
+    ("solve3d", "[model]\nbox_length = nan", "box_length"),
+    ("solve3d", "[model]\nbox_length = inf", "box_length"),
+    ("solve1d", "[model]\ncoupling = nan", "coupling"),
+    ("estimate", "[model]\ncoupling = inf", "coupling"),
+    ("orbit", "[orbit]\ndt = -1", "dt"),
+    ("orbit", "[orbit]\ndt = nan", "dt"),
+    ("orbit", "[orbit]\ndt = inf", "dt"),
+    ("orbit", "[orbit]\nstore_every = 0", "store_every"),
+    ("orbit", "[orbit]\nstore_every = -2", "store_every")])
+def test_settings_that_ran_but_should_not_are_refused(tmp_path, capsys,
+                                                      command, config, key):
+    """A non-finite model constant, a negative or non-finite dt and a
+    store_every below 1 exit 2 naming the key, and write nothing."""
+    cfg = write_config(tmp_path, config + "\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
 
 
 def test_solve3d_refuses_max_states_key(tmp_path, capsys):
