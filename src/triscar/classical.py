@@ -10,15 +10,20 @@ effective potential U = g [Vb(r) - Vb(r/2 - eta) - Vb(r/2 + eta)] with
 Vb(x) = (1 + cos(2 pi x / L)) / (2 L) has a saddle at the triple collision
 (0, 0) and minima at (+-L/3, 0); the 3D variant replaces Vb by the bare
 Coulomb kernel.  Orbits are integrated with the kick-drift-kick leapfrog,
-which is symplectic and time reversible.
+which is symplectic and time reversible; run_orbits runs the [orbit]
+settings.  find_critical_points analyses every point it finds, and its
+result's saddle is the one saddle lookup of the solves, analyze and the scar
+estimates.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import ConfigError, require
 from .params import ModelParams, Scaling
 
 TWO_PI = 2.0 * np.pi
@@ -133,7 +138,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray         # (n_stored, 4) or (n_stored, 12)
     energies: np.ndarray
-    dimension: int
     events: list = field(default_factory=list)
     stopped: bool = False
     stop_reason: str | None = None
@@ -160,25 +164,25 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
     1D orbits wrap out-of-range relative coordinates back into [-L/2, L/2),
     logging an event per wrapped component.  3D orbits stop when any pair
     distance falls below singularity_tol (default 1e-6 L), logging the
-    event and truncating the trajectory.
+    event and truncating the trajectory.  Each argument is checked here, as
+    the [orbit] key it comes from: a finite initial state of 4 (1D) or 12
+    (3D) numbers, a positive finite dt and singularity_tol, steps >= 1.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    require(dimension in (1, 3), "orbit", "dimension", dimension, "1 or 3")
     state = np.array(initial, dtype=np.float64)
-    if dimension == 1:
-        if state.shape != (4,):
-            raise ValueError(f"1D state must have 4 entries, got {state.shape}")
-    elif dimension == 3:
-        if state.shape != (12,):
-            raise ValueError(f"3D state must have 12 entries, got {state.shape}")
-    else:
-        raise ValueError(f"dimension must be 1 or 3, got {dimension}")
+    n = 4 if dimension == 1 else 12
+    require(state.shape == (n,), "orbit", "initial", f"{state.size} numbers",
+            f"{n} numbers for dimension {dimension}")
+    require(np.all(np.isfinite(state)), "orbit", "initial", state.tolist(), "finite")
+    require(0 < dt < np.inf, "orbit", "dt", dt,
+            "positive and finite; 0 is the automatic 1D step")
+    require(steps >= 1, "orbit", "steps", steps, "at least 1")
     L = params.box_length
     gamma = params.gamma
     if singularity_tol is None:
         singularity_tol = 1e-6 * L
+    require(0 < singularity_tol < np.inf, "orbit", "singularity_tol",
+            singularity_tol, "positive and finite; 0 is the default 1e-6 L")
 
     if dimension == 1:
         def force(s):
@@ -257,7 +261,61 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
 
     n_keep = n_done + 1
     return Trajectory(times[:n_keep], stored[:n_keep], energies[:n_keep],
-                      dimension, events, stopped, stop_reason)
+                      events, stopped, stop_reason)
+
+
+@dataclass
+class OrbitRun:
+    """What run_orbits returns: the trajectories (the first starts at
+    initial), and the start and the step they used."""
+
+    trajectories: list[Trajectory]
+    initial: list[float]
+    dt: float
+    timings: dict[str, float]
+
+
+def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
+               dt: float = 0.0, steps: int = 10000, wrap: bool = True,
+               singularity_tol: float = 0.0, ensemble: str = "none",
+               n_orbits: int = 8, spread: float = 0.15) -> OrbitRun:
+    """The orbits of the [orbit] settings, each by integrate_orbit.  initial
+    None is a stable-region state; dt 0 is suggest_timestep's step (1D only).
+    A straddle ensemble starts pair k at +- |initial[0]| (1 + spread k)."""
+    L = params.box_length
+    if initial is None:
+        initial = [L / 3.0, 0.0, 0.02 * L, 0.0] if dimension == 1 else \
+            [0.2 * L, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1 * L, 0.0, 0.0, 0.0, 0.0]
+    if dt == 0:
+        if dimension == 3:
+            raise ConfigError("[orbit] dt must be set explicitly for 3D runs")
+        dt = suggest_timestep(params)
+
+    t0 = time.perf_counter()
+    base = np.array(initial, dtype=np.float64)
+    if ensemble == "none":
+        starts = [base]
+    elif ensemble == "straddle":
+        if n_orbits < 2 or n_orbits % 2:
+            raise ConfigError(f"[orbit] n_orbits must be even and at least 2 "
+                              f"for a straddle ensemble, got {n_orbits}")
+        if dimension == 3 and base[0] == 0:
+            raise ConfigError("[orbit] straddle ensemble needs a nonzero "
+                              "first component in initial")
+        starts = []
+        for k in range(n_orbits // 2):
+            scale = 1.0 + spread * k
+            for sign in (1.0, -1.0):
+                st = base.copy()
+                st[0] = sign * abs(base[0]) * scale
+                starts.append(st)
+    else:
+        raise ConfigError(f"bad value for [orbit] ensemble: {ensemble!r}")
+    trajectories = [integrate_orbit(st, dt, steps, params, dimension=dimension,
+                                    wrap=wrap, singularity_tol=singularity_tol or None)
+                    for st in starts]
+    return OrbitRun(trajectories, list(initial), dt,
+                    {"integrate": time.perf_counter() - t0})
 
 
 @dataclass(frozen=True)
@@ -265,7 +323,6 @@ class CriticalPoint:
     r: float
     eta: float
     kind: str                  # minimum / maximum / saddle / degenerate
-    sigmas: tuple              # Hessian eigenvalues, ascending, raw units
     hessian: tuple             # raw 2x2 as nested tuples
     grad_norm: float
 
@@ -274,6 +331,12 @@ class CriticalPoint:
 class CriticalPointResult:
     points: list
     failed_seeds: list
+    analyses: list             # hessian_analysis of each point, raw units
+
+    @property
+    def saddle(self) -> SaddleAnalysis | None:
+        """The analysis of the first saddle found, if any."""
+        return next((a for a in self.analyses if a.kind == "saddle"), None)
 
 
 def find_critical_points(params: ModelParams) -> CriticalPointResult:
@@ -282,7 +345,7 @@ def find_critical_points(params: ModelParams) -> CriticalPointResult:
 
     The seeds are one point near the origin and one near each +-L/3 well.
     Non-converged seeds are reported, not fatal.  Duplicate finds (within
-    1e-8 L) are merged.
+    1e-8 L) are merged.  Each point found comes with its hessian_analysis.
     """
     L = params.box_length
     seeds = [(0.02 * L, 0.01 * L), (0.30 * L, 0.02 * L), (-0.30 * L, 0.02 * L)]
@@ -324,10 +387,10 @@ def find_critical_points(params: ModelParams) -> CriticalPointResult:
                   for p in points)
         if not dup:
             points.append(CriticalPoint(float(x[0]), float(x[1]), kind,
-                                        tuple(float(s) for s in sig),
                                         tuple(map(tuple, hess.tolist())),
                                         float(np.linalg.norm(grad))))
-    return CriticalPointResult(points, failed)
+    return CriticalPointResult(points, failed,
+                               [hessian_analysis(p, params) for p in points])
 
 
 @dataclass(frozen=True)
@@ -384,6 +447,13 @@ class SaddleAnalysis:
                        masses=tuple(m / L for m in self.masses),
                        scaling="multiplied-by-L")
 
+    def in_convention(self, params: ModelParams) -> SaddleAnalysis:
+        """This raw analysis in the reporting convention of params: scaled
+        by its box length under Scaling.TIMES_L."""
+        if params.scaling is Scaling.TIMES_L:
+            return self.scaled(params.box_length)
+        return self
+
 
 def hessian_analysis(point: CriticalPoint, params: ModelParams) -> SaddleAnalysis:
     """Normal-mode decomposition of a critical point in raw units."""
@@ -399,14 +469,17 @@ def hessian_analysis(point: CriticalPoint, params: ModelParams) -> SaddleAnalysi
                           point.kind == "degenerate")
 
 
+def find_saddle(params: ModelParams) -> SaddleAnalysis | None:
+    """The raw-unit analysis of the first saddle find_critical_points finds
+    (None when it finds none); .in_convention(params) reports it."""
+    return find_critical_points(params).saddle
+
+
 def suggest_timestep(params: ModelParams) -> float:
     """1/200 of the fastest stable normal-mode period over all critical
     points find_critical_points finds."""
-    result = find_critical_points(params)
-    periods = []
-    for pt in result.points:
-        ana = hessian_analysis(pt, params)
-        periods.extend(ana.stable_periods)
+    periods = [period for ana in find_critical_points(params).analyses
+               for period in ana.stable_periods]
     if not periods:
         raise ValueError("no stable mode found; cannot suggest a timestep")
     return (1.0 / 200.0) * min(periods)

@@ -23,9 +23,9 @@ import time
 
 from . import __version__
 from .config import (DEFAULTS, ConfigError, IterationError, ResourceLimitError,
-                     load_config, model_params, params_dict, section)
+                     load_config, model_params, params_dict, require, section)
 from .manifest import RunManifest, read_manifest
-from .params import ModelParams, Scaling
+from .params import ModelParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,21 +115,6 @@ def _write_exit(args, status: str, code: int, message: str) -> int:
     return code
 
 
-def _saddle_analysis(params: ModelParams):
-    """Locate the collision saddle and return its mode analysis in the
-    reporting convention of params (None when no saddle is found)."""
-    from .classical import find_critical_points, hessian_analysis
-
-    result = find_critical_points(params)
-    saddle = next((p for p in result.points if p.kind == "saddle"), None)
-    if saddle is None:
-        return None
-    ana = hessian_analysis(saddle, params)
-    if params.scaling is Scaling.TIMES_L:
-        ana = ana.scaled(params.box_length)
-    return ana
-
-
 def _solve(args, params: ModelParams, s: dict, man: RunManifest):
     """solve_sector on the [solve1d] or [solve3d] section s, timed in man."""
     from .pipeline import solve_sector
@@ -147,24 +132,24 @@ def _solve(args, params: ModelParams, s: dict, man: RunManifest):
 
 def cmd_solve1d(args) -> int:
     params, s, man = _start(args, "solve1d")
+    require(0 <= s["gap_threshold"] < float("inf"), "solve1d", "gap_threshold",
+            s["gap_threshold"], "nonnegative and finite")
+    require(s["scar_levels"] >= 1, "solve1d", "scar_levels", s["scar_levels"],
+            "at least 1")
 
     import numpy as np
 
-    from .eigensolve import assemble_bands, band_id_per_state
-    from .pipeline import write_archive
-    from .scars import compare_with_spectrum
+    from .classical import find_saddle
+    from .eigensolve import band_id_per_state, write_archive
+    from .scars import compare_bands
 
     run = _solve(args, params, s, man)
     sector = run.sector
     solved = run.groups[""]
     spectrum = solved[0]
-    bands = assemble_bands(spectrum.eigenvalues, s["gap_threshold"])
+    bands, comp = compare_bands(find_saddle(params), params, spectrum.eigenvalues,
+                                s["gap_threshold"], s["scar_levels"])
     bids = band_id_per_state(spectrum.k, bands)
-    saddle = _saddle_analysis(params)
-    comp = None
-    if saddle is not None:
-        comp = compare_with_spectrum(saddle, spectrum.eigenvalues, bands,
-                                     n_levels=s["scar_levels"])
 
     _save(args, "spectrum.csv", _write_table,
           ["index", "eigenvalue", "residual", "band"],
@@ -176,8 +161,7 @@ def cmd_solve1d(args) -> int:
                   for b in bands],
     })
     if comp is not None:
-        _save(args, "scar_comparison.json", _write_json,
-              {**comp.as_dict(), "scaling": params.scaling.value})
+        _save(args, "scar_comparison.json", _write_json, comp.as_dict())
     _save(args, "eigenvectors.npz", write_archive, sector, params, solved,
           band_ids=bids)
     if s["dump_matrix"]:
@@ -211,7 +195,7 @@ def cmd_solve3d(args) -> int:
     import numpy as np
 
     from .basis import basis_size_3d
-    from .pipeline import write_archive
+    from .eigensolve import write_archive
 
     run = _solve(args, params, s, man)
     sector, blocks, spectra = run.sector, run.blocks, run.groups
@@ -322,86 +306,38 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
     return chosen
 
 
-def _analyze_1d(args, s, man) -> None:
+def _analyze_1d(args, s, man, archive) -> None:
     import numpy as np
 
-    from .pipeline import embedded, load_archive
-    from .wavefunction import (autocorrelation, concentration_ratio,
-                               heavy_overlap, position_wavefunction_1d)
+    from .wavefunction import analyze_1d
 
-    t0 = time.perf_counter()
-    data, params, sector, blocks = load_archive(
-        os.path.join(args.from_dir, "eigenvectors.npz"))
-    man.add_timing("load", time.perf_counter() - t0)
-    evals = data["eigenvalues"]
-    bids = data["band_ids"]
-    L = params.box_length
-
-    select = args.select or s["select"]
-    chosen = _parse_selector(select, evals, bids)
-
-    # heavy overlap for every state: group coefficient mass by light
-    # momentum, block by block, so no full set of plain vectors is formed
-    t0 = time.perf_counter()
-    p_vals, light = np.unique(sector.p, return_inverse=True)
-    overlaps = np.empty(len(evals))
-    for label, block in blocks.items():
-        members = np.nonzero(data["block"] == label)[0]
-        columns = data["offset"][members] + np.arange(block.dim)[:, None]
-        # the entries of S summed by light momentum, column by column
-        by_light = np.bincount(light[block.rows] * block.dim + block.cols,
-                               weights=block.values, minlength=len(p_vals) * block.dim)
-        amp = by_light.reshape(len(p_vals), block.dim) @ data["eigenvectors"][columns]
-        overlaps[members] = np.sum(amp ** 2, axis=0) / L
-    man.add_timing("overlaps", time.perf_counter() - t0)
+    data, _, sector, _ = archive
+    evals, bids = data["eigenvalues"], data["band_ids"]
+    chosen = _parse_selector(args.select or s["select"], evals, bids)
+    coeffs = _read_weights(args.weights, len(evals)) if args.weights else None
+    run = analyze_1d(archive, chosen, coeffs, **{key: s[key] for key in (
+        "n_r", "n_eta", "strip_fraction", "times_max", "n_times", "broadening")})
+    man.timings.update(run.timings)
 
     _save(args, "overlaps.csv", _write_table,
           ["index", "eigenvalue", "band", "heavy_overlap"],
-          np.arange(len(evals)), evals, bids, overlaps)
-
-    strip = s["strip_fraction"] * L
-    grids_s = 0.0
-    for i in chosen:
-        t0 = time.perf_counter()
-        grid = position_wavefunction_1d(embedded(data, blocks, i), sector, params,
-                                        n_r=s["n_r"], n_eta=s["n_eta"])
-        grids_s += time.perf_counter() - t0
+          np.arange(len(evals)), evals, bids, run.overlaps)
+    for i, grid in run.grids.items():
         _save(args, f"grid_state{i:04d}.csv", _write_table,
               [_fmt(v) for v in grid.eta_axis], grid.density())
         _save(args, f"grid_state{i:04d}.json", _write_json, {
             "index": int(i),
             "eigenvalue": float(evals[i]),
             "band": int(bids[i]),
-            "heavy_overlap": float(heavy_overlap(grid)),
-            "concentration_ratio": float(concentration_ratio(grid, strip)),
-            "strip_half_width": strip,
+            "heavy_overlap": float(grid.meta["heavy_overlap"]),
+            "concentration_ratio": float(grid.meta["concentration_ratio"]),
+            "strip_half_width": run.strip_half_width,
             "norm": grid.norm(),
             "r_axis": [float(v) for v in grid.r_axis],
             "eta_axis": [float(v) for v in grid.eta_axis],
         })
-    man.add_timing("grids", grids_s)
-
-    if args.weights:
-        coeffs = _read_weights(args.weights, len(evals))
-        broad = s["broadening"]
-        omega = None
-        if broad <= 0 or s["times_max"] <= 0:
-            saddle = _saddle_analysis(params)
-            if saddle is None:
-                raise ConfigError("no saddle found to derive broadening; set "
-                                  "[analyze] broadening and times_max")
-            from .scars import stable_frequency
-
-            omega = stable_frequency(saddle)
-        if broad <= 0:
-            broad = omega / 2.0
-        t_max = s["times_max"]
-        if t_max <= 0:
-            t_max = 3.0 * 2.0 * np.pi / omega
-        times = np.linspace(0.0, t_max, s["n_times"])
-        t0 = time.perf_counter()
-        series = autocorrelation(coeffs, evals, times, broad)
-        man.add_timing("autocorrelation", time.perf_counter() - t0)
+    series = run.series
+    if series is not None:
         # abs per element: np.abs rounds some moduli differently
         _save(args, "autocorr.csv", _write_table, ["t", "re", "im", "abs"],
               series.times, series.values.real, series.values.imag,
@@ -409,11 +345,11 @@ def _analyze_1d(args, s, man) -> None:
         _save(args, "spectral_density.csv", _write_table, ["energy", "density"],
               series.energy_grid, series.spectral_density)
         man.statistics["spectral_mass"] = series.spectral_mass()
-        man.statistics["broadening"] = broad
+        man.statistics["broadening"] = series.broadening
 
     man.statistics.update({
         "selected": [int(i) for i in chosen],
-        "strip_half_width": strip,
+        "strip_half_width": run.strip_half_width,
         "dimension": sector.dim,
     })
 
@@ -443,30 +379,20 @@ def _read_weights(path: str, n: int) -> np.ndarray:
     return coeffs
 
 
-def _analyze_3d(args, s, man) -> None:
-    from .pipeline import embedded, load_archive
-    from .wavefunction import integrated_probability_3d, pair_projection_3d
+def _analyze_3d(args, s, man, archive) -> None:
+    from .wavefunction import analyze_3d
 
+    data, params = archive[:2]
     tag = args.parity or "sym"
-    if tag not in ("sym", "anti"):
-        raise ConfigError(f"--parity must be sym or anti, got {tag!r}")
-    path = os.path.join(args.from_dir, f"eigenvectors_{tag}.npz")
-    if not os.path.exists(path):
-        raise ConfigError(f"no {os.path.basename(path)} under {args.from_dir}")
-    t0 = time.perf_counter()
-    data, params, sector, blocks = load_archive(path)
-    man.add_timing("load", time.perf_counter() - t0)
     evals = data["eigenvalues"]
     idx = args.index if args.index is not None else 0
     if not 0 <= idx < len(evals):
         raise ConfigError(f"--index {idx} out of range 0..{len(evals) - 1}")
-    coeffs = embedded(data, blocks, idx)
+    run = analyze_3d(archive, idx, n_radial=s["n_radial"], n_r=s["n_r"],
+                     n_eta=s["n_eta"])
+    man.timings.update(run.timings)
 
-    t0 = time.perf_counter()
-    radial = integrated_probability_3d(
-        coeffs, sector, params, n_r=s["n_radial"], n_eta=s["n_radial"],
-        orbits=blocks[str(data["block"][idx])].orbits)
-    man.add_timing("radial", time.perf_counter() - t0)
+    radial = run.radial
     _save(args, f"radial_{tag}_state{idx:04d}.csv", _write_table,
           [_fmt(v) for v in radial.eta_axis], radial.values)
     _save(args, f"radial_{tag}_state{idx:04d}.json", _write_json, {
@@ -476,16 +402,9 @@ def _analyze_3d(args, s, man) -> None:
         "mass": radial.mass(),
         "mass_small_r": radial.mass_small_r(0.1 * params.box_length),
     })
-
-    projection_s = 0.0
-    for comp_r, comp_eta, label in ((0, 0, "like"), (0, 1, "unlike")):
-        t0 = time.perf_counter()
-        grid = pair_projection_3d(coeffs, sector, params, comp_r, comp_eta,
-                                  n_r=s["n_r"], n_eta=s["n_eta"])
-        projection_s += time.perf_counter() - t0
+    for label, grid in run.projections.items():
         _save(args, f"projection_{label}_{tag}_state{idx:04d}.csv", _write_table,
               [_fmt(v) for v in grid.eta_axis], grid.density())
-    man.add_timing("projections", projection_s)
     man.statistics.update({"parity": tag, "index": int(idx),
                            "eigenvalue": float(evals[idx])})
 
@@ -494,19 +413,33 @@ def cmd_analyze(args) -> int:
     _, s, man = _start(args, "analyze", model=False)
     if not args.from_dir:
         raise ConfigError("analyze requires --from RUN_DIR")
+    tag = args.parity or "sym"
     if os.path.exists(os.path.join(args.from_dir, "eigenvectors.npz")):
         kind, analyze, foreign = "1D", _analyze_1d, ("parity", "index")
+        name = "eigenvectors.npz"
     elif (os.path.exists(os.path.join(args.from_dir, "eigenvectors_sym.npz"))
           or os.path.exists(os.path.join(args.from_dir, "eigenvectors_anti.npz"))):
         kind, analyze, foreign = "3D", _analyze_3d, ("select", "weights")
+        name = f"eigenvectors_{tag}.npz"
     else:
         raise ConfigError(f"no eigenvector archives under {args.from_dir}")
     given = [f"--{flag}" for flag in foreign if getattr(args, flag) is not None]
     if given:
         raise ConfigError(f"{' and '.join(given)} cannot be used with the {kind} "
                           f"run in {args.from_dir}")
+    if tag not in ("sym", "anti"):
+        raise ConfigError(f"--parity must be sym or anti, got {tag!r}")
+    path = os.path.join(args.from_dir, name)
+    if not os.path.exists(path):
+        raise ConfigError(f"no {name} under {args.from_dir}")
     man.parameters["from"] = args.from_dir
-    analyze(args, s, man)
+
+    from .pipeline import load_archive
+
+    t0 = time.perf_counter()
+    archive = load_archive(path)
+    man.add_timing("load", time.perf_counter() - t0)
+    analyze(args, s, man, archive)
     print(f"analyze ->  {_finish(args)}")
     return EXIT_OK
 
@@ -517,61 +450,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_orbit(args) -> int:
     params, s, man = _start(args, "orbit")
+    require(s["store_every"] >= 1, "orbit", "store_every", s["store_every"],
+            "at least 1")
 
     import numpy as np
 
-    from .classical import integrate_orbit, pair_distances_3d, suggest_timestep
+    from .classical import pair_distances_3d, run_orbits
 
-    L = params.box_length
     dim = s["dimension"]
-    if dim not in (1, 3):
-        raise ConfigError(f"[orbit] dimension must be 1 or 3, got {dim}")
-    initial = s["initial"]
-    if initial is None:
-        initial = [L / 3.0, 0.0, 0.02 * L, 0.0] if dim == 1 else \
-            [0.2 * L, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1 * L, 0.0, 0.0, 0.0, 0.0]
-    if len(initial) != (4 if dim == 1 else 12):
-        raise ConfigError(f"[orbit] initial needs {4 if dim == 1 else 12} "
-                          f"numbers for dimension {dim}, got {len(initial)}")
-    dt = s["dt"]
-    if not (dt >= 0 and np.isfinite(dt)):
-        raise ConfigError(f"bad value for [orbit] dt: {dt} (must be 0 for the "
-                          f"automatic step, or positive and finite)")
-    if s["store_every"] < 1:
-        raise ConfigError(f"bad value for [orbit] store_every: {s['store_every']} "
-                          f"(must be at least 1)")
-    if dt == 0:
-        if dim != 1:
-            raise ConfigError("[orbit] dt must be set explicitly for 3D runs")
-        dt = suggest_timestep(params)
-    sing = s["singularity_tol"] if s["singularity_tol"] > 0 else None
-    man.parameters["orbit"]["initial"] = list(initial)
-    man.parameters["dt_used"] = dt
-
-    t0 = time.perf_counter()
-    base = np.array(initial, dtype=np.float64)
-    if s["ensemble"] == "none":
-        starts = [base]
-    elif s["ensemble"] == "straddle":
-        if s["n_orbits"] < 2 or s["n_orbits"] % 2:
-            raise ConfigError(f"[orbit] n_orbits must be even and at least 2 "
-                              f"for a straddle ensemble, got {s['n_orbits']}")
-        if dim == 3 and base[0] == 0:
-            raise ConfigError("[orbit] straddle ensemble needs a nonzero "
-                              "first component in initial")
-        starts = []
-        for k in range(s["n_orbits"] // 2):
-            scale = 1.0 + s["spread"] * k
-            for sign in (1.0, -1.0):
-                st = base.copy()
-                st[0] = sign * abs(base[0]) * scale
-                starts.append(st)
-    else:
-        raise ConfigError(f"bad value for [orbit] ensemble: {s['ensemble']!r}")
-    trajectories = [integrate_orbit(st, dt, s["steps"], params, dimension=dim,
-                                    wrap=s["wrap"], singularity_tol=sing)
-                    for st in starts]
-    man.add_timing("integrate", time.perf_counter() - t0)
+    run = run_orbits(params, **{key: value for key, value in s.items()
+                                if key != "store_every"})
+    man.timings.update(run.timings)
+    man.parameters["orbit"]["initial"] = run.initial
+    man.parameters["dt_used"] = dt = run.dt
+    trajectories = run.trajectories
 
     main_traj = trajectories[0]
     stored = slice(None, None, s["store_every"])
@@ -632,97 +524,42 @@ def cmd_orbit(args) -> int:
 def cmd_estimate(args) -> int:
     params, s, man = _start(args, "estimate")
 
-    import numpy as np
+    from .scars import compare_bands, estimate
 
-    from .classical import find_critical_points, hessian_analysis
-    from .scars import (compare_with_spectrum, predicted_gap, scar_intensity,
-                        stable_frequency)
+    if args.from_dir:
+        path = os.path.join(args.from_dir, "eigenvectors.npz")
+        if not os.path.exists(path):
+            raise ConfigError(f"no eigenvectors.npz under {args.from_dir}")
+    run = estimate(params, n_levels=s["n_levels"], convention=s["convention"])
+    man.timings.update(run.timings)
+    payload, saddle = run.payload, run.saddle
+    if args.from_dir:
+        if saddle is None:
+            raise ConfigError(f"no saddle found to compare with the spectrum "
+                              f"in {args.from_dir}")
+        from .eigensolve import read_archive
 
-    if s["convention"] not in ("sigma", "rate", "both"):
-        raise ConfigError(f"bad value for [estimate] convention: "
-                          f"{s['convention']!r}")
-    L = params.box_length
-    t0 = time.perf_counter()
-    result = find_critical_points(params)
-    points = []
-    saddle_raw = None
-    for pt in result.points:
-        ana = hessian_analysis(pt, params)
-        points.append({
-            "r": pt.r, "eta": pt.eta, "r_over_L": pt.r / L,
-            "eta_over_L": pt.eta / L, "kind": pt.kind,
-            "value_raw": ana.value, "value_scaled": ana.value * L,
-            "sigmas_raw": list(ana.sigmas), "masses_raw": list(ana.masses),
-            "grad_norm": pt.grad_norm,
-        })
-        if pt.kind == "saddle" and saddle_raw is None:
-            saddle_raw = ana
-    man.add_timing("critical", time.perf_counter() - t0)
-    payload = {
-        "parameters": params_dict(params),
-        "critical_points": points,
-        "failed_seeds": [list(t) for t in result.failed_seeds],
-    }
-    if saddle_raw is not None:
-        scaled = saddle_raw.scaled(L)
-        omega_raw = stable_frequency(saddle_raw)
-        omega_scaled = stable_frequency(scaled)
-        levels = []
-        for n in range(s["n_levels"]):
-            levels.append({"n": n,
-                           "gap_raw": predicted_gap(n, saddle_raw),
-                           "gap_scaled": predicted_gap(n, scaled)})
-        saddle_info = {
-            "omega_raw": omega_raw,
-            "omega_scaled": omega_scaled,
-            "stable_period_raw": 2.0 * np.pi / omega_raw,
-            "lambda_sigma_raw": saddle_raw.lambda_sigma,
-            "lambda_sigma_scaled": scaled.lambda_sigma,
-            "lambda_rate_raw": saddle_raw.lambda_rate,
-            "lambda_rate_scaled": scaled.lambda_rate,
-            "levels": levels,
-        }
-        if s["convention"] in ("sigma", "both"):
-            saddle_info["intensity_sigma_convention"] = \
-                scar_intensity(saddle_raw, "sigma")
-        if s["convention"] in ("rate", "both"):
-            saddle_info["intensity_rate_convention"] = \
-                scar_intensity(saddle_raw, "rate")
-        payload["saddle"] = saddle_info
-
-        if args.from_dir:
-            from .eigensolve import assemble_bands
-            from .pipeline import read_archive
-
-            spath = os.path.join(args.from_dir, "eigenvectors.npz")
-            if not os.path.exists(spath):
-                raise ConfigError(f"no eigenvectors.npz under {args.from_dir}")
-            t0 = time.perf_counter()
-            data, run_params = read_archive(spath, ["eigenvalues"])
-            ana = saddle_raw
-            if run_params.scaling is Scaling.TIMES_L:
-                ana = saddle_raw.scaled(run_params.box_length)
-            bands = assemble_bands(data["eigenvalues"],
-                                   _band_gap_threshold(args.from_dir))
-            comp = compare_with_spectrum(ana, data["eigenvalues"], bands,
-                                         n_levels=s["n_levels"])
-            payload["comparison"] = comp.as_dict()
-            payload["comparison"]["scaling"] = run_params.scaling.value
-            man.add_timing("comparison", time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        data, run_params = read_archive(path, ["eigenvalues"])
+        _, comp = compare_bands(saddle, run_params, data["eigenvalues"],
+                                _band_gap_threshold(args.from_dir), s["n_levels"])
+        payload["comparison"] = comp.as_dict()
+        man.add_timing("comparison", time.perf_counter() - t0)
 
     _save(args, "scar_estimates.json", _write_json, payload)
+    points = payload["critical_points"]
     man.statistics = {
         "n_critical_points": len(points),
         "kinds": sorted(p["kind"] for p in points),
     }
-    if saddle_raw is not None:
-        man.statistics["delta_s_scaled"] = predicted_gap(0, saddle_raw.scaled(L))
+    if saddle is not None:
+        man.statistics["delta_s_scaled"] = payload["saddle"]["levels"][0]["gap_scaled"]
     out = _finish(args)
     for p in points:
         print(f"{p['kind']:>10s} at r/L = {p['r_over_L']:+.6f}, "
               f"eta/L = {p['eta_over_L']:+.6f}, U*L = {p['value_scaled']:.6f}")
-    if saddle_raw is not None:
-        print(f"stable frequency (scaled) {_fmt(stable_frequency(saddle_raw.scaled(L)))}; "
+    if saddle is not None:
+        print(f"stable frequency (scaled) {_fmt(payload['saddle']['omega_scaled'])}; "
               f"lowest predicted gap {_fmt(man.statistics['delta_s_scaled'])}")
     print(f"->  {out}")
     return EXIT_OK

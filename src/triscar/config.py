@@ -151,3 +151,10 @@ def params_dict(params: ModelParams) -> dict:
 def section(cfg: dict, name: str) -> dict:
     """The [name] section merged over its DEFAULTS."""
     return {**DEFAULTS[name], **cfg.get(name, {})}
+
+
+def require(ok: bool, name: str, key: str, value, must: str) -> None:
+    """Refuse the value of [name] key, saying what it must be, unless ok.
+    Callers write ok as `x > 0` and the like, so that nan fails it."""
+    if not ok:
+        raise ConfigError(f"bad value for [{name}] {key}: {value} (must be {must})")

@@ -7,17 +7,20 @@ larger ones.  Only the second imports scipy.
 Both report per-pair residual norms ||H v - E v|| so agreement can be
 checked from the outside.  A sector split into symmetry blocks is solved one
 block at a time, and merge_blocks joins the blocks' spectra with their
-vectors left in block coordinates.
+vectors left in block coordinates; write_archive stores such a spectrum and
+read_archive reads it back.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import IterationError, ResourceLimitError
+from .config import IterationError, ResourceLimitError, model_params, params_dict
+from .params import ModelParams
 
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792).
 #: A solve_dense at this edge peaks at about 5.2 times it in RSS: the block,
@@ -290,3 +293,27 @@ def band_id_per_state(n_states: int, bands: list[Band]) -> np.ndarray:
     for band in bands:
         out[band.start:band.stop + 1] = band.band_id
     return out
+
+
+def write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:
+    """An eigenvector archive: one merged group of blocks, its vectors in
+    block coordinates, each state's block label and vector offset, and what
+    analyze needs to rebuild the blocks (sector labels, total momentum, model
+    parameters); extra adds command-specific arrays."""
+    spec, labels, offsets = solved
+    total = np.atleast_1d(np.asarray(sector.total_momentum, dtype=np.int64))
+    np.savez(path,
+             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
+             residuals=spec.residuals, block=labels, offset=offsets,
+             n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
+             dimension=np.array(f"{len(total)}d"),
+             params=np.array(json.dumps(params_dict(params))), **extra)
+
+
+def read_archive(path: str, names=None) -> tuple[dict, ModelParams]:
+    """The arrays `names` (every array when None; "params" always) of an
+    eigenvector archive, and the model it was solved in."""
+    with np.load(path) as npz:
+        data = {name: npz[name]
+                for name in (npz.files if names is None else {*names, "params"})}
+    return data, model_params({"model": json.loads(str(data["params"]))})

@@ -46,7 +46,6 @@ class MatrixElementRule3D:
     """Scaled coefficients entering 3D matrix elements."""
 
     params: ModelParams
-    rho: float = RHO
 
     @property
     def kinetic_coeff(self) -> float:

@@ -1,9 +1,8 @@
 """One momentum sector solved block by block, as solve1d and solve3d run it,
-and the eigenvector archives that hold the result."""
+and an eigenvector archive loaded with the sector and blocks it was solved in."""
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -12,8 +11,9 @@ import numpy as np
 
 from .basis import (Sector1D, Sector3D, SectorOperator, SymmetryBlock,
                     enumerate_basis_1d, sector_3d, symmetry_blocks)
-from .config import ConfigError, ResourceLimitError, model_params, params_dict
-from .eigensolve import dense_budget_error, merge_blocks, solve_dense, solve_iterative
+from .config import ConfigError, ResourceLimitError, require
+from .eigensolve import (dense_budget_error, merge_blocks, read_archive, solve_dense,
+                         solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
@@ -99,10 +99,8 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
         raise ConfigError("[solve3d] total_momentum needs three integers")
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError(f"bad value for [{command}] method: {method!r}")
-    if not tol > 0:
-        raise ConfigError(f"bad value for [{command}] tol: {tol} (must be positive)")
-    if k < 1:
-        raise ConfigError(f"bad value for [{command}] k: {k} (must be at least 1)")
+    require(tol > 0, command, "tol", tol, "positive")
+    require(k >= 1, command, "k", k, "at least 1")
     timings: dict[str, float] = {}
 
     import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)
@@ -169,30 +167,6 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     return SectorSolution(sector, blocks, plain_op, solved, counts, timings)
 
 
-def write_archive(path: str, sector, params: ModelParams, solved, **extra) -> None:
-    """An eigenvector archive: one merged group of blocks, its vectors in
-    block coordinates, each state's block label and vector offset, and what
-    analyze needs to rebuild the blocks (sector labels, total momentum, model
-    parameters); extra adds command-specific arrays."""
-    spec, labels, offsets = solved
-    total = np.atleast_1d(np.asarray(sector.total_momentum, dtype=np.int64))
-    np.savez(path,
-             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
-             residuals=spec.residuals, block=labels, offset=offsets,
-             n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
-             dimension=np.array(f"{len(total)}d"),
-             params=np.array(json.dumps(params_dict(params))), **extra)
-
-
-def read_archive(path: str, names=None) -> tuple[dict, ModelParams]:
-    """The arrays `names` (every array when None; "params" always) of an
-    eigenvector archive, and the model it was solved in."""
-    with np.load(path) as npz:
-        data = {name: npz[name]
-                for name in (npz.files if names is None else {*names, "params"})}
-    return data, model_params({"model": json.loads(str(data["params"]))})
-
-
 def load_archive(path: str):
     """The arrays of an eigenvector archive, with the model, the sector and
     the symmetry blocks (by label) it was solved in.  The blocks are a
@@ -211,10 +185,3 @@ def load_archive(path: str):
         raise ConfigError(f"{path} names blocks {sorted(unknown)} that "
                           f"{sector.key} lacks")
     return data, params, sector, blocks
-
-
-def embedded(data: dict, blocks: dict, i: int) -> np.ndarray:
-    """Archived state i as a plain-sector vector: S v for its block's S."""
-    block = blocks[str(data["block"][i])]
-    start = data["offset"][i]
-    return block.embed(data["eigenvectors"][start:start + block.dim])

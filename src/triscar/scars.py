@@ -10,16 +10,20 @@ by the quadratic analysis.  Differences of scar energies are free of both
 V and E_loc, so the predicted gap to the lowest scar, (n + 1/2) omega, can
 be compared directly against measured band-top offsets from the ground
 state.  The scar visibility is controlled by the ratio 1 / (tau lambda) of
-the unstable rate to the stable period.
+the unstable rate to the stable period.  estimate runs the [estimate]
+settings; compare_bands is the comparison of solve1d and estimate --from.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import SaddleAnalysis
+from .classical import SaddleAnalysis, find_critical_points
+from .config import params_dict, require
+from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,16 +101,19 @@ class ComparisonEntry:
 
 @dataclass
 class ScarComparison:
-    """Predicted (n + 1/2) omega gaps paired with measured band-top offsets."""
+    """Predicted (n + 1/2) omega gaps paired with measured band-top offsets,
+    in the reporting convention of the saddle analysis they came from."""
 
     ground_energy: float
     omega: float
+    scaling: str = "raw"
     entries: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
             "ground_energy": self.ground_energy,
             "omega": self.omega,
+            "scaling": self.scaling,
             "entries": [
                 {
                     "band": e.band_id,
@@ -133,7 +140,7 @@ def compare_with_spectrum(saddle: SaddleAnalysis, eigenvalues, bands,
     omega = stable_frequency(saddle)
     e0 = float(evals[0])
     by_id = {b.band_id: b for b in bands}
-    comp = ScarComparison(e0, omega)
+    comp = ScarComparison(e0, omega, saddle.scaling)
     for n in range(n_levels):
         gap = predicted_gap(n, saddle)
         band = by_id.get(n + 1)
@@ -144,3 +151,75 @@ def compare_with_spectrum(saddle: SaddleAnalysis, eigenvalues, bands,
             rel = abs(measured - gap) / abs(gap) if gap != 0 else None
             comp.entries.append(ComparisonEntry(n + 1, n, gap, measured, rel))
     return comp
+
+
+def compare_bands(saddle: SaddleAnalysis | None, params: ModelParams, eigenvalues,
+                  gap_threshold: float, n_levels: int):
+    """The bands of an ascending spectrum solved in params, split at gaps
+    above gap_threshold, and, given the raw analysis of a saddle, its
+    predicted gaps for n_levels levels compared with their tops in the
+    reporting convention of params (None without a saddle)."""
+    # imported here, so that estimate without a spectrum loads no solver module
+    from .eigensolve import assemble_bands
+
+    bands = assemble_bands(eigenvalues, gap_threshold)
+    if saddle is None:
+        return bands, None
+    return bands, compare_with_spectrum(saddle.in_convention(params), eigenvalues,
+                                        bands, n_levels=n_levels)
+
+
+@dataclass
+class ScarEstimate:
+    """What estimate returns: the scar_estimates.json payload and the raw
+    analysis of the saddle (None when there is none)."""
+
+    payload: dict
+    saddle: SaddleAnalysis | None
+    timings: dict[str, float]
+
+
+def estimate(params: ModelParams, *, n_levels: int = 3,
+             convention: str = "both") -> ScarEstimate:
+    """The [estimate] settings on params: every critical point and, for the
+    saddle, its frequency, instability parameters and n_levels predicted
+    gaps, raw and scaled by L, and its scar intensity in either convention
+    or both."""
+    require(convention in ("sigma", "rate", "both"), "estimate", "convention",
+            repr(convention), "sigma, rate or both")
+    require(n_levels >= 1, "estimate", "n_levels", n_levels, "at least 1")
+    L = params.box_length
+    t0 = time.perf_counter()
+    result = find_critical_points(params)
+    points = [{
+        "r": pt.r, "eta": pt.eta, "r_over_L": pt.r / L,
+        "eta_over_L": pt.eta / L, "kind": pt.kind,
+        "value_raw": ana.value, "value_scaled": ana.value * L,
+        "sigmas_raw": list(ana.sigmas), "masses_raw": list(ana.masses),
+        "grad_norm": pt.grad_norm,
+    } for pt, ana in zip(result.points, result.analyses)]
+    payload = {
+        "parameters": params_dict(params),
+        "critical_points": points,
+        "failed_seeds": [list(t) for t in result.failed_seeds],
+    }
+    saddle = result.saddle
+    if saddle is not None:
+        scaled = saddle.scaled(L)
+        omega = stable_frequency(saddle)
+        info = payload["saddle"] = {
+            "omega_raw": omega,
+            "omega_scaled": stable_frequency(scaled),
+            "stable_period_raw": TWO_PI / omega,
+            "lambda_sigma_raw": saddle.lambda_sigma,
+            "lambda_sigma_scaled": scaled.lambda_sigma,
+            "lambda_rate_raw": saddle.lambda_rate,
+            "lambda_rate_scaled": scaled.lambda_rate,
+            "levels": [{"n": n, "gap_raw": predicted_gap(n, saddle),
+                        "gap_scaled": predicted_gap(n, scaled)}
+                       for n in range(n_levels)],
+        }
+        for name in ("sigma", "rate"):
+            if convention in (name, "both"):
+                info[f"intensity_{name}_convention"] = scar_intensity(saddle, name)
+    return ScarEstimate(payload, saddle, {"critical": time.perf_counter() - t0})

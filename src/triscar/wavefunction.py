@@ -6,16 +6,19 @@ heavy center), sampled on rectangular grids over one periodic cell.  The
 same coefficient data feeds the collision-state diagnostics: the heavy
 overlap integral at r = 0, strip concentration ratios, angular-averaged 3D
 radial densities, pair projections, and the autocorrelation / local density
-of states of an initial vector.
+of states of an initial vector.  analyze_1d and analyze_3d run the
+[analyze] settings on an eigenvector archive.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import _pairs_within_groups
+from .config import ConfigError, require
 
 TWO_PI = 2.0 * np.pi
 
@@ -383,3 +386,116 @@ def pair_projection_3d(coefficients, sector, params, component_r: int,
                             meta={"component_r": component_r,
                                   "component_eta": component_eta,
                                   "like": component_r == component_eta})
+
+
+# ---------------------------------------------------------------------------
+# analyze
+
+def _embedded(data: dict, blocks: dict, i: int) -> np.ndarray:
+    """Archived state i as a plain-sector vector: S v for its block's S."""
+    block = blocks[str(data["block"][i])]
+    start = data["offset"][i]
+    return block.embed(data["eigenvectors"][start:start + block.dim])
+
+
+@dataclass
+class Analysis1D:
+    """What analyze_1d returns; each grid's meta adds its heavy_overlap and
+    concentration_ratio, and series is None without coefficients."""
+
+    overlaps: np.ndarray
+    grids: dict[int, WavefunctionGrid]
+    strip_half_width: float
+    series: AutocorrelationSeries | None
+    timings: dict[str, float]
+
+
+def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
+               n_eta: int = 128, strip_fraction: float = 0.0625,
+               times_max: float = 0.0, n_times: int = 512,
+               broadening: float = 0.0) -> Analysis1D:
+    """The [analyze] settings on a 1D pipeline.load_archive result: every
+    state's heavy overlap, the grids of the states `chosen` and, given
+    coefficients over the states, their autocorrelation.  A broadening or
+    times_max of 0 is omega / 2 or three periods 2 pi / omega, omega the
+    stable frequency of the model's saddle."""
+    require(0 <= times_max < np.inf, "analyze", "times_max", times_max,
+            "nonnegative and finite; 0 derives it from the saddle")
+    require(0 <= broadening < np.inf, "analyze", "broadening", broadening,
+            "nonnegative and finite; 0 derives it from the saddle")
+    data, params, sector, blocks = archive
+    L = params.box_length
+    timings = {}
+
+    # heavy overlap for every state: group coefficient mass by light
+    # momentum, block by block, so no full set of plain vectors is formed
+    t0 = time.perf_counter()
+    p_vals, light = np.unique(sector.p, return_inverse=True)
+    overlaps = np.empty(len(data["eigenvalues"]))
+    for label, block in blocks.items():
+        members = np.nonzero(data["block"] == label)[0]
+        columns = data["offset"][members] + np.arange(block.dim)[:, None]
+        # the entries of S summed by light momentum, column by column
+        by_light = np.bincount(light[block.rows] * block.dim + block.cols,
+                               weights=block.values, minlength=len(p_vals) * block.dim)
+        amp = by_light.reshape(len(p_vals), block.dim) @ data["eigenvectors"][columns]
+        overlaps[members] = np.sum(amp ** 2, axis=0) / L
+    timings["overlaps"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    strip = strip_fraction * L
+    grids = {}
+    for i in chosen:
+        grid = grids[i] = position_wavefunction_1d(_embedded(data, blocks, i), sector,
+                                                   params, n_r=n_r, n_eta=n_eta)
+        grid.meta.update(heavy_overlap=heavy_overlap(grid),
+                         concentration_ratio=concentration_ratio(grid, strip))
+    timings["grids"] = time.perf_counter() - t0
+
+    series = None
+    if coefficients is not None:
+        if broadening == 0 or times_max == 0:
+            from .classical import find_saddle
+            from .scars import stable_frequency
+
+            saddle = find_saddle(params)
+            if saddle is None:
+                raise ConfigError("no saddle found to derive broadening; set "
+                                  "[analyze] broadening and times_max")
+            omega = stable_frequency(saddle.in_convention(params))
+            broadening = broadening or omega / 2.0
+            times_max = times_max or 3.0 * 2.0 * np.pi / omega
+        t0 = time.perf_counter()
+        series = autocorrelation(coefficients, data["eigenvalues"],
+                                 np.linspace(0.0, times_max, n_times), broadening)
+        timings["autocorrelation"] = time.perf_counter() - t0
+    return Analysis1D(overlaps, grids, strip, series, timings)
+
+
+@dataclass
+class Analysis3D:
+    """What analyze_3d returns; projections holds the "like" (r_x, eta_x)
+    and "unlike" (r_x, eta_y) pair densities."""
+
+    radial: RadialDensity
+    projections: dict[str, WavefunctionGrid]
+    timings: dict[str, float]
+
+
+def analyze_3d(archive, index: int, *, n_radial: int = 48, n_r: int = 128,
+               n_eta: int = 128) -> Analysis3D:
+    """The [analyze] settings on state `index` of a 3D pipeline.load_archive
+    result: its radial density, walking the orbits of its block alone, and
+    its pair projections."""
+    data, params, sector, blocks = archive
+    coeffs = _embedded(data, blocks, index)
+    t0 = time.perf_counter()
+    radial = integrated_probability_3d(
+        coeffs, sector, params, n_r=n_radial, n_eta=n_radial,
+        orbits=blocks[str(data["block"][index])].orbits)
+    t1 = time.perf_counter()
+    projections = {label: pair_projection_3d(coeffs, sector, params, 0, comp_eta,
+                                             n_r=n_r, n_eta=n_eta)
+                   for comp_eta, label in ((0, "like"), (1, "unlike"))}
+    return Analysis3D(radial, projections, {"radial": t1 - t0,
+                                            "projections": time.perf_counter() - t1})

@@ -846,6 +846,23 @@ def test_report_and_refusals_load_no_numpy(tmp_path, command):
     assert loaded["triscar"] == LIGHT_CLI
 
 
+@pytest.mark.parametrize("command", ["orbit", "estimate"])
+def test_orbit_and_estimate_from_load_no_operator(tmp_path, command):
+    """orbit loads only the classical module beyond the CLI's own, and
+    estimate --from reads the archive's eigenvalues without loading the
+    pipeline, the basis or an operator."""
+    cfg = write_config(tmp_path, f"{SMALL_1D}[orbit]\nsteps = 20\n")
+    argv = ["orbit", "--config", cfg]
+    extra = ["triscar.classical"]
+    if command == "estimate":
+        run = str(tmp_path / "run")
+        assert main(["solve1d", "--config", cfg, "--out", run]) == 0
+        argv = ["estimate", "--config", cfg, "--from", run]
+        extra += ["triscar.eigensolve", "triscar.scars"]
+    loaded = _modules_in_fresh_cli(*argv, "--out", str(tmp_path / "out"))
+    assert loaded["triscar"] == sorted(LIGHT_CLI + extra)
+
+
 def test_dense_solve3d_loads_no_classical_scars_or_wavefunction(tmp_path):
     """A dense solve3d loads the operators and the solver, and none of the
     classical, scar or wavefunction modules."""
@@ -970,14 +987,35 @@ def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch)
     ("orbit", "[orbit]\ndt = nan", "dt"),
     ("orbit", "[orbit]\ndt = inf", "dt"),
     ("orbit", "[orbit]\nstore_every = 0", "store_every"),
-    ("orbit", "[orbit]\nstore_every = -2", "store_every")])
-def test_settings_that_ran_but_should_not_are_refused(tmp_path, capsys,
+    ("orbit", "[orbit]\nstore_every = -2", "store_every"),
+    ("orbit", "[orbit]\ninitial = nan, 0, 100, 0", "initial"),
+    ("orbit", "[orbit]\nsingularity_tol = -1", "singularity_tol"),
+    ("orbit", "[orbit]\nsingularity_tol = nan", "singularity_tol"),
+    ("solve1d", "[model]\nheavy_cutoff = 4\n[solve1d]\nscar_levels = 0", "scar_levels"),
+    ("solve1d", "[model]\nheavy_cutoff = 4\n[solve1d]\nscar_levels = -3", "scar_levels"),
+    ("solve1d", "[model]\nheavy_cutoff = 4\n[solve1d]\ngap_threshold = nan",
+     "gap_threshold"),
+    ("estimate", "[estimate]\nn_levels = -2", "n_levels"),
+    ("estimate", "[estimate]\nn_levels = 0", "n_levels"),
+    ("analyze", "[analyze]\ntimes_max = nan", "times_max"),
+    ("analyze", "[analyze]\nbroadening = -1", "broadening"),
+    ("analyze", "[analyze]\nbroadening = inf", "broadening")])
+def test_settings_that_ran_but_should_not_are_refused(request, tmp_path, capsys,
                                                       command, config, key):
-    """A non-finite model constant, a negative or non-finite dt and a
-    store_every below 1 exit 2 naming the key, and write nothing."""
+    """A non-finite model constant, a negative or non-finite dt, a
+    store_every below 1, a non-finite orbit start, a negative
+    singularity_tol, fewer than one scar level, a nan band gap and a
+    negative or non-finite autocorrelation setting exit 2 naming the key,
+    and write nothing."""
     cfg = write_config(tmp_path, config + "\n")
     out = tmp_path / "run"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "analyze":
+        weights = tmp_path / "w.csv"
+        weights.write_text("index,coefficient\n0,1\n")
+        argv += ["--from", request.getfixturevalue("solve1d_run"),
+                 "--weights", str(weights)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
@@ -1285,6 +1323,25 @@ def test_estimate_payload(tmp_path):
     timings = read_manifest(out)["timings"]
     assert set(timings) == {"critical", "write"}
     assert all(t > 0.0 for t in timings.values())
+
+
+@pytest.mark.parametrize("run", ["missing", "solved"])
+def test_estimate_from_without_a_saddle_is_refused(tmp_path, capsys, run):
+    """With no saddle to compare (coupling 0), estimate --from exits 2 and
+    writes nothing, and a missing run is refused before any estimate."""
+    cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 4\ncoupling = 0\n")
+    run_dir = tmp_path / "run"
+    if run == "solved":
+        assert main(["solve1d", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert not (run_dir / "scar_comparison.json").exists()
+    out = tmp_path / "est"
+    capsys.readouterr()
+    assert main(["estimate", "--config", cfg, "--from", str(run_dir),
+                 "--out", str(out)]) == 2
+    want = ("no saddle found to compare with the spectrum in" if run == "solved"
+            else "no eigenvectors.npz under")
+    assert capsys.readouterr().err == f"error: {want} {run_dir}\n"
+    assert not out.exists()
 
 
 def test_estimate_with_comparison(solve1d_run, tmp_path):

@@ -23,20 +23,22 @@ EXPORTS = {
                       "matrix_element_3d"],
     "eigensolve": ["Band", "IterationError", "Spectrum", "assemble_bands",
                    "band_id_per_state", "canonicalize", "merge_blocks",
-                   "solve_dense", "solve_iterative"],
+                   "read_archive", "solve_dense", "solve_iterative"],
     "wavefunction": ["AutocorrelationSeries", "RadialDensity", "WavefunctionGrid",
                      "autocorrelation", "concentration_ratio", "heavy_overlap",
                      "integrated_probability_3d", "pair_projection_3d",
-                     "position_wavefunction_1d"],
+                     "position_wavefunction_1d", "analyze_1d", "analyze_3d"],
     "classical": ["CriticalPoint", "CriticalPointResult", "SaddleAnalysis",
                   "Trajectory", "effective_potential", "effective_potential_grad",
                   "effective_potential_hessian", "find_critical_points",
                   "hamilton_rhs_1d", "hamiltonian_cm_1d", "hamiltonian_cm_3d",
-                  "hessian_analysis", "integrate_orbit", "suggest_timestep"],
+                  "hessian_analysis", "integrate_orbit", "suggest_timestep",
+                  "find_saddle", "run_orbits"],
     "scars": ["ScarComparison", "ScarEnergy", "compare_with_spectrum",
-              "predicted_gap", "scar_energy", "scar_intensity", "stable_frequency"],
+              "predicted_gap", "scar_energy", "scar_intensity", "stable_frequency",
+              "compare_bands", "estimate"],
     "config": ["ConfigError", "load_config", "model_params"],
-    "pipeline": ["solve_sector"],
+    "pipeline": ["load_archive", "solve_sector"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
