@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, require
+from .config import ConfigError, check, require
 from .params import ModelParams, Scaling
 
 TWO_PI = 2.0 * np.pi
@@ -163,26 +163,18 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
 
     1D orbits wrap out-of-range relative coordinates back into [-L/2, L/2),
     logging an event per wrapped component.  3D orbits stop when any pair
-    distance falls below singularity_tol (default 1e-6 L), logging the
-    event and truncating the trajectory.  Each argument is checked here, as
-    the [orbit] key it comes from: a finite initial state of 4 (1D) or 12
-    (3D) numbers, a positive finite dt and singularity_tol, steps >= 1.
+    distance falls below singularity_tol (None or 0: 1e-6 L), logging the
+    event and truncating the trajectory.  The start must be a finite state of
+    4 (1D) or 12 (3D) numbers and dt positive; run_orbits checks the rest.
     """
-    require(dimension in (1, 3), "orbit", "dimension", dimension, "1 or 3")
     state = np.array(initial, dtype=np.float64)
     n = 4 if dimension == 1 else 12
-    require(state.shape == (n,), "orbit", "initial", f"{state.size} numbers",
-            f"{n} numbers for dimension {dimension}")
-    require(np.all(np.isfinite(state)), "orbit", "initial", state.tolist(), "finite")
-    require(0 < dt < np.inf, "orbit", "dt", dt,
-            "positive and finite; 0 is the automatic 1D step")
-    require(steps >= 1, "orbit", "steps", steps, "at least 1")
+    require(state.shape == (n,) and np.all(np.isfinite(state)), "orbit", "initial",
+            state.tolist(), f"{n} finite numbers for dimension {dimension}")
+    require(0 < dt < np.inf, "orbit", "dt", dt, "positive and finite")
     L = params.box_length
     gamma = params.gamma
-    if singularity_tol is None:
-        singularity_tol = 1e-6 * L
-    require(0 < singularity_tol < np.inf, "orbit", "singularity_tol",
-            singularity_tol, "positive and finite; 0 is the default 1e-6 L")
+    singularity_tol = singularity_tol or 1e-6 * L
 
     if dimension == 1:
         def force(s):
@@ -282,37 +274,29 @@ def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
     """The orbits of the [orbit] settings, each by integrate_orbit.  initial
     None is a stable-region state; dt 0 is suggest_timestep's step (1D only).
     A straddle ensemble starts pair k at +- |initial[0]| (1 + spread k)."""
+    check("orbit", dimension=dimension, initial=initial, dt=dt, steps=steps,
+          wrap=wrap, singularity_tol=singularity_tol, ensemble=ensemble,
+          n_orbits=n_orbits, spread=spread)
     L = params.box_length
     if initial is None:
         initial = [L / 3.0, 0.0, 0.02 * L, 0.0] if dimension == 1 else \
             [0.2 * L, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1 * L, 0.0, 0.0, 0.0, 0.0]
-    if dt == 0:
-        if dimension == 3:
-            raise ConfigError("[orbit] dt must be set explicitly for 3D runs")
-        dt = suggest_timestep(params)
+    require(dt or dimension == 1, "orbit", "dt", dt, "positive for a 3D run")
+    dt = dt or suggest_timestep(params)
 
     t0 = time.perf_counter()
     base = np.array(initial, dtype=np.float64)
-    if ensemble == "none":
-        starts = [base]
-    elif ensemble == "straddle":
+    starts = [base]
+    if ensemble == "straddle":
         if n_orbits < 2 or n_orbits % 2:
             raise ConfigError(f"[orbit] n_orbits must be even and at least 2 "
                               f"for a straddle ensemble, got {n_orbits}")
-        if dimension == 3 and base[0] == 0:
-            raise ConfigError("[orbit] straddle ensemble needs a nonzero "
-                              "first component in initial")
-        starts = []
-        for k in range(n_orbits // 2):
-            scale = 1.0 + spread * k
-            for sign in (1.0, -1.0):
-                st = base.copy()
-                st[0] = sign * abs(base[0]) * scale
-                starts.append(st)
-    else:
-        raise ConfigError(f"bad value for [orbit] ensemble: {ensemble!r}")
+        require(dimension == 1 or base[0] != 0, "orbit", "initial", base.tolist(),
+                "nonzero in its first component for a 3D straddle ensemble")
+        starts = [np.r_[sign * abs(base[0]) * (1.0 + spread * k), base[1:]]
+                  for k in range(n_orbits // 2) for sign in (1.0, -1.0)]
     trajectories = [integrate_orbit(st, dt, steps, params, dimension=dimension,
-                                    wrap=wrap, singularity_tol=singularity_tol or None)
+                                    wrap=wrap, singularity_tol=singularity_tol)
                     for st in starts]
     return OrbitRun(trajectories, list(initial), dt,
                     {"integrate": time.perf_counter() - t0})

@@ -10,6 +10,7 @@ them to exit codes without loading numpy or a solver module.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import fields
 from enum import Enum
@@ -35,12 +36,10 @@ class IterationError(Exception):
 
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -51,30 +50,52 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-#: every INI key by section, with its default.  A value is parsed by its
-#: default's type (see _parser); [model] holds ModelParams' fields.
-DEFAULTS: dict[str, dict] = {
-    "model": {f.name: f.default for f in fields(ModelParams)},
-    "solve1d": {
-        "total_momentum": 0, "gap_threshold": 2.0, "method": "auto", "k": 8,
-        "tol": 1e-10, "seed": 0, "dump_matrix": False, "scar_levels": 3,
-    },
-    "solve3d": {
-        "total_momentum": [0, 0, 0], "method": "auto", "k": 8, "tol": 1e-10,
-        "seed": 0,
-    },
-    "analyze": {
-        "select": "band:1:top", "n_r": 128, "n_eta": 128,
-        "strip_fraction": 0.0625, "times_max": 0.0, "n_times": 512,
-        "broadening": 0.0, "n_radial": 48,
-    },
-    "orbit": {
-        "dimension": 1, "initial": None, "dt": 0.0, "steps": 10000,
-        "wrap": True, "singularity_tol": 0.0, "ensemble": "none",
-        "n_orbits": 8, "spread": 0.15, "store_every": 1,
-    },
-    "estimate": {"n_levels": 3, "convention": "both"},
+#: each domain of a command section's key: its wording, and its test (nan fails each)
+DOMAINS = {
+    "positive": lambda x: x > 0,
+    "nonnegative": lambda x: x >= 0,
+    "nonnegative and finite": lambda x: 0 <= x < math.inf,
+    "finite": lambda x: -math.inf < x < math.inf,
+    "at least 1": lambda x: x >= 1,
+    "at least 2": lambda x: x >= 2,
+    "an integer": lambda x: x // 1 == x,
+    "three integers": lambda v: len(v) == 3 and all(x // 1 == x for x in v),
+    "finite numbers": lambda v: v is None or all(-math.inf < x < math.inf for x in v),
+    "true or false": lambda x: isinstance(x, bool),
+    "text": lambda x: isinstance(x, str),
+    "in (0, 0.5]": lambda x: 0 < x <= 0.5,
+    "auto, dense or iterative": lambda x: x in ("auto", "dense", "iterative"),
+    "1 or 3": lambda x: x in (1, 3),
+    "none or straddle": lambda x: x in ("none", "straddle"),
+    "sigma, rate or both": lambda x: x in ("sigma", "rate", "both"),
 }
+
+_SOLVER = {"method": ("auto", "auto, dense or iterative"), "k": (8, "at least 1"),
+           "tol": (1e-10, "positive"), "seed": (0, "nonnegative")}
+
+#: each command section's keys as (default, domain); a value is parsed by its
+#: default's type (see _parser) and refused outside its domain (see check)
+SETTINGS: dict[str, dict[str, tuple]] = {
+    "solve1d": {"total_momentum": (0, "an integer"), "scar_levels": (3, "at least 1"),
+                "gap_threshold": (2.0, "nonnegative and finite"), **_SOLVER,
+                "dump_matrix": (False, "true or false")},
+    "solve3d": {"total_momentum": ([0, 0, 0], "three integers"), **_SOLVER},
+    "analyze": {"select": ("band:1:top", "text"), "n_r": (128, "at least 1"),
+                "n_eta": (128, "at least 1"), "strip_fraction": (0.0625, "in (0, 0.5]"),
+                "times_max": (0.0, "nonnegative and finite"), "n_times": (512, "at least 1"),
+                "broadening": (0.0, "nonnegative and finite"), "n_radial": (48, "at least 2")},
+    "orbit": {"dimension": (1, "1 or 3"), "initial": (None, "finite numbers"),
+              "dt": (0.0, "nonnegative and finite"), "steps": (10000, "at least 1"),
+              "wrap": (True, "true or false"), "store_every": (1, "at least 1"),
+              "singularity_tol": (0.0, "nonnegative and finite"), "spread": (0.15, "finite"),
+              "ensemble": ("none", "none or straddle"), "n_orbits": (8, "at least 1")},
+    "estimate": {"n_levels": (3, "at least 1"),
+                 "convention": ("both", "sigma, rate or both")},
+}
+
+#: every INI key by section, with its default; [model] holds ModelParams' fields.
+DEFAULTS: dict[str, dict] = {"model": {f.name: f.default for f in fields(ModelParams)}}
+DEFAULTS.update({name: {k: v[0] for k, v in sec.items()} for name, sec in SETTINGS.items()})
 
 
 def _parser(default):
@@ -149,8 +170,16 @@ def params_dict(params: ModelParams) -> dict:
 
 
 def section(cfg: dict, name: str) -> dict:
-    """The [name] section merged over its DEFAULTS."""
-    return {**DEFAULTS[name], **cfg.get(name, {})}
+    """The [name] section merged over its DEFAULTS, each key in its domain."""
+    return check(name, **{**DEFAULTS[name], **cfg.get(name, {})})
+
+
+def check(name: str, **values) -> dict:
+    """values, keys of [name], each refused unless in its domain in SETTINGS."""
+    for key, value in values.items():
+        must = SETTINGS[name][key][1]
+        require(DOMAINS[must](value), name, key, value, must)
+    return values
 
 
 def require(ok: bool, name: str, key: str, value, must: str) -> None:

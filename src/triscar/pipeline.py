@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import (Sector1D, Sector3D, SectorOperator, SymmetryBlock,
                     enumerate_basis_1d, sector_3d, symmetry_blocks)
-from .config import ConfigError, ResourceLimitError, require
+from .config import ConfigError, ResourceLimitError, check
 from .eigensolve import (dense_budget_error, merge_blocks, read_archive, solve_dense,
                          solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
@@ -82,9 +82,9 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
                  allow_large: bool = False) -> SectorSolution:
     """Solve the sector of total_momentum, an int in 1D or three ints in 3D.
 
-    A method other than auto, dense or iterative, a tol that is not
-    positive or a k below 1 is refused before anything is built, on either
-    route.  3D sectors pass the operator budget first (see _gate).  The route
+    Each keyword, and total_momentum, is checked against its [solve1d] or
+    [solve3d] domain before anything is built, on either route.  3D sectors
+    pass the operator budget first (see _gate).  The route
     follows method and the dense output budget over all blocks; only the
     iterative route loads scipy.  The rows of H at the blocks' orbit
     representatives, the only rows any block reads, are assembled once
@@ -95,12 +95,7 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     """
     three_d = np.ndim(total_momentum) > 0
     command = "solve3d" if three_d else "solve1d"
-    if three_d and len(total_momentum) != 3:
-        raise ConfigError("[solve3d] total_momentum needs three integers")
-    if method not in ("auto", "dense", "iterative"):
-        raise ConfigError(f"bad value for [{command}] method: {method!r}")
-    require(tol > 0, command, "tol", tol, "positive")
-    require(k >= 1, command, "k", k, "at least 1")
+    check(command, total_momentum=total_momentum, method=method, k=k, tol=tol, seed=seed)
     timings: dict[str, float] = {}
 
     import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)

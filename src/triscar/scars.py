@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import SaddleAnalysis, find_critical_points
-from .config import params_dict, require
+from .config import check, params_dict
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -185,9 +185,7 @@ def estimate(params: ModelParams, *, n_levels: int = 3,
     saddle, its frequency, instability parameters and n_levels predicted
     gaps, raw and scaled by L, and its scar intensity in either convention
     or both."""
-    require(convention in ("sigma", "rate", "both"), "estimate", "convention",
-            repr(convention), "sigma, rate or both")
-    require(n_levels >= 1, "estimate", "n_levels", n_levels, "at least 1")
+    check("estimate", n_levels=n_levels, convention=convention)
     L = params.box_length
     t0 = time.perf_counter()
     result = find_critical_points(params)

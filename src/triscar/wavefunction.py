@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import _pairs_within_groups
-from .config import ConfigError, require
+from .config import ConfigError, check, require
 
 TWO_PI = 2.0 * np.pi
 
@@ -419,10 +419,9 @@ def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
     coefficients over the states, their autocorrelation.  A broadening or
     times_max of 0 is omega / 2 or three periods 2 pi / omega, omega the
     stable frequency of the model's saddle."""
-    require(0 <= times_max < np.inf, "analyze", "times_max", times_max,
-            "nonnegative and finite; 0 derives it from the saddle")
-    require(0 <= broadening < np.inf, "analyze", "broadening", broadening,
-            "nonnegative and finite; 0 derives it from the saddle")
+    check("analyze", n_r=n_r, n_eta=n_eta, strip_fraction=strip_fraction,
+          times_max=times_max, n_times=n_times, broadening=broadening)
+    require(n_r % 2 == 0, "analyze", "n_r", n_r, "even for a 1D run")
     data, params, sector, blocks = archive
     L = params.box_length
     timings = {}
@@ -487,6 +486,7 @@ def analyze_3d(archive, index: int, *, n_radial: int = 48, n_r: int = 128,
     """The [analyze] settings on state `index` of a 3D pipeline.load_archive
     result: its radial density, walking the orbits of its block alone, and
     its pair projections."""
+    check("analyze", n_radial=n_radial, n_r=n_r, n_eta=n_eta)
     data, params, sector, blocks = archive
     coeffs = _embedded(data, blocks, index)
     t0 = time.perf_counter()

@@ -784,11 +784,11 @@ def test_solve1d_auto_past_the_dense_budget_converges(tmp_path):
                                                        rel=0.0, abs=1e-6)
 
 
-def _modules_in_fresh_cli(*argv, exit_code=0):
+def _modules_in_fresh_cli(*argv, exit_code=0, error=""):
     """The triscar, numpy and scipy modules ({package: sorted names}) a fresh
     interpreter holds after importing triscar.cli and, given argv, after
     running that command, which must end with exit_code (--help and
-    --version end in SystemExit, caught here)."""
+    --version end in SystemExit, caught here) and print error on stderr."""
     code = ("import json, sys, triscar.cli\n"
             "try:\n"
             "    code = triscar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
@@ -804,6 +804,7 @@ def _modules_in_fresh_cli(*argv, exit_code=0):
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True)
     assert done.returncode == exit_code, done.stderr
+    assert error in done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -828,20 +829,34 @@ def test_cli_import_help_and_version_load_no_numpy(argv):
     assert loaded["triscar"] == LIGHT_CLI
 
 
-@pytest.mark.parametrize("command", ["report", "refused"])
+#: a setting out of its domain in each command's section
+OUT_OF_DOMAIN = {"solve1d": "seed = -1", "solve3d": "total_momentum = 0 0",
+                 "analyze": "n_times = 0", "orbit": "spread = nan",
+                 "estimate": "convention = neither"}
+
+
+@pytest.mark.parametrize("command", ["report", "refused", *OUT_OF_DOMAIN])
 def test_report_and_refusals_load_no_numpy(tmp_path, command):
-    """report, and a run refused for its configuration (exit 2), finish
-    without loading numpy or a solver module."""
+    """report, and a run refused for its configuration (exit 2): a model
+    constant, or a setting out of its domain in each command's section,
+    finish without loading numpy or a solver module."""
     run = str(tmp_path / "run")
     if command == "report":
         cfg = write_config(tmp_path, SMALL_1D)
         assert main(["solve1d", "--config", cfg, "--out", run]) == 0
-        argv, exit_code = ["report", "--from", run], 0
-    else:
+        argv, exit_code, error = ["report", "--from", run], 0, ""
+    elif command == "refused":
         cfg = write_config(tmp_path, "[model]\ncoupling = nan\n")
-        argv, exit_code = ["solve3d", "--config", cfg], 2
+        argv, exit_code, error = ["solve3d", "--config", cfg], 2, "coupling"
+    else:
+        setting = OUT_OF_DOMAIN[command]
+        cfg = write_config(tmp_path, f"[{command}]\n{setting}\n")
+        argv, exit_code = [command, "--config", cfg], 2
+        error = f"bad value for [{command}] {setting.partition(' =')[0]}: "
+        if command == "analyze":
+            argv += ["--from", run]
     loaded = _modules_in_fresh_cli(*argv, "--out", str(tmp_path / "out"),
-                                   exit_code=exit_code)
+                                   exit_code=exit_code, error=error)
     assert loaded["numpy"] == []
     assert loaded["triscar"] == LIGHT_CLI
 
@@ -999,14 +1014,21 @@ def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch)
     ("estimate", "[estimate]\nn_levels = 0", "n_levels"),
     ("analyze", "[analyze]\ntimes_max = nan", "times_max"),
     ("analyze", "[analyze]\nbroadening = -1", "broadening"),
-    ("analyze", "[analyze]\nbroadening = inf", "broadening")])
+    ("analyze", "[analyze]\nbroadening = inf", "broadening"),
+    ("analyze", "[analyze]\nn_times = 0", "n_times"),
+    ("analyze", "[analyze]\nn_times = -1", "n_times"),
+    ("orbit", "[orbit]\nensemble = straddle\nspread = nan", "spread"),
+    ("orbit", "[orbit]\nensemble = straddle\nspread = inf", "spread"),
+    ("solve1d", "[model]\nheavy_cutoff = 6\n[solve1d]\nmethod = iterative\nseed = -1",
+     "seed")])
 def test_settings_that_ran_but_should_not_are_refused(request, tmp_path, capsys,
                                                       command, config, key):
     """A non-finite model constant, a negative or non-finite dt, a
     store_every below 1, a non-finite orbit start, a negative
-    singularity_tol, fewer than one scar level, a nan band gap and a
-    negative or non-finite autocorrelation setting exit 2 naming the key,
-    and write nothing."""
+    singularity_tol, fewer than one scar level, a nan band gap, a negative
+    or non-finite autocorrelation setting, fewer than one autocorrelation
+    time, a non-finite straddle spread and a negative seed exit 2 naming
+    the key, and write nothing."""
     cfg = write_config(tmp_path, config + "\n")
     out = tmp_path / "run"
     argv = [command, "--config", cfg, "--out", str(out)]
@@ -1140,21 +1162,25 @@ def test_analyze_refuses_flags_of_the_other_dimension(request, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("kind, setting, reason", [
-    ("1d", "n_r = 0", "wavefunction grid size n_r = 0 is below 1"),
-    ("1d", "n_eta = 0", "wavefunction grid size n_eta = 0 is below 1"),
-    ("3d", "n_r = 0", "pair projection grid size n_r = 0 is below 1"),
-    ("3d", "n_eta = 0", "pair projection grid size n_eta = 0 is below 1"),
-    ("3d", "n_radial = 1", "radial density grid size n_r = 1 is below 2")])
+    ("1d", "n_r = 0", "n_r: 0 (must be at least 1)"),
+    ("1d", "n_eta = 0", "n_eta: 0 (must be at least 1)"),
+    ("3d", "n_r = 0", "n_r: 0 (must be at least 1)"),
+    ("3d", "n_eta = 0", "n_eta: 0 (must be at least 1)"),
+    ("3d", "n_radial = 1", "n_radial: 1 (must be at least 2)"),
+    ("1d", "n_r = 7", "n_r: 7 (must be even for a 1D run)"),
+    ("1d", "strip_fraction = 0.9", "strip_fraction: 0.9 (must be in (0, 0.5])"),
+    ("1d", "strip_fraction = nan", "strip_fraction: nan (must be in (0, 0.5])")])
 def test_analyze_refuses_grid_sizes_it_cannot_fill(request, tmp_path, capsys,
                                                    kind, setting, reason):
-    """A grid with no points (or a radial axis without both ends) exits 2
-    with one line that names the size, not with a traceback."""
+    """A grid with no points, a radial axis without both ends, a 1D grid
+    with no node at r = 0 or a strip wider than the cell exits 2 with one
+    line that names its [analyze] key, not with a traceback."""
     run = request.getfixturevalue("solve1d_run" if kind == "1d" else "small3d_run")
     cfg = write_config(tmp_path, f"[analyze]\n{setting}\n")
     code = main(["analyze", "--config", cfg, "--from", run,
                  "--out", str(tmp_path / "an")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert capsys.readouterr().err == f"error: bad value for [analyze] {reason}\n"
 
 
 @pytest.mark.parametrize("kind, setting, weights", [
