@@ -234,6 +234,8 @@ def cmd_solve3d(args) -> int:
         "block_dimensions": {block.label: block.dim for block in blocks},
         "eigh_calls": len(blocks) if method == "dense" else 0,
         "method": method,
+        "max_residual_ratio": max((spec.max_residual_ratio()
+                                   for spec, _, _ in spectra.values()), default=0.0),
         "ground_energy_symmetric": e_sym,
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,

@@ -27,7 +27,8 @@ class ResourceLimitError(Exception):
 
 
 class IterationError(Exception):
-    """Iterative solver did not reach its residual tolerance."""
+    """A solve did not reach its residual bound, or gave a non-finite
+    eigenvalue."""
 
     def __init__(self, message, eigenvalues=None, residuals=None):
         super().__init__(message)

@@ -7,14 +7,19 @@ larger ones.  Only the second imports scipy.
 Both report per-pair residual norms ||H v - E v|| so agreement can be
 checked from the outside.  A sector split into symmetry blocks is solved one
 block at a time, and merge_blocks joins the blocks' spectra with their
-vectors left in block coordinates; write_archive stores such a spectrum and
-read_archive reads it back.
+vectors left in block coordinates, spooled to a temporary file as each block
+arrives, so a run holds one block's vectors at a time; write_archive copies
+them from there into an archive, and read_archive reads it back.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import time
+import weakref
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +28,12 @@ from .config import IterationError, ResourceLimitError, model_params, params_dic
 from .params import ModelParams
 
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792).
-#: A solve_dense at this edge peaks at about 5.2 times it in RSS: the block,
-#: numpy's working copy, syevd's 2 dim^2 workspace and the eigenvectors
-#: (1320 MB at dim 5778, one BLAS thread; 4.4 times with scipy's syevr)
+#: merge_blocks spools each block's vectors as the block arrives, so a run
+#: does not hold the returned vectors beside a block's solve, and that solve
+#: is its peak: a solve_dense at this edge peaks at about 5.2 times the
+#: budget in RSS: the block, numpy's working copy, syevd's 2 dim^2 workspace
+#: and the eigenvectors (1320 MB at dim 5778, one BLAS thread; 4.4 times
+#: with scipy's syevr)
 DENSE_OUTPUT_BYTES = 2 ** 28
 
 #: relative margin within which canonicalize treats magnitudes as tied
@@ -57,6 +65,54 @@ class Spectrum:
         """max over pairs of ||Hv - Ev|| / max(1, |E|)."""
         scale = np.maximum(1.0, np.abs(self.eigenvalues))
         return float(np.max(self.residuals / scale)) if self.k else 0.0
+
+    def write_vectors(self, fid) -> None:
+        """The eigenvectors into fid as one .npy file (np.save's bytes)."""
+        np.lib.format.write_array(fid, np.asanyarray(self.eigenvectors))
+
+
+class _SpooledSpectrum(Spectrum):
+    """A Spectrum whose eigenvectors, one flat float64 array of `size`
+    entries, wait in `spool`, an anonymous temporary file, until they are
+    first read: they are read back once and the file is closed, so the
+    vectors live in one place, the spool or the array."""
+
+    spool = None    # until __init__ sets it, so the dataclass __init__ can run
+
+    def __init__(self, sector_key, eigenvalues, spool, size, residuals, method, meta):
+        super().__init__(sector_key, eigenvalues, None, residuals, method, meta)
+        self.spool, self.size = spool, size
+        # closes the file also when the spectrum is dropped with it unread
+        self._close = weakref.finalize(self, spool.close)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self.spool is not None:
+            vectors = np.empty(self.size)
+            self.spool.seek(0)
+            if self.spool.readinto(vectors) != vectors.nbytes:
+                raise OSError("the eigenvector spool ended early")
+            self.eigenvectors = vectors
+        return self._vectors
+
+    @eigenvectors.setter
+    def eigenvectors(self, value) -> None:
+        self._vectors = value
+        if self.spool is not None:
+            self._close()
+            self.spool = None
+
+    def write_vectors(self, fid) -> None:
+        """As Spectrum.write_vectors; unread vectors are copied from the
+        spool in fixed-size chunks, after write_array's header."""
+        if self.spool is None:
+            super().write_vectors(fid)
+            return
+        np.lib.format.write_array_header_1_0(fid, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+            "fortran_order": False, "shape": (self.size,)})
+        self.spool.seek(0)
+        shutil.copyfileobj(self.spool, fid)
 
 
 @dataclass(frozen=True)
@@ -186,38 +242,48 @@ def merge_blocks(key: str, parts, size: int,
     """One spectrum from the spectra of symmetry blocks, in block coordinates.
 
     parts yields (label, Spectrum) pairs, one block at a time, of blocks
-    that split one space.  Each block's eigenvectors are copied, column
-    after column, into one flat array of `size` floats as the block
-    arrives, so parts solved on demand need no block's vectors past its own
-    solve.  The eigenvalues are merged in ascending order (stable, so equal
-    values keep block order) and cut to the lowest k.  Returns the
-    Spectrum, whose eigenvectors is that flat array, plus each pair's block
-    label and the offset of its vector in the array; the vector is as long
-    as its block's dimension.  meta records the block dimensions.
+    that split one space.  Each block's eigenvectors are written, column
+    after column, to an anonymous temporary file (the spool) as the block
+    arrives, and the block is let go, so parts solved on demand need no
+    block's vectors past its own solve.  The eigenvalues are merged in
+    ascending order (stable, so equal values keep block order) and cut to
+    the lowest k.  Returns the Spectrum, whose eigenvectors, one flat array
+    of `size` floats, are read back from the spool on first access, plus
+    each pair's block label and the offset of its vector in that array; the
+    vector is as long as its block's dimension.  meta records the block
+    dimensions.
     """
-    vecs = np.empty(size)
-    labels, evals, resid, offsets = [], [], [], []
-    dims: dict[str, int] = {}
-    method = None
-    start = 0
-    for label, part in parts:
-        m, n = part.eigenvectors.shape
-        vecs[start:start + m * n] = part.eigenvectors.ravel(order="F")
-        offsets.append(start + m * np.arange(n))
-        labels.append(np.full(n, label))
-        evals.append(part.eigenvalues)
-        resid.append(part.residuals)
-        dims[label] = m
-        method = method or part.method
-        start += m * n
-    if not dims:
-        raise ValueError("no blocks to merge")
-    if start != size:
-        raise ValueError(f"blocks hold {start} vector entries, not {size}")
+    spool = tempfile.TemporaryFile()
+    try:
+        labels, evals, resid, offsets = [], [], [], []
+        dims: dict[str, int] = {}
+        method = None
+        start = 0
+        for label, part in parts:
+            m, n = part.eigenvectors.shape
+            # the columns' bytes, one after another: the transpose of a
+            # Fortran-order block, written with no copy
+            spool.write(np.asfortranarray(part.eigenvectors, dtype=np.float64).T)
+            offsets.append(start + m * np.arange(n))
+            labels.append(np.full(n, label))
+            evals.append(part.eigenvalues)
+            resid.append(part.residuals)
+            dims[label] = m
+            method = method or part.method
+            start += m * n
+            del part  # before the next block is solved
+        if not dims:
+            raise ValueError("no blocks to merge")
+        if start != size:
+            raise ValueError(f"blocks hold {start} vector entries, not {size}")
+    except BaseException:
+        spool.close()
+        raise
     evals = np.concatenate(evals)
     order = np.argsort(evals, kind="stable")[:k]
-    spectrum = Spectrum(key, evals[order], vecs, np.concatenate(resid)[order], method,
-                        meta={"dim": sum(dims.values()), "block_dimensions": dims})
+    spectrum = _SpooledSpectrum(key, evals[order], spool, size,
+                                np.concatenate(resid)[order], method,
+                                meta={"dim": sum(dims.values()), "block_dimensions": dims})
     return spectrum, np.concatenate(labels)[order], np.concatenate(offsets)[order]
 
 
@@ -299,15 +365,25 @@ def write_archive(path: str, sector, params: ModelParams, solved, **extra) -> No
     """An eigenvector archive: one merged group of blocks, its vectors in
     block coordinates, each state's block label and vector offset, and what
     analyze needs to rebuild the blocks (sector labels, total momentum, model
-    parameters); extra adds command-specific arrays."""
+    parameters); extra adds command-specific arrays.
+
+    The archive is what np.savez writes (the same members in the same order,
+    stored uncompressed, each forced to zip64), but the vectors of a merged
+    spectrum are copied from its spool in chunks, never held whole."""
     spec, labels, offsets = solved
     total = np.atleast_1d(np.asarray(sector.total_momentum, dtype=np.int64))
-    np.savez(path,
-             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
-             residuals=spec.residuals, block=labels, offset=offsets,
-             n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
-             dimension=np.array(f"{len(total)}d"),
-             params=np.array(json.dumps(params_dict(params))), **extra)
+    arrays = dict(eigenvalues=spec.eigenvalues, eigenvectors=None,  # spec writes them
+                  residuals=spec.residuals, block=labels, offset=offsets,
+                  n1=sector.n1, n2=sector.n2, p=sector.p, total_momentum=total,
+                  dimension=np.array(f"{len(total)}d"),
+                  params=np.array(json.dumps(params_dict(params))), **extra)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
+        for name, value in arrays.items():
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as fid:
+                if name == "eigenvectors":
+                    spec.write_vectors(fid)
+                else:
+                    np.lib.format.write_array(fid, np.asanyarray(value))
 
 
 def read_archive(path: str, names=None) -> tuple[dict, ModelParams]:

@@ -51,6 +51,11 @@ class ModelParams:
         if not 0 < self.box_length < math.inf:
             raise ValueError(f"box_length must be positive and finite, "
                              f"got {self.box_length}")
+        try:
+            (2 * math.pi / self.box_length) ** 2  # the models' kinetic coefficient
+        except OverflowError:
+            raise ValueError(f"box_length {self.box_length} is too small: the kinetic "
+                             f"coefficient (2 pi / L)^2 is not finite") from None
         if not 0 <= self.coupling < math.inf:
             raise ValueError(f"coupling must be nonnegative and finite, "
                              f"got {self.coupling}")

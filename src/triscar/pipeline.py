@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import (Sector1D, Sector3D, SectorOperator, SymmetryBlock,
                     enumerate_basis_1d, sector_3d, symmetry_blocks)
-from .config import ConfigError, ResourceLimitError, check
+from .config import ConfigError, IterationError, ResourceLimitError, check
 from .eigensolve import (dense_budget_error, merge_blocks, read_archive, solve_dense,
                          solve_iterative)
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
@@ -23,6 +23,10 @@ from .params import ModelParams
 #: seconds into a sector solve after which each finished block is reported
 #: on stderr
 PROGRESS_AFTER_S = 2.0
+
+#: largest ||Hv - Ev|| / max(1, |E|) a block's pair may have on either route:
+#: the acceptance tests' bound (dense solves read 1.6e-13 at cutoff_sq 10)
+RESIDUAL_BOUND = 1e-8
 
 
 @dataclass
@@ -77,6 +81,19 @@ def _route(method: str, dims) -> str:
     return method
 
 
+def _accept(spec, block) -> None:
+    """Refuse a block's spectrum, with IterationError, unless its eigenvalues
+    are finite and no residual ratio exceeds RESIDUAL_BOUND (nan does)."""
+    finite = bool(np.all(np.isfinite(spec.eigenvalues)))
+    ratio = spec.max_residual_ratio()
+    if finite and ratio <= RESIDUAL_BOUND:
+        return
+    why = (f"residual ratio {ratio:.3g} over the bound {RESIDUAL_BOUND:g}" if finite
+           else "an eigenvalue is not finite")
+    raise IterationError(f"block {spec.sector_key!r} (dim {block.dim}): {why}",
+                         eigenvalues=spec.eigenvalues, residuals=spec.residuals)
+
+
 def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
                  k: int = 8, tol: float = 1e-10, seed: int = 0,
                  allow_large: bool = False) -> SectorSolution:
@@ -90,15 +107,16 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     representatives, the only rows any block reads, are assembled once
     (timings["assemble"]); each block S^T H S is assembled from them (its
     time added to timings["blocks"]) and solved fully by solve_dense or for
-    its lowest k by solve_iterative (tol, seed).  Once the solve has run
-    PROGRESS_AFTER_S, each finished block is reported on stderr.
+    its lowest k by solve_iterative (tol, seed), and refused (IterationError)
+    on either route if an eigenvalue is not finite or a residual ratio
+    exceeds RESIDUAL_BOUND.  Once the solve has run PROGRESS_AFTER_S, each
+    finished block is reported on stderr.
     """
     three_d = np.ndim(total_momentum) > 0
     command = "solve3d" if three_d else "solve1d"
     check(command, total_momentum=total_momentum, method=method, k=k, tol=tol, seed=seed)
     timings: dict[str, float] = {}
 
-    import numpy.ma  # noqa: F401  (the first np.unique loads it; kept out of build)
     t0 = time.perf_counter()
     counts = None
     if three_d:
@@ -127,7 +145,9 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
         groups.setdefault(name, []).append(block)
 
     t0 = time.perf_counter()
-    lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]))
+    # as in basis._orbit_blocks: return_counts keeps numpy.ma unloaded
+    lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]),
+                       return_counts=True)[0]
     triplets = plain_op.rows(lowest)
     timings["assemble"] = time.perf_counter() - t0
 
@@ -145,11 +165,13 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
                 op.matrix  # assembled here, so its time is counted
                 timings["blocks"] += time.perf_counter() - t0
                 spec = solve_iterative(op, k, tol=tol, seed=seed)
+            _accept(spec, block)
             elapsed = time.perf_counter() - started
             if elapsed > PROGRESS_AFTER_S:
                 print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
                       f"at {elapsed:.1f} s", file=sys.stderr)
             yield block.label, spec
+            del spec  # merge_blocks has spooled it: free it before the next solve
 
     started = time.perf_counter()
     solved = {}

@@ -488,6 +488,7 @@ def test_solve3d_small(tmp_path):
     assert parities == {"sym", "anti"}
     man = read_manifest(out)
     assert man["statistics"]["symmetric_ground_below_antisymmetric"] is False
+    assert man["statistics"]["max_residual_ratio"] <= 1e-8
 
 
 def test_solve3d_analyze_radial(tmp_path):
@@ -865,7 +866,7 @@ def test_report_and_refusals_load_no_numpy(tmp_path, command):
 def test_orbit_and_estimate_from_load_no_operator(tmp_path, command):
     """orbit loads only the classical module beyond the CLI's own, and
     estimate --from reads the archive's eigenvalues without loading the
-    pipeline, the basis or an operator."""
+    pipeline, the basis or an operator; neither loads numpy.ma."""
     cfg = write_config(tmp_path, f"{SMALL_1D}[orbit]\nsteps = 20\n")
     argv = ["orbit", "--config", cfg]
     extra = ["triscar.classical"]
@@ -876,6 +877,7 @@ def test_orbit_and_estimate_from_load_no_operator(tmp_path, command):
         extra += ["triscar.eigensolve", "triscar.scars"]
     loaded = _modules_in_fresh_cli(*argv, "--out", str(tmp_path / "out"))
     assert loaded["triscar"] == sorted(LIGHT_CLI + extra)
+    assert "numpy.ma" not in loaded["numpy"]
 
 
 def test_dense_solve3d_loads_no_classical_scars_or_wavefunction(tmp_path):
@@ -909,8 +911,9 @@ def test_readme_library_example_runs_without_scipy():
 
 @pytest.mark.parametrize("command", ["estimate", "report", "orbit", "analyze3d"])
 def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
-    """estimate, report, orbit and 3D analyze finish without loading scipy:
-    a 3D state is embedded from its block's entries with numpy alone."""
+    """estimate, report, orbit and 3D analyze finish without loading scipy
+    or numpy.ma: a 3D state is embedded from its block's entries with numpy
+    alone."""
     cfg = write_config(tmp_path, "[model]\ncutoff_sq = 2\n[orbit]\nsteps = 20\n")
     run = str(tmp_path / "run3d")
     assert main(["solve3d", "--config", cfg, "--out", run]) == 0
@@ -920,7 +923,9 @@ def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
             "analyze3d": ["analyze", "--config", cfg, "--from", run,
                           "--parity", "anti", "--index", "1"]}[command]
     out = str(tmp_path / "out")
-    assert _modules_in_fresh_cli(*argv, "--out", out)["scipy"] == []
+    loaded = _modules_in_fresh_cli(*argv, "--out", out)
+    assert loaded["scipy"] == []
+    assert "numpy.ma" not in loaded["numpy"]
     assert os.path.exists(os.path.join(out, "report.txt" if command == "report"
                                        else "manifest.json"))
 
@@ -928,7 +933,8 @@ def test_commands_without_a_solve_leave_scipy_unloaded(tmp_path, command):
 @pytest.mark.parametrize("command", ["solve1d", "solve3d", "analyze1d"])
 def test_dense_solves_and_1d_analyze_leave_scipy_unloaded(tmp_path, command):
     """solve1d and solve3d on the dense route and 1D analyze finish without
-    loading scipy: dense blocks are assembled and solved with numpy alone."""
+    loading scipy: dense blocks are assembled and solved with numpy alone.
+    None loads numpy.ma, which a bare np.unique(x) imports."""
     cfg = write_config(tmp_path, "[model]\nheavy_cutoff = 5\ncutoff_sq = 2\n")
     run = str(tmp_path / "run1d")
     if command == "analyze1d":
@@ -937,7 +943,9 @@ def test_dense_solves_and_1d_analyze_leave_scipy_unloaded(tmp_path, command):
             "solve3d": ["solve3d", "--config", cfg],
             "analyze1d": ["analyze", "--config", cfg, "--from", run]}[command]
     out = str(tmp_path / "out")
-    assert _modules_in_fresh_cli(*argv, "--out", out)["scipy"] == []
+    loaded = _modules_in_fresh_cli(*argv, "--out", out)
+    assert loaded["scipy"] == []
+    assert "numpy.ma" not in loaded["numpy"]
     man = read_manifest(out)
     assert man["status"] == "ok"
     if command != "analyze1d":
@@ -974,6 +982,25 @@ def test_failed_run_writes_its_manifest(tmp_path, capsys):
     assert f"message  : {man['message']}" in text
 
 
+@pytest.mark.parametrize("coupling, why", [
+    ("1e300", "residual ratio inf over the bound 1e-08"),
+    ("1e160", "residual ratio 2.29 over the bound 1e-08")])
+def test_solve_refuses_residuals_over_the_bound(tmp_path, capsys, coupling, why):
+    """A dense spectrum whose residuals overflow, or exceed 1e-8 relative,
+    is refused: exit 4 and a failed manifest that says which block and why,
+    with nothing else in --out."""
+    cfg = write_config(tmp_path, f"[model]\nheavy_cutoff = 3\ncoupling = {coupling}\n")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve1d", "--config", cfg, "--out", str(out)]) == 4
+    man = read_manifest(str(out))
+    assert (man["status"], man["exit_code"]) == ("failed", 4)
+    assert man["message"].startswith("numerical failure: block 'P=0 ")
+    assert man["message"].endswith(why)
+    assert capsys.readouterr().err == man["message"] + "\n"
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
 def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch):
     """numpy's LinAlgError, a ValueError, is a numerical failure: exit 4 and
     a failed manifest, not exit 2."""
@@ -996,6 +1023,8 @@ def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch)
     ("solve1d", "[model]\ngamma = inf", "gamma"),
     ("solve3d", "[model]\nbox_length = nan", "box_length"),
     ("solve3d", "[model]\nbox_length = inf", "box_length"),
+    ("solve1d", "[model]\nbox_length = 1e-300", "box_length"),
+    ("solve3d", "[model]\nbox_length = 1e-300", "box_length"),
     ("solve1d", "[model]\ncoupling = nan", "coupling"),
     ("estimate", "[model]\ncoupling = inf", "coupling"),
     ("orbit", "[orbit]\ndt = -1", "dt"),
@@ -1023,7 +1052,8 @@ def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch)
      "seed")])
 def test_settings_that_ran_but_should_not_are_refused(request, tmp_path, capsys,
                                                       command, config, key):
-    """A non-finite model constant, a negative or non-finite dt, a
+    """A non-finite model constant, a box so small that its kinetic
+    coefficient overflows, a negative or non-finite dt, a
     store_every below 1, a non-finite orbit start, a negative
     singularity_tol, fewer than one scar level, a nan band gap, a negative
     or non-finite autocorrelation setting, fewer than one autocorrelation

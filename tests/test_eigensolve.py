@@ -5,6 +5,9 @@ sector, scaled, frozen from a 40-digit mpmath.eigsy run on an independently
 assembled matrix (analytic Fourier elements, no shared code).
 """
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -358,3 +361,87 @@ def test_merge_blocks_orders_stably_and_flattens():
     assert ts.merge_blocks("P=0 sym", [("a", a), ("b", b)], 13)[0].k == 5
     with pytest.raises(ValueError, match="13 vector entries, not 14"):
         ts.merge_blocks("P=0 sym", [("a", a), ("b", b)], 14)
+
+
+def test_merge_blocks_holds_one_block_at_a_time():
+    """Each block's vectors are spooled to a temporary file as the block
+    arrives: over 16 blocks of 300 x 300 made on demand, merge_blocks'
+    traced peak stays below three blocks' bytes (a flat array of every
+    block's vectors would be 16), and the vectors read back whole."""
+    import tempfile  # noqa: F401  (loaded before tracing, as in a run)
+    import tracemalloc
+
+    m, n_blocks = 300, 16
+
+    def parts():
+        for i in range(n_blocks):
+            yield f"b{i}", ts.Spectrum(f"b{i}", np.arange(m) + float(i),
+                                       np.full((m, m), float(i), order="F"),
+                                       np.zeros(m), "dense")
+
+    tracemalloc.start()
+    try:
+        merged = ts.merge_blocks("P=0", parts(), n_blocks * m * m)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * m * m
+    np.testing.assert_array_equal(merged.eigenvectors,
+                                  np.repeat(np.arange(float(n_blocks)), m * m))
+
+
+def _archive_members(path):
+    """{member name: bytes} of a zip archive, in the archive's order."""
+    with zipfile.ZipFile(path) as npz:
+        assert {info.compress_type for info in npz.infolist()} == {zipfile.ZIP_STORED}
+        return {name: npz.read(name) for name in npz.namelist()}
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["spooled", "read"])
+def test_write_archive_writes_np_savez_members(tmp_path, read_first):
+    """Every member write_archive writes holds the bytes np.savez writes for
+    the same arrays, in savez's order, whether the merged vectors are still
+    spooled or were read back before the write."""
+    op = _operator_1d(5)
+    params = op.rule.params
+    spec, labels, offsets = solved = _solve_by_blocks(op, ts.symmetry_blocks(op.sector))
+    if read_first:
+        spec.eigenvectors
+    band_ids = np.arange(spec.k) % 3
+    eigensolve.write_archive(str(tmp_path / "written.npz"), op.sector, params, solved,
+                             band_ids=band_ids)
+    sector = op.sector
+    np.savez(tmp_path / "saved.npz",
+             eigenvalues=spec.eigenvalues, eigenvectors=spec.eigenvectors,
+             residuals=spec.residuals, block=labels, offset=offsets,
+             n1=sector.n1, n2=sector.n2, p=sector.p,
+             total_momentum=np.atleast_1d(np.asarray(sector.total_momentum,
+                                                     dtype=np.int64)),
+             dimension=np.array("1d"),
+             params=np.array(json.dumps(ts.config.params_dict(params))),
+             band_ids=band_ids)
+    written = _archive_members(tmp_path / "written.npz")
+    assert list(written) == [f"{name}.npy" for name in (
+        "eigenvalues", "eigenvectors", "residuals", "block", "offset", "n1", "n2",
+        "p", "total_momentum", "dimension", "params", "band_ids")]
+    assert written == _archive_members(tmp_path / "saved.npz")
+
+
+def test_load_archive_round_trips_a_spooled_spectrum(tmp_path):
+    """An archive written from a merged spectrum's spool loads back with its
+    arrays, model, sector and blocks."""
+    op = _operator_1d(5)
+    blocks = ts.symmetry_blocks(op.sector)
+    spec, labels, offsets = solved = _solve_by_blocks(op, blocks)
+    path = str(tmp_path / "eigenvectors.npz")
+    eigensolve.write_archive(path, op.sector, op.rule.params, solved)
+    data, params, sector, archived = ts.load_archive(path)
+    np.testing.assert_array_equal(data["eigenvectors"], spec.eigenvectors)
+    np.testing.assert_array_equal(data["eigenvalues"], spec.eigenvalues)
+    np.testing.assert_array_equal(data["residuals"], spec.residuals)
+    np.testing.assert_array_equal(data["block"], labels)
+    np.testing.assert_array_equal(data["offset"], offsets)
+    assert params == op.rule.params
+    assert sector.key == op.sector.key
+    np.testing.assert_array_equal(sector.p, op.sector.p)
+    assert list(archived) == [block.label for block in blocks]
