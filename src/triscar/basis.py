@@ -399,10 +399,10 @@ class SectorOperator:
     Subclasses set `sector`, `rule` (its kinetic_coeff and params.gamma) and
     `coupling`, a pair potential's Fourier weight indexed by the squared
     transfer |q|^2; a transfer at or past len(coupling) carries none.
-    `rows(states)` assembles the rows `states` alone; a solve assembles only
-    the rows it reads.  `triplets`, every row, is assembled on first use,
-    and so are `dense()`, which places them with numpy, and `.matrix`, the
-    scipy CSR.
+    `key`, the label its spectra carry, is the sector's.  `rows(states)`
+    assembles the rows `states` alone; a solve assembles only the rows it
+    reads.  `triplets`, every row, is assembled on first use, and so are
+    `dense()`, which places them with numpy, and `.matrix`, the scipy CSR.
     """
 
     sector: Sector1D | Sector3D
@@ -411,6 +411,10 @@ class SectorOperator:
     @property
     def dim(self) -> int:
         return self.sector.dim
+
+    @property
+    def key(self) -> str:
+        return self.sector.key
 
     def rows(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (rows, cols, values) of assemble_triplets in the rows

@@ -3,17 +3,19 @@
 Two routes: numpy's LAPACK eigh on an operator's `dense()` for sectors
 whose full set of eigenvectors fits one output budget, and shift-invert
 ARPACK (scipy's eigsh) on its sparse `.matrix` for the lowest few pairs of
-larger ones.  Only the second imports scipy.
-Both report per-pair residual norms ||H v - E v|| so agreement can be
-checked from the outside.  A sector split into symmetry blocks is solved one
-block at a time, and merge_blocks joins the blocks' spectra with their
-vectors left in block coordinates, spooled to a temporary file as each block
-arrives, so a run holds one block's vectors at a time; write_archive copies
-them from there into an archive, and read_archive reads it back.
+larger ones; choose_solver picks one for all of a sector's blocks, and only
+the second imports scipy.  Both report per-pair residual norms ||H v - E v||,
+so agreement can be checked from the outside, and the seconds of their
+steps.  A sector split into symmetry blocks is solved one block at a time,
+and merge_blocks joins the blocks' spectra with their vectors left in block
+coordinates, spooled to a temporary file as each block arrives, so a run
+holds one block's vectors at a time; write_archive copies them from there
+into an archive, and read_archive reads it back.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 import tempfile
@@ -205,12 +207,39 @@ def dense_budget_error(dims) -> ResourceLimitError | None:
         f"use the iterative method")
 
 
+def choose_solver(method: str, dims, k: int, *, tol: float = 1e-10, seed: int = 0):
+    """The block solver for a method setting, and the cut merge_blocks takes.
+
+    dims are the dimensions of the blocks to solve.  auto is dense exactly
+    when their eigenvectors fit the dense output budget; an explicit dense
+    that does not fit is refused (dense_budget_error) before any solve.  The
+    dense route returns (solve_dense, None); the iterative route returns
+    (solve_iterative bound to k, tol and seed, k), with scipy loaded here so
+    that no step a solver times holds its import.
+    """
+    error = dense_budget_error(dims)
+    if method == "dense" and error is not None:
+        raise error
+    if method == "dense" or (method == "auto" and error is None):
+        return solve_dense, None
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+    return functools.partial(solve_iterative, k=k, tol=tol, seed=seed), k
+
+
+def _residuals(h, evals, vecs) -> np.ndarray:
+    """||H v - E v|| per pair; a norm that overflows is inf (nan past it),
+    which the residual bound reports, so numpy does not warn of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+
+
 def solve_dense(op) -> Spectrum:
     """Full spectrum of op.dense() by numpy's LAPACK eigh (divide and conquer,
     syevd).  Refuses sectors over the dense output budget.
 
-    meta records the seconds spent in op.dense(), eigh, canonicalize and the
-    residuals.
+    meta["timings"] records the seconds spent in op.dense() ("blocks"),
+    "eigh", "canonicalize" and "residuals".
     """
     n = op.dim
     error = dense_budget_error([n])
@@ -225,19 +254,13 @@ def solve_dense(op) -> Spectrum:
     # read them column by column, about twice as fast in Fortran order
     evals, vecs = canonicalize(evals, np.asfortranarray(vecs))
     t3 = time.perf_counter()
-    resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    resid = _residuals(h, evals, vecs)
     t4 = time.perf_counter()
-    return Spectrum(_key(op), evals, vecs, resid, "dense",
-                    meta={"dim": n, "dense_s": t1 - t0, "eigh_s": t2 - t1,
-                          "canonicalize_s": t3 - t2, "residuals_s": t4 - t3})
+    return Spectrum(op.key, evals, vecs, resid, "dense", meta={"dim": n, "timings": {
+        "blocks": t1 - t0, "eigh": t2 - t1, "canonicalize": t3 - t2, "residuals": t4 - t3}})
 
 
-def _key(op) -> str:
-    """The label a spectrum of op carries: the operator's key, else its sector's."""
-    return getattr(op, "key", None) or getattr(getattr(op, "sector", None), "key", "")
-
-
-def merge_blocks(key: str, parts, size: int,
+def merge_blocks(key: str, parts,
                  k: int | None = None) -> tuple[Spectrum, np.ndarray, np.ndarray]:
     """One spectrum from the spectra of symmetry blocks, in block coordinates.
 
@@ -248,7 +271,7 @@ def merge_blocks(key: str, parts, size: int,
     block's vectors past its own solve.  The eigenvalues are merged in
     ascending order (stable, so equal values keep block order) and cut to
     the lowest k.  Returns the Spectrum, whose eigenvectors, one flat array
-    of `size` floats, are read back from the spool on first access, plus
+    of every spooled entry, are read back from the spool on first access, plus
     each pair's block label and the offset of its vector in that array; the
     vector is as long as its block's dimension.  meta records the block
     dimensions.
@@ -274,14 +297,12 @@ def merge_blocks(key: str, parts, size: int,
             del part  # before the next block is solved
         if not dims:
             raise ValueError("no blocks to merge")
-        if start != size:
-            raise ValueError(f"blocks hold {start} vector entries, not {size}")
     except BaseException:
         spool.close()
         raise
     evals = np.concatenate(evals)
     order = np.argsort(evals, kind="stable")[:k]
-    spectrum = _SpooledSpectrum(key, evals[order], spool, size,
+    spectrum = _SpooledSpectrum(key, evals[order], spool, start,
                                 np.concatenate(resid)[order], method,
                                 meta={"dim": sum(dims.values()), "block_dimensions": dims})
     return spectrum, np.concatenate(labels)[order], np.concatenate(offsets)[order]
@@ -301,14 +322,19 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
     residuals, ||H v - E v|| <= tol * max(1, |E|); otherwise, or when ARPACK
     does not converge, IterationError carries the k lowest eigenvalues
     found and their residuals.
+
+    meta["timings"] records the seconds spent in op.matrix ("blocks"), the
+    solve ("eigsh", also where LAPACK stands in for it), "canonicalize" and
+    "residuals".
     """
     n = op.dim
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
     n_pairs = min(n, k + _EXTRA_PAIRS)
-    key = _key(op)
+    t0 = time.perf_counter()
     h = op.matrix
+    t1 = time.perf_counter()
     failure = None
     if n_pairs >= n - 1:
         import scipy.linalg
@@ -325,18 +351,23 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
             evals, vecs = eigsh(h, k=n_pairs, sigma=sigma, which="LM", v0=v0, tol=0)
         except ArpackNoConvergence as exc:
             evals, vecs, failure = exc.eigenvalues, exc.eigenvectors, str(exc)
+    t2 = time.perf_counter()
     order = np.argsort(evals, kind="stable")
     evals, vecs = canonicalize(evals[order], vecs[:, order])
     evals, vecs = evals[:k], vecs[:, :k]
-    resid = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    t3 = time.perf_counter()
+    resid = _residuals(h, evals, vecs)
+    t4 = time.perf_counter()
     if failure is None and not np.all(resid <= tol * np.maximum(1.0, np.abs(evals))):
         failure = f"residuals over tol = {tol:g} relative"
     if failure is not None:
         raise IterationError(
-            f"no convergence for {key} (dim {n}, k {k}): {failure}; "
+            f"no convergence for {op.key} (dim {n}, k {k}): {failure}; "
             f"residuals {np.array2string(resid, precision=3)}",
             eigenvalues=evals, residuals=resid)
-    return Spectrum(key, evals, vecs, resid, "lanczos", meta={"dim": n, "seed": seed})
+    return Spectrum(op.key, evals, vecs, resid, "lanczos", meta={
+        "dim": n, "seed": seed, "timings": {"blocks": t1 - t0, "eigsh": t2 - t1,
+                                            "canonicalize": t3 - t2, "residuals": t4 - t3}})
 
 
 def assemble_bands(eigenvalues: np.ndarray, gap_threshold: float) -> list[Band]:

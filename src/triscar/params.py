@@ -51,11 +51,19 @@ class ModelParams:
         if not 0 < self.box_length < math.inf:
             raise ValueError(f"box_length must be positive and finite, "
                              f"got {self.box_length}")
+        # the models' kinetic coefficient and the classical force's, as
+        # computed from L: a power that overflows raises, and so does one
+        # over a power that underflows to 0, but a subnormal L^3 makes
+        # 2 pi^2 / L^3 inf silently, so the values are tested too
+        L = self.box_length
         try:
-            (2 * math.pi / self.box_length) ** 2  # the models' kinetic coefficient
-        except OverflowError:
-            raise ValueError(f"box_length {self.box_length} is too small: the kinetic "
-                             f"coefficient (2 pi / L)^2 is not finite") from None
+            coefficients = ((2 * math.pi / L) ** 2, math.pi / L ** 2,
+                            2 * math.pi ** 2 / L ** 3)
+        except (OverflowError, ZeroDivisionError):
+            coefficients = (math.inf,)
+        if not all(0 < c < math.inf for c in coefficients):
+            raise ValueError(f"box_length {L} is out of range: (2 pi / L)^2, pi / L^2 "
+                             f"and 2 pi^2 / L^3 must be finite and nonzero")
         if not 0 <= self.coupling < math.inf:
             raise ValueError(f"coupling must be nonnegative and finite, "
                              f"got {self.coupling}")

@@ -12,8 +12,7 @@ import numpy as np
 from .basis import (Sector1D, Sector3D, SectorOperator, SymmetryBlock,
                     enumerate_basis_1d, sector_3d, symmetry_blocks)
 from .config import ConfigError, IterationError, ResourceLimitError, check
-from .eigensolve import (dense_budget_error, merge_blocks, read_archive, solve_dense,
-                         solve_iterative)
+from .eigensolve import choose_solver, merge_blocks, read_archive
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
@@ -66,21 +65,6 @@ def _gate(cutoff_sq: int, total, allow_large: bool) -> tuple[int, int, int]:
     return dim, nnz, need
 
 
-def _route(method: str, dims) -> str:
-    """The solver route, dense or iterative, for a method setting.
-
-    dims are the dimensions of the eigenvector arrays a dense solve would
-    return.  auto is dense exactly when they fit the dense output budget; an
-    explicit dense that does not fit is refused before any solve.
-    """
-    error = dense_budget_error(dims)
-    if method == "auto":
-        return "dense" if error is None else "iterative"
-    if method == "dense" and error is not None:
-        raise error
-    return method
-
-
 def _accept(spec, block) -> None:
     """Refuse a block's spectrum, with IterationError, unless its eigenvalues
     are finite and no residual ratio exceeds RESIDUAL_BOUND (nan does)."""
@@ -100,17 +84,16 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     """Solve the sector of total_momentum, an int in 1D or three ints in 3D.
 
     Each keyword, and total_momentum, is checked against its [solve1d] or
-    [solve3d] domain before anything is built, on either route.  3D sectors
-    pass the operator budget first (see _gate).  The route
-    follows method and the dense output budget over all blocks; only the
-    iterative route loads scipy.  The rows of H at the blocks' orbit
-    representatives, the only rows any block reads, are assembled once
-    (timings["assemble"]); each block S^T H S is assembled from them (its
-    time added to timings["blocks"]) and solved fully by solve_dense or for
-    its lowest k by solve_iterative (tol, seed), and refused (IterationError)
-    on either route if an eigenvalue is not finite or a residual ratio
-    exceeds RESIDUAL_BOUND.  Once the solve has run PROGRESS_AFTER_S, each
-    finished block is reported on stderr.
+    [solve3d] domain before anything is built.  3D sectors pass the
+    operator budget first (see _gate).  eigensolve.choose_solver picks the
+    block solver once for all blocks, from method and the dense output
+    budget.  The rows of H at the blocks' orbit representatives, the only
+    rows any block reads, are assembled once (timings["assemble"]); each
+    block S^T H S is solved from them and refused (IterationError) if an
+    eigenvalue is not finite or a residual ratio exceeds RESIDUAL_BOUND.
+    The steps each solver times are summed over the blocks into timings.
+    Once the solve has run PROGRESS_AFTER_S, each finished block is
+    reported on stderr.
     """
     three_d = np.ndim(total_momentum) > 0
     command = "solve3d" if three_d else "solve1d"
@@ -134,11 +117,8 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     timings["build"] = t2 - t0
     timings["blocks"] = t2 - t1
 
-    dense = _route(method, [block.dim for block in blocks]) == "dense"
-    if not dense:
-        # loaded before the timed steps, so no timing holds their import
-        import scipy.linalg  # noqa: F401
-        import scipy.sparse.linalg  # noqa: F401
+    solver, cut = choose_solver(method, [block.dim for block in blocks], k,
+                                tol=tol, seed=seed)
     groups: dict[str, list] = {}
     for block in blocks:
         name = block.label.partition(" ")[0] if three_d else ""
@@ -154,18 +134,10 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     def solve(members):
         """Each block of one group, solved when it is asked for."""
         for block in members:
-            op = SymmetrizedOperator3D(block, plain_op, triplets)
-            if dense:
-                spec = solve_dense(op)  # assembles op.dense() and times it
-                timings["blocks"] += spec.meta["dense_s"]
-                for step in ("eigh", "canonicalize", "residuals"):
-                    timings[step] = timings.get(step, 0.0) + spec.meta[f"{step}_s"]
-            else:
-                t0 = time.perf_counter()
-                op.matrix  # assembled here, so its time is counted
-                timings["blocks"] += time.perf_counter() - t0
-                spec = solve_iterative(op, k, tol=tol, seed=seed)
+            spec = solver(SymmetrizedOperator3D(block, plain_op, triplets))
             _accept(spec, block)
+            for step, seconds in spec.meta["timings"].items():
+                timings[step] = timings.get(step, 0.0) + seconds
             elapsed = time.perf_counter() - started
             if elapsed > PROGRESS_AFTER_S:
                 print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
@@ -174,12 +146,8 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
             del spec  # merge_blocks has spooled it: free it before the next solve
 
     started = time.perf_counter()
-    solved = {}
-    for name, members in groups.items():
-        size = sum(m * (m if dense else min(k, m))
-                   for m in (block.dim for block in members))
-        key = f"{sector.key} {name}".rstrip()
-        solved[name] = merge_blocks(key, solve(members), size, None if dense else k)
+    solved = {name: merge_blocks(f"{sector.key} {name}".rstrip(), solve(members), cut)
+              for name, members in groups.items()}
     timings["solve"] = time.perf_counter() - started
     return SectorSolution(sector, blocks, plain_op, solved, counts, timings)
 

@@ -281,18 +281,18 @@ def test_solve1d_dense_and_iterative_routes_agree(solve1d_run, tmp_path, seed):
 @pytest.mark.parametrize("command", ["solve1d", "solve3d"])
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 def test_solve_manifests_record_the_same_timings(tmp_path, command, method):
-    """Both solve commands run one block pipeline and time the same steps;
-    eigh, canonicalize and residuals only on the dense route, where the
-    three fit inside the solve."""
+    """Both solve commands run one block pipeline and time the same steps,
+    summed over the blocks as each solver reports them: the eigensolve
+    (eigh on the dense route, eigsh on the iterative one), canonicalize and
+    residuals, which together fit inside the solve."""
     cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
                                  f"[{command}]\nmethod = {method}\n")
     out = str(tmp_path / "run")
     assert main([command, "--config", cfg, "--out", out]) == 0
     timings = read_manifest(out)["timings"]
-    keys = {"build", "assemble", "blocks", "solve", "write"}
-    dense_keys = {"eigh", "canonicalize", "residuals"}
-    assert set(timings) == (keys | dense_keys if method == "dense" else keys)
-    assert sum(timings.get(key, 0.0) for key in dense_keys) <= timings["solve"]
+    steps = {"eigh" if method == "dense" else "eigsh", "canonicalize", "residuals"}
+    assert set(timings) == {"build", "assemble", "blocks", "solve", "write"} | steps
+    assert sum(timings[key] for key in steps) <= timings["solve"]
     assert all(v > 0.0 for v in timings.values())
 
 
@@ -985,14 +985,14 @@ def test_failed_run_writes_its_manifest(tmp_path, capsys):
 @pytest.mark.parametrize("coupling, why", [
     ("1e300", "residual ratio inf over the bound 1e-08"),
     ("1e160", "residual ratio 2.29 over the bound 1e-08")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_refuses_residuals_over_the_bound(tmp_path, capsys, coupling, why):
     """A dense spectrum whose residuals overflow, or exceed 1e-8 relative,
     is refused: exit 4 and a failed manifest that says which block and why,
-    with nothing else in --out."""
+    with nothing else in --out, and numpy warns of no overflow."""
     cfg = write_config(tmp_path, f"[model]\nheavy_cutoff = 3\ncoupling = {coupling}\n")
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["solve1d", "--config", cfg, "--out", str(out)]) == 4
+    assert main(["solve1d", "--config", cfg, "--out", str(out)]) == 4
     man = read_manifest(str(out))
     assert (man["status"], man["exit_code"]) == ("failed", 4)
     assert man["message"].startswith("numerical failure: block 'P=0 ")
@@ -1025,6 +1025,10 @@ def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch)
     ("solve3d", "[model]\nbox_length = inf", "box_length"),
     ("solve1d", "[model]\nbox_length = 1e-300", "box_length"),
     ("solve3d", "[model]\nbox_length = 1e-300", "box_length"),
+    ("solve1d", "[model]\nheavy_cutoff = 3\nbox_length = 1e300", "box_length"),
+    ("estimate", "[model]\nbox_length = 1e-150", "box_length"),
+    ("orbit", "[model]\nbox_length = 1e-150", "box_length"),
+    ("estimate", "[model]\nbox_length = 1e-107", "box_length"),
     ("solve1d", "[model]\ncoupling = nan", "coupling"),
     ("estimate", "[model]\ncoupling = inf", "coupling"),
     ("orbit", "[orbit]\ndt = -1", "dt"),
@@ -1052,8 +1056,10 @@ def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch)
      "seed")])
 def test_settings_that_ran_but_should_not_are_refused(request, tmp_path, capsys,
                                                       command, config, key):
-    """A non-finite model constant, a box so small that its kinetic
-    coefficient overflows, a negative or non-finite dt, a
+    """A non-finite model constant, a box so small or so large that its
+    kinetic or classical coefficients are not finite and nonzero (at
+    1e-107, L^3 is subnormal and 2 pi^2 / L^3 inf), a negative or
+    non-finite dt, a
     store_every below 1, a non-finite orbit start, a negative
     singularity_tol, fewer than one scar level, a nan band gap, a negative
     or non-finite autocorrelation setting, fewer than one autocorrelation

@@ -164,7 +164,7 @@ def _solve_by_blocks(op, blocks):
     as the dense CLI route does."""
     parts = ((block.label, ts.solve_dense(ts.SymmetrizedOperator3D(block, op)))
              for block in blocks)
-    return ts.merge_blocks(op.sector.key, parts, sum(block.dim ** 2 for block in blocks))
+    return ts.merge_blocks(op.sector.key, parts)
 
 
 @pytest.mark.parametrize("heavy_cutoff", [5, 13])
@@ -222,6 +222,33 @@ def test_block_output_budget_refuses_before_solving(monkeypatch):
     assert isinstance(error, ts.ResourceLimitError)
     assert "36 x 36 + 30 x 30 + 25 x 25 + 30 x 30 eigenvectors" in str(error)
     assert all(eigensolve.dense_budget_error([m]) is None for m in dims)
+
+
+def test_choose_solver_routes_all_blocks_once(monkeypatch):
+    """auto takes the dense solver, with no cut, while the blocks' vectors
+    fit the output budget, and the iterative one, cut at k, past it; an
+    explicit dense past it is refused naming every block; iterative is
+    always iterative, with its k, tol and seed."""
+    op = _operator_1d(5)
+    dims = [block.dim for block in ts.symmetry_blocks(op.sector)]
+    need = 8 * sum(m * m for m in dims)
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", need)
+    assert eigensolve.choose_solver("auto", dims, 8) == (ts.solve_dense, None)
+    assert eigensolve.choose_solver("dense", dims, 8) == (ts.solve_dense, None)
+    solver, cut = eigensolve.choose_solver("iterative", dims, 6, tol=1e-9, seed=3)
+    spec = solver(op)
+    assert (spec.method, spec.k, spec.meta["seed"], cut) == ("lanczos", 6, 3, 6)
+    monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", need - 1)
+    solver, cut = eigensolve.choose_solver("auto", dims, 8)
+    assert (solver(op).method, cut) == ("lanczos", 8)
+    with pytest.raises(ts.ResourceLimitError,
+                       match=r"^36 x 36 \+ 30 x 30 \+ 25 x 25 \+ 30 x 30 eigenvectors"):
+        eigensolve.choose_solver("dense", dims, 8)
+    # the solvers are looked up when the route is chosen, so a wrapper
+    # installed on the module (as a tracer does) sees every block
+    wrapped = object()
+    monkeypatch.setattr(eigensolve, "solve_dense", wrapped)
+    assert eigensolve.choose_solver("dense", [1], 8) == (wrapped, None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +372,7 @@ def test_merge_blocks_orders_stably_and_flattens():
     b = ts.Spectrum("b", np.array([1.0, 2.0, 5.0]), np.arange(9.0).reshape(3, 3),
                     np.array([3e-15, 4e-15, 5e-15]), "dense", meta={"dim": 3})
     merged, labels, offsets = ts.merge_blocks(
-        "P=0 sym", iter([("a", a), ("b", b)]), 13, k=4)
+        "P=0 sym", iter([("a", a), ("b", b)]), k=4)
     assert merged.sector_key == "P=0 sym"
     assert list(merged.eigenvalues) == [1.0, 1.0, 2.0, 3.0]
     assert list(labels) == ["a", "b", "b", "a"]
@@ -358,9 +385,13 @@ def test_merge_blocks_orders_stably_and_flattens():
         assert any(np.array_equal(merged.eigenvectors[start:start + m], col)
                    for col in spec.eigenvectors.T)
     assert merged.meta["block_dimensions"] == {"a": 2, "b": 3}
-    assert ts.merge_blocks("P=0 sym", [("a", a), ("b", b)], 13)[0].k == 5
-    with pytest.raises(ValueError, match="13 vector entries, not 14"):
-        ts.merge_blocks("P=0 sym", [("a", a), ("b", b)], 14)
+    assert ts.merge_blocks("P=0 sym", [("a", a), ("b", b)])[0].k == 5
+    # sum over blocks of m * (pairs the block kept), whatever k cuts: a
+    # block solved for 2 of its 3 pairs spools 6 entries
+    c = ts.Spectrum("c", np.array([0.5, 4.0]), np.arange(6.0).reshape(3, 2),
+                    np.zeros(2), "lanczos")
+    cut = ts.merge_blocks("P=0 sym", [("a", a), ("c", c)], k=3)[0]
+    assert cut.eigenvectors.size == 2 * 2 + 3 * 2
 
 
 def test_merge_blocks_holds_one_block_at_a_time():
@@ -381,7 +412,7 @@ def test_merge_blocks_holds_one_block_at_a_time():
 
     tracemalloc.start()
     try:
-        merged = ts.merge_blocks("P=0", parts(), n_blocks * m * m)[0]
+        merged = ts.merge_blocks("P=0", parts())[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
