@@ -35,10 +35,9 @@ _EXPORTS = {
     "classical": ("CriticalPoint", "CriticalPointResult", "SaddleAnalysis",
                   "Trajectory", "effective_potential",
                   "effective_potential_grad", "effective_potential_hessian",
-                  "find_critical_points", "hamilton_rhs_1d",
-                  "hamiltonian_cm_1d", "hamiltonian_cm_3d", "hessian_analysis",
-                  "integrate_orbit", "suggest_timestep", "find_saddle",
-                  "run_orbits"),
+                  "find_critical_points", "hamiltonian_cm_1d",
+                  "hamiltonian_cm_3d", "hessian_analysis", "integrate_orbit",
+                  "suggest_timestep", "find_saddle", "run_orbits"),
     "scars": ("ScarComparison", "ScarEnergy", "compare_with_spectrum",
               "predicted_gap", "scar_energy", "scar_intensity",
               "stable_frequency", "compare_bands", "estimate"),

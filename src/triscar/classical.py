@@ -18,6 +18,7 @@ estimates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -84,13 +85,6 @@ def hamiltonian_cm_1d(state, params: ModelParams) -> float:
     r, pr, eta, pe = state
     kin = 2.0 * pr * pr + (2.0 + params.gamma) / (2.0 * params.gamma) * pe * pe
     return float(kin + effective_potential(r, eta, params, scaled=False))
-
-
-def hamilton_rhs_1d(state, params: ModelParams) -> np.ndarray:
-    r, pr, eta, pe = state
-    g_r, g_eta = effective_potential_grad(r, eta, params)
-    return np.array([4.0 * pr, -g_r,
-                     (2.0 + params.gamma) / params.gamma * pe, -g_eta])
 
 
 def coulomb_potential_cm(r_vec, eta_vec) -> float:
@@ -372,7 +366,7 @@ def find_critical_points(params: ModelParams) -> CriticalPointResult:
         if not dup:
             points.append(CriticalPoint(float(x[0]), float(x[1]), kind,
                                         tuple(map(tuple, hess.tolist())),
-                                        float(np.linalg.norm(grad))))
+                                        math.hypot(*grad)))
     return CriticalPointResult(points, failed,
                                [hessian_analysis(p, params) for p in points])
 

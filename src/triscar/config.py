@@ -15,7 +15,7 @@ import os
 from dataclasses import fields
 from enum import Enum
 
-from .params import ModelParams
+from .params import LightCutoffMode, ModelParams, Scaling
 
 
 class ConfigError(Exception):
@@ -51,15 +51,34 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-#: each domain of a command section's key: its wording, and its test (nan fails each)
+def _box_coefficients_finite(L) -> bool:
+    """Whether the models' kinetic coefficients (2 pi / L)^2 and pi / L^2 and
+    the classical force's 2 pi^2 / L^3 are finite and positive, so L is too.
+    A power that overflows raises, and so does one over a power that
+    underflows to 0, but a subnormal L^3 makes 2 pi^2 / L^3 inf silently, so
+    the values are tested too."""
+    try:
+        coefficients = ((2 * math.pi / L) ** 2, math.pi / L ** 2, 2 * math.pi ** 2 / L ** 3)
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return all(0 < c < math.inf for c in coefficients)
+
+
+#: each domain of a key: its wording, and its test (nan fails each)
 DOMAINS = {
     "positive": lambda x: x > 0,
+    "positive and finite": lambda x: 0 < x < math.inf,
+    "positive and finite, with (2π/L)², π/L² and 2π²/L³ finite and nonzero":
+        _box_coefficients_finite,
     "nonnegative": lambda x: x >= 0,
     "nonnegative and finite": lambda x: 0 <= x < math.inf,
     "finite": lambda x: -math.inf < x < math.inf,
     "at least 1": lambda x: x >= 1,
     "at least 2": lambda x: x >= 2,
     "an integer": lambda x: x // 1 == x,
+    # an int or numpy integer, not an integral float, which np.arange and
+    # math.isqrt would take as a float
+    "a nonnegative integer": lambda x: hasattr(x, "__index__") and x >= 0,
     "three integers": lambda v: len(v) == 3 and all(x // 1 == x for x in v),
     "finite numbers": lambda v: v is None or all(-math.inf < x < math.inf for x in v),
     "true or false": lambda x: isinstance(x, bool),
@@ -69,14 +88,27 @@ DOMAINS = {
     "1 or 3": lambda x: x in (1, 3),
     "none or straddle": lambda x: x in ("none", "straddle"),
     "sigma, rate or both": lambda x: x in ("sigma", "rate", "both"),
+    # an Enum key's member, or its value as INI files and archives give it
+    "raw or multiplied-by-L": lambda x: x in (*Scaling, "raw", "multiplied-by-L"),
+    "derived or product-filter":
+        lambda x: x in (*LightCutoffMode, "derived", "product-filter"),
 }
+
+#: the domain of each [model] key, a field of ModelParams, which holds its default
+_MODEL_DOMAINS = {
+    "gamma": "positive and finite",
+    "box_length": "positive and finite, with (2π/L)², π/L² and 2π²/L³ finite and nonzero",
+    "coupling": "nonnegative and finite", "heavy_cutoff": "a nonnegative integer",
+    "cutoff_sq": "a nonnegative integer", "scaling": "raw or multiplied-by-L",
+    "light_cutoff_mode": "derived or product-filter"}
 
 _SOLVER = {"method": ("auto", "auto, dense or iterative"), "k": (8, "at least 1"),
            "tol": (1e-10, "positive"), "seed": (0, "nonnegative")}
 
-#: each command section's keys as (default, domain); a value is parsed by its
+#: each section's keys as (default, domain); a value is parsed by its
 #: default's type (see _parser) and refused outside its domain (see check)
 SETTINGS: dict[str, dict[str, tuple]] = {
+    "model": {f.name: (f.default, _MODEL_DOMAINS[f.name]) for f in fields(ModelParams)},
     "solve1d": {"total_momentum": (0, "an integer"), "scar_levels": (3, "at least 1"),
                 "gap_threshold": (2.0, "nonnegative and finite"), **_SOLVER,
                 "dump_matrix": (False, "true or false")},
@@ -94,9 +126,9 @@ SETTINGS: dict[str, dict[str, tuple]] = {
                  "convention": ("both", "sigma, rate or both")},
 }
 
-#: every INI key by section, with its default; [model] holds ModelParams' fields.
-DEFAULTS: dict[str, dict] = {"model": {f.name: f.default for f in fields(ModelParams)}}
-DEFAULTS.update({name: {k: v[0] for k, v in sec.items()} for name, sec in SETTINGS.items()})
+#: every INI key by section, with its default
+DEFAULTS: dict[str, dict] = {name: {k: v[0] for k, v in sec.items()}
+                             for name, sec in SETTINGS.items()}
 
 
 def _parser(default):
@@ -146,20 +178,8 @@ def load_config(path: str | None) -> dict[str, dict]:
 
 def model_params(cfg: dict) -> ModelParams:
     """Build ModelParams from the [model] section, falling back to defaults;
-    an Enum field is given by its value."""
-    sec = dict(cfg.get("model", {}))
-    for key, default in DEFAULTS["model"].items():
-        if isinstance(default, Enum) and key in sec:
-            try:
-                sec[key] = type(default)(sec[key])
-            except ValueError:
-                use = " or ".join(f"'{member.value}'" for member in type(default))
-                raise ConfigError(f"bad value for [model] {key}: {sec[key]!r} "
-                                  f"(use {use})") from None
-    try:
-        return ModelParams(**sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad [model] section: {exc}") from exc
+    ModelParams refuses a value out of its domain."""
+    return ModelParams(**cfg.get("model", {}))
 
 
 def params_dict(params: ModelParams) -> dict:

@@ -9,7 +9,6 @@ plane-wave basis used for diagonalization.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 
@@ -33,7 +32,9 @@ class ModelParams:
 
     Defaults reproduce the reference parameter point: gamma = 2.7e-4,
     L = 13039, g = 6, heavy momentum cutoff 13 (1D), per-vector squared
-    cutoff 10 (3D), energies reported multiplied by L.
+    cutoff 10 (3D), energies reported multiplied by L.  Each field is a
+    [model] key, and a value outside its domain in config.SETTINGS raises
+    ConfigError.
     """
 
     gamma: float = 2.7e-4
@@ -45,32 +46,12 @@ class ModelParams:
     light_cutoff_mode: LightCutoffMode = LightCutoffMode.DERIVED
 
     def __post_init__(self):
-        # written so that nan fails each check
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0 < self.box_length < math.inf:
-            raise ValueError(f"box_length must be positive and finite, "
-                             f"got {self.box_length}")
-        # the models' kinetic coefficient and the classical force's, as
-        # computed from L: a power that overflows raises, and so does one
-        # over a power that underflows to 0, but a subnormal L^3 makes
-        # 2 pi^2 / L^3 inf silently, so the values are tested too
-        L = self.box_length
-        try:
-            coefficients = ((2 * math.pi / L) ** 2, math.pi / L ** 2,
-                            2 * math.pi ** 2 / L ** 3)
-        except (OverflowError, ZeroDivisionError):
-            coefficients = (math.inf,)
-        if not all(0 < c < math.inf for c in coefficients):
-            raise ValueError(f"box_length {L} is out of range: (2 pi / L)^2, pi / L^2 "
-                             f"and 2 pi^2 / L^3 must be finite and nonzero")
-        if not 0 <= self.coupling < math.inf:
-            raise ValueError(f"coupling must be nonnegative and finite, "
-                             f"got {self.coupling}")
-        if self.heavy_cutoff < 0:
-            raise ValueError(f"heavy_cutoff must be nonnegative, got {self.heavy_cutoff}")
-        if self.cutoff_sq < 0:
-            raise ValueError(f"cutoff_sq must be nonnegative, got {self.cutoff_sq}")
+        from .config import check  # config imports this module
+
+        check("model", **vars(self))
+        # an Enum field may be given by its value, as INI files and archives give it
+        object.__setattr__(self, "scaling", Scaling(self.scaling))
+        object.__setattr__(self, "light_cutoff_mode", LightCutoffMode(self.light_cutoff_mode))
 
     @property
     def energy_scale(self) -> float:

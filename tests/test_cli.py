@@ -1387,6 +1387,24 @@ def test_estimate_payload(tmp_path):
     assert all(t > 0.0 for t in timings.values())
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_in_a_tiny_box_writes_valid_json(tmp_path):
+    """At box_length 1e-100 the gradient norms at the critical points are
+    near 1e185, past where numpy's norm overflows squaring them: estimate
+    warns of nothing and writes them finite, as JSON proper holds them."""
+    cfg = write_config(tmp_path, "[model]\nbox_length = 1e-100\n")
+    out = tmp_path / "est"
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "scar_estimates.json").read_text()
+    points = json.loads(text, parse_constant=_refuse_constant)["critical_points"]
+    assert len(points) == 3
+    assert all(0 < pt["grad_norm"] < np.inf for pt in points)
+
+
 @pytest.mark.parametrize("run", ["missing", "solved"])
 def test_estimate_from_without_a_saddle_is_refused(tmp_path, capsys, run):
     """With no saddle to compare (coupling 0), estimate --from exits 2 and

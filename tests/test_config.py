@@ -1,10 +1,11 @@
-"""The settings table: every command-section key's default and domain, checked
-by config.section and by the library entry points, and documented in the
-README's configuration reference."""
+"""The settings table: every key's default and domain, checked by
+config.section, by the library entry points and by ModelParams, and
+documented in the README's configuration reference."""
 
 import math
 import os
 import re
+from enum import Enum
 
 import pytest
 
@@ -15,7 +16,7 @@ from triscar.config import (DEFAULTS, DOMAINS, SETTINGS, ConfigError, _parser, c
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 
-COMMANDS = ["solve1d", "solve3d", "analyze", "orbit", "estimate"]
+SECTIONS = ["model", "solve1d", "solve3d", "analyze", "orbit", "estimate"]
 
 #: the values every numeric key is tried with
 PROBES = [0, -1, math.nan, math.inf]
@@ -24,7 +25,7 @@ PROBES = [0, -1, math.nan, math.inf]
 def _numeric_keys():
     """(section, key, default) of every key whose default is a number, or a
     list of numbers ([solve3d] total_momentum, [orbit] initial)."""
-    for name in COMMANDS:
+    for name in SECTIONS:
         for key, (default, _) in SETTINGS[name].items():
             if default is None or isinstance(default, list) or (
                     isinstance(default, (int, float)) and not isinstance(default, bool)):
@@ -41,16 +42,16 @@ def _with_first(default, value):
 
 
 def test_every_key_has_a_domain_from_the_vocabulary():
-    """Each command section's keys are the keys of SETTINGS, each with a
+    """Each section's keys are the keys of SETTINGS, each with a
     domain DOMAINS can test; a DEFAULTS key without one fails here."""
-    for name in COMMANDS:
+    for name in SECTIONS:
         assert set(DEFAULTS[name]) == set(SETTINGS[name]), name
         for key, (default, domain) in SETTINGS[name].items():
             assert DEFAULTS[name][key] == default
             assert domain in DOMAINS, f"[{name}] {key}: {domain!r}"
 
 
-@pytest.mark.parametrize("name", COMMANDS)
+@pytest.mark.parametrize("name", SECTIONS)
 def test_every_default_lies_in_its_domain(name):
     assert section({}, name) == DEFAULTS[name]
 
@@ -104,13 +105,19 @@ def test_check_refuses_a_keyword_out_of_its_domain(name, key, value):
     (lambda p: ts.estimate(p, convention="sigmas"), "[estimate] convention"),
     (lambda p: ts.analyze_1d(None, [0], n_times=0), "[analyze] n_times"),
     (lambda p: ts.analyze_1d(None, [0], n_r=7), "[analyze] n_r"),
-    (lambda p: ts.analyze_3d(None, 0, n_radial=1), "[analyze] n_radial")],
+    (lambda p: ts.analyze_3d(None, 0, n_radial=1), "[analyze] n_radial"),
+    (lambda p: ts.ModelParams(heavy_cutoff=math.inf), "[model] heavy_cutoff"),
+    (lambda p: ts.ModelParams(cutoff_sq=2.5), "[model] cutoff_sq"),
+    (lambda p: ts.ModelParams(cutoff_sq=2.0), "[model] cutoff_sq"),
+    (lambda p: ts.ModelParams(scaling="scaled"), "[model] scaling")],
     ids=["solve1d-seed", "solve3d-momentum", "orbit-dt", "orbit-spread",
          "estimate-convention", "analyze1d-n_times", "analyze1d-odd-n_r",
-         "analyze3d-n_radial"])
+         "analyze3d-n_radial", "model-heavy_cutoff-inf", "model-cutoff_sq-2.5",
+         "model-cutoff_sq-2.0", "model-scaling"])
 def test_library_entry_points_check_their_keywords(params, call, key):
     """The entry points refuse a keyword out of its domain before they
-    read the model or the archive, naming the [section] key."""
+    read the model or the archive, naming the [section] key, and
+    ModelParams refuses a field out of its [model] domain."""
     with pytest.raises(ConfigError, match=re.escape(f"bad value for {key}: ")):
         call(params)
 
@@ -128,14 +135,16 @@ def _readme_tables() -> dict[str, dict[str, list[str]]]:
 
 
 def test_readme_gives_each_key_its_default_and_domain():
-    """Each command section's table in the README lists exactly its keys,
-    each with a default whose text loads back to it ([orbit] initial's is
-    computed) and the domain SETTINGS gives it."""
+    """Each section's table in the README lists exactly its keys, each with
+    a default whose text loads back to it (an Enum's to its value; [orbit]
+    initial's is computed) and the domain SETTINGS gives it."""
     tables = _readme_tables()
-    for name in COMMANDS:
+    for name in SECTIONS:
         assert set(tables[name]) == set(SETTINGS[name]), name
         for key, (default, domain) in SETTINGS[name].items():
             text, documented = tables[name][key][:2]
             assert documented == domain, f"[{name}] {key}"
+            if isinstance(default, Enum):
+                default = default.value
             assert (text == "(computed)" if default is None
                     else _parser(default)(text) == default), f"[{name}] {key}"

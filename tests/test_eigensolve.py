@@ -476,3 +476,44 @@ def test_load_archive_round_trips_a_spooled_spectrum(tmp_path):
     assert sector.key == op.sector.key
     np.testing.assert_array_equal(sector.p, op.sector.p)
     assert list(archived) == [block.label for block in blocks]
+
+
+# ---------------------------------------------------------------------------
+# Cauchy interlacing across cutoffs
+
+
+def _block_levels(params, total_momentum) -> dict[str, np.ndarray]:
+    """Each symmetry block's full spectrum, ascending, from a dense solve."""
+    solution = ts.solve_sector(params, total_momentum, method="dense")
+    levels = {}
+    for spectrum, labels, _ in solution.groups.values():
+        for label in dict.fromkeys(labels):
+            levels[str(label)] = spectrum.eigenvalues[labels == label]
+    return levels
+
+
+PRODUCT = ts.LightCutoffMode.PRODUCT_FILTER
+
+
+@pytest.mark.parametrize("total_momentum, models", [
+    ((0, 0, 0), [ts.ModelParams(cutoff_sq=c) for c in range(2, 10)]),
+    ((1, 0, 0), [ts.ModelParams(cutoff_sq=c) for c in range(2, 7)]),
+    (0, [ts.ModelParams(heavy_cutoff=c) for c in range(5, 17)]),
+    (0, [ts.ModelParams(heavy_cutoff=c, light_cutoff_mode=PRODUCT) for c in range(5, 17)])],
+    ids=["3d-P000-cutoff_sq-2-9", "3d-P100-cutoff_sq-2-6",
+         "1d-derived-heavy_cutoff-5-16", "1d-product-filter-heavy_cutoff-5-16"])
+def test_block_spectra_interlace_across_cutoffs(total_momentum, models):
+    """The couplings do not depend on the cutoff, and a sector at one cutoff
+    is a subset of the next, closed under each symmetry map, so each block
+    at c is a principal submatrix of the same block at c + 1.  By Cauchy's
+    interlacing theorem its n levels then lie between those of the m at
+    c + 1: b[j] <= a[j] <= b[j + m - n], here within 1e-10 max(1, |E|)."""
+    chain = [_block_levels(params, total_momentum) for params in models]
+    for step, (small, large) in enumerate(zip(chain, chain[1:])):
+        assert set(small) <= set(large), step
+        for label, a in small.items():
+            b = large[label]
+            slack = 1e-10 * np.maximum(1.0, np.abs(a))
+            where = f"block {label!r}, step {step} of the chain"
+            assert np.all(b[:len(a)] <= a + slack), where
+            assert np.all(a <= b[len(b) - len(a):] + slack), where
