@@ -2,10 +2,11 @@
 
 Subcommands: solve1d, solve3d, analyze, orbit, estimate, report.  Every run
 but report writes its outputs plus a manifest.json into --out, and only once
-every check has passed; report writes report.txt alone.  Numeric CSV cells
-use 17 significant digits, so identical configurations reproduce
-byte-identical files.  Exit codes: 0 success, 2 configuration or input
-error, 3 resource limit, 4 numerical failure.
+every check has passed; report writes report.txt alone.  CSV number cells
+use 17 significant digits, and text cells are quoted only when they hold a
+comma, a quote or a newline (RFC 4180), so identical configurations
+reproduce byte-identical files.  Exit codes: 0 success, 2 configuration or
+input error, 3 resource limit, 4 numerical failure.
 
 This module loads neither numpy nor a solver module: each command imports
 what it runs once its configuration is read.  So --help, --version, report
@@ -24,7 +25,7 @@ import time
 from . import __version__
 from .config import (DEFAULTS, ConfigError, IterationError, ResourceLimitError,
                      load_config, model_params, params_dict, section)
-from .manifest import RunManifest, read_manifest
+from .manifest import RunManifest, read_manifest, write_json
 from .params import ModelParams
 
 EXIT_OK = 0
@@ -43,32 +44,23 @@ def _quote(field: str) -> str:
     return field
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_quote(f) for f in row) + "\n")
-
-
 def _write_table(path: str, header: list[str], *columns) -> None:
-    """An all-numeric table as CSV: the header, then one line per row of the
-    columns side by side (1D arrays, or 2D arrays of several columns), each
-    cell as "%.17g": the bytes _fmt writes, and str(int) for an integer
-    below 2**53 in magnitude."""
+    """A table as CSV: the header, then one line per row of the columns side
+    by side.  A column whose first cell is a str is text, each cell as
+    _quote writes it; any other column (1D, or 2D of several columns) is
+    numbers, each cell as "%.17g": the bytes _fmt writes, and str(int) for
+    an integer below 2**53 in magnitude."""
     import numpy as np
 
-    table = np.column_stack(columns).astype(np.float64, copy=False)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    parts = [np.array([_quote(c) for c in column], dtype=object)
+             if isinstance(column[0], str) else np.asarray(column, dtype=np.float64)
+             for column in columns]
+    line = ",".join("%s" if part.dtype == object else "%.17g" for part in parts
+                    for _ in range(part.shape[1] if part.ndim == 2 else 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
+        for row in np.column_stack(parts):
             fh.write(line % tuple(row.tolist()))
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _start(args, command: str, model: bool = True):
@@ -150,14 +142,14 @@ def cmd_solve1d(args) -> int:
     _save(args, "spectrum.csv", _write_table,
           ["index", "eigenvalue", "residual", "band"],
           np.arange(spectrum.k), spectrum.eigenvalues, spectrum.residuals, bids)
-    _save(args, "bands.json", _write_json, {
+    _save(args, "bands.json", write_json, {
         "gap_threshold": s["gap_threshold"],
         "bands": [{"band": b.band_id, "start": b.start, "stop": b.stop,
                    "size": b.size, "head": b.head, "top": b.top}
                   for b in bands],
     })
     if comp is not None:
-        _save(args, "scar_comparison.json", _write_json, comp.as_dict())
+        _save(args, "scar_comparison.json", write_json, comp.as_dict())
     _save(args, "eigenvectors.npz", write_archive, sector, params, solved,
           band_ids=bids)
     if s["dump_matrix"]:
@@ -197,13 +189,10 @@ def cmd_solve3d(args) -> int:
     sector, blocks, spectra = run.sector, run.blocks, run.groups
     dim, nnz, need = run.counts
 
-    rows = []
-    for tag, (spec, _, _) in spectra.items():
-        for i in range(spec.k):
-            rows.append([sector.key, tag, str(i), _fmt(spec.eigenvalues[i]),
-                         _fmt(spec.residuals[i])])
-    _save(args, "spectrum.csv", _write_csv,
-          ["sector", "parity", "index", "eigenvalue", "residual"], rows)
+    rows = [(sector.key, tag, i, spec.eigenvalues[i], spec.residuals[i])
+            for tag, (spec, _, _) in spectra.items() for i in range(spec.k)]
+    _save(args, "spectrum.csv", _write_table,
+          ["sector", "parity", "index", "eigenvalue", "residual"], *zip(*rows))
 
     n_vec, n_states = basis_size_3d(params.cutoff_sq)
     dims = {tag: spectra[tag][0].meta["dim"] if tag in spectra else 0
@@ -211,7 +200,7 @@ def cmd_solve3d(args) -> int:
     sizes = {"sector_dimension": sector.dim, "symmetric_dimension": dims["sym"],
              "antisymmetric_dimension": dims["anti"],
              "nonzeros_per_row": nnz / max(dim, 1)}
-    _save(args, "sectors.json", _write_json, {
+    _save(args, "sectors.json", write_json, {
         "total_momentum": list(sector.total_momentum),
         "cutoff_sq": params.cutoff_sq,
         "vectors": n_vec,
@@ -323,7 +312,7 @@ def _analyze_1d(args, s, man, archive) -> None:
     for i, grid in run.grids.items():
         _save(args, f"grid_state{i:04d}.csv", _write_table,
               [_fmt(v) for v in grid.eta_axis], grid.density())
-        _save(args, f"grid_state{i:04d}.json", _write_json, {
+        _save(args, f"grid_state{i:04d}.json", write_json, {
             "index": int(i),
             "eigenvalue": float(evals[i]),
             "band": int(bids[i]),
@@ -393,7 +382,7 @@ def _analyze_3d(args, s, man, archive) -> None:
     radial = run.radial
     _save(args, f"radial_{tag}_state{idx:04d}.csv", _write_table,
           [_fmt(v) for v in radial.eta_axis], radial.values)
-    _save(args, f"radial_{tag}_state{idx:04d}.json", _write_json, {
+    _save(args, f"radial_{tag}_state{idx:04d}.json", write_json, {
         "parity": tag, "index": int(idx), "eigenvalue": float(evals[idx]),
         "r_axis": [float(v) for v in radial.r_axis],
         "eta_axis": [float(v) for v in radial.eta_axis],
@@ -475,21 +464,21 @@ def cmd_orbit(args) -> int:
                         for st in main_traj.states[stored]])
     _save(args, "trajectory.csv", _write_table, header, *columns)
 
-    events = [[str(oid), str(ev.step), _fmt(ev.time), ev.kind,
-               ev.detail.replace(",", ";")]
+    events = [(oid, ev.step, ev.time, ev.kind, ev.detail)
               for oid, traj in enumerate(trajectories) for ev in traj.events]
     if events:
-        _save(args, "events.csv", _write_csv,
-              ["orbit", "step", "t", "kind", "detail"], events)
+        _save(args, "events.csv", _write_table,
+              ["orbit", "step", "t", "kind", "detail"], *zip(*events))
 
     if len(trajectories) > 1:
         ieta = 2 if dim == 1 else 7
         labels = [("+" if traj.states[-1][0] >= 0 else "-")
                   + ("stopped" if traj.stopped else "ran") for traj in trajectories]
-        _save(args, "portrait.csv", _write_csv, ["orbit", "label", "t", "r1", "eta2"],
-              ([str(oid), label, _fmt(t), _fmt(st[0]), _fmt(st[ieta])]
-               for oid, (label, traj) in enumerate(zip(labels, trajectories))
-               for t, st in zip(traj.times[stored], traj.states[stored])))
+        portrait = [(oid, label, t, st[0], st[ieta])
+                    for oid, (label, traj) in enumerate(zip(labels, trajectories))
+                    for t, st in zip(traj.times[stored], traj.states[stored])]
+        _save(args, "portrait.csv", _write_table, ["orbit", "label", "t", "r1", "eta2"],
+              *zip(*portrait))
 
     drift = main_traj.energy_drift()
     man.statistics = {
@@ -542,7 +531,7 @@ def cmd_estimate(args) -> int:
         payload["comparison"] = comp.as_dict()
         man.add_timing("comparison", time.perf_counter() - t0)
 
-    _save(args, "scar_estimates.json", _write_json, payload)
+    _save(args, "scar_estimates.json", write_json, payload)
     points = payload["critical_points"]
     man.statistics = {
         "n_critical_points": len(points),

@@ -70,16 +70,15 @@ DOMAINS = {
     "positive and finite": lambda x: 0 < x < math.inf,
     "positive and finite, with (2π/L)², π/L² and 2π²/L³ finite and nonzero":
         _box_coefficients_finite,
-    "nonnegative": lambda x: x >= 0,
     "nonnegative and finite": lambda x: 0 <= x < math.inf,
     "finite": lambda x: -math.inf < x < math.inf,
-    "at least 1": lambda x: x >= 1,
-    "at least 2": lambda x: x >= 2,
-    "an integer": lambda x: x // 1 == x,
-    # an int or numpy integer, not an integral float, which np.arange and
-    # math.isqrt would take as a float
+    # an int or numpy integer, not an integral float, which np.arange,
+    # math.isqrt and ARPACK would take as a float
+    "an integer": lambda x: hasattr(x, "__index__"),
     "a nonnegative integer": lambda x: hasattr(x, "__index__") and x >= 0,
-    "three integers": lambda v: len(v) == 3 and all(x // 1 == x for x in v),
+    "an integer, at least 1": lambda x: hasattr(x, "__index__") and x >= 1,
+    "an integer, at least 2": lambda x: hasattr(x, "__index__") and x >= 2,
+    "three integers": lambda v: len(v) == 3 and all(hasattr(x, "__index__") for x in v),
     "finite numbers": lambda v: v is None or all(-math.inf < x < math.inf for x in v),
     "true or false": lambda x: isinstance(x, bool),
     "text": lambda x: isinstance(x, str),
@@ -102,27 +101,29 @@ _MODEL_DOMAINS = {
     "cutoff_sq": "a nonnegative integer", "scaling": "raw or multiplied-by-L",
     "light_cutoff_mode": "derived or product-filter"}
 
-_SOLVER = {"method": ("auto", "auto, dense or iterative"), "k": (8, "at least 1"),
-           "tol": (1e-10, "positive"), "seed": (0, "nonnegative")}
+_AT_LEAST_1, _AT_LEAST_2 = "an integer, at least 1", "an integer, at least 2"
+
+_SOLVER = {"method": ("auto", "auto, dense or iterative"), "k": (8, _AT_LEAST_1),
+           "tol": (1e-10, "positive"), "seed": (0, "a nonnegative integer")}
 
 #: each section's keys as (default, domain); a value is parsed by its
 #: default's type (see _parser) and refused outside its domain (see check)
 SETTINGS: dict[str, dict[str, tuple]] = {
     "model": {f.name: (f.default, _MODEL_DOMAINS[f.name]) for f in fields(ModelParams)},
-    "solve1d": {"total_momentum": (0, "an integer"), "scar_levels": (3, "at least 1"),
+    "solve1d": {"total_momentum": (0, "an integer"), "scar_levels": (3, _AT_LEAST_1),
                 "gap_threshold": (2.0, "nonnegative and finite"), **_SOLVER,
                 "dump_matrix": (False, "true or false")},
     "solve3d": {"total_momentum": ([0, 0, 0], "three integers"), **_SOLVER},
-    "analyze": {"select": ("band:1:top", "text"), "n_r": (128, "at least 1"),
-                "n_eta": (128, "at least 1"), "strip_fraction": (0.0625, "in (0, 0.5]"),
-                "times_max": (0.0, "nonnegative and finite"), "n_times": (512, "at least 1"),
-                "broadening": (0.0, "nonnegative and finite"), "n_radial": (48, "at least 2")},
+    "analyze": {"select": ("band:1:top", "text"), "n_r": (128, _AT_LEAST_1),
+                "n_eta": (128, _AT_LEAST_1), "strip_fraction": (0.0625, "in (0, 0.5]"),
+                "times_max": (0.0, "nonnegative and finite"), "n_times": (512, _AT_LEAST_1),
+                "broadening": (0.0, "nonnegative and finite"), "n_radial": (48, _AT_LEAST_2)},
     "orbit": {"dimension": (1, "1 or 3"), "initial": (None, "finite numbers"),
-              "dt": (0.0, "nonnegative and finite"), "steps": (10000, "at least 1"),
-              "wrap": (True, "true or false"), "store_every": (1, "at least 1"),
+              "dt": (0.0, "nonnegative and finite"), "steps": (10000, _AT_LEAST_1),
+              "wrap": (True, "true or false"), "store_every": (1, _AT_LEAST_1),
               "singularity_tol": (0.0, "nonnegative and finite"), "spread": (0.15, "finite"),
-              "ensemble": ("none", "none or straddle"), "n_orbits": (8, "at least 1")},
-    "estimate": {"n_levels": (3, "at least 1"),
+              "ensemble": ("none", "none or straddle"), "n_orbits": (8, _AT_LEAST_1)},
+    "estimate": {"n_levels": (3, _AT_LEAST_1),
                  "convention": ("both", "sigma, rate or both")},
 }
 

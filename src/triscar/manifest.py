@@ -20,6 +20,13 @@ def peak_rss_mb() -> float | None:
     return peak / 2 ** 20 if sys.platform == "darwin" else peak / 1024
 
 
+def write_json(path: str, payload: dict) -> None:
+    """payload as JSON, as every artifact has it: indented, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -58,9 +65,7 @@ class RunManifest:
             "exit_code": self.exit_code,
             "message": self.message,
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
         return path
 
 

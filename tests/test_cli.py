@@ -350,7 +350,7 @@ def test_solves_refuse_an_empty_sector(tmp_path, capsys, command, config, key):
 @pytest.mark.parametrize("setting, reason", [
     ("tol = 0", "tol: 0.0 (must be positive)"),
     ("tol = nan", "tol: nan (must be positive)"),
-    ("k = 0", "k: 0 (must be at least 1)")])
+    ("k = 0", "k: 0 (must be an integer, at least 1)")])
 def test_solves_refuse_bad_iterative_settings(tmp_path, capsys, monkeypatch,
                                               command, method, setting, reason):
     """A tol that is not positive or a k below 1 exits 2 naming the section,
@@ -538,22 +538,49 @@ def test_analyze_1d_manifest_records_timings(solve1d_run, tmp_path, weights):
     assert all(t > 0.0 for t in man["timings"].values())
 
 
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _write_csv(path, header, rows):
+    """The oracle of cli._write_table: rows of cells already formatted, each
+    quoted when it holds a comma, a quote or a newline, its quotes doubled."""
+    def quote(field):
+        if "," in field or '"' in field or "\n" in field:
+            return '"' + field.replace('"', '""') + '"'
+        return field
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(quote(f) for f in row) + "\n")
+
+
 def test_write_table_matches_write_csv(tmp_path):
-    """_write_table writes the bytes _write_csv writes from _fmt cells, and
-    an integer-valued column's cells as str(int)."""
-    header = [cli._fmt(v) for v in (-0.0, 0.1, 1e300)] + ["n"]
+    """_write_table writes the bytes the oracle writes from _fmt cells, an
+    integer-valued column's cells as str(int), and text cells quoted only
+    when they hold a comma, a quote or a newline."""
+    header = [_fmt(v) for v in (-0.0, 0.1, 1e300)] + ["n", "sector", "note"]
     values = np.array([[-0.0, 5e-324, 1e300],
                        [np.inf, -np.inf, np.nan],
                        [1.0 / 3.0, -2.5e-308, 123456789.0]])
     ints = np.array([0, -7, 2 ** 53 - 1])
+    sectors = ["P=(0,0,0)", "P=0", "P=(1,0,0)"]
+    notes = ['say "hi"', "two\nlines", "a,b"]
     table, rows = tmp_path / "table.csv", tmp_path / "rows.csv"
-    cli._write_table(str(table), header, values, ints)
-    cli._write_csv(str(rows), header,
-                   ([cli._fmt(v) for v in row] + [str(int(n))]
-                    for row, n in zip(values, ints)))
-    assert table.read_bytes() == rows.read_bytes()
-    assert b"\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0\n" in table.read_bytes()
-    assert table.read_bytes().endswith(b",9007199254740991\n")
+    cli._write_table(str(table), header, values, ints, sectors, notes)
+    _write_csv(str(rows), header,
+               ([_fmt(v) for v in row] + [str(int(n)), sector, note]
+                for row, n, sector, note in zip(values, ints, sectors, notes)))
+    data = table.read_bytes()
+    assert data == rows.read_bytes()
+    assert b"\n-0,4.9406564584124654e-324,1.0000000000000001e+300,0,"\
+           b'"P=(0,0,0)","say ""hi"""\n' in data
+    assert b',-7,P=0,"two\nlines"\n' in data
+    assert data.endswith(b',9007199254740991,"P=(1,0,0)","a,b"\n')
+    with open(table, newline="") as fh:
+        read = list(csv.reader(fh))
+    assert [r[-2:] for r in read[1:]] == [list(pair) for pair in zip(sectors, notes)]
 
 
 def test_analyze_refuses_components_key(tmp_path, capsys):
@@ -1198,11 +1225,11 @@ def test_analyze_refuses_flags_of_the_other_dimension(request, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("kind, setting, reason", [
-    ("1d", "n_r = 0", "n_r: 0 (must be at least 1)"),
-    ("1d", "n_eta = 0", "n_eta: 0 (must be at least 1)"),
-    ("3d", "n_r = 0", "n_r: 0 (must be at least 1)"),
-    ("3d", "n_eta = 0", "n_eta: 0 (must be at least 1)"),
-    ("3d", "n_radial = 1", "n_radial: 1 (must be at least 2)"),
+    ("1d", "n_r = 0", "n_r: 0 (must be an integer, at least 1)"),
+    ("1d", "n_eta = 0", "n_eta: 0 (must be an integer, at least 1)"),
+    ("3d", "n_r = 0", "n_r: 0 (must be an integer, at least 1)"),
+    ("3d", "n_eta = 0", "n_eta: 0 (must be an integer, at least 1)"),
+    ("3d", "n_radial = 1", "n_radial: 1 (must be an integer, at least 2)"),
     ("1d", "n_r = 7", "n_r: 7 (must be even for a 1D run)"),
     ("1d", "strip_fraction = 0.9", "strip_fraction: 0.9 (must be in (0, 0.5])"),
     ("1d", "strip_fraction = nan", "strip_fraction: nan (must be in (0, 0.5])")])
@@ -1262,6 +1289,54 @@ def test_runs_time_write_and_list_every_file(request, tmp_path, command):
     assert man["timings"]["write"] > 0.0
     assert man["artifacts"] == sorted(p.name for p in out.iterdir()
                                       if p.name != "manifest.json")
+
+
+#: the CSV columns that hold text; every other cell is a number
+TEXT_COLUMNS = {"sector", "parity", "kind", "detail", "label"}
+
+
+def test_every_csv_artifact_reads_back_at_its_header_width(tmp_path):
+    """Every CSV a manifest lists, from each command that writes one, reads
+    back with csv.reader as rows as wide as the header, each cell a number
+    except under the text columns."""
+    def run(name, *argv, config=""):
+        out = str(tmp_path / name)
+        assert main([*argv, "--config", write_config(tmp_path, config, f"{name}.ini"),
+                     "--out", out]) == 0
+        return out
+
+    weights = tmp_path / "w.csv"
+    weights.write_text("index,coefficient\n0,0.8\n2,0.6\n")
+    solve1d = run("solve1d", "solve1d",
+                  config="[model]\nheavy_cutoff = 3\n[solve1d]\ndump_matrix = true\n")
+    solve3d = run("solve3d", "solve3d", config="[model]\ncutoff_sq = 2\n")
+    outs = [solve1d, solve3d,
+            run("analyze1d", "analyze", "--from", solve1d, "--select", "ground",
+                "--weights", str(weights)),
+            run("analyze3d", "analyze", "--from", solve3d),
+            run("events", "orbit", config="[orbit]\ninitial = 4000, 30, 100, 0\n"
+                                          "steps = 400\n"),
+            run("portrait", "orbit", config="[orbit]\nensemble = straddle\n"
+                                            "n_orbits = 4\nsteps = 400\n")]
+    seen = set()
+    for out in outs:
+        for name in read_manifest(out)["artifacts"]:
+            if not name.endswith(".csv"):
+                continue
+            seen.add(name)
+            with open(os.path.join(out, name), newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows, name
+            for row in rows:
+                assert len(row) == len(header), (name, row)
+                for column, cell in zip(header, row):
+                    if column not in TEXT_COLUMNS:
+                        float(cell)
+    assert {"spectrum.csv", "hamiltonian_nonzeros.csv", "overlaps.csv",
+            "autocorr.csv", "spectral_density.csv", "grid_state0000.csv",
+            "trajectory.csv", "events.csv", "portrait.csv"} <= seen
+    assert any(name.startswith("radial_") for name in seen)
+    assert any(name.startswith("projection_") for name in seen)
 
 
 @pytest.mark.parametrize("command", ["orbit", "estimate"])

@@ -109,11 +109,21 @@ def test_check_refuses_a_keyword_out_of_its_domain(name, key, value):
     (lambda p: ts.ModelParams(heavy_cutoff=math.inf), "[model] heavy_cutoff"),
     (lambda p: ts.ModelParams(cutoff_sq=2.5), "[model] cutoff_sq"),
     (lambda p: ts.ModelParams(cutoff_sq=2.0), "[model] cutoff_sq"),
-    (lambda p: ts.ModelParams(scaling="scaled"), "[model] scaling")],
+    (lambda p: ts.ModelParams(scaling="scaled"), "[model] scaling"),
+    (lambda p: ts.solve_sector(ts.ModelParams(heavy_cutoff=8), 0, method="iterative",
+                               k=2.5), "[solve1d] k"),
+    (lambda p: ts.run_orbits(p, steps=20.5), "[orbit] steps"),
+    (lambda p: ts.solve_sector(ts.ModelParams(heavy_cutoff=4), 1.0),
+     "[solve1d] total_momentum"),
+    (lambda p: ts.solve_sector(ts.ModelParams(cutoff_sq=1), [0, 0, 1.0]),
+     "[solve3d] total_momentum"),
+    (lambda p: ts.solve_sector(ts.ModelParams(heavy_cutoff=8), 0, method="iterative",
+                               seed=0.5), "[solve1d] seed")],
     ids=["solve1d-seed", "solve3d-momentum", "orbit-dt", "orbit-spread",
          "estimate-convention", "analyze1d-n_times", "analyze1d-odd-n_r",
          "analyze3d-n_radial", "model-heavy_cutoff-inf", "model-cutoff_sq-2.5",
-         "model-cutoff_sq-2.0", "model-scaling"])
+         "model-cutoff_sq-2.0", "model-scaling", "solve1d-k-2.5", "orbit-steps-20.5",
+         "solve1d-momentum-1.0", "solve3d-momentum-1.0", "solve1d-seed-0.5"])
 def test_library_entry_points_check_their_keywords(params, call, key):
     """The entry points refuse a keyword out of its domain before they
     read the model or the archive, naming the [section] key, and
