@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 #: every name the package exports, by the module that defines it
 _EXPORTS = {
     "params": ("LightCutoffMode", "ModelParams", "Scaling"),
-    "basis": ("Sector1D", "Sector3D", "SymmetryBlock", "basis_size_3d",
-              "enumerate_basis_1d", "enumerate_vectors", "point_group",
-              "sector_3d", "symmetrize_sector", "symmetry_blocks"),
+    "basis": ("Sector", "SymmetryBlock", "basis_size_3d", "enumerate_basis_1d",
+              "enumerate_vectors", "point_group", "sector_3d",
+              "symmetrize_sector", "symmetry_blocks"),
     "hamiltonian1d": ("HamiltonianOperator1D", "MatrixElementRule1D"),
     "hamiltonian3d": ("RHO", "HamiltonianOperator3D", "MatrixElementRule3D",
                       "SymmetrizedOperator3D", "dense_from_elements", "f2",

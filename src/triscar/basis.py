@@ -4,6 +4,8 @@ Single-particle states are box-normalized plane waves L^{-1/2} exp(i 2 pi n x / 
 labeled by integer momenta.  Three-body product states |n1 n2 p> carry the two
 heavy momenta and the light momentum; total momentum n1 + n2 + p is conserved,
 so the Hamiltonian is block diagonal over sectors of fixed total momentum.
+One `Sector` type holds a sector of either model, 1D (integer momenta) or
+3D (integer 3-vectors), with one label row per state.
 """
 
 from __future__ import annotations
@@ -23,8 +25,47 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
-class _PairLabels:
-    """Rows labelled by the heavy momenta (n1, n2); shared by 1D and 3D sectors."""
+def _axes(labels: np.ndarray) -> np.ndarray:
+    """(N,) or (N, C) labels as rows of components: shape (1, N) or (C, N)."""
+    return np.atleast_2d(np.asarray(labels, dtype=np.int64).T)
+
+
+def _components(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Labels as rows of components, n1 then n2: shape (2, N) in 1D, (6, N) in 3D."""
+    return np.vstack([n1.T, n2.T], dtype=np.int64)
+
+
+def _mixed_radix(comps: np.ndarray):
+    """(keys, lo, span, strides): keys = strides @ (comps - lo), one per
+    column of comps (int64, a row per component), in radix [lo, lo + span)
+    per component, so they ascend in the columns' lexicographic order.  The
+    initial values only widen the ranges, except that empty input gets span 0.
+    """
+    lo = comps.min(axis=1, keepdims=True, initial=0)
+    span = comps.max(axis=1, keepdims=True, initial=-1) - lo + 1
+    strides = np.cumprod(np.append(1, span[:0:-1]))[::-1]
+    return strides @ (comps - lo), lo, span, strides
+
+
+@dataclass
+class Sector:
+    """All states of one total momentum, ordered lexicographically by (n1, n2).
+
+    In 1D total_momentum is an int and the labels n1, n2, p are (N,) int
+    arrays; in 3D it is three ints and they are (N, 3).  `key` reads
+    "P=0" in 1D and "P=(0,0,0)" in 3D.
+    """
+
+    total_momentum: int | tuple[int, int, int]
+    n1: np.ndarray
+    n2: np.ndarray
+    p: np.ndarray
+
+    @property
+    def key(self) -> str:
+        if np.ndim(self.total_momentum):
+            return "P=({},{},{})".format(*self.total_momentum)
+        return f"P={self.total_momentum}"
 
     @property
     def dim(self) -> int:
@@ -53,56 +94,6 @@ class _PairLabels:
         keys, lo, span, strides = _mixed_radix(_components(self.n1, self.n2))
         order = np.argsort(keys, kind="stable")
         return lo, span.astype(np.uint64), strides, keys[order], order
-
-
-def _axes(labels: np.ndarray) -> np.ndarray:
-    """(N,) or (N, C) labels as rows of components: shape (1, N) or (C, N)."""
-    return np.atleast_2d(np.asarray(labels, dtype=np.int64).T)
-
-
-def _components(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Labels as rows of components, n1 then n2: shape (2, N) in 1D, (6, N) in 3D."""
-    return np.vstack([n1.T, n2.T], dtype=np.int64)
-
-
-def _mixed_radix(comps: np.ndarray):
-    """(keys, lo, span, strides): keys = strides @ (comps - lo), one per
-    column of comps (int64, a row per component), in radix [lo, lo + span)
-    per component, so they ascend in the columns' lexicographic order.  The
-    initial values only widen the ranges, except that empty input gets span 0.
-    """
-    lo = comps.min(axis=1, keepdims=True, initial=0)
-    span = comps.max(axis=1, keepdims=True, initial=-1) - lo + 1
-    strides = np.cumprod(np.append(1, span[:0:-1]))[::-1]
-    return strides @ (comps - lo), lo, span, strides
-
-
-@dataclass
-class Sector1D(_PairLabels):
-    """All 1D states of fixed total momentum, ordered lexicographically by (n1, n2)."""
-
-    total_momentum: int
-    n1: np.ndarray
-    n2: np.ndarray
-    p: np.ndarray
-
-    @property
-    def key(self) -> str:
-        return f"P={self.total_momentum}"
-
-
-@dataclass
-class Sector3D(_PairLabels):
-    """All 3D states of fixed total momentum vector, ordered lexicographically by (n1, n2)."""
-
-    total_momentum: tuple[int, int, int]
-    n1: np.ndarray   # (N, 3) int
-    n2: np.ndarray
-    p: np.ndarray
-
-    @property
-    def key(self) -> str:
-        return "P=({},{},{})".format(*self.total_momentum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +194,7 @@ def point_group(sector) -> list[LabelMap]:
     return [EXCHANGE] + [_axis_flip(axis) for axis in range(3) if total[axis] == 0]
 
 
-def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector1D:
+def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector:
     """Enumerate the 1D sector of fixed total momentum.
 
     Heavy momenta run over [-heavy_cutoff, heavy_cutoff]^2; the light momentum
@@ -221,8 +212,8 @@ def enumerate_basis_1d(params, total_momentum: int = 0) -> Sector1D:
     if params.light_cutoff_mode is LightCutoffMode.PRODUCT_FILTER:
         keep = np.abs(p) <= c
         n1, n2, p = n1[keep], n2[keep], p[keep]
-    return Sector1D(total_momentum, n1.astype(np.int64), n2.astype(np.int64),
-                    p.astype(np.int64))
+    return Sector(total_momentum, n1.astype(np.int64), n2.astype(np.int64),
+                  p.astype(np.int64))
 
 
 def enumerate_vectors(cutoff_sq: int) -> np.ndarray:
@@ -239,7 +230,7 @@ def basis_size_3d(cutoff_sq: int) -> tuple[int, int]:
 
 
 def sector_3d(params, total_momentum=(0, 0, 0),
-              cutoff_sq: int | None = None) -> Sector3D:
+              cutoff_sq: int | None = None) -> Sector:
     """Enumerate a single 3D momentum sector without building the full basis.
 
     For fixed (n1, n2) the light momentum is p = P - n1 - n2; the state is
@@ -248,7 +239,7 @@ def sector_3d(params, total_momentum=(0, 0, 0),
     if cutoff_sq is None:
         cutoff_sq = params.cutoff_sq
     vecs = enumerate_vectors(cutoff_sq)
-    total = np.asarray(total_momentum, dtype=np.int64)
+    total = tuple(int(v) for v in total_momentum)
     rows_n1, rows_n2, rows_p = [], [], []
     for i in range(len(vecs)):
         pc = total - vecs[i] - vecs          # candidate light momenta vs all n2
@@ -259,10 +250,9 @@ def sector_3d(params, total_momentum=(0, 0, 0),
             rows_p.append(pc[keep])
     if not rows_n1:
         empty = np.zeros((0, 3), dtype=np.int64)
-        return Sector3D(tuple(int(v) for v in total), empty, empty.copy(), empty.copy())
-    return Sector3D(tuple(int(v) for v in total),
-                    np.concatenate(rows_n1), np.concatenate(rows_n2),
-                    np.concatenate(rows_p))
+        return Sector(total, empty, empty.copy(), empty.copy())
+    return Sector(total, np.concatenate(rows_n1), np.concatenate(rows_n2),
+                  np.concatenate(rows_p))
 
 
 def symmetrize_sector(sector) -> tuple[SymmetryBlock, SymmetryBlock]:
@@ -405,7 +395,7 @@ class SectorOperator:
     `dense()`, which places them with numpy, and `.matrix`, the scipy CSR.
     """
 
-    sector: Sector1D | Sector3D
+    sector: Sector
     coupling: np.ndarray
 
     @property

@@ -152,13 +152,12 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
     if n_pairs == 0:
         return evals, vecs
 
-    # cluster boundaries on consecutive spacings
+    # cluster boundaries on consecutive spacings; a nan spacing is one
+    near = np.diff(evals) <= _DEGEN_TOL * np.maximum(
+        1.0, np.maximum(np.abs(evals[1:]), np.abs(evals[:-1])))
+    bounds = np.append(np.flatnonzero(~near) + 1, n_pairs)
     start = 0
-    for stop in range(1, n_pairs + 1):
-        at_end = stop == n_pairs
-        if not at_end and evals[stop] - evals[stop - 1] <= _DEGEN_TOL * max(
-                1.0, abs(evals[stop]), abs(evals[stop - 1])):
-            continue
+    for stop in bounds.tolist():
         if stop - start > 1:
             block = vecs[:, start:stop]
             new = np.zeros_like(block)

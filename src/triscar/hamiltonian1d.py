@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Sector1D, SectorOperator
+from .basis import Sector, SectorOperator
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -49,7 +49,7 @@ class HamiltonianOperator1D(SectorOperator):
     seven entries per row.
     """
 
-    def __init__(self, sector: Sector1D, rule: MatrixElementRule1D):
+    def __init__(self, sector: Sector, rule: MatrixElementRule1D):
         self.sector = sector
         self.rule = rule
         self.coupling = np.array([0.5, 0.25]) * rule.coupling_coeff

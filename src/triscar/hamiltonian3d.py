@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import (Sector3D, SectorOperator, SymmetryBlock, csr_from_triplets,
+from .basis import (Sector, SectorOperator, SymmetryBlock, csr_from_triplets,
                     enumerate_vectors)
 from .params import ModelParams
 
@@ -28,17 +28,15 @@ RHO = 2.0 * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
 
 
 def f2(alpha_norm):
-    """Radial Fourier weight of the periodized Coulomb kernel; f2(0) = 0."""
+    """Radial Fourier weight of the periodized Coulomb kernel; f2(0) = 0.
+
+    Elementwise over an array; a scalar argument gives a numpy scalar.
+    """
     a = np.asarray(alpha_norm, dtype=np.float64)
-    if a.ndim == 0:
-        x = float(a)
-        if x == 0.0:
-            return 0.0
-        return (1.0 - np.cos(np.pi * RHO * x)) / (TWO_PI * x)
     out = np.zeros_like(a)
     nz = a != 0
     out[nz] = (1.0 - np.cos(np.pi * RHO * a[nz])) / (TWO_PI * a[nz])
-    return out
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def matrix_element_3d(bra, ket, rule: MatrixElementRule3D) -> float:
     return val
 
 
-def dense_from_elements(sector: Sector3D, rule: MatrixElementRule3D) -> np.ndarray:
+def dense_from_elements(sector: Sector, rule: MatrixElementRule3D) -> np.ndarray:
     """Elementwise dense build; quadratic cost, intended for small sectors."""
     n = sector.dim
     h = np.zeros((n, n))
@@ -178,13 +176,13 @@ class HamiltonianOperator3D(SectorOperator):
     diagonal is purely kinetic.
     """
 
-    def __init__(self, sector: Sector3D, rule: MatrixElementRule3D,
+    def __init__(self, sector: Sector, rule: MatrixElementRule3D,
                  cutoff_sq: int | None = None):
         self.sector = sector
         self.rule = rule
         self.cutoff_sq = rule.params.cutoff_sq if cutoff_sq is None else cutoff_sq
-        self.coupling = np.array([rule.interaction_coeff * f2(2.0 * np.sqrt(float(qsq)))
-                                  for qsq in range(4 * self.cutoff_sq + 1)])
+        self.coupling = rule.interaction_coeff * f2(
+            2.0 * np.sqrt(np.arange(4 * self.cutoff_sq + 1.0)))
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         if len(vec) != self.dim:

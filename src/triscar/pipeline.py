@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (Sector1D, Sector3D, SectorOperator, SymmetryBlock,
-                    enumerate_basis_1d, sector_3d, symmetry_blocks)
+from .basis import (Sector, SectorOperator, SymmetryBlock, enumerate_basis_1d,
+                    sector_3d, symmetry_blocks)
 from .config import ConfigError, IterationError, ResourceLimitError, check
 from .eigensolve import choose_solver, merge_blocks, read_archive
 from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
@@ -35,7 +35,7 @@ class SectorSolution:
     labels, offsets); `operator` is the plain H; `counts` is the 3D gate's
     (dim, nnz, operator bytes), None in 1D; `timings` are in seconds."""
 
-    sector: Sector1D | Sector3D
+    sector: Sector
     blocks: list[SymmetryBlock]
     operator: SectorOperator
     groups: dict[str, tuple]
@@ -159,11 +159,8 @@ def load_archive(path: str):
     data, params = read_archive(path)
     if "offset" not in data:
         raise ConfigError(f"{path} holds no block offsets; rerun solve1d/solve3d")
-    total = [int(v) for v in data["total_momentum"]]
-    if len(total) == 1:
-        sector = Sector1D(total[0], data["n1"], data["n2"], data["p"])
-    else:
-        sector = Sector3D(tuple(total), data["n1"], data["n2"], data["p"])
+    total = tuple(data["total_momentum"].tolist())    # one int in 1D, three in 3D
+    sector = Sector(total if len(total) > 1 else total[0], data["n1"], data["n2"], data["p"])
     blocks = {block.label: block for block in symmetry_blocks(sector)}
     unknown = set(map(str, data["block"])) - set(blocks)
     if unknown:

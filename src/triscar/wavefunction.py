@@ -6,8 +6,9 @@ heavy center), sampled on rectangular grids over one periodic cell.  The
 same coefficient data feeds the collision-state diagnostics: the heavy
 overlap integral at r = 0, strip concentration ratios, angular-averaged 3D
 radial densities, pair projections, and the autocorrelation / local density
-of states of an initial vector.  analyze_1d and analyze_3d run the
-[analyze] settings on an eigenvector archive.
+of states of an initial vector; the 1D wavefunction and the 3D pair
+projections share one (m = n1 - n2, p) lattice and Fourier synthesis.
+analyze_1d and analyze_3d run the [analyze] settings on an eigenvector archive.
 """
 
 from __future__ import annotations
@@ -67,45 +68,54 @@ def _check_sizes(grid: str, least: int, **sizes) -> None:
             raise ValueError(f"{grid} grid size {name} = {n} is below {least}")
 
 
-def _coefficient_grid(coefficients, sector):
-    """Scatter sector coefficients onto the (m = n1 - n2, p) lattice.
+def _check_coefficients(coefficients, sector) -> None:
+    """Refuse a coefficient vector whose length is not the sector's dim."""
+    if len(coefficients) != sector.dim:
+        raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
+                         f"{sector.dim}")
 
-    The map (n1, n2) -> (m, p) is one-to-one inside a fixed-total-momentum
-    sector, so this is a pure relabeling.
-    """
-    m = sector.n1 - sector.n2
-    p = sector.p
-    m_lo, m_hi = int(m.min()), int(m.max())
-    p_lo, p_hi = int(p.min()), int(p.max())
-    grid = np.zeros((m_hi - m_lo + 1, p_hi - p_lo + 1), dtype=np.complex128)
-    grid[m - m_lo, p - p_lo] = coefficients
-    m_vals = np.arange(m_lo, m_hi + 1)
-    p_vals = np.arange(p_lo, p_hi + 1)
-    return grid, m_vals, p_vals
+
+def _lattice(weights, m: np.ndarray, p: np.ndarray):
+    """(grid, m axis, p axis): weights[j] summed at (m[j], p[j]) over the
+    range the labels occupy; a cell one weight alone reaches holds it exactly."""
+    w = np.asarray(weights, dtype=np.complex128)
+    m_lo, p_lo = m.min(), p.min()
+    shape = (m.max() - m_lo + 1, p.max() - p_lo + 1)
+    key = (m - m_lo) * shape[1] + (p - p_lo)
+    nbins = shape[0] * shape[1]
+    grid = (np.bincount(key, w.real, minlength=nbins)
+            + 1j * np.bincount(key, w.imag, minlength=nbins))
+    return (grid.reshape(shape), np.arange(m_lo, m_lo + shape[0]),
+            np.arange(p_lo, p_lo + shape[1]))
+
+
+def _synthesis(grid, m_axis, p_axis, L: float, n_r: int, n_eta: int):
+    """(r_axis, eta_axis, sum_mp grid[m, p] exp(i pi m r / L) exp(i 2 pi p eta / L))
+    on endpoint-free grids over [-L/2, L/2); an even n_r has a node at r = 0."""
+    r_axis = -L / 2 + (L / n_r) * np.arange(n_r)
+    eta_axis = -L / 2 + (L / n_eta) * np.arange(n_eta)
+    er = np.exp(1j * np.pi * np.outer(r_axis, m_axis) / L)
+    ep = np.exp(1j * TWO_PI * np.outer(p_axis, eta_axis) / L)
+    return r_axis, eta_axis, er @ grid @ ep
 
 
 def position_wavefunction_1d(coefficients, sector, params, n_r: int = 128,
                              n_eta: int = 128) -> WavefunctionGrid:
     """Evaluate Psi(r, eta) = (1/L) sum c exp(i pi m r / L) exp(i 2 pi p eta / L).
 
-    The square [-L/2, L/2)^2 is a valid fundamental domain of the relative-
-    coordinate cell.  Grids are endpoint-free so even n_r places a node
-    exactly at r = 0.
+    (n1, n2) -> (m = n1 - n2, p) is one-to-one inside a sector, so each
+    lattice cell holds one coefficient.  The endpoint-free square
+    [-L/2, L/2)^2 is a fundamental domain of the relative-coordinate cell;
+    an even n_r places a node exactly at r = 0.
     """
     _check_sizes("wavefunction", 1, n_r=n_r, n_eta=n_eta)
     if tuple(np.atleast_1d(sector.total_momentum)) != (0,):
         raise ValueError("position reconstruction requires the P = 0 sector")
-    if len(coefficients) != sector.dim:
-        raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
-                         f"{sector.dim}")
+    _check_coefficients(coefficients, sector)
     L = params.box_length
-    grid, m_vals, p_vals = _coefficient_grid(np.asarray(coefficients), sector)
-    r_axis = -L / 2 + (L / n_r) * np.arange(n_r)
-    eta_axis = -L / 2 + (L / n_eta) * np.arange(n_eta)
-    er = np.exp(1j * np.pi * np.outer(r_axis, m_vals) / L)
-    ep = np.exp(1j * TWO_PI * np.outer(p_vals, eta_axis) / L)
-    values = (er @ grid @ ep) / L
-    return WavefunctionGrid(r_axis, eta_axis, values, L, "wavefunction",
+    r_axis, eta_axis, values = _synthesis(
+        *_lattice(coefficients, sector.n1 - sector.n2, sector.p), L, n_r, n_eta)
+    return WavefunctionGrid(r_axis, eta_axis, values / L, L, "wavefunction",
                             meta={"n_r": n_r, "n_eta": n_eta})
 
 
@@ -306,9 +316,7 @@ def integrated_probability_3d(coefficients, sector, params, n_r: int = 48,
     Each axis needs at least 2 points, its two ends.
     """
     _check_sizes("radial density", 2, n_r=n_r, n_eta=n_eta)
-    if len(coefficients) != sector.dim:
-        raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
-                         f"{sector.dim}")
+    _check_coefficients(coefficients, sector)
     from .hamiltonian3d import RHO
 
     L = params.box_length
@@ -345,16 +353,7 @@ def _pair_projection_grid(coefficients, sector, component_r: int,
     a, b = _pairs_within_groups(others)
     diag = np.arange(len(c))
     a, b = np.concatenate([diag, a]), np.concatenate([diag, b])
-    wab = c[a] * c.conj()[b]
-    dm, dp = mi[a] - mi[b], pj[a] - pj[b]
-    m_lo, p_lo = dm.min(), dp.min()
-    shape = (dm.max() - m_lo + 1, dp.max() - p_lo + 1)
-    key = (dm - m_lo) * shape[1] + (dp - p_lo)
-    nbins = shape[0] * shape[1]
-    grid = (np.bincount(key, wab.real, minlength=nbins)
-            + 1j * np.bincount(key, wab.imag, minlength=nbins))
-    return (grid.reshape(shape), np.arange(m_lo, m_lo + shape[0]),
-            np.arange(p_lo, p_lo + shape[1]))
+    return _lattice(c[a] * c.conj()[b], mi[a] - mi[b], pj[a] - pj[b])
 
 
 def pair_projection_3d(coefficients, sector, params, component_r: int,
@@ -370,19 +369,11 @@ def pair_projection_3d(coefficients, sector, params, component_r: int,
     if component_r not in (0, 1, 2) or component_eta not in (0, 1, 2):
         raise ValueError(f"component indices must be 0, 1 or 2, got "
                          f"({component_r}, {component_eta})")
-    if len(coefficients) != sector.dim:
-        raise ValueError(f"coefficient length {len(coefficients)} != sector dim "
-                         f"{sector.dim}")
+    _check_coefficients(coefficients, sector)
     L = params.box_length
-    grid, m_vals, p_vals = _pair_projection_grid(coefficients, sector,
-                                                 component_r, component_eta)
-
-    u_axis = -L / 2 + (L / n_r) * np.arange(n_r)
-    v_axis = -L / 2 + (L / n_eta) * np.arange(n_eta)
-    eu = np.exp(1j * np.pi * np.outer(u_axis, m_vals) / L)
-    ev = np.exp(1j * TWO_PI * np.outer(p_vals, v_axis) / L)
-    values = np.real(eu @ grid @ ev) / L ** 2
-    return WavefunctionGrid(u_axis, v_axis, values, L, "pair-density",
+    grid = _pair_projection_grid(coefficients, sector, component_r, component_eta)
+    u_axis, v_axis, values = _synthesis(*grid, L, n_r, n_eta)
+    return WavefunctionGrid(u_axis, v_axis, np.real(values) / L ** 2, L, "pair-density",
                             meta={"component_r": component_r,
                                   "component_eta": component_eta,
                                   "like": component_r == component_eta})

@@ -61,7 +61,7 @@ def product_sectors():
     """The oracle of sector_3d: product_sectors(cutoff_sq) runs over all
     nvec^3 product states of vectors within the cutoff, one at a time, and
     partitions them into momentum sectors.  Returns {total momentum:
-    Sector3D}, ascending."""
+    Sector}, ascending."""
 
     def enumerate_sectors(cutoff_sq):
         vecs = ts.enumerate_vectors(cutoff_sq)
@@ -72,8 +72,8 @@ def product_sectors():
         out = {}
         for total, rows in sorted(sectors.items()):
             rows = np.array(rows, dtype=np.int64)
-            out[total] = ts.Sector3D(total, vecs[rows[:, 0]], vecs[rows[:, 1]],
-                                     vecs[rows[:, 2]])
+            out[total] = ts.Sector(total, vecs[rows[:, 0]], vecs[rows[:, 1]],
+                                   vecs[rows[:, 2]])
         return out
 
     return enumerate_sectors

@@ -151,6 +151,19 @@ def test_sector_3d_matches_full_enumeration(sector3d_c2, product_sectors):
     assert np.array_equal(full.p, sector3d_c2.p)
 
 
+@pytest.mark.parametrize("total, key", [
+    (0, "P=0"), (-2, "P=-2"), ((0, 0, 0), "P=(0,0,0)"), ((1, -1, 0), "P=(1,-1,0)")],
+    ids=["1d-P0", "1d-Pm2", "3d-P000", "3d-P1m10"])
+def test_sector_key_names_its_total_momentum(params, total, key):
+    """One Sector type holds either model; its key reads the momentum as
+    an int in 1D and as a vector in 3D."""
+    sec = (ts.sector_3d(params, total, cutoff_sq=2) if np.ndim(total)
+           else ts.enumerate_basis_1d(params, total))
+    assert type(sec) is ts.Sector
+    assert sec.total_momentum == total
+    assert sec.key == key
+
+
 # ---------------------------------------------------------------------------
 # symmetrization
 

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from triscar.basis import Sector1D, SectorOperator
+from triscar.basis import Sector, SectorOperator
 from triscar import cli, eigensolve, pipeline
 from triscar.cli import main
 from triscar.config import DEFAULTS, ConfigError, load_config, model_params
@@ -180,7 +180,7 @@ def _embedded(run, indices=None):
     with np.load(os.path.join(run, "eigenvectors.npz")) as npz:
         evals, flat = npz["eigenvalues"], npz["eigenvectors"]
         labels, offsets = npz["block"], npz["offset"]
-        sector = Sector1D(int(npz["total_momentum"][0]), npz["n1"], npz["n2"], npz["p"])
+        sector = Sector(int(npz["total_momentum"][0]), npz["n1"], npz["n2"], npz["p"])
     blocks = dict(ts.symmetry_blocks(sector))
     if indices is None:
         indices = range(len(evals))
@@ -350,7 +350,8 @@ def test_solves_refuse_an_empty_sector(tmp_path, capsys, command, config, key):
 @pytest.mark.parametrize("setting, reason", [
     ("tol = 0", "tol: 0.0 (must be positive)"),
     ("tol = nan", "tol: nan (must be positive)"),
-    ("k = 0", "k: 0 (must be an integer, at least 1)")])
+    ("k = 0", "k: 0 (must be an integer, at least 1)")],
+    ids=["tol-0", "tol-nan", "k-0"])
 def test_solves_refuse_bad_iterative_settings(tmp_path, capsys, monkeypatch,
                                               command, method, setting, reason):
     """A tol that is not positive or a k below 1 exits 2 naming the section,
@@ -1232,7 +1233,9 @@ def test_analyze_refuses_flags_of_the_other_dimension(request, tmp_path, capsys,
     ("3d", "n_radial = 1", "n_radial: 1 (must be an integer, at least 2)"),
     ("1d", "n_r = 7", "n_r: 7 (must be even for a 1D run)"),
     ("1d", "strip_fraction = 0.9", "strip_fraction: 0.9 (must be in (0, 0.5])"),
-    ("1d", "strip_fraction = nan", "strip_fraction: nan (must be in (0, 0.5])")])
+    ("1d", "strip_fraction = nan", "strip_fraction: nan (must be in (0, 0.5])")],
+    ids=["1d-n_r-0", "1d-n_eta-0", "3d-n_r-0", "3d-n_eta-0", "3d-n_radial-1",
+         "1d-n_r-7", "1d-strip_fraction-0.9", "1d-strip_fraction-nan"])
 def test_analyze_refuses_grid_sizes_it_cannot_fill(request, tmp_path, capsys,
                                                    kind, setting, reason):
     """A grid with no points, a radial axis without both ends, a 1D grid

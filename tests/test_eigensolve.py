@@ -130,6 +130,86 @@ def test_canonicalize_generic_cluster_is_rotation_invariant():
     np.testing.assert_allclose(w2, w1, rtol=0.0, atol=1e-12)
 
 
+def reference_canonicalize(eigenvalues, eigenvectors):
+    """canonicalize with its cluster boundaries found by a loop over the
+    consecutive spacings, one eigenpair at a time: the oracle for the
+    vectorized comparison."""
+    evals = np.asarray(eigenvalues, dtype=np.float64)
+    vecs = np.asarray(eigenvectors, dtype=np.float64)
+    n_pairs = len(evals)
+    start = 0
+    for stop in range(1, n_pairs + 1):
+        at_end = stop == n_pairs
+        if not at_end and evals[stop] - evals[stop - 1] <= eigensolve._DEGEN_TOL * max(
+                1.0, abs(evals[stop]), abs(evals[stop - 1])):
+            continue
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            new = np.zeros_like(block)
+            got = 0
+            weight = np.round(np.einsum("ij,ij->i", block, block), 8)
+            for row in np.argsort(-weight, kind="stable"):
+                cand = block @ block[row, :]
+                for c in range(got):
+                    cand -= (new[:, c] @ cand) * new[:, c]
+                nrm = np.linalg.norm(cand)
+                if nrm > 1e-8:
+                    new[:, got] = cand / nrm
+                    got += 1
+                    if got == stop - start:
+                        break
+            if got == stop - start:
+                vecs[:, start:stop] = new
+        start = stop
+    mag = np.abs(vecs)
+    lead = np.argmax(mag >= (1.0 - eigensolve._SIGN_TIE) * mag.max(axis=0), axis=0)
+    vecs[:, vecs[lead, np.arange(n_pairs)] < 0] *= -1.0
+    return evals, vecs
+
+
+_TOL = 1e-11
+
+
+def _pairs_at_tolerance(ulps: int, starts=(-3.0, 0.0, 5.0)) -> list[float]:
+    """Pairs (e0, e1), e0 in `starts`, whose spacing is the largest within
+    the tolerance 1e-11 * max(1, |E|), stepped `ulps` units in the last
+    place of e1 up or down."""
+    out = []
+    for e0 in starts:
+        e1 = e0 + _TOL * max(1.0, abs(e0))
+        while e1 - e0 <= _TOL * max(1.0, abs(e0), abs(e1)):
+            e1 = np.nextafter(e1, np.inf)
+        e1 = np.nextafter(e1, -np.inf)
+        for _ in range(abs(ulps)):
+            e1 = np.nextafter(e1, np.inf if ulps > 0 else -np.inf)
+        out += [e0, float(e1)]
+    return out
+
+
+#: spectra whose spacings sit at the tolerance, one ulp under and over it,
+#: and across a nan; a cluster merges only where its spacings are within
+#: the tolerance, and a nan spacing ends one
+_SPACED_SPECTRA = {
+    "at": (_pairs_at_tolerance(0, [-3.0]) + [0.0, _TOL, 2 * _TOL]
+           + _pairs_at_tolerance(0, [5.0])),
+    "under": _pairs_at_tolerance(-1),
+    "over": _pairs_at_tolerance(1),
+    "nan": [0.0, 0.5 * _TOL, np.nan, 1.0, 1.0 + 0.5 * _TOL, 1.0 + _TOL],
+}
+
+
+@pytest.mark.parametrize("name", list(_SPACED_SPECTRA))
+def test_canonicalize_clusters_match_the_spacing_loop(name):
+    """The vectorized cluster boundaries give the loop's vectors bit for bit."""
+    assert eigensolve._DEGEN_TOL == _TOL
+    vals = np.array(_SPACED_SPECTRA[name])
+    base, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(len(vals),) * 2))
+    got_vals, got = ts.canonicalize(vals.copy(), base.copy())
+    want_vals, want = reference_canonicalize(vals.copy(), base.copy())
+    np.testing.assert_array_equal(got_vals, want_vals)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_canonicalize_keeps_near_degenerate_pairs_apart():
     """Gaps far above the relative tolerance must not be mixed."""
     vals = np.array([1.0, 1.0 + 1e-6])
@@ -476,6 +556,24 @@ def test_load_archive_round_trips_a_spooled_spectrum(tmp_path):
     assert sector.key == op.sector.key
     np.testing.assert_array_equal(sector.p, op.sector.p)
     assert list(archived) == [block.label for block in blocks]
+
+
+def test_load_archive_round_trips_a_3d_sector(tmp_path):
+    """A 3D solve's archive loads back to a Sector with the solve's key,
+    total momentum and labels, and the blocks it was solved in."""
+    params = ts.ModelParams(cutoff_sq=2)
+    run = ts.solve_sector(params, (1, -1, 0), method="dense")
+    path = str(tmp_path / "eigenvectors_anti.npz")
+    eigensolve.write_archive(path, run.sector, params, run.groups["anti"])
+    data, loaded, sector, archived = ts.load_archive(path)
+    assert loaded == params
+    assert type(sector) is ts.Sector
+    assert sector.total_momentum == (1, -1, 0)
+    assert sector.key == run.sector.key == "P=(1,-1,0)"
+    for name in ("n1", "n2", "p"):
+        np.testing.assert_array_equal(getattr(sector, name), getattr(run.sector, name))
+    assert list(archived) == [block.label for block in run.blocks]
+    np.testing.assert_array_equal(data["block"], run.groups["anti"][1])
 
 
 # ---------------------------------------------------------------------------

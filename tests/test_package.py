@@ -14,7 +14,7 @@ import triscar
 #: every name `triscar` exports, by the module that defines it
 EXPORTS = {
     "params": ["LightCutoffMode", "ModelParams", "Scaling"],
-    "basis": ["ResourceLimitError", "Sector1D", "Sector3D", "SymmetryBlock",
+    "basis": ["ResourceLimitError", "Sector", "SymmetryBlock",
               "basis_size_3d", "enumerate_basis_1d", "enumerate_vectors",
               "point_group", "sector_3d", "symmetrize_sector", "symmetry_blocks"],
     "hamiltonian1d": ["HamiltonianOperator1D", "MatrixElementRule1D"],

@@ -54,6 +54,39 @@ def test_eigenstate_norm_parseval(spectrum729, sector729, params):
     assert grid.norm() == pytest.approx(1.0, rel=1e-10)
 
 
+def reference_wavefunction_1d(coefficients, sector, L, n_r, n_eta):
+    """(r_axis, eta_axis, Psi) with the coefficients scattered onto the
+    (m = n1 - n2, p) lattice, one cell per state, and the Fourier sum taken
+    there: the oracle for the lattice and synthesis the observables share."""
+    m = sector.n1 - sector.n2
+    p = sector.p
+    m_lo, m_hi = int(m.min()), int(m.max())
+    p_lo, p_hi = int(p.min()), int(p.max())
+    grid = np.zeros((m_hi - m_lo + 1, p_hi - p_lo + 1), dtype=np.complex128)
+    grid[m - m_lo, p - p_lo] = coefficients
+    r_axis = -L / 2 + (L / n_r) * np.arange(n_r)
+    eta_axis = -L / 2 + (L / n_eta) * np.arange(n_eta)
+    er = np.exp(1j * np.pi * np.outer(r_axis, np.arange(m_lo, m_hi + 1)) / L)
+    ep = np.exp(1j * wavefunction.TWO_PI
+                * np.outer(np.arange(p_lo, p_hi + 1), eta_axis) / L)
+    return r_axis, eta_axis, (er @ grid @ ep) / L
+
+
+@pytest.mark.parametrize("kind", ["eigenvector", "complex"])
+def test_wavefunction_is_the_scattered_lattice_sum(spectrum729, sector729, params,
+                                                   kind):
+    """Psi equals the scatter-and-sum oracle exactly, for a P = 0
+    eigenvector and for complex coefficients."""
+    c = (spectrum729.eigenvectors[:, 26] if kind == "eigenvector"
+         else _random_unit(sector729.dim, seed=5))
+    grid = ts.position_wavefunction_1d(c, sector729, params, n_r=96, n_eta=40)
+    r_axis, eta_axis, values = reference_wavefunction_1d(
+        c, sector729, params.box_length, 96, 40)
+    assert np.array_equal(grid.r_axis, r_axis)
+    assert np.array_equal(grid.eta_axis, eta_axis)
+    assert np.array_equal(grid.values, values)
+
+
 def test_requires_zero_momentum(params):
     sec = ts.enumerate_basis_1d(ts.ModelParams(heavy_cutoff=1), 2)
     with pytest.raises(ValueError):
