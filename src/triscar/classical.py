@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, check, require
+from .config import ConfigError, ResourceLimitError, check, require
 from .params import ModelParams, Scaling
 
 TWO_PI = 2.0 * np.pi
@@ -81,10 +81,13 @@ def effective_potential_hessian(r, eta, params: ModelParams) -> np.ndarray:
     return np.array([[u_rr, u_re], [u_re, u_ee]])
 
 
-def hamiltonian_cm_1d(state, params: ModelParams) -> float:
-    r, pr, eta, pe = state
+def hamiltonian_cm_1d(state, params: ModelParams):
+    """H of one 1D state (r, p_r, eta, p_eta), a float; of a stack of states
+    along the last axis, an array, each entry bit for bit its state's."""
+    r, pr, eta, pe = np.moveaxis(np.asarray(state, dtype=np.float64), -1, 0)
     kin = 2.0 * pr * pr + (2.0 + params.gamma) / (2.0 * params.gamma) * pe * pe
-    return float(kin + effective_potential(r, eta, params, scaled=False))
+    h = kin + effective_potential(r, eta, params, scaled=False)
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def coulomb_potential_cm(r_vec, eta_vec) -> float:
@@ -146,8 +149,24 @@ class Trajectory:
 
     def energy_drift(self) -> float:
         e0 = self.energies[0]
-        return float(np.max(np.abs(self.energies - e0))
-                     / max(1.0, abs(e0)))
+        return float(np.max(np.abs(self.energies - e0)) / max(1.0, abs(e0)))
+
+
+ENERGY_CHUNK = 65536           # states per hamiltonian_cm_1d call after a 1D orbit
+ORBIT_BUDGET_BYTES = 2 ** 30
+
+
+def orbit_bytes(dimension: int, steps: int, n_trajectories: int) -> int:
+    """What an orbit run keeps, in 8-byte words per step: each trajectory's
+    state, time and energy; the first one's trajectory.csv table (the step as
+    an int and a float, the stacked columns and, in 3D, the least pair
+    distance as a float list and an array); an ensemble's portrait.csv rows
+    as Python tuples (48 words a row, measured); plus 5 * ENERGY_CHUNK words."""
+    width = 4 if dimension == 1 else 12
+    table = width + 5 if dimension == 1 else width + 11
+    portrait = 48 if n_trajectories > 1 else 0
+    return 8 * ((steps + 1) * (n_trajectories * (width + 2 + portrait) + table)
+                + 5 * ENERGY_CHUNK)
 
 
 def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
@@ -160,6 +179,7 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
     distance falls below singularity_tol (None or 0: 1e-6 L), logging the
     event and truncating the trajectory.  The start must be a finite state of
     4 (1D) or 12 (3D) numbers and dt positive; run_orbits checks the rest.
+    The energies are evaluated after the loop, from the stored states.
     """
     state = np.array(initial, dtype=np.float64)
     n = 4 if dimension == 1 else 12
@@ -167,87 +187,60 @@ def integrate_orbit(initial, dt: float, steps: int, params: ModelParams,
             state.tolist(), f"{n} finite numbers for dimension {dimension}")
     require(0 < dt < np.inf, "orbit", "dt", dt, "positive and finite")
     L = params.box_length
-    gamma = params.gamma
     singularity_tol = singularity_tol or 1e-6 * L
+    # (2, d) views into state with rows r and eta, so stored[step] = state
+    pos, mom = state.reshape(2, 2, -1).transpose(1, 0, 2)
 
     if dimension == 1:
-        def force(s):
-            g = effective_potential_grad(s[0], s[2], params)
-            return -g          # (F_r, F_eta)
-
-        def energy(s):
-            return hamiltonian_cm_1d(s, params)
+        def force(q):
+            return -effective_potential_grad(q[0, 0], q[1, 0], params)[:, None]
     else:
-        def force(s):
-            g_r, g_eta = _coulomb_grads(s[0:3], s[6:9])
-            return np.concatenate([-g_r, -g_eta])
+        def force(q):
+            return -np.array(_coulomb_grads(q[0], q[1]))
 
-        def energy(s):
-            return hamiltonian_cm_3d(s, params)
+    def singularity(step: int) -> OrbitEvent | None:
+        """The stop at step when a pair distance is below singularity_tol."""
+        dmin = min(pair_distances_3d(pos[0], pos[1]))
+        if dmin < singularity_tol:
+            return OrbitEvent(step, step * dt, "singularity",
+                              f"pair distance {dmin:.3e} below {singularity_tol:.3e}")
 
-    times = np.empty(steps + 1)
-    stored = np.empty((steps + 1, len(state)))
-    energies = np.empty(steps + 1)
-    events: list[OrbitEvent] = []
-    times[0] = 0.0
+    stored = np.empty((steps + 1, n))
     stored[0] = state
-    energies[0] = energy(state)
-
-    def singular(step: int) -> bool:
-        """Stop at step, logging the event, when a pair distance of the 3D
-        state is below singularity_tol."""
-        nonlocal stop_reason
-        dmin = min(pair_distances_3d(state[0:3], state[6:9]))
-        if dmin >= singularity_tol:
-            return False
-        stop_reason = f"pair distance {dmin:.3e} below {singularity_tol:.3e}"
-        events.append(OrbitEvent(step, step * dt, "singularity", stop_reason))
-        return True
-
-    vel_eta = (2.0 + gamma) / gamma
-    stop_reason = None
+    events: list[OrbitEvent] = []
+    half = 0.5 * dt
+    speed = np.array([[4.0], [(2.0 + params.gamma) / params.gamma]]) * dt
     # positions change only in the drift, which is checked, so the start is
     # the one state checked outside the loop
-    stopped = dimension == 3 and singular(0)
+    stop = singularity(0) if dimension == 3 else None
     n_done = 0
-    for step in range(1, 1 if stopped else steps + 1):
-        f = force(state)
-        if dimension == 1:
-            state[1] += 0.5 * dt * f[0]
-            state[3] += 0.5 * dt * f[1]
-            state[0] += dt * 4.0 * state[1]
-            state[2] += dt * vel_eta * state[3]
-            if wrap:
-                # in-range components stay untouched bit for bit
-                t_now = step * dt
-                if state[0] < -L / 2.0 or state[0] >= L / 2.0:
-                    state[0] = (state[0] + L / 2.0) % L - L / 2.0
-                    events.append(OrbitEvent(step, t_now, "wrap", "r"))
-                if state[2] < -L / 2.0 or state[2] >= L / 2.0:
-                    state[2] = (state[2] + L / 2.0) % L - L / 2.0
-                    events.append(OrbitEvent(step, t_now, "wrap", "eta"))
-            f = force(state)
-            state[1] += 0.5 * dt * f[0]
-            state[3] += 0.5 * dt * f[1]
-        else:
-            state[3:6] += 0.5 * dt * f[0:3]
-            state[9:12] += 0.5 * dt * f[3:6]
-            state[0:3] += dt * 4.0 * state[3:6]
-            state[6:9] += dt * vel_eta * state[9:12]
-            if singular(step):
-                stopped = True
+    for step in range(1, 1 if stop else steps + 1):
+        mom += half * force(pos)
+        pos += speed * mom
+        if dimension == 3:
+            if stop := singularity(step):
                 break
-            f = force(state)
-            state[3:6] += 0.5 * dt * f[0:3]
-            state[9:12] += 0.5 * dt * f[3:6]
-        times[step] = step * dt
+        elif wrap:
+            # in-range components stay untouched bit for bit
+            for i, name in ((0, "r"), (2, "eta")):
+                if state[i] < -L / 2.0 or state[i] >= L / 2.0:
+                    state[i] = (state[i] + L / 2.0) % L - L / 2.0
+                    events.append(OrbitEvent(step, step * dt, "wrap", name))
+        mom += half * force(pos)
         stored[step] = state
-        energies[step] = energy(state)
         n_done = step
 
-    n_keep = n_done + 1
-    return Trajectory(times[:n_keep], stored[:n_keep], energies[:n_keep],
-                      events, stopped, stop_reason)
+    kept = stored[:n_done + 1]
+    if dimension == 1:
+        energies = np.concatenate([hamiltonian_cm_1d(kept[i:i + ENERGY_CHUNK], params)
+                                   for i in range(0, len(kept), ENERGY_CHUNK)])
+    else:  # per state: its BLAS dot products round unlike a vectorized sum
+        energies = np.fromiter((hamiltonian_cm_3d(st, params) for st in kept),
+                               np.float64, len(kept))
+    if stop:
+        events.append(stop)
+    return Trajectory(np.arange(len(kept)) * dt, kept, energies, events,
+                      stop is not None, stop.detail if stop else None)
 
 
 @dataclass
@@ -267,7 +260,8 @@ def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
                n_orbits: int = 8, spread: float = 0.15) -> OrbitRun:
     """The orbits of the [orbit] settings, each by integrate_orbit.  initial
     None is a stable-region state; dt 0 is suggest_timestep's step (1D only).
-    A straddle ensemble starts pair k at +- |initial[0]| (1 + spread k)."""
+    A straddle ensemble starts pair k at +- |initial[0]| (1 + spread k).
+    Over ORBIT_BUDGET_BYTES of orbit_bytes, no orbit runs: ResourceLimitError."""
     check("orbit", dimension=dimension, initial=initial, dt=dt, steps=steps,
           wrap=wrap, singularity_tol=singularity_tol, ensemble=ensemble,
           n_orbits=n_orbits, spread=spread)
@@ -289,6 +283,11 @@ def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
                 "nonzero in its first component for a 3D straddle ensemble")
         starts = [np.r_[sign * abs(base[0]) * (1.0 + spread * k), base[1:]]
                   for k in range(n_orbits // 2) for sign in (1.0, -1.0)]
+    if (need := orbit_bytes(dimension, steps, len(starts))) > ORBIT_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"[orbit] steps = {steps} for {len(starts)} trajector"
+            f"{'y' if len(starts) == 1 else 'ies'} needs {need / 2 ** 20:.0f} MB "
+            f"to store, over the orbit budget of {ORBIT_BUDGET_BYTES / 2 ** 20:.0f} MB")
     trajectories = [integrate_orbit(st, dt, steps, params, dimension=dimension,
                                     wrap=wrap, singularity_tol=singularity_tol)
                     for st in starts]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
+from triscar import classical
 from triscar.classical import MU_R, bar_potential, mu_eta
 
 
@@ -325,6 +326,189 @@ def test_timestep_suggestion(raw_params):
     ana = ts.hessian_analysis(sad, raw_params)
     period = min(ana.stable_periods)
     assert 0.0 < dt < period / 100.0
+
+
+def reference_integrate_orbit(initial, dt, steps, params, dimension=1, wrap=True,
+                              singularity_tol=None):
+    """A per-step oracle of the leapfrog: one update block per dimension over
+    index slices of the state, and each energy taken inside the loop.
+    integrate_orbit must match it bit for bit."""
+    state = np.array(initial, dtype=np.float64)
+    L = params.box_length
+    gamma = params.gamma
+    singularity_tol = singularity_tol or 1e-6 * L
+
+    if dimension == 1:
+        def force(s):
+            return -classical.effective_potential_grad(s[0], s[2], params)
+
+        def energy(s):
+            return classical.hamiltonian_cm_1d(s, params)
+    else:
+        def force(s):
+            g_r, g_eta = classical._coulomb_grads(s[0:3], s[6:9])
+            return np.concatenate([-g_r, -g_eta])
+
+        def energy(s):
+            return classical.hamiltonian_cm_3d(s, params)
+
+    times = np.empty(steps + 1)
+    stored = np.empty((steps + 1, len(state)))
+    energies = np.empty(steps + 1)
+    events = []
+    times[0] = 0.0
+    stored[0] = state
+    energies[0] = energy(state)
+
+    def singular(step):
+        nonlocal stop_reason
+        dmin = min(classical.pair_distances_3d(state[0:3], state[6:9]))
+        if dmin >= singularity_tol:
+            return False
+        stop_reason = f"pair distance {dmin:.3e} below {singularity_tol:.3e}"
+        events.append(classical.OrbitEvent(step, step * dt, "singularity", stop_reason))
+        return True
+
+    vel_eta = (2.0 + gamma) / gamma
+    stop_reason = None
+    stopped = dimension == 3 and singular(0)
+    n_done = 0
+    for step in range(1, 1 if stopped else steps + 1):
+        f = force(state)
+        if dimension == 1:
+            state[1] += 0.5 * dt * f[0]
+            state[3] += 0.5 * dt * f[1]
+            state[0] += dt * 4.0 * state[1]
+            state[2] += dt * vel_eta * state[3]
+            if wrap:
+                t_now = step * dt
+                if state[0] < -L / 2.0 or state[0] >= L / 2.0:
+                    state[0] = (state[0] + L / 2.0) % L - L / 2.0
+                    events.append(classical.OrbitEvent(step, t_now, "wrap", "r"))
+                if state[2] < -L / 2.0 or state[2] >= L / 2.0:
+                    state[2] = (state[2] + L / 2.0) % L - L / 2.0
+                    events.append(classical.OrbitEvent(step, t_now, "wrap", "eta"))
+            f = force(state)
+            state[1] += 0.5 * dt * f[0]
+            state[3] += 0.5 * dt * f[1]
+        else:
+            state[3:6] += 0.5 * dt * f[0:3]
+            state[9:12] += 0.5 * dt * f[3:6]
+            state[0:3] += dt * 4.0 * state[3:6]
+            state[6:9] += dt * vel_eta * state[9:12]
+            if singular(step):
+                stopped = True
+                break
+            f = force(state)
+            state[3:6] += 0.5 * dt * f[0:3]
+            state[9:12] += 0.5 * dt * f[3:6]
+        times[step] = step * dt
+        stored[step] = state
+        energies[step] = energy(state)
+        n_done = step
+
+    n_keep = n_done + 1
+    return classical.Trajectory(times[:n_keep], stored[:n_keep], energies[:n_keep],
+                                events, stopped, stop_reason)
+
+
+def _assert_same_orbit(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.energies, want.energies)
+    assert got.events == want.events
+    assert (got.stopped, got.stop_reason) == (want.stopped, want.stop_reason)
+
+
+def _planar_3d(L):
+    init = np.zeros(12)
+    init[0], init[7] = 0.2 * L, 0.1 * L
+    return init, 5.0, 2_000, {}
+
+
+def _singular_start_3d(L):
+    init = np.zeros(12)
+    init[0], init[6] = 0.2 * L, 0.0999 * L
+    return init, 1.0, 100, {"singularity_tol": 0.002 * L}
+
+
+def _stops_mid_run_3d(L):
+    init = np.zeros(12)
+    init[0], init[6], init[9] = 0.2 * L, 0.095 * L, 1e-4
+    return init, 1.0, 10_000, {"singularity_tol": 0.002 * L}
+
+
+@pytest.mark.parametrize("case, dimension, expect", [
+    (lambda L: ([L / 3.0, 0.0, 0.02 * L, 0.0], None, 10_000, {}), 1, "ran"),
+    (lambda L: ([1000.0, 300.0, 20.0, 0.5], None, 4_000, {}), 1, "wraps r and eta"),
+    (lambda L: ([L / 3.0, 0.0, 0.2 * L, 3e-4], None, 3_000, {"wrap": False}), 1, "ran"),
+    (_planar_3d, 3, "ran"),
+    (_singular_start_3d, 3, "stopped at 0"),
+    (_stops_mid_run_3d, 3, "stopped"),
+], ids=["1d-default", "1d-wraps", "1d-no-wrap", "3d-runs", "3d-singular-start",
+        "3d-stops-mid-run"])
+def test_orbit_matches_the_per_step_reference(raw_params, case, dimension, expect):
+    init, dt, steps, options = case(raw_params.box_length)
+    dt = dt or ts.suggest_timestep(raw_params)
+    got = ts.integrate_orbit(init, dt, steps, raw_params, dimension=dimension,
+                             **options)
+    _assert_same_orbit(got, reference_integrate_orbit(
+        init, dt, steps, raw_params, dimension=dimension, **options))
+    # each case reaches the branch it is named for
+    kinds = {(e.kind, e.detail) for e in got.events}
+    if expect == "wraps r and eta":
+        assert {("wrap", "r"), ("wrap", "eta")} <= kinds
+    elif expect == "stopped at 0":
+        assert got.stopped and got.n_steps == 0
+    elif expect == "stopped":
+        assert got.stopped and 0 < got.n_steps < steps
+    else:
+        assert not got.stopped and not got.events and got.n_steps == steps
+
+
+@pytest.mark.parametrize("dimension, options", [
+    (1, {"steps": 3_000}),
+    (3, {"dt": 0.5, "steps": 4_000, "n_orbits": 4}),
+], ids=["1d", "3d"])
+def test_straddle_ensembles_match_the_per_step_reference(raw_params, monkeypatch,
+                                                         dimension, options):
+    run = ts.run_orbits(raw_params, dimension=dimension, ensemble="straddle",
+                        **options)
+    monkeypatch.setattr(classical, "integrate_orbit", reference_integrate_orbit)
+    want = ts.run_orbits(raw_params, dimension=dimension, ensemble="straddle",
+                         **options)
+    assert len(run.trajectories) == len(want.trajectories) > 1
+    for got, ref in zip(run.trajectories, want.trajectories):
+        _assert_same_orbit(got, ref)
+
+
+def test_hamiltonian_1d_of_a_stack_is_each_state_bit_for_bit(raw_params):
+    L = raw_params.box_length
+    states = np.random.default_rng(29).uniform(-1.0, 1.0, (257, 4)) * [L, 1e-2, L, 1e-2]
+    stacked = ts.hamiltonian_cm_1d(states, raw_params)
+    assert stacked.shape == (257,)
+    rows = [ts.hamiltonian_cm_1d(st, raw_params) for st in states]
+    assert all(isinstance(h, float) for h in rows)
+    assert np.array_equal(stacked, rows)
+
+
+def test_1d_energies_are_taken_once_per_chunk(raw_params, monkeypatch):
+    """The loop takes no energy; hamiltonian_cm_1d runs once per
+    ENERGY_CHUNK stored states after it."""
+    calls = []
+    energy = classical.hamiltonian_cm_1d
+
+    def counted(state, params):
+        calls.append(len(state))
+        return energy(state, params)
+
+    monkeypatch.setattr(classical, "hamiltonian_cm_1d", counted)
+    monkeypatch.setattr(classical, "ENERGY_CHUNK", 100)
+    L = raw_params.box_length
+    traj = ts.integrate_orbit([L / 3.0, 0.0, 0.02 * L, 0.0],
+                              ts.suggest_timestep(raw_params), 250, raw_params)
+    assert calls == [100, 100, 51]
+    assert traj.energy_drift() <= 1e-8
 
 
 def hamilton_rhs_1d(state, params):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from triscar.basis import Sector, SectorOperator
-from triscar import cli, eigensolve, pipeline
+from triscar import classical, cli, eigensolve, pipeline
 from triscar.cli import main
 from triscar.config import DEFAULTS, ConfigError, load_config, model_params
 from triscar.manifest import read_manifest
@@ -334,7 +334,7 @@ def test_long_solves_report_each_block_on_stderr(tmp_path, capsys, monkeypatch,
     ("solve1d", "[model]\nheavy_cutoff = 2\nlight_cutoff_mode = product-filter\n"
                 "[solve1d]\ntotal_momentum = 99\n", "P=99"),
     ("solve3d", "[model]\ncutoff_sq = 2\n[solve3d]\ntotal_momentum = 9 9 9\n",
-     "P=(9,9,9)")])
+     "P=(9,9,9)")], ids=["solve1d-P99", "solve3d-P999"])
 def test_solves_refuse_an_empty_sector(tmp_path, capsys, command, config, key):
     """A total momentum no state carries is a configuration error (exit 2)
     that names the sector, in either dimension, and writes nothing."""
@@ -1012,7 +1012,7 @@ def test_failed_run_writes_its_manifest(tmp_path, capsys):
 
 @pytest.mark.parametrize("coupling, why", [
     ("1e300", "residual ratio inf over the bound 1e-08"),
-    ("1e160", "residual ratio 2.29 over the bound 1e-08")])
+    ("1e160", "residual ratio 2.29 over the bound 1e-08")], ids=["1e300", "1e160"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_refuses_residuals_over_the_bound(tmp_path, capsys, coupling, why):
     """A dense spectrum whose residuals overflow, or exceed 1e-8 relative,
@@ -1251,7 +1251,8 @@ def test_analyze_refuses_grid_sizes_it_cannot_fill(request, tmp_path, capsys,
 
 @pytest.mark.parametrize("kind, setting, weights", [
     ("1d", "n_r = 0", None), ("1d", "n_r = 7", None),
-    ("1d", "strip_fraction = 0.9", None), ("1d", "", "index,coefficient\n999,1.0\n"),
+    ("1d", "strip_fraction = 0.9", None),
+    pytest.param("1d", "", "index,coefficient\n999,1.0\n", id="1d-weights-index-999"),
     ("3d", "n_eta = 0", None)])
 def test_refused_analyze_leaves_nothing_in_out(request, tmp_path, capsys, kind,
                                                setting, weights):
@@ -1442,6 +1443,56 @@ def test_orbit_3d_needs_dt(tmp_path, capsys):
     code = main(["orbit", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, need", [
+    ("[orbit]\nsteps = 10000000000000\n",
+     "[orbit] steps = 10000000000000 for 1 trajectory needs 1144409182 MB"),
+    ("[orbit]\ndimension = 3\ndt = 0.5\nensemble = straddle\nsteps = 2000000\n",
+     "[orbit] steps = 2000000 for 8 trajectories needs 7922 MB")],
+    ids=["1d-huge-steps", "3d-straddle"])
+def test_orbit_too_large_to_store_is_refused(tmp_path, capsys, monkeypatch, config,
+                                             need):
+    """An orbit run whose orbit_bytes exceed ORBIT_BUDGET_BYTES exits 3
+    before any orbit runs, with a refused manifest that names [orbit] steps,
+    and nothing else in --out; it used to die storing the states."""
+    def never(*args, **kwargs):
+        raise AssertionError("an orbit ran before the budget was checked")
+
+    monkeypatch.setattr(classical, "integrate_orbit", never)
+    out = tmp_path / "orb"
+    assert main(["orbit", "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 3
+    message = f"resource limit: {need} to store, over the orbit budget of 1024 MB"
+    assert capsys.readouterr().err == message + "\n"
+    man = read_manifest(str(out))
+    assert (man["status"], man["exit_code"], man["message"]) == ("refused", 3, message)
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("config, dimension, steps, n_orbits", [
+    ("[orbit]\nsteps = 4000\n", 1, 4000, 1),
+    ("[orbit]\nensemble = straddle\nn_orbits = 4\nsteps = 1000\n", 1, 1000, 4),
+    ("[orbit]\ndimension = 3\ndt = 0.5\nensemble = straddle\nn_orbits = 4\n"
+     "steps = 600\n", 3, 600, 4)], ids=["1d", "1d-straddle", "3d-straddle"])
+def test_orbit_charge_covers_the_traced_peak(tmp_path, monkeypatch, config, dimension,
+                                             steps, n_orbits):
+    """What the orbit gate charges covers the tracemalloc peak of the whole
+    run, its artifacts written, give or take 256 KiB for the command's own
+    objects (configuration, critical points, manifest).  A short energy
+    chunk leaves the per-step charges as the ones that count."""
+    import tracemalloc
+
+    monkeypatch.setattr(classical, "ENERGY_CHUNK", 1024)
+    cfg = write_config(tmp_path, config)
+    tracemalloc.start()
+    try:
+        assert main(["orbit", "--config", cfg, "--out", str(tmp_path / "orb")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = classical.orbit_bytes(dimension, steps, n_orbits)
+    assert peak <= charge + 2 ** 18
 
 
 # ---------------------------------------------------------------------------
