@@ -165,6 +165,7 @@ def cmd_solve1d(args) -> int:
         "n_bands": len(bands),
         "max_residual_ratio": spectrum.max_residual_ratio(),
         "block_dimensions": spectrum.meta["block_dimensions"],
+        "dense_lapack": spectrum.meta["lapack"],
     }
     out = _finish(args)
     print(f"sector {sector.key}: {sector.dim} states, method {spectrum.method}")
@@ -223,6 +224,7 @@ def cmd_solve3d(args) -> int:
         "block_dimensions": {block.label: block.dim for block in blocks},
         "eigh_calls": len(blocks) if method == "dense" else 0,
         "method": method,
+        "dense_lapack": next((spec.meta["lapack"] for spec, _, _ in spectra.values()), None),
         "max_residual_ratio": max((spec.max_residual_ratio()
                                    for spec, _, _ in spectra.values()), default=0.0),
         "ground_energy_symmetric": e_sym,

@@ -1,7 +1,7 @@
 """Eigensolvers and band assembly.
 
-Two routes: numpy's LAPACK eigh on an operator's `dense()` for sectors
-whose full set of eigenvectors fits one output budget, and shift-invert
+Two routes: LAPACK's dsyevd on an operator's `dense()` for sectors whose
+full set of eigenvectors fits one output budget, and shift-invert
 ARPACK (scipy's eigsh) on its sparse `.matrix` for the lowest few pairs of
 larger ones; choose_solver picks one for all of a sector's blocks, and only
 the second imports scipy.  Both report per-pair residual norms ||H v - E v||,
@@ -15,8 +15,10 @@ into an archive, and read_archive reads it back.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
+import os
 import shutil
 import tempfile
 import time
@@ -32,10 +34,11 @@ from .params import ModelParams
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792).
 #: merge_blocks spools each block's vectors as the block arrives, so a run
 #: does not hold the returned vectors beside a block's solve, and that solve
-#: is its peak: a solve_dense at this edge peaks at about 5.2 times the
-#: budget in RSS: the block, numpy's working copy, syevd's 2 dim^2 workspace
-#: and the eigenvectors (1320 MB at dim 5778, one BLAS thread; 4.4 times
-#: with scipy's syevr)
+#: is its peak: the block, the copy dsyevd overwrites with the eigenvectors
+#: (_eigh) and its 2 dim^2 workspace, at about 4.3 times the budget in RSS
+#: (1093 MB at dim 5778, one BLAS thread; 1344 MB, 5.3 times, through
+#: numpy.linalg.eigh's own copy and output).  The residuals then hold the
+#: block, the vectors and H V, E V subtracted a strip at a time
 DENSE_OUTPUT_BYTES = 2 ** 28
 
 #: relative margin within which canonicalize treats magnitudes as tied
@@ -226,19 +229,89 @@ def choose_solver(method: str, dims, k: int, *, tol: float = 1e-10, seed: int = 
     return functools.partial(solve_iterative, k=k, tol=tol, seed=seed), k
 
 
+@functools.cache
+def _dsyevd():
+    """numpy's bundled OpenBLAS dsyevd (ILP64), as (function, "symbol in
+    library file"), or None when numpy bundles none (a numpy built against
+    MKL, Accelerate or a system BLAS).  Looked up once, on the first dense
+    solve; the library is the one numpy has loaded, so no second copy opens."""
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            fn = ctypes.CDLL(path).scipy_dsyevd_64_
+        except (OSError, AttributeError):
+            continue
+        p_int = ctypes.POINTER(ctypes.c_int64)
+        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, p_int, ctypes.c_void_p, p_int,
+                       ctypes.c_void_p, ctypes.c_void_p, p_int, ctypes.c_void_p, p_int, p_int]
+        fn.restype = None
+        return fn, f"scipy_dsyevd_64_ in {os.path.basename(path)}"
+    return None
+
+
+def _eigh(h) -> tuple[np.ndarray, np.ndarray, str]:
+    """Eigenvalues (ascending) and Fortran-order eigenvectors of the
+    symmetric h, read from its lower triangle, and the LAPACK path that ran.
+
+    dsyevd runs as numpy.linalg.eigh runs it (jobz "V", uplo "L", a
+    workspace query and then the solve with the queried sizes), on one
+    Fortran-order copy of h whose entries the vectors overwrite, so the
+    arrays are numpy's to the bit without numpy's own copy and output.
+    Without the binding (_dsyevd), numpy.linalg.eigh runs instead."""
+    binding = _dsyevd()
+    if binding is None:
+        evals, vecs = np.linalg.eigh(h)
+        return evals, np.asfortranarray(vecs), "numpy.linalg.eigh"
+    dsyevd, name = binding
+    a = np.array(h, dtype=np.float64, order="F")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:   # dsyevd would read past a
+        raise np.linalg.LinAlgError(f"dsyevd needs a square matrix, not {a.shape}")
+    n = a.shape[0]
+    w = np.empty(n)
+    dim, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(1, n)), ctypes.c_int64(0)
+
+    def call(work, lwork, iwork, liwork):
+        dsyevd(b"V", b"L", dim, a.ctypes.data, lda, w.ctypes.data, work,
+               ctypes.c_int64(lwork), iwork, ctypes.c_int64(liwork), info)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"dsyevd failed (info {info.value})")
+
+    lwork, liwork = ctypes.c_double(), ctypes.c_int64()
+    call(ctypes.addressof(lwork), -1, ctypes.addressof(liwork), -1)
+    work = np.empty(int(lwork.value))
+    iwork = np.empty(liwork.value, dtype=np.int64)
+    call(work.ctypes.data, work.size, iwork.ctypes.data, iwork.size)
+    return w, a, name
+
+
+#: columns per step in which _residuals subtracts E v from H v
+_RESIDUAL_STRIP = 64
+
+
 def _residuals(h, evals, vecs) -> np.ndarray:
     """||H v - E v|| per pair; a norm that overflows is inf (nan past it),
-    which the residual bound reports, so numpy does not warn of it."""
+    which the residual bound reports, so numpy does not warn of it.  E v is
+    subtracted from H v in place, a strip of columns at a time, so no second
+    array of H v's size is held; each entry is the same difference."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+        r = h @ vecs
+        for start in range(0, r.shape[1], _RESIDUAL_STRIP):
+            strip = slice(start, start + _RESIDUAL_STRIP)
+            r[:, strip] -= vecs[:, strip] * evals[strip]
+        return np.linalg.norm(r, axis=0)
 
 
 def solve_dense(op) -> Spectrum:
-    """Full spectrum of op.dense() by numpy's LAPACK eigh (divide and conquer,
-    syevd).  Refuses sectors over the dense output budget.
+    """Full spectrum of op.dense() by LAPACK's divide and conquer dsyevd, run
+    in place on a copy of the block (_eigh).  Refuses sectors over the dense
+    output budget.
 
     meta["timings"] records the seconds spent in op.dense() ("blocks"),
-    "eigh", "canonicalize" and "residuals".
+    "eigh", "canonicalize" and "residuals"; meta["lapack"] names the path
+    that ran dsyevd.
     """
     n = op.dim
     error = dense_budget_error([n])
@@ -247,16 +320,18 @@ def solve_dense(op) -> Spectrum:
     t0 = time.perf_counter()
     h = op.dense()
     t1 = time.perf_counter()
-    evals, vecs = np.linalg.eigh(h)
+    # Fortran order: canonicalize and merge_blocks read the vectors column
+    # by column, about twice as fast as in C order
+    evals, vecs, lapack = _eigh(h)
     t2 = time.perf_counter()
-    # numpy returns the vectors in C order; canonicalize and merge_blocks
-    # read them column by column, about twice as fast in Fortran order
-    evals, vecs = canonicalize(evals, np.asfortranarray(vecs))
+    evals, vecs = canonicalize(evals, vecs)
     t3 = time.perf_counter()
     resid = _residuals(h, evals, vecs)
     t4 = time.perf_counter()
-    return Spectrum(op.key, evals, vecs, resid, "dense", meta={"dim": n, "timings": {
-        "blocks": t1 - t0, "eigh": t2 - t1, "canonicalize": t3 - t2, "residuals": t4 - t3}})
+    return Spectrum(op.key, evals, vecs, resid, "dense", meta={
+        "dim": n, "lapack": lapack, "timings": {
+            "blocks": t1 - t0, "eigh": t2 - t1, "canonicalize": t3 - t2,
+            "residuals": t4 - t3}})
 
 
 def merge_blocks(key: str, parts,
@@ -273,13 +348,14 @@ def merge_blocks(key: str, parts,
     of every spooled entry, are read back from the spool on first access, plus
     each pair's block label and the offset of its vector in that array; the
     vector is as long as its block's dimension.  meta records the block
-    dimensions.
+    dimensions, and "lapack", the first block's path through dsyevd (None
+    when no block was solved densely).
     """
     spool = tempfile.TemporaryFile()
     try:
         labels, evals, resid, offsets = [], [], [], []
         dims: dict[str, int] = {}
-        method = None
+        method = lapack = None
         start = 0
         for label, part in parts:
             m, n = part.eigenvectors.shape
@@ -292,6 +368,7 @@ def merge_blocks(key: str, parts,
             resid.append(part.residuals)
             dims[label] = m
             method = method or part.method
+            lapack = lapack or part.meta.get("lapack")
             start += m * n
             del part  # before the next block is solved
         if not dims:
@@ -303,7 +380,8 @@ def merge_blocks(key: str, parts,
     order = np.argsort(evals, kind="stable")[:k]
     spectrum = _SpooledSpectrum(key, evals[order], spool, start,
                                 np.concatenate(resid)[order], method,
-                                meta={"dim": sum(dims.values()), "block_dimensions": dims})
+                                meta={"dim": sum(dims.values()), "block_dimensions": dims,
+                                      "lapack": lapack})
     return spectrum, np.concatenate(labels)[order], np.concatenate(offsets)[order]
 
 

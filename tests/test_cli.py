@@ -147,6 +147,7 @@ def test_solve1d_manifest_lists_artifacts(solve1d_run):
     actual = {n for n in os.listdir(solve1d_run) if n != "manifest.json"}
     assert listed == actual
     assert man["statistics"]["dimension"] == 729
+    assert man["statistics"]["dense_lapack"] == eigensolve._dsyevd()[1]
     assert "solve" in man["timings"]
 
 
@@ -613,11 +614,13 @@ def test_solve3d_auto_routes_by_output_size(tmp_path, monkeypatch):
     labels = [" ".join(chi) for chi in itertools.product(
         ("sym", "anti"), ("+x", "-x"), ("+y", "-y"), ("+z", "-z"))]
     assert stats["block_dimensions"] == dict(zip(labels, BLOCKS_3D_C2))
+    assert stats["dense_lapack"].startswith("scipy_dsyevd_64_ in libscipy_openblas64_")
 
     monkeypatch.setattr(eigensolve, "DENSE_OUTPUT_BYTES", BUDGET_3D_C2 - 1)
     out = str(tmp_path / "over")
     assert main(["solve3d", "--config", cfg, "--out", out]) == 0
-    assert read_manifest(out)["statistics"]["method"] == "lanczos"
+    stats = read_manifest(out)["statistics"]
+    assert (stats["method"], stats["dense_lapack"]) == ("lanczos", None)
     with open(os.path.join(out, "spectrum.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["parity"] for r in rows] == ["sym"] * 8 + ["anti"] * 8
@@ -1031,10 +1034,12 @@ def test_solve_refuses_residuals_over_the_bound(tmp_path, capsys, coupling, why)
 
 def test_linalg_failure_exits_4_with_its_manifest(tmp_path, capsys, monkeypatch):
     """numpy's LinAlgError, a ValueError, is a numerical failure: exit 4 and
-    a failed manifest, not exit 2."""
+    a failed manifest, not exit 2.  The dense solve raises it through its
+    numpy.linalg.eigh fallback here."""
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    monkeypatch.setattr(eigensolve, "_dsyevd", lambda: None)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     cfg = write_config(tmp_path, SMALL_1D)
     out = str(tmp_path / "run")

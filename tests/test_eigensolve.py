@@ -65,6 +65,100 @@ def test_eigenvector_orthonormality(spectrum729, rng):
 
 
 # ---------------------------------------------------------------------------
+# dsyevd in place
+
+
+def test_dsyevd_binding_is_found():
+    """numpy's wheel bundles OpenBLAS with the ILP64 scipy_dsyevd_64_; a
+    numpy that renames or drops it sends every dense solve to the
+    numpy.linalg.eigh fallback, and fails here."""
+    _, name = eigensolve._dsyevd()
+    assert name.startswith("scipy_dsyevd_64_ in libscipy_openblas64_")
+    assert eigensolve._eigh(np.eye(1))[2] == name
+
+
+def _assert_numpys_to_the_bit(h):
+    evals, vecs, _ = eigensolve._eigh(h)
+    want_evals, want_vecs = np.linalg.eigh(h)
+    assert np.array_equal(evals, want_evals)
+    assert np.array_equal(vecs, want_vecs)
+    assert vecs.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 300])
+def test_in_place_dsyevd_is_numpys_eigh_to_the_bit(rng, n):
+    a = rng.standard_normal((n, n))
+    _assert_numpys_to_the_bit(a + a.T)
+
+
+@pytest.mark.parametrize("dimension", ["1d", "3d"])
+def test_in_place_dsyevd_is_numpys_eigh_on_every_block(dimension):
+    """Every symmetry block of the 1D sector at heavy_cutoff 8 and of the 3D
+    one at cutoff_sq 3."""
+    if dimension == "1d":
+        plain = _operator_1d(8)
+    else:
+        p = ts.ModelParams(cutoff_sq=3)
+        plain = ts.HamiltonianOperator3D(ts.sector_3d(p, (0, 0, 0)), ts.MatrixElementRule3D(p))
+    for block in ts.symmetry_blocks(plain.sector):
+        _assert_numpys_to_the_bit(ts.SymmetrizedOperator3D(block, plain).dense())
+
+
+def test_fallback_without_the_binding_solves_the_same(monkeypatch):
+    """With no bundled dsyevd (a numpy built against MKL, Accelerate or a
+    system BLAS), numpy.linalg.eigh runs, gives the same arrays, and the
+    spectrum says so."""
+    op = _operator_1d(8)
+    bound = ts.solve_dense(op)
+    monkeypatch.setattr(eigensolve, "_dsyevd", lambda: None)
+    fallback = ts.solve_dense(op)
+    assert bound.meta["lapack"].startswith("scipy_dsyevd_64_ in ")
+    assert fallback.meta["lapack"] == "numpy.linalg.eigh"
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        assert np.array_equal(getattr(fallback, name), getattr(bound, name)), name
+    assert fallback.eigenvectors.flags.f_contiguous
+
+
+def test_in_place_dsyevd_failure_is_linalg_error():
+    """A block dsyevd cannot solve, or a matrix that is not square, raises
+    numpy's LinAlgError, as numpy.linalg.eigh does, which the CLI reports as
+    a numerical failure."""
+    h = np.full((3, 3), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(h)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd failed \(info [1-9]"):
+        eigensolve._eigh(h)
+    with pytest.raises(np.linalg.LinAlgError, match=r"square matrix, not \(2, 3\)"):
+        eigensolve._eigh(np.zeros((2, 3)))
+
+
+def test_dense_solve_peak_is_the_block_its_copy_and_the_workspace():
+    """solve_dense of the largest 1D block at heavy_cutoff 24 (dim 625)
+    peaks, traced, at the block, the one Fortran-order copy dsyevd
+    overwrites with the vectors, and dsyevd's 1 + 6 n + 2 n^2 workspace:
+    4.02 times 8 n^2.  With numpy.linalg.eigh's own copy and output, a
+    Fortran-order copy of them, and H v - E v beside H v it was 4.52."""
+    import tracemalloc
+
+    p = ts.ModelParams(heavy_cutoff=24)
+    plain = ts.HamiltonianOperator1D(ts.enumerate_basis_1d(p, 0), ts.MatrixElementRule1D(p))
+    block = max(ts.symmetry_blocks(plain.sector), key=lambda b: b.dim)
+    n = block.dim
+    assert n == 625
+    op = ts.SymmetrizedOperator3D(
+        block, plain, plain.rows(np.unique(block.orbits[0], return_counts=True)[0]))
+    eigensolve._dsyevd()    # looked up before tracing, as after a run's first block
+    tracemalloc.start()
+    try:
+        spec = ts.solve_dense(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.k == n
+    assert peak <= 4.1 * 8 * n * n
+
+
+# ---------------------------------------------------------------------------
 # canonicalization
 
 
