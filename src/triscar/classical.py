@@ -159,12 +159,14 @@ ORBIT_BUDGET_BYTES = 2 ** 30
 def orbit_bytes(dimension: int, steps: int, n_trajectories: int) -> int:
     """What an orbit run keeps, in 8-byte words per step: each trajectory's
     state, time and energy; the first one's trajectory.csv table (the step as
-    an int and a float, the stacked columns and, in 3D, the least pair
-    distance as a float list and an array); an ensemble's portrait.csv rows
-    as Python tuples (48 words a row, measured); plus 5 * ENERGY_CHUNK words."""
+    an int and a float, the stacked columns, charged whole, and, in 3D, the
+    least pair distance as a float list and an array); an ensemble's
+    portrait.csv columns (8 words a row: its five columns, and while they are
+    written the label cells' list and array and the orbit numbers as floats;
+    6.9 measured); plus 5 * ENERGY_CHUNK words."""
     width = 4 if dimension == 1 else 12
     table = width + 5 if dimension == 1 else width + 11
-    portrait = 48 if n_trajectories > 1 else 0
+    portrait = 8 if n_trajectories > 1 else 0
     return 8 * ((steps + 1) * (n_trajectories * (width + 2 + portrait) + table)
                 + 5 * ENERGY_CHUNK)
 

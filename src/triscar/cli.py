@@ -44,12 +44,18 @@ def _quote(field: str) -> str:
     return field
 
 
+#: rows _write_table stacks and writes at a time
+_TABLE_ROWS = 512
+
+
 def _write_table(path: str, header: list[str], *columns) -> None:
     """A table as CSV: the header, then one line per row of the columns side
     by side.  A column whose first cell is a str is text, each cell as
     _quote writes it; any other column (1D, or 2D of several columns) is
     numbers, each cell as "%.17g": the bytes _fmt writes, and str(int) for
-    an integer below 2**53 in magnitude."""
+    an integer below 2**53 in magnitude.  The columns are stacked
+    _TABLE_ROWS rows at a time, so a text column boxes only those rows'
+    numbers."""
     import numpy as np
 
     parts = [np.array([_quote(c) for c in column], dtype=object)
@@ -59,8 +65,10 @@ def _write_table(path: str, header: list[str], *columns) -> None:
                     for _ in range(part.shape[1] if part.ndim == 2 else 1)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.column_stack(parts):
-            fh.write(line % tuple(row.tolist()))
+        for start in range(0, len(parts[0]), _TABLE_ROWS):
+            rows = np.column_stack([part[start:start + _TABLE_ROWS] for part in parts])
+            for row in rows:
+                fh.write(line % tuple(row.tolist()))
 
 
 def _start(args, command: str, model: bool = True):
@@ -166,6 +174,7 @@ def cmd_solve1d(args) -> int:
         "max_residual_ratio": spectrum.max_residual_ratio(),
         "block_dimensions": spectrum.meta["block_dimensions"],
         "dense_lapack": spectrum.meta["lapack"],
+        "peak_rss_rise_mb": run.peak_rss_rise_mb,
     }
     out = _finish(args)
     print(f"sector {sector.key}: {sector.dim} states, method {spectrum.method}")
@@ -230,6 +239,7 @@ def cmd_solve3d(args) -> int:
         "ground_energy_symmetric": e_sym,
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,
+        "peak_rss_rise_mb": run.peak_rss_rise_mb,
     }
     out = _finish(args)
     print(f"sector {sector.key}: dim {sector.dim} = {dims['sym']} sym + "
@@ -476,11 +486,13 @@ def cmd_orbit(args) -> int:
         ieta = 2 if dim == 1 else 7
         labels = [("+" if traj.states[-1][0] >= 0 else "-")
                   + ("stopped" if traj.stopped else "ran") for traj in trajectories]
-        portrait = [(oid, label, t, st[0], st[ieta])
-                    for oid, (label, traj) in enumerate(zip(labels, trajectories))
-                    for t, st in zip(traj.times[stored], traj.states[stored])]
+        lengths = [len(traj.times[stored]) for traj in trajectories]
         _save(args, "portrait.csv", _write_table, ["orbit", "label", "t", "r1", "eta2"],
-              *zip(*portrait))
+              np.repeat(np.arange(len(trajectories)), lengths),
+              np.repeat(np.array(labels, dtype=object), lengths),
+              np.concatenate([traj.times[stored] for traj in trajectories]),
+              *(np.concatenate([traj.states[stored, i] for traj in trajectories])
+                for i in (0, ieta)))
 
     drift = main_traj.energy_drift()
     man.statistics = {

@@ -5,12 +5,13 @@ full set of eigenvectors fits one output budget, and shift-invert
 ARPACK (scipy's eigsh) on its sparse `.matrix` for the lowest few pairs of
 larger ones; choose_solver picks one for all of a sector's blocks, and only
 the second imports scipy.  Both report per-pair residual norms ||H v - E v||,
-so agreement can be checked from the outside, and the seconds of their
-steps.  A sector split into symmetry blocks is solved one block at a time,
-and merge_blocks joins the blocks' spectra with their vectors left in block
-coordinates, spooled to a temporary file as each block arrives, so a run
-holds one block's vectors at a time; write_archive copies them from there
-into an archive, and read_archive reads it back.
+so agreement can be checked from the outside, the seconds of their steps,
+and how much each step raised the peak RSS.  A sector split into symmetry
+blocks is solved one block at a time, and merge_blocks joins the blocks'
+spectra with their vectors left in block coordinates, spooled to a
+temporary file as each block arrives, so a run holds one block's vectors
+at a time; write_archive copies them from there into an archive, and
+read_archive reads it back.
 """
 
 from __future__ import annotations
@@ -29,16 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import IterationError, ResourceLimitError, model_params, params_dict
+from .manifest import peak_rss_mb
 from .params import ModelParams
 
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792).
 #: merge_blocks spools each block's vectors as the block arrives, so a run
 #: does not hold the returned vectors beside a block's solve, and that solve
-#: is its peak: the block, the copy dsyevd overwrites with the eigenvectors
-#: (_eigh) and its 2 dim^2 workspace, at about 4.3 times the budget in RSS
-#: (1093 MB at dim 5778, one BLAS thread; 1344 MB, 5.3 times, through
-#: numpy.linalg.eigh's own copy and output).  The residuals then hold the
-#: block, the vectors and H V, E V subtracted a strip at a time
+#: is its peak: three dim^2 arrays, the block, which dsyevd overwrites with
+#: the eigenvectors (_eigh), and its 2 dim^2 workspace; then the vectors,
+#: the block built again and H V - E V for the residuals.  About 3.2 times
+#: the budget in RSS (821 MB at dim 5778, one BLAS thread; 1344 MB, 5.3
+#: times, through numpy.linalg.eigh's own copy and output when the dsyevd
+#: binding is missing)
 DENSE_OUTPUT_BYTES = 2 ** 28
 
 #: relative margin within which canonicalize treats magnitudes as tied
@@ -135,6 +138,30 @@ class Band:
         return self.stop - self.start + 1
 
 
+class _Steps:
+    """The seconds a solve spends in each of its steps, and by how many MB
+    each raised the process's peak RSS (manifest.peak_rss_mb, which is
+    ru_maxrss): a step's rise is 0 unless the process reached a new peak
+    during it.  A step run twice counts both times.  No rises are recorded
+    where the platform has no getrusage."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self.rises: dict[str, float] = {}
+        self._at, self._peak = time.perf_counter(), peak_rss_mb()
+
+    def end(self, step: str) -> None:
+        """End step, which began when the previous one ended."""
+        at, peak = time.perf_counter(), peak_rss_mb()
+        self.seconds[step] = self.seconds.get(step, 0.0) + (at - self._at)
+        if peak is not None:
+            self.rises[step] = self.rises.get(step, 0.0) + (peak - self._peak)
+        self._at, self._peak = at, peak
+
+    def meta(self) -> dict:
+        return {"timings": self.seconds, "peak_rss_rise_mb": self.rises}
+
+
 def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
     """Deterministic eigenvector representatives.
 
@@ -185,10 +212,13 @@ def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
         start = stop
 
     # symmetry ties magnitudes exactly, so the sign is read at the first
-    # entry within _SIGN_TIE of the largest, where rounding cannot decide it
+    # entry within _SIGN_TIE of the largest, where rounding cannot decide it;
+    # every column is multiplied by its sign, +-1, in place, so no flipped
+    # column is copied and each entry keeps its bits or only its sign bit
     mag = np.abs(vecs)
     lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
-    vecs[:, vecs[lead, np.arange(n_pairs)] < 0] *= -1.0
+    del mag
+    vecs *= np.where(vecs[lead, np.arange(n_pairs)] < 0, -1.0, 1.0)
     return evals, vecs
 
 
@@ -252,24 +282,40 @@ def _dsyevd():
     return None
 
 
+#: rows per strip in which _eigh copies a block's lower triangle over its
+#: upper one
+_MIRROR_STRIP = 64
+
+
 def _eigh(h) -> tuple[np.ndarray, np.ndarray, str]:
     """Eigenvalues (ascending) and Fortran-order eigenvectors of the
     symmetric h, read from its lower triangle, and the LAPACK path that ran.
 
     dsyevd runs as numpy.linalg.eigh runs it (jobz "V", uplo "L", a
-    workspace query and then the solve with the queried sizes), on one
-    Fortran-order copy of h whose entries the vectors overwrite, so the
-    arrays are numpy's to the bit without numpy's own copy and output.
-    Without the binding (_dsyevd), numpy.linalg.eigh runs instead."""
+    workspace query and then the solve with the queried sizes), so the
+    arrays are numpy's to the bit without numpy's own copy and output.  It
+    consumes h when h is a C-contiguous, writable float64 array (else it
+    works on one such copy): the lower triangle is copied over the upper
+    one, a strip of rows at a time, and dsyevd runs on the transpose, an
+    F-contiguous view that then holds the lower triangle numpy would pass,
+    and whose entries the vectors overwrite.  Without the binding
+    (_dsyevd), numpy.linalg.eigh runs instead and h is left as it was."""
     binding = _dsyevd()
     if binding is None:
         evals, vecs = np.linalg.eigh(h)
         return evals, np.asfortranarray(vecs), "numpy.linalg.eigh"
     dsyevd, name = binding
-    a = np.array(h, dtype=np.float64, order="F")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:   # dsyevd would read past a
-        raise np.linalg.LinAlgError(f"dsyevd needs a square matrix, not {a.shape}")
-    n = a.shape[0]
+    c = np.require(h, dtype=np.float64, requirements=["C", "W"])
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:   # dsyevd would read past it
+        raise np.linalg.LinAlgError(f"dsyevd needs a square matrix, not {c.shape}")
+    n = c.shape[0]
+    upper = np.triu(np.ones((_MIRROR_STRIP, _MIRROR_STRIP), dtype=bool), 1)
+    for lo in range(0, n, _MIRROR_STRIP):
+        hi = min(lo + _MIRROR_STRIP, n)
+        strip = c[lo:hi, lo:hi]
+        np.copyto(strip, strip.T.copy(), where=upper[:hi - lo, :hi - lo])
+        c[lo:hi, hi:] = c[hi:, lo:hi].T
+    a = c.T
     w = np.empty(n)
     dim, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(1, n)), ctypes.c_int64(0)
 
@@ -294,44 +340,49 @@ _RESIDUAL_STRIP = 64
 def _residuals(h, evals, vecs) -> np.ndarray:
     """||H v - E v|| per pair; a norm that overflows is inf (nan past it),
     which the residual bound reports, so numpy does not warn of it.  E v is
-    subtracted from H v in place, a strip of columns at a time, so no second
-    array of H v's size is held; each entry is the same difference."""
+    subtracted from H v in place, a strip of columns at a time, and the
+    differences are squared in place, so no second array of H v's size is
+    held; each entry, square and column sum is the one
+    np.linalg.norm(h @ vecs - vecs * evals, axis=0) takes."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = h @ vecs
         for start in range(0, r.shape[1], _RESIDUAL_STRIP):
             strip = slice(start, start + _RESIDUAL_STRIP)
             r[:, strip] -= vecs[:, strip] * evals[strip]
-        return np.linalg.norm(r, axis=0)
+        r *= r
+        return np.sqrt(np.add.reduce(r, axis=0))
 
 
 def solve_dense(op) -> Spectrum:
     """Full spectrum of op.dense() by LAPACK's divide and conquer dsyevd, run
-    in place on a copy of the block (_eigh).  Refuses sectors over the dense
-    output budget.
+    in place on the block (_eigh), which op.dense() then builds again for the
+    residuals.  Refuses sectors over the dense output budget.
 
-    meta["timings"] records the seconds spent in op.dense() ("blocks"),
-    "eigh", "canonicalize" and "residuals"; meta["lapack"] names the path
-    that ran dsyevd.
+    meta["timings"] records the seconds spent in both op.dense() calls
+    ("blocks"), "eigh", "canonicalize" and "residuals", and
+    meta["peak_rss_rise_mb"] by how much each raised the peak RSS (_Steps);
+    meta["lapack"] names the path that ran dsyevd.
     """
     n = op.dim
     error = dense_budget_error([n])
     if error is not None:
         raise error
-    t0 = time.perf_counter()
+    steps = _Steps()
     h = op.dense()
-    t1 = time.perf_counter()
+    steps.end("blocks")
     # Fortran order: canonicalize and merge_blocks read the vectors column
-    # by column, about twice as fast as in C order
+    # by column, about twice as fast as in C order.  The vectors overwrite
+    # h, so a solve holds the block and dsyevd's workspace, not a copy too
     evals, vecs, lapack = _eigh(h)
-    t2 = time.perf_counter()
+    steps.end("eigh")
     evals, vecs = canonicalize(evals, vecs)
-    t3 = time.perf_counter()
+    steps.end("canonicalize")
+    h = op.dense()
+    steps.end("blocks")
     resid = _residuals(h, evals, vecs)
-    t4 = time.perf_counter()
+    steps.end("residuals")
     return Spectrum(op.key, evals, vecs, resid, "dense", meta={
-        "dim": n, "lapack": lapack, "timings": {
-            "blocks": t1 - t0, "eigh": t2 - t1, "canonicalize": t3 - t2,
-            "residuals": t4 - t3}})
+        "dim": n, "lapack": lapack, **steps.meta()})
 
 
 def merge_blocks(key: str, parts,
@@ -402,16 +453,17 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
 
     meta["timings"] records the seconds spent in op.matrix ("blocks"), the
     solve ("eigsh", also where LAPACK stands in for it), "canonicalize" and
-    "residuals".
+    "residuals", and meta["peak_rss_rise_mb"] by how much each raised the
+    peak RSS (_Steps).
     """
     n = op.dim
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
     n_pairs = min(n, k + _EXTRA_PAIRS)
-    t0 = time.perf_counter()
+    steps = _Steps()
     h = op.matrix
-    t1 = time.perf_counter()
+    steps.end("blocks")
     failure = None
     if n_pairs >= n - 1:
         import scipy.linalg
@@ -428,13 +480,13 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
             evals, vecs = eigsh(h, k=n_pairs, sigma=sigma, which="LM", v0=v0, tol=0)
         except ArpackNoConvergence as exc:
             evals, vecs, failure = exc.eigenvalues, exc.eigenvectors, str(exc)
-    t2 = time.perf_counter()
+    steps.end("eigsh")
     order = np.argsort(evals, kind="stable")
     evals, vecs = canonicalize(evals[order], vecs[:, order])
     evals, vecs = evals[:k], vecs[:, :k]
-    t3 = time.perf_counter()
+    steps.end("canonicalize")
     resid = _residuals(h, evals, vecs)
-    t4 = time.perf_counter()
+    steps.end("residuals")
     if failure is None and not np.all(resid <= tol * np.maximum(1.0, np.abs(evals))):
         failure = f"residuals over tol = {tol:g} relative"
     if failure is not None:
@@ -443,8 +495,7 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
             f"residuals {np.array2string(resid, precision=3)}",
             eigenvalues=evals, residuals=resid)
     return Spectrum(op.key, evals, vecs, resid, "lanczos", meta={
-        "dim": n, "seed": seed, "timings": {"blocks": t1 - t0, "eigsh": t2 - t1,
-                                            "canonicalize": t3 - t2, "residuals": t4 - t3}})
+        "dim": n, "seed": seed, **steps.meta()})
 
 
 def assemble_bands(eigenvalues: np.ndarray, gap_threshold: float) -> list[Band]:

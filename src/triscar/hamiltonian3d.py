@@ -195,6 +195,10 @@ class HamiltonianOperator3D(SectorOperator):
 #: h + h.T at dim 2000 to 4000, and no second dim x dim array is needed
 _STRIP = 32
 
+#: source entries per np.add.at pass of SymmetrizedOperator3D.dense, so its
+#: keys and weights take a fixed few MB however many rows a block reads
+_TERMS_CHUNK = 2 ** 16
+
 
 class SymmetrizedOperator3D:
     """Symmetry block S^T H S of a plain-sector operator.
@@ -220,9 +224,11 @@ class SymmetrizedOperator3D:
     def dim(self) -> int:
         return self.block.dim
 
-    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+    def _terms(self, chunk: int | None = None):
         """(keys, weights): S^T H S / 2 before symmetrization, one term per
-        source entry, at the flat position key = i * dim + j.
+        source entry, at the flat position key = i * dim + j; yielded for
+        `chunk` source entries at a time in stored order, or for all of them
+        at once.
 
         H commutes with the group, so row g a of H S is chi(g) times row a:
         row i of S^T H S is sqrt(|orbit i|) times the row of H S at the
@@ -244,15 +250,23 @@ class SymmetrizedOperator3D:
         entry = np.zeros(n)
         entry[block.rows] = block.values
         rows, cols, values = self._source
-        return row_at[rows] + col_of[cols], half_norm[rows] * values * entry[cols]
+        size = max(len(values), 1)    # one chunk, maybe empty, when chunk is None
+        step = chunk or size
+        for start in range(0, size, step):
+            part = slice(start, start + step)
+            r, c = rows[part], cols[part]
+            yield row_at[r] + col_of[c], half_norm[r] * values[part] * entry[c]
 
     def dense(self) -> np.ndarray:
-        """The block as a dense array: its terms summed by np.bincount in
-        stored order, then symmetrized as h + h^T in place, a strip of rows
-        and the matching strip of columns at a time."""
-        keys, weights = self._terms()
+        """The block as a dense array: its terms added by np.add.at into a
+        zeroed array, _TERMS_CHUNK of them at a time in stored order (the
+        sums np.bincount takes, to the bit), then symmetrized as h + h^T in
+        place, a strip of rows and the matching strip of columns at a time."""
         n = self.dim
-        h = np.bincount(keys, weights=weights, minlength=n * n).reshape(n, n)
+        h = np.zeros(n * n)
+        for keys, weights in self._terms(_TERMS_CHUNK):
+            np.add.at(h, keys, weights)
+        h = h.reshape(n, n)
         for a in range(0, n, _STRIP):
             # the strips hold only entries no earlier strip has written
             t = h[a:a + _STRIP, a:] + h[a:, a:a + _STRIP].T
@@ -263,7 +277,7 @@ class SymmetrizedOperator3D:
     @cached_property
     def matrix(self):
         """The block as a scipy CSR matrix, summed exactly as dense() sums it."""
-        keys, weights = self._terms()
+        (keys, weights), = self._terms()
         at, inverse = np.unique(keys, return_inverse=True)
         n = self.dim
         h = csr_from_triplets(at // n, at % n, np.bincount(inverse, weights=weights), (n, n))

@@ -33,7 +33,9 @@ class SectorSolution:
     """What solve_sector returns.  `groups` maps "" (the whole 1D sector) or
     "sym" and "anti" (the 3D exchange halves) to merge_blocks' (Spectrum,
     labels, offsets); `operator` is the plain H; `counts` is the 3D gate's
-    (dim, nnz, operator bytes), None in 1D; `timings` are in seconds."""
+    (dim, nnz, operator bytes), None in 1D; `timings` are in seconds, and
+    `peak_rss_rise_mb` is by how many MB each step a block solver times
+    raised the peak RSS, summed over the blocks."""
 
     sector: Sector
     blocks: list[SymmetryBlock]
@@ -41,6 +43,7 @@ class SectorSolution:
     groups: dict[str, tuple]
     counts: tuple[int, int, int] | None
     timings: dict[str, float]
+    peak_rss_rise_mb: dict[str, float]
 
 
 def _gate(cutoff_sq: int, total, allow_large: bool) -> tuple[int, int, int]:
@@ -91,7 +94,8 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     rows any block reads, are assembled once (timings["assemble"]); each
     block S^T H S is solved from them and refused (IterationError) if an
     eigenvalue is not finite or a residual ratio exceeds RESIDUAL_BOUND.
-    The steps each solver times are summed over the blocks into timings.
+    The seconds of the steps each solver times, and their rises of the peak
+    RSS, are summed over the blocks.
     Once the solve has run PROGRESS_AFTER_S, each finished block is
     reported on stderr.
     """
@@ -99,6 +103,7 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     command = "solve3d" if three_d else "solve1d"
     check(command, total_momentum=total_momentum, method=method, k=k, tol=tol, seed=seed)
     timings: dict[str, float] = {}
+    rises: dict[str, float] = {}
 
     t0 = time.perf_counter()
     counts = None
@@ -138,6 +143,8 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
             _accept(spec, block)
             for step, seconds in spec.meta["timings"].items():
                 timings[step] = timings.get(step, 0.0) + seconds
+            for step, mb in spec.meta["peak_rss_rise_mb"].items():
+                rises[step] = rises.get(step, 0.0) + mb
             elapsed = time.perf_counter() - started
             if elapsed > PROGRESS_AFTER_S:
                 print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
@@ -149,7 +156,7 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     solved = {name: merge_blocks(f"{sector.key} {name}".rstrip(), solve(members), cut)
               for name, members in groups.items()}
     timings["solve"] = time.perf_counter() - started
-    return SectorSolution(sector, blocks, plain_op, solved, counts, timings)
+    return SectorSolution(sector, blocks, plain_op, solved, counts, timings, rises)
 
 
 def load_archive(path: str):

@@ -285,16 +285,23 @@ def test_solve_manifests_record_the_same_timings(tmp_path, command, method):
     """Both solve commands run one block pipeline and time the same steps,
     summed over the blocks as each solver reports them: the eigensolve
     (eigh on the dense route, eigsh on the iterative one), canonicalize and
-    residuals, which together fit inside the solve."""
+    residuals, which together fit inside the solve.  By how much each of
+    the solver's steps, block assembly included, raised the peak RSS is
+    summed the same way, and no more than the peak itself."""
     cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
                                  f"[{command}]\nmethod = {method}\n")
     out = str(tmp_path / "run")
     assert main([command, "--config", cfg, "--out", out]) == 0
-    timings = read_manifest(out)["timings"]
+    man = read_manifest(out)
+    timings = man["timings"]
     steps = {"eigh" if method == "dense" else "eigsh", "canonicalize", "residuals"}
     assert set(timings) == {"build", "assemble", "blocks", "solve", "write"} | steps
     assert sum(timings[key] for key in steps) <= timings["solve"]
     assert all(v > 0.0 for v in timings.values())
+    rises = man["statistics"]["peak_rss_rise_mb"]
+    assert set(rises) == {"blocks"} | steps
+    assert all(v >= 0.0 for v in rises.values())
+    assert sum(rises.values()) <= man["peak_rss_mb"]
 
 
 @pytest.mark.parametrize("command, model",
@@ -1454,7 +1461,7 @@ def test_orbit_3d_needs_dt(tmp_path, capsys):
     ("[orbit]\nsteps = 10000000000000\n",
      "[orbit] steps = 10000000000000 for 1 trajectory needs 1144409182 MB"),
     ("[orbit]\ndimension = 3\ndt = 0.5\nensemble = straddle\nsteps = 2000000\n",
-     "[orbit] steps = 2000000 for 8 trajectories needs 7922 MB")],
+     "[orbit] steps = 2000000 for 8 trajectories needs 3039 MB")],
     ids=["1d-huge-steps", "3d-straddle"])
 def test_orbit_too_large_to_store_is_refused(tmp_path, capsys, monkeypatch, config,
                                              need):

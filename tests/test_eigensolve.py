@@ -78,8 +78,10 @@ def test_dsyevd_binding_is_found():
 
 
 def _assert_numpys_to_the_bit(h):
-    evals, vecs, _ = eigensolve._eigh(h)
+    """_eigh(h) gives numpy.linalg.eigh(h)'s arrays; numpy's are taken
+    first, since _eigh writes its vectors over h."""
     want_evals, want_vecs = np.linalg.eigh(h)
+    evals, vecs, _ = eigensolve._eigh(h)
     assert np.array_equal(evals, want_evals)
     assert np.array_equal(vecs, want_vecs)
     assert vecs.flags.f_contiguous
@@ -89,6 +91,32 @@ def _assert_numpys_to_the_bit(h):
 def test_in_place_dsyevd_is_numpys_eigh_to_the_bit(rng, n):
     a = rng.standard_normal((n, n))
     _assert_numpys_to_the_bit(a + a.T)
+
+
+@pytest.mark.parametrize("n", [2, 300])
+def test_in_place_dsyevd_reads_only_the_lower_triangle(rng, n):
+    """A matrix whose upper triangle differs from its lower one gives
+    numpy's arrays too: both read the lower triangle alone."""
+    _assert_numpys_to_the_bit(rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("layout", ["C-order", "F-order", "read-only"])
+def test_in_place_dsyevd_consumes_only_a_writable_c_order_input(rng, layout):
+    """The vectors overwrite a C-order, writable float64 block; any other
+    input is copied once and left as it was."""
+    a = rng.standard_normal((70, 70))
+    h = {"C-order": a, "F-order": np.asfortranarray(a), "read-only": a.copy()}[layout]
+    h.flags.writeable = layout != "read-only"
+    before = h.copy()
+    want_evals, want_vecs = np.linalg.eigh(h)
+    evals, vecs, _ = eigensolve._eigh(h)
+    assert np.array_equal(evals, want_evals)
+    assert np.array_equal(vecs, want_vecs)
+    if layout == "C-order":
+        assert np.shares_memory(vecs, h)
+    else:
+        assert not np.shares_memory(vecs, h)
+        assert h.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("dimension", ["1d", "3d"])
@@ -132,30 +160,64 @@ def test_in_place_dsyevd_failure_is_linalg_error():
         eigensolve._eigh(np.zeros((2, 3)))
 
 
+def _largest_block_operator(plain):
+    """The largest symmetry block of plain's sector, from the rows at its
+    orbits' lowest states."""
+    block = max(ts.symmetry_blocks(plain.sector), key=lambda b: b.dim)
+    rows = plain.rows(np.unique(block.orbits[0], return_counts=True)[0])
+    return ts.SymmetrizedOperator3D(block, plain, rows)
+
+
 def test_dense_solve_peak_is_the_block_its_copy_and_the_workspace():
-    """solve_dense of the largest 1D block at heavy_cutoff 24 (dim 625)
-    peaks, traced, at the block, the one Fortran-order copy dsyevd
-    overwrites with the vectors, and dsyevd's 1 + 6 n + 2 n^2 workspace:
-    4.02 times 8 n^2.  With numpy.linalg.eigh's own copy and output, a
-    Fortran-order copy of them, and H v - E v beside H v it was 4.52."""
+    """solve_dense of the largest block at heavy_cutoff 24 (dim 625) and at
+    cutoff_sq 10 (dim 828) peaks, traced, at three dim x dim arrays: the
+    block, whose entries dsyevd overwrites with the vectors, and dsyevd's
+    1 + 6 n + 2 n^2 workspace; then the vectors, the block built again and
+    H V - E V, squared in place.  3.12-3.17 times 8 n^2.  With a
+    Fortran-order copy for dsyevd and np.linalg.norm's square beside
+    H V - E V it was 4.02, and through numpy.linalg.eigh's own copy and
+    output 4.52."""
     import tracemalloc
 
-    p = ts.ModelParams(heavy_cutoff=24)
-    plain = ts.HamiltonianOperator1D(ts.enumerate_basis_1d(p, 0), ts.MatrixElementRule1D(p))
-    block = max(ts.symmetry_blocks(plain.sector), key=lambda b: b.dim)
-    n = block.dim
-    assert n == 625
-    op = ts.SymmetrizedOperator3D(
-        block, plain, plain.rows(np.unique(block.orbits[0], return_counts=True)[0]))
+    p1, p3 = ts.ModelParams(heavy_cutoff=24), ts.ModelParams(cutoff_sq=10)
+    cases = [(ts.HamiltonianOperator1D(ts.enumerate_basis_1d(p1, 0),
+                                       ts.MatrixElementRule1D(p1)), 625),
+             (ts.HamiltonianOperator3D(ts.sector_3d(p3, (0, 0, 0)),
+                                       ts.MatrixElementRule3D(p3)), 828)]
     eigensolve._dsyevd()    # looked up before tracing, as after a run's first block
-    tracemalloc.start()
-    try:
-        spec = ts.solve_dense(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert spec.k == n
-    assert peak <= 4.1 * 8 * n * n
+    for plain, dim in cases:
+        op = _largest_block_operator(plain)
+        n = op.dim
+        assert n == dim
+        tracemalloc.start()
+        try:
+            spec = ts.solve_dense(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.k == n
+        assert peak <= 3.25 * 8 * n * n, (dim, peak / (8 * n * n))
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_residuals_are_numpys_norm_to_the_bit(rng, kind, overflow):
+    """_residuals gives np.linalg.norm(H V - E V, axis=0) bit for bit, for a
+    dense block and for a block's CSR matrix, and also where a square
+    overflows to inf."""
+    import scipy.sparse
+
+    a = rng.standard_normal((150, 150)) * (1e160 if overflow else 1.0)
+    h = a + a.T
+    evals, vecs = np.linalg.eigh(h)
+    vecs = vecs + 1e-3 * rng.standard_normal(vecs.shape)   # residuals well above rounding
+    if kind == "csr":
+        h = scipy.sparse.csr_array(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(h @ vecs - vecs * evals, axis=0)
+    got = eigensolve._residuals(h, evals, vecs)
+    assert np.array_equal(got, want)
+    assert np.isinf(want).any() == overflow
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +364,24 @@ def test_canonicalize_clusters_match_the_spacing_loop(name):
     want_vals, want = reference_canonicalize(vals.copy(), base.copy())
     np.testing.assert_array_equal(got_vals, want_vals)
     assert got.tobytes() == want.tobytes()
+
+
+def test_canonicalize_sign_step_keeps_signed_zeros():
+    """The in-place multiply by each column's sign gives the fancy-indexed
+    flip's bits: a flipped column's zeros change sign, and the others keep
+    theirs."""
+    vecs = np.random.default_rng(3).normal(size=(8, 8))
+    vecs[::3] = 0.0
+    vecs[1::3, ::2] = -0.0
+    vecs[:, 1] = 0.0
+    vecs[2, 1] = -1.0
+    vals = np.arange(8.0)
+    _, got = ts.canonicalize(vals.copy(), vecs.copy())
+    _, want = reference_canonicalize(vals.copy(), vecs.copy())
+    assert got.tobytes() == want.tobytes()
+    flipped = np.signbit(got) != np.signbit(vecs)
+    assert flipped[:, 1].all() and not flipped.all(axis=0).all()
+    assert (np.signbit(got) & (got == 0)).any()
 
 
 def test_canonicalize_keeps_near_degenerate_pairs_apart():

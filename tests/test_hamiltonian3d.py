@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import triscar as ts
+from triscar import hamiltonian3d
 from triscar.hamiltonian3d import f2, RHO
 
 F2_FROZEN = {
@@ -432,3 +433,30 @@ def test_rows_equal_the_full_assembly_at_those_rows(model, total, sector_cutoff,
         for got, want in zip(plain.rows(states), full):
             assert got.dtype == want.dtype
             assert got.tobytes() == want[keep].tobytes()
+
+
+@pytest.mark.parametrize("model", ["1d", "3d"])
+def test_dense_in_chunks_is_one_bincount(monkeypatch, model):
+    """dense() adds its terms by np.add.at, a few at a time, and gives one
+    np.bincount over every term, symmetrized, in values and in signed
+    zeros, for every block of the 1D sector at heavy_cutoff 6 and of the
+    3D one at cutoff_sq 3."""
+    if model == "1d":
+        p = ts.ModelParams(heavy_cutoff=6)
+        plain = ts.HamiltonianOperator1D(ts.enumerate_basis_1d(p, 0),
+                                         ts.MatrixElementRule1D(p))
+    else:
+        p = ts.ModelParams(cutoff_sq=3)
+        plain = ts.HamiltonianOperator3D(ts.sector_3d(p, (0, 0, 0)),
+                                         ts.MatrixElementRule3D(p))
+    monkeypatch.setattr(hamiltonian3d, "_TERMS_CHUNK", 7)
+    for block in ts.symmetry_blocks(plain.sector):
+        op = ts.SymmetrizedOperator3D(block, plain)
+        (keys, weights), = op._terms()
+        assert len(keys) > 3 * hamiltonian3d._TERMS_CHUNK
+        n = op.dim
+        half = np.bincount(keys, weights=weights, minlength=n * n).reshape(n, n)
+        want = half + half.T
+        got = op.dense()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
