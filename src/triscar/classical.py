@@ -19,12 +19,12 @@ estimates.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ConfigError, ResourceLimitError, check, require
+from .manifest import Steps
 from .params import ModelParams, Scaling
 
 TWO_PI = 2.0 * np.pi
@@ -253,7 +253,7 @@ class OrbitRun:
     trajectories: list[Trajectory]
     initial: list[float]
     dt: float
-    timings: dict[str, float]
+    steps: Steps
 
 
 def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
@@ -274,7 +274,7 @@ def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
     require(dt or dimension == 1, "orbit", "dt", dt, "positive for a 3D run")
     dt = dt or suggest_timestep(params)
 
-    t0 = time.perf_counter()
+    recorder = Steps()       # `steps` is the step count here
     base = np.array(initial, dtype=np.float64)
     starts = [base]
     if ensemble == "straddle":
@@ -293,8 +293,8 @@ def run_orbits(params: ModelParams, *, dimension: int = 1, initial=None,
     trajectories = [integrate_orbit(st, dt, steps, params, dimension=dimension,
                                     wrap=wrap, singularity_tol=singularity_tol)
                     for st in starts]
-    return OrbitRun(trajectories, list(initial), dt,
-                    {"integrate": time.perf_counter() - t0})
+    recorder.end("integrate")
+    return OrbitRun(trajectories, list(initial), dt, recorder)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from .config import (DEFAULTS, ConfigError, IterationError, ResourceLimitError,
                      load_config, model_params, params_dict, section)
-from .manifest import RunManifest, read_manifest, write_json
+from .manifest import RunManifest, Steps, read_manifest, write_json
 from .params import ModelParams
 
 EXIT_OK = 0
@@ -93,16 +92,16 @@ def _save(args, name: str, write, *rest, **kwargs) -> None:
 
 
 def _finish(args) -> str:
-    """Create --out, write the queued artifacts into it, timed as
-    timings.write, and then the manifest that lists them; returns --out."""
-    man, out = args.manifest, args.out
-    t0 = time.perf_counter()
+    """Create --out, write the queued artifacts into it, timed as the step
+    write, and then the manifest that lists them; returns --out."""
+    man, out, steps = args.manifest, args.out, Steps()
     os.makedirs(out, exist_ok=True)
     for name, write, rest, kwargs in args.queue:
         path = os.path.join(out, name)
         write(path, *rest, **kwargs)
         man.add_artifact(path)
-    man.add_timing("write", time.perf_counter() - t0)
+    steps.end("write")
+    man.steps.add(steps)
     man.write(out)
     return out
 
@@ -122,7 +121,7 @@ def _solve(args, params: ModelParams, s: dict, man: RunManifest):
     run = solve_sector(params, s["total_momentum"], method=s["method"], k=s["k"],
                        tol=s["tol"], seed=s["seed"],
                        allow_large=getattr(args, "allow_large", False))
-    man.timings.update(run.timings)
+    man.steps.add(run.steps)
     return run
 
 
@@ -174,7 +173,6 @@ def cmd_solve1d(args) -> int:
         "max_residual_ratio": spectrum.max_residual_ratio(),
         "block_dimensions": spectrum.meta["block_dimensions"],
         "dense_lapack": spectrum.meta["lapack"],
-        "peak_rss_rise_mb": run.peak_rss_rise_mb,
     }
     out = _finish(args)
     print(f"sector {sector.key}: {sector.dim} states, method {spectrum.method}")
@@ -239,7 +237,6 @@ def cmd_solve3d(args) -> int:
         "ground_energy_symmetric": e_sym,
         "ground_energy_antisymmetric": e_anti,
         "symmetric_ground_below_antisymmetric": ordered,
-        "peak_rss_rise_mb": run.peak_rss_rise_mb,
     }
     out = _finish(args)
     print(f"sector {sector.key}: dim {sector.dim} = {dims['sym']} sym + "
@@ -260,6 +257,8 @@ def cmd_solve3d(args) -> int:
 
 def _parse_selector(text: str, eigenvalues: np.ndarray,
                     band_ids: np.ndarray) -> list[int]:
+    """The states a --select text names; a part with an index, band or
+    energy that is not a number, or an energy that is not finite, is refused."""
     import numpy as np
 
     chosen: list[int] = []
@@ -273,33 +272,34 @@ def _parse_selector(text: str, eigenvalues: np.ndarray,
         if not part:
             continue
         tokens = part.split(":")
-        if tokens[0] == "ground" and len(tokens) == 1:
-            add(int(np.argmin(eigenvalues)))
-        elif tokens[0] == "index" and len(tokens) == 2:
-            i = int(tokens[1])
-            if not 0 <= i < len(eigenvalues):
-                raise ConfigError(f"selector index {i} out of range "
-                                  f"0..{len(eigenvalues) - 1}")
-            add(i)
-        elif tokens[0] == "energy" and len(tokens) == 2:
-            add(int(np.argmin(np.abs(eigenvalues - float(tokens[1])))))
-        elif tokens[0] == "band" and len(tokens) == 3:
-            bid = int(tokens[1])
-            members = np.nonzero(band_ids == bid)[0]
-            if len(members) == 0:
-                raise ConfigError(f"selector band {bid} not present")
-            if tokens[2] == "top":
-                add(int(members[-1]))
-            elif tokens[2] == "head":
-                add(int(members[0]))
-            elif tokens[2] == "all":
-                for i in members:
+        try:
+            if tokens[0] == "ground" and len(tokens) == 1:
+                add(int(np.argmin(eigenvalues)))
+            elif tokens[0] == "index" and len(tokens) == 2:
+                i = int(tokens[1])
+                if not 0 <= i < len(eigenvalues):
+                    raise ConfigError(f"selector index {i} out of range "
+                                      f"0..{len(eigenvalues) - 1}")
+                add(i)
+            elif tokens[0] == "energy" and len(tokens) == 2:
+                energy = float(tokens[1])
+                if not np.isfinite(energy):
+                    raise ConfigError(f"bad selector {part!r}: the energy is not finite")
+                add(int(np.argmin(np.abs(eigenvalues - energy))))
+            elif tokens[0] == "band" and len(tokens) == 3:
+                bid = int(tokens[1])
+                members = np.nonzero(band_ids == bid)[0]
+                if len(members) == 0:
+                    raise ConfigError(f"selector band {bid} not present")
+                picks = {"head": members[:1], "top": members[-1:], "all": members}
+                if tokens[2] not in picks:
+                    raise ConfigError(f"bad band selector {part!r} (use head, top or all)")
+                for i in picks[tokens[2]]:
                     add(int(i))
             else:
-                raise ConfigError(f"bad band selector {part!r} "
-                                  f"(use head, top or all)")
-        else:
-            raise ConfigError(f"bad selector {part!r}")
+                raise ConfigError(f"bad selector {part!r}")
+        except ValueError:
+            raise ConfigError(f"bad selector {part!r}") from None
     if not chosen:
         raise ConfigError(f"selector {text!r} selected nothing")
     return chosen
@@ -316,7 +316,7 @@ def _analyze_1d(args, s, man, archive) -> None:
     coeffs = _read_weights(args.weights, len(evals)) if args.weights else None
     run = analyze_1d(archive, chosen, coeffs, **{key: s[key] for key in (
         "n_r", "n_eta", "strip_fraction", "times_max", "n_times", "broadening")})
-    man.timings.update(run.timings)
+    man.steps.add(run.steps)
 
     _save(args, "overlaps.csv", _write_table,
           ["index", "eigenvalue", "band", "heavy_overlap"],
@@ -372,6 +372,8 @@ def _read_weights(path: str, n: int) -> np.ndarray:
             except (IndexError, ValueError):
                 raise ConfigError(f"{path} line {lineno}: expected index,coefficient, "
                                   f"got {line!r}") from None
+            if not np.isfinite(value):
+                raise ConfigError(f"{path} line {lineno}: coefficient {value} is not finite")
             if not 0 <= i < n:
                 raise ConfigError(f"weights index {i} out of range 0..{n - 1}")
             coeffs[i] = value
@@ -389,7 +391,7 @@ def _analyze_3d(args, s, man, archive) -> None:
         raise ConfigError(f"--index {idx} out of range 0..{len(evals) - 1}")
     run = analyze_3d(archive, idx, n_radial=s["n_radial"], n_r=s["n_r"],
                      n_eta=s["n_eta"])
-    man.timings.update(run.timings)
+    man.steps.add(run.steps)
 
     radial = run.radial
     _save(args, f"radial_{tag}_state{idx:04d}.csv", _write_table,
@@ -435,9 +437,10 @@ def cmd_analyze(args) -> int:
 
     from .pipeline import load_archive
 
-    t0 = time.perf_counter()
+    steps = Steps()
     archive = load_archive(path)
-    man.add_timing("load", time.perf_counter() - t0)
+    steps.end("load")
+    man.steps.add(steps)
     analyze(args, s, man, archive)
     print(f"analyze ->  {_finish(args)}")
     return EXIT_OK
@@ -457,7 +460,7 @@ def cmd_orbit(args) -> int:
     dim = s["dimension"]
     run = run_orbits(params, **{key: value for key, value in s.items()
                                 if key != "store_every"})
-    man.timings.update(run.timings)
+    man.steps.add(run.steps)
     man.parameters["orbit"]["initial"] = run.initial
     man.parameters["dt_used"] = dt = run.dt
     trajectories = run.trajectories
@@ -530,7 +533,7 @@ def cmd_estimate(args) -> int:
         if not os.path.exists(path):
             raise ConfigError(f"no eigenvectors.npz under {args.from_dir}")
     run = estimate(params, n_levels=s["n_levels"], convention=s["convention"])
-    man.timings.update(run.timings)
+    man.steps.add(run.steps)
     payload, saddle = run.payload, run.saddle
     if args.from_dir:
         if saddle is None:
@@ -538,12 +541,13 @@ def cmd_estimate(args) -> int:
                               f"in {args.from_dir}")
         from .eigensolve import read_archive
 
-        t0 = time.perf_counter()
+        steps = Steps()
         data, run_params = read_archive(path, ["eigenvalues"])
         _, comp = compare_bands(saddle, run_params, data["eigenvalues"],
                                 _band_gap_threshold(args.from_dir), s["n_levels"])
         payload["comparison"] = comp.as_dict()
-        man.add_timing("comparison", time.perf_counter() - t0)
+        steps.end("comparison")
+        man.steps.add(steps)
 
     _save(args, "scar_estimates.json", write_json, payload)
     points = payload["critical_points"]
@@ -610,6 +614,7 @@ def cmd_report(args) -> int:
                          f"{e['predicted_gap']:>9.4f}  {measured:>12s}")
     lines.append("")
     lines.append(f"timings: {man.get('timings', {})}")
+    lines.append(f"peak RSS rises (MB): {man.get('peak_rss_rise_mb', {})}")
     lines.append(f"peak RSS: {man.get('peak_rss_mb')} MB")
     text = "\n".join(lines) + "\n"
     os.makedirs(args.out, exist_ok=True)
@@ -631,24 +636,21 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
+    def command(name, func, about):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", default=None, help="INI configuration file")
-        p.add_argument("--out", default=default_out, help="output directory")
+        p.add_argument("--out", default=f"triscar-runs/{name}", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve1d", help="diagonalize a 1D momentum sector")
-    common(p, "triscar-runs/solve1d")
-    p.set_defaults(func=cmd_solve1d)
-
-    p = sub.add_parser("solve3d", help="diagonalize a 3D momentum sector by "
-                                       "point-group blocks")
-    common(p, "triscar-runs/solve3d")
+    command("solve1d", cmd_solve1d, "diagonalize a 1D momentum sector")
+    p = command("solve3d", cmd_solve3d,
+                "diagonalize a 3D momentum sector by point-group blocks")
     p.add_argument("--allow-large", action="store_true",
                    help="override the operator memory budget")
-    p.set_defaults(func=cmd_solve3d)
 
-    p = sub.add_parser("analyze", help="wavefunctions and collision "
-                                       "diagnostics from a solve run")
-    common(p, "triscar-runs/analyze")
+    p = command("analyze", cmd_analyze,
+                "wavefunctions and collision diagnostics from a solve run")
     p.add_argument("--from", dest="from_dir", required=True,
                    help="directory of a previous solve run")
     p.add_argument("--select", default=None,
@@ -659,18 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", default=None, help="3D runs: sym or anti")
     p.add_argument("--index", type=int, default=None,
                    help="3D runs: state index inside the parity block")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("orbit", help="integrate classical center-of-mass "
-                                     "orbits")
-    common(p, "triscar-runs/orbit")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("estimate", help="critical points and scar estimates")
-    common(p, "triscar-runs/estimate")
+    command("orbit", cmd_orbit, "integrate classical center-of-mass orbits")
+    p = command("estimate", cmd_estimate, "critical points and scar estimates")
     p.add_argument("--from", dest="from_dir", default=None,
                    help="solve1d run directory for a measured-gap comparison")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--out", default="triscar-runs/report", help="output directory")
@@ -693,16 +688,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return _write_exit(args, "refused", EXIT_RESOURCE, f"resource limit: {exc}")
     except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _write_exit(args, "failed", EXIT_NUMERICAL, f"numerical failure: {exc}")
-    except (ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -43,12 +43,9 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _parse_numbers(kind):
+    """The parser of a list of kind, separated by commas or whitespace."""
+    return lambda text: [kind(tok) for tok in text.replace(",", " ").split()]
 
 
 def _box_coefficients_finite(L) -> bool:
@@ -141,8 +138,8 @@ def _parser(default):
     if isinstance(default, (int, float)):
         return type(default)
     if isinstance(default, list):
-        return _parse_ints
-    return _parse_floats if default is None else str.strip
+        return _parse_numbers(int)
+    return _parse_numbers(float) if default is None else str.strip
 
 
 def load_config(path: str | None) -> dict[str, dict]:

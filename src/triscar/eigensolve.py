@@ -22,7 +22,6 @@ import json
 import os
 import shutil
 import tempfile
-import time
 import weakref
 import zipfile
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import IterationError, ResourceLimitError, model_params, params_dict
-from .manifest import peak_rss_mb
+from .manifest import Steps
 from .params import ModelParams
 
 #: largest total of eigenvector arrays a dense solve returns (one dim 5792).
@@ -136,30 +135,6 @@ class Band:
     @property
     def size(self) -> int:
         return self.stop - self.start + 1
-
-
-class _Steps:
-    """The seconds a solve spends in each of its steps, and by how many MB
-    each raised the process's peak RSS (manifest.peak_rss_mb, which is
-    ru_maxrss): a step's rise is 0 unless the process reached a new peak
-    during it.  A step run twice counts both times.  No rises are recorded
-    where the platform has no getrusage."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self.rises: dict[str, float] = {}
-        self._at, self._peak = time.perf_counter(), peak_rss_mb()
-
-    def end(self, step: str) -> None:
-        """End step, which began when the previous one ended."""
-        at, peak = time.perf_counter(), peak_rss_mb()
-        self.seconds[step] = self.seconds.get(step, 0.0) + (at - self._at)
-        if peak is not None:
-            self.rises[step] = self.rises.get(step, 0.0) + (peak - self._peak)
-        self._at, self._peak = at, peak
-
-    def meta(self) -> dict:
-        return {"timings": self.seconds, "peak_rss_rise_mb": self.rises}
 
 
 def canonicalize(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
@@ -358,16 +333,15 @@ def solve_dense(op) -> Spectrum:
     in place on the block (_eigh), which op.dense() then builds again for the
     residuals.  Refuses sectors over the dense output budget.
 
-    meta["timings"] records the seconds spent in both op.dense() calls
-    ("blocks"), "eigh", "canonicalize" and "residuals", and
-    meta["peak_rss_rise_mb"] by how much each raised the peak RSS (_Steps);
-    meta["lapack"] names the path that ran dsyevd.
+    meta["steps"] records the seconds and the peak RSS rise (manifest.Steps)
+    of both op.dense() calls ("blocks"), "eigh", "canonicalize" and
+    "residuals"; meta["lapack"] names the path that ran dsyevd.
     """
     n = op.dim
     error = dense_budget_error([n])
     if error is not None:
         raise error
-    steps = _Steps()
+    steps = Steps()
     h = op.dense()
     steps.end("blocks")
     # Fortran order: canonicalize and merge_blocks read the vectors column
@@ -382,7 +356,7 @@ def solve_dense(op) -> Spectrum:
     resid = _residuals(h, evals, vecs)
     steps.end("residuals")
     return Spectrum(op.key, evals, vecs, resid, "dense", meta={
-        "dim": n, "lapack": lapack, **steps.meta()})
+        "dim": n, "lapack": lapack, "steps": steps})
 
 
 def merge_blocks(key: str, parts,
@@ -451,17 +425,16 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
     does not converge, IterationError carries the k lowest eigenvalues
     found and their residuals.
 
-    meta["timings"] records the seconds spent in op.matrix ("blocks"), the
-    solve ("eigsh", also where LAPACK stands in for it), "canonicalize" and
-    "residuals", and meta["peak_rss_rise_mb"] by how much each raised the
-    peak RSS (_Steps).
+    meta["steps"] records the seconds and the peak RSS rise (manifest.Steps)
+    of op.matrix ("blocks"), the solve ("eigsh", also where LAPACK stands in
+    for it), "canonicalize" and "residuals".
     """
     n = op.dim
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
     n_pairs = min(n, k + _EXTRA_PAIRS)
-    steps = _Steps()
+    steps = Steps()
     h = op.matrix
     steps.end("blocks")
     failure = None
@@ -495,7 +468,7 @@ def solve_iterative(op, k: int, *, tol: float = 1e-10, seed: int = 0) -> Spectru
             f"residuals {np.array2string(resid, precision=3)}",
             eigenvalues=evals, residuals=resid)
     return Spectrum(op.key, evals, vecs, resid, "lanczos", meta={
-        "dim": n, "seed": seed, **steps.meta()})
+        "dim": n, "seed": seed, "steps": steps})
 
 
 def assemble_bands(eigenvalues: np.ndarray, gap_threshold: float) -> list[Band]:

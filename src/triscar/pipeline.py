@@ -17,6 +17,7 @@ from .hamiltonian1d import HamiltonianOperator1D, MatrixElementRule1D
 from .hamiltonian3d import (HamiltonianOperator3D, MatrixElementRule3D,
                             OPERATOR_BUDGET_BYTES, SymmetrizedOperator3D,
                             count_bytes, operator_bytes, operator_size)
+from .manifest import Steps
 from .params import ModelParams
 
 #: seconds into a sector solve after which each finished block is reported
@@ -33,17 +34,15 @@ class SectorSolution:
     """What solve_sector returns.  `groups` maps "" (the whole 1D sector) or
     "sym" and "anti" (the 3D exchange halves) to merge_blocks' (Spectrum,
     labels, offsets); `operator` is the plain H; `counts` is the 3D gate's
-    (dim, nnz, operator bytes), None in 1D; `timings` are in seconds, and
-    `peak_rss_rise_mb` is by how many MB each step a block solver times
-    raised the peak RSS, summed over the blocks."""
+    (dim, nnz, operator bytes), None in 1D; `steps` records the solve's
+    steps and, summed over the blocks, each block solver's."""
 
     sector: Sector
     blocks: list[SymmetryBlock]
     operator: SectorOperator
     groups: dict[str, tuple]
     counts: tuple[int, int, int] | None
-    timings: dict[str, float]
-    peak_rss_rise_mb: dict[str, float]
+    steps: Steps
 
 
 def _gate(cutoff_sq: int, total, allow_large: bool) -> tuple[int, int, int]:
@@ -91,21 +90,18 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     operator budget first (see _gate).  eigensolve.choose_solver picks the
     block solver once for all blocks, from method and the dense output
     budget.  The rows of H at the blocks' orbit representatives, the only
-    rows any block reads, are assembled once (timings["assemble"]); each
+    rows any block reads, are assembled once (step "assemble"); each
     block S^T H S is solved from them and refused (IterationError) if an
     eigenvalue is not finite or a residual ratio exceeds RESIDUAL_BOUND.
-    The seconds of the steps each solver times, and their rises of the peak
-    RSS, are summed over the blocks.
+    The steps each solver records are summed over the blocks, inside the
+    step "solve".
     Once the solve has run PROGRESS_AFTER_S, each finished block is
     reported on stderr.
     """
     three_d = np.ndim(total_momentum) > 0
     command = "solve3d" if three_d else "solve1d"
     check(command, total_momentum=total_momentum, method=method, k=k, tol=tol, seed=seed)
-    timings: dict[str, float] = {}
-    rises: dict[str, float] = {}
-
-    t0 = time.perf_counter()
+    steps = Steps()
     counts = None
     if three_d:
         counts = _gate(params.cutoff_sq, total_momentum, allow_large)
@@ -116,11 +112,9 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
         plain_op = HamiltonianOperator1D(sector, MatrixElementRule1D(params))
     if not sector.dim:
         raise ConfigError(f"sector {sector.key} holds no states")
-    t1 = time.perf_counter()
+    steps.end("build")
     blocks = symmetry_blocks(sector)
-    t2 = time.perf_counter()
-    timings["build"] = t2 - t0
-    timings["blocks"] = t2 - t1
+    steps.end("blocks")
 
     solver, cut = choose_solver(method, [block.dim for block in blocks], k,
                                 tol=tol, seed=seed)
@@ -129,22 +123,18 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
         name = block.label.partition(" ")[0] if three_d else ""
         groups.setdefault(name, []).append(block)
 
-    t0 = time.perf_counter()
     # as in basis._orbit_blocks: return_counts keeps numpy.ma unloaded
     lowest = np.unique(np.concatenate([block.orbits[0] for block in blocks]),
                        return_counts=True)[0]
     triplets = plain_op.rows(lowest)
-    timings["assemble"] = time.perf_counter() - t0
+    steps.end("assemble")
 
     def solve(members):
         """Each block of one group, solved when it is asked for."""
         for block in members:
             spec = solver(SymmetrizedOperator3D(block, plain_op, triplets))
             _accept(spec, block)
-            for step, seconds in spec.meta["timings"].items():
-                timings[step] = timings.get(step, 0.0) + seconds
-            for step, mb in spec.meta["peak_rss_rise_mb"].items():
-                rises[step] = rises.get(step, 0.0) + mb
+            steps.add(spec.meta["steps"])
             elapsed = time.perf_counter() - started
             if elapsed > PROGRESS_AFTER_S:
                 print(f"{command}: block {block.label!r} (dim {block.dim}) solved "
@@ -155,8 +145,8 @@ def solve_sector(params: ModelParams, total_momentum, *, method: str = "auto",
     started = time.perf_counter()
     solved = {name: merge_blocks(f"{sector.key} {name}".rstrip(), solve(members), cut)
               for name, members in groups.items()}
-    timings["solve"] = time.perf_counter() - started
-    return SectorSolution(sector, blocks, plain_op, solved, counts, timings, rises)
+    steps.end("solve")
+    return SectorSolution(sector, blocks, plain_op, solved, counts, steps)
 
 
 def load_archive(path: str):

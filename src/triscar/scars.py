@@ -16,13 +16,13 @@ settings; compare_bands is the comparison of solve1d and estimate --from.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classical import SaddleAnalysis, find_critical_points
 from .config import check, params_dict
+from .manifest import Steps
 from .params import ModelParams
 
 TWO_PI = 2.0 * np.pi
@@ -176,7 +176,7 @@ class ScarEstimate:
 
     payload: dict
     saddle: SaddleAnalysis | None
-    timings: dict[str, float]
+    steps: Steps
 
 
 def estimate(params: ModelParams, *, n_levels: int = 3,
@@ -187,7 +187,7 @@ def estimate(params: ModelParams, *, n_levels: int = 3,
     or both."""
     check("estimate", n_levels=n_levels, convention=convention)
     L = params.box_length
-    t0 = time.perf_counter()
+    steps = Steps()
     result = find_critical_points(params)
     points = [{
         "r": pt.r, "eta": pt.eta, "r_over_L": pt.r / L,
@@ -220,4 +220,5 @@ def estimate(params: ModelParams, *, n_levels: int = 3,
         for name in ("sigma", "rate"):
             if convention in (name, "both"):
                 info[f"intensity_{name}_convention"] = scar_intensity(saddle, name)
-    return ScarEstimate(payload, saddle, {"critical": time.perf_counter() - t0})
+    steps.end("critical")
+    return ScarEstimate(payload, saddle, steps)

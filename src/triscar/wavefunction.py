@@ -13,13 +13,13 @@ analyze_1d and analyze_3d run the [analyze] settings on an eigenvector archive.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import _pairs_within_groups
 from .config import ConfigError, check, require
+from .manifest import Steps
 
 TWO_PI = 2.0 * np.pi
 
@@ -180,7 +180,7 @@ def autocorrelation(coefficients, eigenvalues, times,
         raise ValueError(f"broadening must be positive, got {broadening}")
     w = np.abs(c) ** 2
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(f"coefficients must have unit norm, got |c|^2 = {total}")
     times = np.asarray(times, dtype=np.float64)
     values = np.exp(-1j * np.outer(times, evals)) @ w
@@ -398,7 +398,7 @@ class Analysis1D:
     grids: dict[int, WavefunctionGrid]
     strip_half_width: float
     series: AutocorrelationSeries | None
-    timings: dict[str, float]
+    steps: Steps
 
 
 def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
@@ -415,11 +415,10 @@ def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
     require(n_r % 2 == 0, "analyze", "n_r", n_r, "even for a 1D run")
     data, params, sector, blocks = archive
     L = params.box_length
-    timings = {}
+    steps = Steps()
 
     # heavy overlap for every state: group coefficient mass by light
     # momentum, block by block, so no full set of plain vectors is formed
-    t0 = time.perf_counter()
     p_vals, light = np.unique(sector.p, return_inverse=True)
     overlaps = np.empty(len(data["eigenvalues"]))
     for label, block in blocks.items():
@@ -430,9 +429,8 @@ def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
                                weights=block.values, minlength=len(p_vals) * block.dim)
         amp = by_light.reshape(len(p_vals), block.dim) @ data["eigenvectors"][columns]
         overlaps[members] = np.sum(amp ** 2, axis=0) / L
-    timings["overlaps"] = time.perf_counter() - t0
+    steps.end("overlaps")
 
-    t0 = time.perf_counter()
     strip = strip_fraction * L
     grids = {}
     for i in chosen:
@@ -440,7 +438,7 @@ def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
                                                    params, n_r=n_r, n_eta=n_eta)
         grid.meta.update(heavy_overlap=heavy_overlap(grid),
                          concentration_ratio=concentration_ratio(grid, strip))
-    timings["grids"] = time.perf_counter() - t0
+    steps.end("grids")
 
     series = None
     if coefficients is not None:
@@ -455,11 +453,10 @@ def analyze_1d(archive, chosen, coefficients=None, *, n_r: int = 128,
             omega = stable_frequency(saddle.in_convention(params))
             broadening = broadening or omega / 2.0
             times_max = times_max or 3.0 * 2.0 * np.pi / omega
-        t0 = time.perf_counter()
         series = autocorrelation(coefficients, data["eigenvalues"],
                                  np.linspace(0.0, times_max, n_times), broadening)
-        timings["autocorrelation"] = time.perf_counter() - t0
-    return Analysis1D(overlaps, grids, strip, series, timings)
+        steps.end("autocorrelation")
+    return Analysis1D(overlaps, grids, strip, series, steps)
 
 
 @dataclass
@@ -469,7 +466,7 @@ class Analysis3D:
 
     radial: RadialDensity
     projections: dict[str, WavefunctionGrid]
-    timings: dict[str, float]
+    steps: Steps
 
 
 def analyze_3d(archive, index: int, *, n_radial: int = 48, n_r: int = 128,
@@ -479,14 +476,14 @@ def analyze_3d(archive, index: int, *, n_radial: int = 48, n_r: int = 128,
     its pair projections."""
     check("analyze", n_radial=n_radial, n_r=n_r, n_eta=n_eta)
     data, params, sector, blocks = archive
+    steps = Steps()
     coeffs = _embedded(data, blocks, index)
-    t0 = time.perf_counter()
     radial = integrated_probability_3d(
         coeffs, sector, params, n_r=n_radial, n_eta=n_radial,
         orbits=blocks[str(data["block"][index])].orbits)
-    t1 = time.perf_counter()
+    steps.end("radial")
     projections = {label: pair_projection_3d(coeffs, sector, params, 0, comp_eta,
                                              n_r=n_r, n_eta=n_eta)
                    for comp_eta, label in ((0, "like"), (1, "unlike"))}
-    return Analysis3D(radial, projections, {"radial": t1 - t0,
-                                            "projections": time.perf_counter() - t1})
+    steps.end("projections")
+    return Analysis3D(radial, projections, steps)

@@ -131,6 +131,16 @@ def solve1d_run(tmp_path_factory):
     return out
 
 
+def assert_rises_fit_the_peak(man):
+    """Each timed step has its peak RSS rise, none negative, and the rises
+    of all steps but solve, which encloses the block solvers' steps, are
+    disjoint, so they sum to no more than the peak itself."""
+    rises = man["peak_rss_rise_mb"]
+    assert set(rises) == set(man["timings"])
+    assert all(v >= 0.0 for v in rises.values())
+    assert sum(v for step, v in rises.items() if step != "solve") <= man["peak_rss_mb"]
+
+
 def test_solve1d_small(tmp_path):
     cfg = write_config(tmp_path, SMALL_1D)
     out = str(tmp_path / "run")
@@ -285,9 +295,9 @@ def test_solve_manifests_record_the_same_timings(tmp_path, command, method):
     """Both solve commands run one block pipeline and time the same steps,
     summed over the blocks as each solver reports them: the eigensolve
     (eigh on the dense route, eigsh on the iterative one), canonicalize and
-    residuals, which together fit inside the solve.  By how much each of
-    the solver's steps, block assembly included, raised the peak RSS is
-    summed the same way, and no more than the peak itself."""
+    residuals, which together fit inside the solve.  By how much each step
+    raised the peak RSS is recorded with it, and no more than the peak
+    itself."""
     cfg = write_config(tmp_path, f"[model]\n{SMALL_MODEL[command]}\n"
                                  f"[{command}]\nmethod = {method}\n")
     out = str(tmp_path / "run")
@@ -298,10 +308,7 @@ def test_solve_manifests_record_the_same_timings(tmp_path, command, method):
     assert set(timings) == {"build", "assemble", "blocks", "solve", "write"} | steps
     assert sum(timings[key] for key in steps) <= timings["solve"]
     assert all(v > 0.0 for v in timings.values())
-    rises = man["statistics"]["peak_rss_rise_mb"]
-    assert set(rises) == {"blocks"} | steps
-    assert all(v >= 0.0 for v in rises.values())
-    assert sum(rises.values()) <= man["peak_rss_mb"]
+    assert_rises_fit_the_peak(man)
 
 
 @pytest.mark.parametrize("command, model",
@@ -526,9 +533,12 @@ def test_analyze_3d_manifest_records_timings_and_peak_rss(tmp_path, capsys):
     assert set(man["timings"]) == {"load", "radial", "projections", "write"}
     assert all(t > 0.0 for t in man["timings"].values())
     assert man["peak_rss_mb"] > 0.0
+    assert_rises_fit_the_peak(man)
     capsys.readouterr()
     assert main(["report", "--from", out, "--out", str(tmp_path / "rep")]) == 0
-    assert f"peak RSS: {man['peak_rss_mb']} MB" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert f"peak RSS rises (MB): {man['peak_rss_rise_mb']}" in printed
+    assert f"peak RSS: {man['peak_rss_mb']} MB" in printed
 
 
 @pytest.mark.parametrize("weights", [False, True], ids=["plain", "weights"])
@@ -545,6 +555,7 @@ def test_analyze_1d_manifest_records_timings(solve1d_run, tmp_path, weights):
     man = read_manifest(out)
     assert set(man["timings"]) == keys
     assert all(t > 0.0 for t in man["timings"].values())
+    assert_rises_fit_the_peak(man)
 
 
 def _fmt(x) -> str:
@@ -1195,12 +1206,24 @@ def test_analyze_1d_matches_full_sector_solve(solve1d_run, tmp_path, params,
         assert overlaps[i] == pytest.approx(np.sum(amp ** 2) / L, rel=0.0, abs=1e-10 / L)
 
 
-def test_analyze_bad_selector(solve1d_run, tmp_path, capsys):
-    out = str(tmp_path / "an")
-    code = main(["analyze", "--from", solve1d_run, "--select", "warp:9",
-                 "--out", out])
+#: selectors analyze refuses, and what the refusal adds after naming them
+BAD_SELECTORS = {"warp:9": "", "index:x": "", "index:": "", "band:q:top": "",
+                 "energy:x": "", "energy:nan": ": the energy is not finite",
+                 "energy:inf": ": the energy is not finite",
+                 "energy:1e400": ": the energy is not finite"}
+
+
+@pytest.mark.parametrize("selector", BAD_SELECTORS)
+def test_analyze_bad_selector(solve1d_run, tmp_path, capsys, selector):
+    """A selector of an unknown kind, with an index or a band that is not an
+    integer or an energy that is not a finite number exits 2 naming it."""
+    out = tmp_path / "an"
+    code = main(["analyze", "--from", solve1d_run, "--select", f"ground,{selector}",
+                 "--out", str(out)])
     assert code == 2
-    assert "warp" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: bad selector {selector!r}{BAD_SELECTORS[selector]}\n")
+    assert not out.exists()
 
 
 def test_analyze_missing_run(tmp_path, capsys):
@@ -1386,6 +1409,21 @@ def test_analyze_refuses_a_malformed_weights_line(solve1d_run, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["1,nan", "1,inf"])
+def test_analyze_refuses_a_non_finite_weight(solve1d_run, tmp_path, capsys, line):
+    """A coefficient that is not finite would make every autocorrelation
+    value nan; it exits 2 naming the file and the line, and writes nothing."""
+    path = tmp_path / "w.csv"
+    path.write_text(f"index,coefficient\n0,0.8\n{line}\n")
+    out = tmp_path / "an"
+    assert main(["analyze", "--from", solve1d_run, "--weights", str(path),
+                 "--out", str(out)]) == 2
+    value = line.split(",")[1]
+    assert capsys.readouterr().err == (
+        f"error: {path} line 3: coefficient {value} is not finite\n")
+    assert not out.exists()
+
+
 def test_analyze_autocorrelation(solve1d_run, tmp_path):
     weights = tmp_path / "w.csv"
     weights.write_text("index,coefficient\n0,0.8\n26,0.6\n")
@@ -1425,6 +1463,17 @@ def test_orbit_straddle_ensemble(tmp_path):
         rows = list(csv.DictReader(fh))
     orbits = {r["orbit"] for r in rows}
     assert len(orbits) == 4
+
+
+def test_orbit_manifest_records_timings(tmp_path):
+    cfg = write_config(tmp_path, "[orbit]\nensemble = straddle\nn_orbits = 2\n"
+                                 "steps = 400\n")
+    out = str(tmp_path / "orb")
+    assert main(["orbit", "--config", cfg, "--out", out]) == 0
+    man = read_manifest(out)
+    assert set(man["timings"]) == {"integrate", "write"}
+    assert all(t > 0.0 for t in man["timings"].values())
+    assert_rises_fit_the_peak(man)
 
 
 @pytest.mark.parametrize("n_orbits", [1, 7])
@@ -1523,9 +1572,10 @@ def test_estimate_payload(tmp_path):
     assert sad["levels"][0]["gap_scaled"] == pytest.approx(5.8005, abs=1e-3)
     assert sad["intensity_sigma_convention"] > 0.0
     assert sad["intensity_rate_convention"] > 0.0
-    timings = read_manifest(out)["timings"]
-    assert set(timings) == {"critical", "write"}
-    assert all(t > 0.0 for t in timings.values())
+    man = read_manifest(out)
+    assert set(man["timings"]) == {"critical", "write"}
+    assert all(t > 0.0 for t in man["timings"].values())
+    assert_rises_fit_the_peak(man)
 
 
 def _refuse_constant(name):
@@ -1574,9 +1624,10 @@ def test_estimate_with_comparison(solve1d_run, tmp_path):
     first = comp["entries"][0]
     assert first["predicted_gap"] == pytest.approx(5.8005, abs=1e-3)
     assert first["measured_gap"] == pytest.approx(5.0132, abs=1e-3)
-    timings = read_manifest(out)["timings"]
-    assert set(timings) == {"critical", "comparison", "write"}
-    assert all(t > 0.0 for t in timings.values())
+    man = read_manifest(out)
+    assert set(man["timings"]) == {"critical", "comparison", "write"}
+    assert all(t > 0.0 for t in man["timings"].values())
+    assert_rises_fit_the_peak(man)
 
 
 def test_run_parameters_round_trip_through_npz(tmp_path):

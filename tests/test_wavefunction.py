@@ -178,6 +178,14 @@ def test_autocorrelation_rejects_unnormalized():
                            times=np.array([0.0]), broadening=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_autocorrelation_rejects_a_non_finite_coefficient(bad):
+    """|c|^2 sums to nan or inf, which the unit norm check refuses too."""
+    with pytest.raises(ValueError, match="unit norm"):
+        ts.autocorrelation(np.array([1.0, bad]), np.array([0.0, 1.0]),
+                           times=np.array([0.0]), broadening=0.1)
+
+
 # ---------------------------------------------------------------------------
 # 3D radial density: analytic reduction vs direct angular quadrature
 
